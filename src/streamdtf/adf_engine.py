@@ -122,8 +122,6 @@ def adf_update_entry(state: ModelState, entry: ObservedEntry,
         raise ValueError(f"binary model got non-binary value {entry.value}")
 
     w_means = state.weight_means()
-    w_vars = state.weight_vars()
-    layout = bnn.FlatParamLayout(state.net)
     try:
         alpha, tape = bnn.forward_mean(state.net, w_means, x_mean)
         g = bnn.backprop_gradient(state.net, w_means, x_mean, tape)
@@ -131,9 +129,13 @@ def adf_update_entry(state: ModelState, entry: ObservedEntry,
         logger.warning("skipping entry %s: %s", entry.index, exc)
         return EntryResult(log_z=math.nan, alpha=math.nan, beta=math.nan,
                            clamped=0, skipped=True)
-    gamma_vec = layout.pack(w_vars, x_var)
+    n = state.net.n_weights
+    mu_vec, gamma_vec = state.mu, state.var
+    mu_vec[n:] = x_mean
+    gamma_vec[n:] = x_var
     with np.errstate(over="ignore", invalid="ignore"):
-        beta = float((g * g) @ gamma_vec)
+        g_sq = g * g
+        beta = float(g_sq @ gamma_vec)
     if not (math.isfinite(alpha) and math.isfinite(beta)):
         logger.warning("skipping entry %s: non-finite output moments", entry.index)
         return EntryResult(log_z=math.nan, alpha=alpha, beta=beta, clamped=0,
@@ -150,25 +152,21 @@ def adf_update_entry(state: ModelState, entry: ObservedEntry,
                            skipped=True)
 
     dmu = ev.dalpha * g
-    dv = ev.dbeta * (g * g)
-    mu_vec = layout.pack(w_means, x_mean)
+    dv = ev.dbeta * g_sq
     mu_new = mu_vec + gamma_vec * dmu
     v_new = gamma_vec - gamma_vec * gamma_vec * (dmu * dmu - 2.0 * dv)
-    if not np.all(np.isfinite(mu_new)):
+    if not np.isfinite(mu_new).all():
         logger.warning("skipping entry %s: non-finite mean update", entry.index)
         return EntryResult(log_z=ev.log_z, alpha=alpha, beta=beta, clamped=0,
                            skipped=True)
     bad = ~np.isfinite(v_new) | (v_new < v_floor)
     clamped = int(bad.sum())
     if clamped:
-        v_new = np.where(bad, v_floor, v_new)
+        v_new[bad] = v_floor
 
-    new_w_means, new_x_mean = layout.unpack(mu_new)
-    new_w_vars, new_x_var = layout.unpack(v_new)
-    for lay, m, v in zip(state.weights, new_w_means, new_w_vars):
-        lay.mean[...] = m
-        lay.var[...] = v
-    state.scatter_entry(locator, new_x_mean, new_x_var)
+    mu_vec[...] = mu_new
+    gamma_vec[...] = v_new
+    state.scatter_entry(locator, mu_new[n:], v_new[n:])
     if state.kind is ValueKind.CONTINUOUS:
         # pre-update alpha/beta of this entry feed the noise update
         state.gamma = update_tau(state.gamma, entry.value, alpha, beta)

@@ -15,7 +15,8 @@ The 'identity' activation exists so tests can build exactly linear networks;
 user-facing configuration restricts activations to relu/tanh.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -53,6 +54,10 @@ ACTIVATIONS: dict[str, tuple[Callable, Callable]] = {
 
 USER_ACTIVATIONS = ("relu", "tanh")
 
+# the bias feature appended to each layer input, and the output-layer delta
+_ONE = np.ones(1)
+_ONE.flags.writeable = False
+
 
 @dataclass(frozen=True)
 class NetworkSpec:
@@ -86,14 +91,25 @@ class NetworkSpec:
     def input_dim(self) -> int:
         return self.widths[0]
 
-    @property
+    # the spec is frozen, so these are computed once per instance
+    @cached_property
     def weight_shapes(self) -> tuple[tuple[int, int], ...]:
         return tuple(
             (self.widths[m], self.widths[m - 1] + 1)
             for m in range(1, len(self.widths))
         )
 
-    @property
+    @cached_property
+    def weight_slices(self) -> tuple[slice, ...]:
+        """Each layer's range in the flat weight ordering of FlatParamLayout."""
+        slices = []
+        offs = 0
+        for r, c in self.weight_shapes:
+            slices.append(slice(offs, offs + r * c))
+            offs += r * c
+        return tuple(slices)
+
+    @cached_property
     def n_weights(self) -> int:
         return sum(r * c for r, c in self.weight_shapes)
 
@@ -108,17 +124,10 @@ class FlatParamLayout:
     """
 
     spec: NetworkSpec
-    weight_slices: tuple[slice, ...] = field(init=False)
-    input_slice: slice = field(init=False)
 
-    def __post_init__(self):
-        offs = 0
-        slices = []
-        for r, c in self.spec.weight_shapes:
-            slices.append(slice(offs, offs + r * c))
-            offs += r * c
-        object.__setattr__(self, "weight_slices", tuple(slices))
-        object.__setattr__(self, "input_slice", slice(offs, offs + self.spec.input_dim))
+    @property
+    def input_slice(self) -> slice:
+        return slice(self.n_weights, self.total)
 
     @property
     def n_weights(self) -> int:
@@ -151,7 +160,7 @@ class FlatParamLayout:
             raise ValueError(f"expected length-{self.total} vector, got shape {flat.shape}")
         mats = [
             flat[sl].reshape(shape)
-            for sl, shape in zip(self.weight_slices, self.spec.weight_shapes)
+            for sl, shape in zip(self.spec.weight_slices, self.spec.weight_shapes)
         ]
         return mats, flat[self.input_slice].copy()
 
@@ -212,9 +221,9 @@ def forward_mean(spec: NetworkSpec, weight_means: Sequence[np.ndarray],
     preacts: list[np.ndarray] = []
     m_total = spec.layer_count
     for m, w in enumerate(weight_means, start=1):
-        hb = np.append(h, 1.0) / np.sqrt(h.shape[0] + 1.0)
+        hb = np.concatenate((h, _ONE)) / np.sqrt(h.shape[0] + 1.0)
         z = w @ hb
-        if not np.all(np.isfinite(z)):
+        if not np.isfinite(z).all():
             raise NumericError(f"non-finite pre-activation in layer {m}")
         hbs.append(hb)
         preacts.append(z)
@@ -233,23 +242,19 @@ def backprop_gradient(spec: NetworkSpec, weight_means: Sequence[np.ndarray],
     if not tape.matches(spec, weight_means, x):
         raise ValueError("tape does not match the given spec/weights/input")
     _, dact = ACTIVATIONS[spec.activation]
-    m_total = spec.layer_count
-    delta = np.ones(1)
-    grads: list[np.ndarray] = [np.empty(0)] * m_total
-    dx = np.zeros(spec.input_dim)
-    for m in range(m_total, 0, -1):
+    g = np.empty(spec.n_weights + spec.input_dim)
+    delta = _ONE
+    for m in range(spec.layer_count, 0, -1):
         w = weight_means[m - 1]
-        hb = tape.hb[m - 1]
-        grads[m - 1] = np.outer(delta, hb)
+        np.multiply.outer(delta, tape.hb[m - 1],
+                          out=g[spec.weight_slices[m - 1]].reshape(w.shape))
         v_prev = spec.widths[m - 1]
         dh = (w[:, :v_prev].T @ delta) / np.sqrt(v_prev + 1.0)
         if m > 1:
             delta = dact(tape.preact[m - 2]) * dh
         else:
-            dx = dh
-    layout = FlatParamLayout(spec)
-    g = layout.pack(grads, dx)
-    if not np.all(np.isfinite(g)):
+            g[spec.n_weights:] = dh
+    if not np.isfinite(g).all():
         raise NumericError("non-finite gradient")
     return g
 
@@ -314,7 +319,7 @@ def output_moments_batch(spec: NetworkSpec, weight_means: Sequence[np.ndarray],
     for m in range(m_total, 0, -1):
         w = weight_means[m - 1]
         hb = hbs[m - 1]
-        beta += np.einsum("nj,jt,nt->n", delta * delta, weight_vars[m - 1], hb * hb)
+        beta += np.einsum("nt,nt->n", (delta * delta) @ weight_vars[m - 1], hb * hb)
         v_prev = spec.widths[m - 1]
         dh = (delta @ w[:, :v_prev]) / np.sqrt(v_prev + 1.0)
         if m > 1:

@@ -20,7 +20,8 @@ sigma0_sq) and N(0 | m_cav, v_cav).
 
 Embedding posteriors are never touched here. Weight updates within a sweep
 are independent (cavity/tilt uses pre-sweep values only), so the sweep is
-deterministic and could fan out across threads.
+deterministic, and it runs as one vectorized pass over the flat weight
+vectors of the store.
 """
 
 import math
@@ -29,8 +30,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit, log_expit, logit
 
-from .posterior_store import (DEFAULT_V_FLOOR, Hyperparams, ModelState,
-                              WeightPosterior)
+from .posterior_store import (DEFAULT_V_FLOOR, WEIGHT_FIELDS, Hyperparams,
+                              ModelState, WeightPosterior)
 
 # selector probabilities stay strictly inside (0, 1)
 _RHO_LO = 1e-300
@@ -163,20 +164,11 @@ def refine_all(state: ModelState, damping: float = 0.5,
     """Refine every network weight exactly once; embeddings are untouched."""
     if not 0.0 < damping <= 1.0:
         raise ValueError(f"damping must be in (0, 1], got {damping}")
-    skips = kept = inhibited = 0
-    for lay in state.weights:
-        out = _refine_arrays(
-            lay.mean, lay.var, lay.rho_post, lay.term_mean, lay.term_var,
-            lay.term_logit, slab_var=state.hyper.sigma0_sq, damping=damping,
-            v_floor=v_floor,
-        )
-        lay.mean[...] = out["mean"]
-        lay.var[...] = out["var"]
-        lay.rho_post[...] = out["rho_post"]
-        lay.term_mean[...] = out["term_mean"]
-        lay.term_var[...] = out["term_var"]
-        lay.term_logit[...] = out["term_logit"]
-        skips += int((~out["ok"]).sum())
-        kept += int(out["term_kept"].sum())
-        inhibited += int((lay.rho_post < 0.5).sum())
-    return EpDiagnostics(guard_skips=skips, term_kept=kept, inhibited=inhibited)
+    fields = state.weight_fields()
+    out = _refine_arrays(*fields, slab_var=state.hyper.sigma0_sq, damping=damping,
+                         v_floor=v_floor)
+    for flat, name in zip(fields, WEIGHT_FIELDS):
+        flat[...] = out[name]
+    return EpDiagnostics(guard_skips=int((~out["ok"]).sum()),
+                         term_kept=int(out["term_kept"].sum()),
+                         inhibited=int((state.rho_post < 0.5).sum()))

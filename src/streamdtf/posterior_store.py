@@ -7,18 +7,32 @@ per embedding cell a Gaussian (mean, var); for continuous data a Gamma
 posterior over the inverse noise variance. Total stored posterior scalars:
 6*V weight fields + 2*sum_k d_k*r_k embedding fields (+2 Gamma fields).
 
+Flat weight store: each weight field is one contiguous float64 vector in
+FlatParamLayout order (ModelState.mu, var, rho_post, term_mean, term_var,
+term_logit). mu and var carry V_0 more coordinates after the weights, an
+input slot the update engine fills with the current entry's gathered
+embedding moments, so the per-entry update reads and writes whole vectors.
+The slot is scratch, not posterior state: it is neither checkpointed nor
+counted. Each WeightLayer in ModelState.weights is a set of reshape views
+into those vectors, so `state.weights[m].mean[...] = x` writes the store.
+Write through the views with `[...] =` (or an index); rebinding a layer
+attribute (`lay.mean = x`) detaches it from the store and the engine will
+not see the write. Copies (copy.deepcopy, pickle) rebuild the views over
+the copy's own vectors.
+
 A ModelState is single-writer. Read-only snapshots (deep copies) may be
 shared across threads for prediction. Embeddings are mutated only through
 gather_entry/scatter_entry.
 
-Checkpoints are versioned JSON with every posterior field named; floats are
-rendered with shortest round-trip decimals so load(save(s)) reproduces s
-exactly, and the generator state is stored so a resumed run continues the
-identical random stream.
+Checkpoints are versioned JSON with every posterior field named, one table
+per layer (format version 1, independent of the in-memory layout); floats
+are rendered with shortest round-trip decimals so load(save(s)) reproduces
+s exactly, and the generator state is stored so a resumed run continues
+the identical random stream.
 """
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence, TextIO
 
 import numpy as np
@@ -34,6 +48,9 @@ CHECKPOINT_VERSION = 1
 
 # variance guard floor used by the update engine
 DEFAULT_V_FLOOR = 1e-10
+
+# WeightLayer fields, also the per-layer keys of a checkpoint
+WEIGHT_FIELDS = ("mean", "var", "rho_post", "term_mean", "term_var", "term_logit")
 
 
 @dataclass(frozen=True)
@@ -86,7 +103,8 @@ class ModeEmbeddings:
 
 @dataclass
 class WeightLayer:
-    """Per-layer weight posterior and prior-term arrays, shape (V_m, V_{m-1}+1)."""
+    """Per-layer weight posterior and prior-term arrays, shape (V_m, V_{m-1}+1);
+    views into the ModelState flat vectors."""
 
     mean: np.ndarray
     var: np.ndarray
@@ -94,21 +112,6 @@ class WeightLayer:
     term_mean: np.ndarray
     term_var: np.ndarray
     term_logit: np.ndarray
-
-    def site_at(self, j: int, t: int) -> "WeightPosterior":
-        return WeightPosterior(
-            mean=float(self.mean[j, t]), var=float(self.var[j, t]),
-            rho_post=float(self.rho_post[j, t]), term_mean=float(self.term_mean[j, t]),
-            term_var=float(self.term_var[j, t]), term_logit=float(self.term_logit[j, t]),
-        )
-
-    def set_site(self, j: int, t: int, wp: "WeightPosterior") -> None:
-        self.mean[j, t] = wp.mean
-        self.var[j, t] = wp.var
-        self.rho_post[j, t] = wp.rho_post
-        self.term_mean[j, t] = wp.term_mean
-        self.term_var[j, t] = wp.term_var
-        self.term_logit[j, t] = wp.term_logit
 
 
 @dataclass(frozen=True)
@@ -138,15 +141,50 @@ class EntryLocator:
 
 @dataclass
 class ModelState:
+    """The whole posterior. mu and var have length n_weights + V_0 (input slot
+    last); rho_post and the three term fields have length n_weights."""
+
     shape: TensorShape
     kind: ValueKind
     net: NetworkSpec
     hyper: Hyperparams
     embeddings: list[ModeEmbeddings]
-    weights: list[WeightLayer]
     gamma: GammaPosterior | None
     entries_seen: int
     rng: np.random.Generator
+    mu: np.ndarray
+    var: np.ndarray
+    rho_post: np.ndarray
+    term_mean: np.ndarray
+    term_var: np.ndarray
+    term_logit: np.ndarray
+    weights: list[WeightLayer] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self._bind_layers()
+
+    def weight_fields(self) -> tuple[np.ndarray, ...]:
+        """The six flat weight vectors in WEIGHT_FIELDS order, without the input slot."""
+        n = self.net.n_weights
+        return (self.mu[:n], self.var[:n], self.rho_post, self.term_mean, self.term_var,
+                self.term_logit)
+
+    def _bind_layers(self) -> None:
+        flats = self.weight_fields()
+        self.weights = [
+            WeightLayer(*(flat[sl].reshape(w_shape) for flat in flats))
+            for sl, w_shape in zip(self.net.weight_slices, self.net.weight_shapes)
+        ]
+
+    # copies carry the flat vectors only and rebuild the views over their own
+    def __getstate__(self) -> dict:
+        fields = dict(self.__dict__)
+        del fields["weights"]
+        return fields
+
+    def __setstate__(self, fields: dict) -> None:
+        self.__dict__.update(fields)
+        self._bind_layers()
 
     def weight_means(self) -> list[np.ndarray]:
         return [lay.mean for lay in self.weights]
@@ -177,8 +215,8 @@ class ModelState:
         expected = sum(self.hyper.ranks)
         if new_means.shape != (expected,) or new_vars.shape != (expected,):
             raise ValueError(f"expected length-{expected} vectors for scatter")
-        if np.any(new_vars <= 0) or not np.all(np.isfinite(new_vars)) \
-                or not np.all(np.isfinite(new_means)):
+        if (new_vars <= 0).any() or not np.isfinite(new_vars).all() \
+                or not np.isfinite(new_means).all():
             raise ValueError("scatter requires finite means and strictly positive variances")
         offset = 0
         for emb, i, r in zip(self.embeddings, index, self.hyper.ranks):
@@ -223,22 +261,23 @@ def init_state(shape: TensorShape, kind: ValueKind, net: NetworkSpec,
         for d, r in zip(shape.dims, hyper.ranks)
     ]
     sigma0 = float(np.sqrt(hyper.sigma0_sq))
-    layers = []
-    for w_shape in net.weight_shapes:
-        term_mean = _truncated_standard_normal(rng, sigma0, w_shape)
-        layers.append(WeightLayer(
-            mean=term_mean.copy(),
-            var=np.full(w_shape, hyper.sigma0_sq),
-            rho_post=np.full(w_shape, hyper.rho0),
-            term_mean=term_mean,
-            term_var=np.full(w_shape, hyper.sigma0_sq),
-            term_logit=np.zeros(w_shape),
-        ))
+    n = net.n_weights
+    # one draw over the flat ordering consumes the stream as per-layer draws would
+    term_mean = _truncated_standard_normal(rng, sigma0, (n,))
     gamma = GammaPosterior(hyper.a0, hyper.b0) if kind is ValueKind.CONTINUOUS else None
     return ModelState(
         shape=shape, kind=kind, net=net, hyper=hyper, embeddings=embeddings,
-        weights=layers, gamma=gamma, entries_seen=0, rng=rng,
+        gamma=gamma, entries_seen=0, rng=rng,
+        mu=_with_input_slot(term_mean, net.input_dim),
+        var=_with_input_slot(np.full(n, hyper.sigma0_sq), net.input_dim),
+        rho_post=np.full(n, hyper.rho0), term_mean=term_mean,
+        term_var=np.full(n, hyper.sigma0_sq), term_logit=np.zeros(n),
     )
+
+
+def _with_input_slot(weights: np.ndarray, input_dim: int) -> np.ndarray:
+    """`weights` followed by a zeroed input slot of length input_dim."""
+    return np.concatenate((weights, np.zeros(input_dim)))
 
 
 # ---------------------------------------------------------------------------
@@ -289,14 +328,7 @@ def save_checkpoint(state: ModelState, fp: TextIO) -> None:
             for emb in state.embeddings
         ],
         "weights": [
-            {
-                "mean": lay.mean.tolist(),
-                "var": lay.var.tolist(),
-                "rho_post": lay.rho_post.tolist(),
-                "term_mean": lay.term_mean.tolist(),
-                "term_var": lay.term_var.tolist(),
-                "term_logit": lay.term_logit.tolist(),
-            }
+            {name: getattr(lay, name).tolist() for name in WEIGHT_FIELDS}
             for lay in state.weights
         ],
         "gamma": None if state.gamma is None else {"a": state.gamma.a, "b": state.gamma.b},
@@ -332,36 +364,37 @@ def load_checkpoint(fp: TextIO) -> ModelState:
                            var=np.asarray(e["var"], dtype=float))
             for e in doc["embeddings"]
         ]
-        weights = [
-            WeightLayer(
-                mean=np.asarray(w["mean"], dtype=float),
-                var=np.asarray(w["var"], dtype=float),
-                rho_post=np.asarray(w["rho_post"], dtype=float),
-                term_mean=np.asarray(w["term_mean"], dtype=float),
-                term_var=np.asarray(w["term_var"], dtype=float),
-                term_logit=np.asarray(w["term_logit"], dtype=float),
-            )
-            for w in doc["weights"]
-        ]
+        tables = {
+            name: [np.asarray(w[name], dtype=float) for w in doc["weights"]]
+            for name in WEIGHT_FIELDS
+        }
         gamma = None if doc["gamma"] is None else GammaPosterior(
             a=float(doc["gamma"]["a"]), b=float(doc["gamma"]["b"]))
         rng = _rng_state_from_doc(doc["rng"])
         entries_seen = int(doc["entries_seen"])
-    except (KeyError, TypeError) as exc:
-        raise CheckpointError(f"checkpoint schema violation: {exc!r}") from None
-    state = ModelState(
-        shape=shape, kind=kind, net=net, hyper=hyper, embeddings=embeddings,
-        weights=weights, gamma=gamma, entries_seen=entries_seen, rng=rng,
-    )
-    for emb, d, r in zip(state.embeddings, shape.dims, hyper.ranks):
-        if emb.mean.shape != (d, r) or emb.var.shape != (d, r):
-            raise CheckpointError("embedding table shape mismatch")
-    for lay, w_shape in zip(state.weights, net.weight_shapes):
-        for arr in (lay.mean, lay.var, lay.rho_post, lay.term_mean, lay.term_var,
-                    lay.term_logit):
-            if arr.shape != w_shape:
+        if len(embeddings) != shape.mode_count or len(hyper.ranks) != shape.mode_count \
+                or hyper.input_dim != net.input_dim:
+            raise CheckpointError("embedding tables do not match dims, ranks and network")
+        for emb, d, r in zip(embeddings, shape.dims, hyper.ranks):
+            if emb.mean.shape != (d, r) or emb.var.shape != (d, r):
+                raise CheckpointError("embedding table shape mismatch")
+        for arrs in tables.values():
+            if [a.shape for a in arrs] != list(net.weight_shapes):
                 raise CheckpointError("weight table shape mismatch")
-    return state
+        flat = {name: np.concatenate([a.ravel() for a in arrs])
+                for name, arrs in tables.items()}
+        return ModelState(
+            shape=shape, kind=kind, net=net, hyper=hyper, embeddings=embeddings,
+            gamma=gamma, entries_seen=entries_seen, rng=rng,
+            mu=_with_input_slot(flat["mean"], net.input_dim),
+            var=_with_input_slot(flat["var"], net.input_dim),
+            rho_post=flat["rho_post"], term_mean=flat["term_mean"],
+            term_var=flat["term_var"], term_logit=flat["term_logit"],
+        )
+    except CheckpointError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CheckpointError(f"checkpoint schema violation: {exc!r}") from None
 
 
 def checkpoint_bytes(state: ModelState) -> bytes:

@@ -12,7 +12,10 @@ from streamdtf import (CpGenerator, EntryBatch, GammaPosterior, Hyperparams,
                        synth_generate, update_tau)
 from streamdtf import bnn
 from streamdtf.oracles import conjugate_linear_update, quad_tilted_moments
+from streamdtf.posterior_store import WEIGHT_FIELDS
 from streamdtf.seeding import make_rng
+
+from reference_engine import reference_batch
 
 
 def test_evidence_binary_symmetry_at_zero():
@@ -261,6 +264,35 @@ def test_process_batch_order_dependent_but_always_valid():
             assert np.all((lay.rho_post >= 0) & (lay.rho_post <= 1))
         for emb in st.embeddings:
             assert np.all(emb.var > 0) and np.all(np.isfinite(emb.mean))
+
+
+def test_deepcopy_views_alias_the_copy_only():
+    state, batch = _synth_state_and_batch(seed=4)
+    before = checkpoint_bytes(state)
+    clone = copy.deepcopy(state)
+    for lay in clone.weights:
+        for name, own, original in zip(WEIGHT_FIELDS, clone.weight_fields(),
+                                       state.weight_fields()):
+            assert np.shares_memory(getattr(lay, name), own)
+            assert not np.shares_memory(getattr(lay, name), original)
+    process_batch(clone, batch)
+    assert checkpoint_bytes(clone) != before
+    assert checkpoint_bytes(state) == before
+
+
+@pytest.mark.parametrize("kind", [ValueKind.CONTINUOUS, ValueKind.BINARY])
+@pytest.mark.parametrize("activation", ["relu", "tanh"])
+def test_engine_matches_repacking_reference_to_the_byte(kind, activation):
+    shape = TensorShape((30, 20))
+    entries, _ = synth_generate(shape, 2, kind, CpGenerator(), 0.1, 240, seed=11)
+    net = NetworkSpec.for_factorization(6, [8, 5], activation)
+    engine = init_state(shape, kind, net, Hyperparams(ranks=(3, 3)), seed=12)
+    reference = copy.deepcopy(engine)
+    for b in range(3):
+        chunk = tuple(entries[b * 80:(b + 1) * 80])
+        process_batch(engine, EntryBatch(entries=chunk, ordinal=b))
+        reference_batch(reference, chunk)
+    assert checkpoint_bytes(engine) == checkpoint_bytes(reference)
 
 
 def test_batch_embedding_touch_budget():

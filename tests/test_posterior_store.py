@@ -1,5 +1,6 @@
 import copy
 import io
+import json
 
 import numpy as np
 import pytest
@@ -153,6 +154,33 @@ def test_checkpoint_truncated_and_wrong_version():
         load_checkpoint(io.StringIO(bad))
     with pytest.raises(CheckpointError):
         load_checkpoint(io.StringIO('{"format":"something-else"}'))
+
+
+def _set(path, value):
+    def edit(doc):
+        *keys, last = path
+        for key in keys:
+            doc = doc[key]
+        doc[last] = value(doc[last]) if callable(value) else value
+    return edit
+
+
+@pytest.mark.parametrize("edit", [
+    _set(("hyper", "rho0"), 3.0),
+    _set(("gamma", "a"), -1),
+    _set(("network", "widths", -1), 2),
+    _set(("rng", "state", "state"), "1.5"),
+    _set(("dims",), [-5, 6]),
+    _set(("weights", 0, "var"), lambda rows: rows[:-1]),
+    _set(("embeddings", 1, "mean"), lambda rows: rows[:-1]),
+    _set(("embeddings",), lambda tables: tables[:1]),
+], ids=["rho0", "gamma-a", "output-width", "rng-state", "negative-dims",
+        "weight-table-short", "embedding-table-short", "embedding-table-missing"])
+def test_checkpoint_bad_values_raise_checkpoint_error(edit):
+    doc = json.loads(checkpoint_bytes(_small_state()))
+    edit(doc)
+    with pytest.raises(CheckpointError):
+        load_checkpoint(io.StringIO(json.dumps(doc)))
 
 
 def test_checkpoint_preserves_rng_stream():
