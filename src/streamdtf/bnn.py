@@ -1,14 +1,27 @@
-"""Deterministic feed-forward network skeleton.
-
-Forward evaluation at posterior means, reverse-mode gradient of the scalar
-output with respect to every weight and every input coordinate, and the
-first-order output-moment propagation (output variance = g' diag(gamma) g
-with the gradient treated as locally constant).
+"""Deterministic feed-forward network skeleton: one forward pass and one
+backward pass, and the consumers built on them.
 
 Layer recursion: with hb = [h; 1] / sqrt(V_prev + 1) (a constant feature 1
 is appended to carry the bias, and the whole product is rescaled by the fan
 in), each hidden layer computes h_m = act(W_m @ hb_{m-1}) and the output
 layer is linear with the same rescaling.
+
+`forward_mean_batch` is the only forward loop: it runs one input row or n
+rows at the parameter means and records hb_{m-1} and z_m per layer on a
+`ForwardTape`.
+`_backward` is the only backward loop: from a tape it returns
+delta_m = d alpha / d z_m per layer and d alpha / dx. Layer m's weight
+gradient is the outer product delta_m (x) hb_{m-1}, so every consumer reads
+what it needs from these factors:
+
+- `forward_mean`: the forward pass on one row, raising NumericError on a
+  non-finite pre-activation;
+- `backprop_gradient`: the dense gradient g of one row in FlatParamLayout
+  order, for the per-entry update and the finite-difference oracles;
+- `output_moments_batch`: first-order output moments, alpha = f at the means
+  and beta = g' diag(gamma) g, with beta summed layer by layer as
+  sum delta_m^2 var_m hb_{m-1}^2 so the dense g is never built;
+- `output_moments`: `output_moments_batch` on one row.
 
 All functions are stateless given their inputs and safe for concurrent use.
 The 'identity' activation exists so tests can build exactly linear networks;
@@ -53,11 +66,6 @@ ACTIVATIONS: dict[str, tuple[Callable, Callable]] = {
 }
 
 USER_ACTIVATIONS = ("relu", "tanh")
-
-# the bias feature appended to each layer input, and the output-layer delta
-_ONE = np.ones(1)
-_ONE.flags.writeable = False
-
 
 @dataclass(frozen=True)
 class NetworkSpec:
@@ -181,14 +189,15 @@ class OutputMoments:
 
 @dataclass
 class ForwardTape:
-    """Per-layer caches from one forward pass, sufficient for backprop."""
+    """Per-layer caches from one forward pass, sufficient for the backward
+    pass. Each array has the leading shape of the inputs: none for one row,
+    (n,) for n rows."""
 
     spec: NetworkSpec
     weights: list[np.ndarray]
     input_mean: np.ndarray
     hb: list[np.ndarray]  # hb_0 .. hb_{M-1}, each [h; 1]/sqrt(V+1)
     preact: list[np.ndarray]  # z_1 .. z_M
-    alpha: float
 
     def matches(self, spec: NetworkSpec, weights: Sequence[np.ndarray],
                 input_mean: np.ndarray) -> bool:
@@ -209,93 +218,76 @@ def _check_shapes(spec: NetworkSpec, weights: Sequence[np.ndarray], x: np.ndarra
         raise ValueError(f"input length {x.shape[-1]} != V_0 = {spec.input_dim}")
 
 
-def forward_mean(spec: NetworkSpec, weight_means: Sequence[np.ndarray],
-                 input_mean: np.ndarray) -> tuple[float, ForwardTape]:
-    """Evaluate the network at the parameter means; returns (alpha, tape)."""
-    weight_means = [np.asarray(w, dtype=float) for w in weight_means]
-    x = np.asarray(input_mean, dtype=float)
-    _check_shapes(spec, weight_means, x)
-    act, _ = ACTIVATIONS[spec.activation]
-    h = x
-    hbs: list[np.ndarray] = []
-    preacts: list[np.ndarray] = []
-    m_total = spec.layer_count
-    for m, w in enumerate(weight_means, start=1):
-        hb = np.concatenate((h, _ONE)) / np.sqrt(h.shape[0] + 1.0)
-        z = w @ hb
-        if not np.isfinite(z).all():
-            raise NumericError(f"non-finite pre-activation in layer {m}")
-        hbs.append(hb)
-        preacts.append(z)
-        h = act(z) if m < m_total else z
-    alpha = float(h[0])
-    return alpha, ForwardTape(spec=spec, weights=weight_means, input_mean=x,
-                              hb=hbs, preact=preacts, alpha=alpha)
-
-
-def backprop_gradient(spec: NetworkSpec, weight_means: Sequence[np.ndarray],
-                      input_mean: np.ndarray, tape: ForwardTape) -> np.ndarray:
-    """Reverse-mode gradient of the scalar output over all weights and inputs,
-    flattened in FlatParamLayout order."""
-    weight_means = [np.asarray(w, dtype=float) for w in weight_means]
-    x = np.asarray(input_mean, dtype=float)
-    if not tape.matches(spec, weight_means, x):
-        raise ValueError("tape does not match the given spec/weights/input")
-    _, dact = ACTIVATIONS[spec.activation]
-    g = np.empty(spec.n_weights + spec.input_dim)
-    delta = _ONE
-    for m in range(spec.layer_count, 0, -1):
-        w = weight_means[m - 1]
-        np.multiply.outer(delta, tape.hb[m - 1],
-                          out=g[spec.weight_slices[m - 1]].reshape(w.shape))
-        v_prev = spec.widths[m - 1]
-        dh = (w[:, :v_prev].T @ delta) / np.sqrt(v_prev + 1.0)
-        if m > 1:
-            delta = dact(tape.preact[m - 2]) * dh
-        else:
-            g[spec.n_weights:] = dh
-    if not np.isfinite(g).all():
-        raise NumericError("non-finite gradient")
-    return g
-
-
-def output_moments(spec: NetworkSpec, weight_means: Sequence[np.ndarray],
-                   weight_vars: Sequence[np.ndarray], input_mean: np.ndarray,
-                   input_vars: np.ndarray) -> OutputMoments:
-    """First-order moments: alpha = f at the means, beta = sum_j g_j^2 gamma_j."""
-    for v in list(weight_vars) + [np.asarray(input_vars)]:
-        if np.any(np.asarray(v) < 0):
-            raise ValueError("variances must be >= 0")
-    alpha, tape = forward_mean(spec, weight_means, input_mean)
-    g = backprop_gradient(spec, weight_means, input_mean, tape)
-    gamma = FlatParamLayout(spec).pack(weight_vars, input_vars)
-    beta = float((g * g) @ gamma)
-    return OutputMoments(alpha=alpha, beta=beta)
-
-
-# ---------------------------------------------------------------------------
-# batched variants (read-only prediction over many entries at once)
-
-
 def forward_mean_batch(spec: NetworkSpec, weight_means: Sequence[np.ndarray],
-                       inputs: np.ndarray) -> tuple[np.ndarray, dict]:
-    """Forward pass over a batch of input rows; returns (alpha[n], caches)."""
+                       inputs: np.ndarray) -> tuple[np.ndarray, ForwardTape]:
+    """The forward pass at the parameter means; returns (alpha, tape).
+
+    `inputs` holds n rows (n, V_0), giving alpha[n], or one row (V_0,),
+    giving a 0-d alpha.
+    """
     weight_means = [np.asarray(w, dtype=float) for w in weight_means]
-    x = np.atleast_2d(np.asarray(inputs, dtype=float))
+    x = np.asarray(inputs, dtype=float)
     _check_shapes(spec, weight_means, x)
     act, _ = ACTIVATIONS[spec.activation]
-    n = x.shape[0]
+    ones = np.ones(x.shape[:-1] + (1,))
     h = x
     hbs: list[np.ndarray] = []
     preacts: list[np.ndarray] = []
     m_total = spec.layer_count
     for m, w in enumerate(weight_means, start=1):
-        hb = np.hstack([h, np.ones((n, 1))]) / np.sqrt(h.shape[1] + 1.0)
+        hb = np.concatenate((h, ones), axis=-1) / np.sqrt(h.shape[-1] + 1.0)
         z = hb @ w.T
         hbs.append(hb)
         preacts.append(z)
         h = act(z) if m < m_total else z
-    return h[:, 0].copy(), {"hb": hbs, "preact": preacts}
+    return h[..., 0].copy(), ForwardTape(spec=spec, weights=weight_means,
+                                         input_mean=x, hb=hbs, preact=preacts)
+
+
+def _backward(spec: NetworkSpec, weights: Sequence[np.ndarray],
+              tape: ForwardTape) -> tuple[list[np.ndarray], np.ndarray]:
+    """The backward pass: returns (delta_1..delta_M, d alpha / dx), where
+    delta_m = d alpha / d z_m, so layer m's weight gradient is the outer
+    product delta_m (x) hb_{m-1}, row by row."""
+    _, dact = ACTIVATIONS[spec.activation]
+    deltas: list[np.ndarray] = []
+    delta = np.ones_like(tape.preact[-1])
+    for m in range(spec.layer_count, 0, -1):
+        deltas.append(delta)
+        v_prev = spec.widths[m - 1]
+        dh = (delta @ weights[m - 1][:, :v_prev]) / np.sqrt(v_prev + 1.0)
+        delta = dact(tape.preact[m - 2]) * dh if m > 1 else dh
+    return deltas[::-1], delta
+
+
+def forward_mean(spec: NetworkSpec, weight_means: Sequence[np.ndarray],
+                 input_mean: np.ndarray) -> tuple[float, ForwardTape]:
+    """Evaluate the network at the parameter means on one input row; returns
+    (alpha, tape). Raises NumericError on a non-finite pre-activation."""
+    alpha, tape = forward_mean_batch(spec, weight_means, input_mean)
+    for m, z in enumerate(tape.preact, start=1):
+        if not np.isfinite(z).all():
+            raise NumericError(f"non-finite pre-activation in layer {m}")
+    return float(alpha), tape
+
+
+def backprop_gradient(spec: NetworkSpec, weight_means: Sequence[np.ndarray],
+                      input_mean: np.ndarray, tape: ForwardTape) -> np.ndarray:
+    """Reverse-mode gradient of the scalar output over all weights and inputs
+    of one row, flattened in FlatParamLayout order."""
+    weight_means = [np.asarray(w, dtype=float) for w in weight_means]
+    x = np.asarray(input_mean, dtype=float)
+    if x.ndim != 1 or not tape.matches(spec, weight_means, x):
+        raise ValueError("tape does not match the given spec/weights/input row")
+    deltas, dx = _backward(spec, weight_means, tape)
+    g = np.empty(spec.n_weights + spec.input_dim)
+    for sl, shape, delta, hb in zip(spec.weight_slices, spec.weight_shapes,
+                                    deltas, tape.hb):
+        np.multiply.outer(delta, hb, out=g[sl].reshape(shape))
+    g[spec.n_weights:] = dx
+    if not np.isfinite(g).all():
+        raise NumericError("non-finite gradient")
+    return g
 
 
 def output_moments_batch(spec: NetworkSpec, weight_means: Sequence[np.ndarray],
@@ -306,24 +298,26 @@ def output_moments_batch(spec: NetworkSpec, weight_means: Sequence[np.ndarray],
     Avoids materializing per-entry weight gradients; each layer's variance
     contribution is sum_{j,t} delta[n,j]^2 var_w[j,t] hb[n,t]^2.
     """
-    weight_means = [np.asarray(w, dtype=float) for w in weight_means]
     weight_vars = [np.asarray(v, dtype=float) for v in weight_vars]
     x_var = np.atleast_2d(np.asarray(input_vars, dtype=float))
-    alpha, caches = forward_mean_batch(spec, weight_means, input_means)
-    hbs, preacts = caches["hb"], caches["preact"]
-    _, dact = ACTIVATIONS[spec.activation]
-    n = alpha.shape[0]
-    m_total = spec.layer_count
-    beta = np.zeros(n)
-    delta = np.ones((n, 1))
-    for m in range(m_total, 0, -1):
-        w = weight_means[m - 1]
-        hb = hbs[m - 1]
+    alpha, tape = forward_mean_batch(spec, weight_means, np.atleast_2d(input_means))
+    deltas, dx = _backward(spec, tape.weights, tape)
+    beta = np.zeros(alpha.shape[0])
+    for m in range(spec.layer_count, 0, -1):
+        delta, hb = deltas[m - 1], tape.hb[m - 1]
         beta += np.einsum("nt,nt->n", (delta * delta) @ weight_vars[m - 1], hb * hb)
-        v_prev = spec.widths[m - 1]
-        dh = (delta @ w[:, :v_prev]) / np.sqrt(v_prev + 1.0)
-        if m > 1:
-            delta = dact(preacts[m - 2]) * dh
-        else:
-            beta += np.einsum("nt,nt->n", dh * dh, x_var)
+    beta += np.einsum("nt,nt->n", dx * dx, x_var)
     return alpha, beta
+
+
+def output_moments(spec: NetworkSpec, weight_means: Sequence[np.ndarray],
+                   weight_vars: Sequence[np.ndarray], input_mean: np.ndarray,
+                   input_vars: np.ndarray) -> OutputMoments:
+    """First-order moments of one row: alpha = f at the means,
+    beta = sum_j g_j^2 gamma_j."""
+    for v in list(weight_vars) + [np.asarray(input_vars)]:
+        if np.any(np.asarray(v) < 0):
+            raise ValueError("variances must be >= 0")
+    alpha, beta = output_moments_batch(spec, weight_means, weight_vars,
+                                       input_mean, input_vars)
+    return OutputMoments(alpha=float(alpha[0]), beta=float(beta[0]))

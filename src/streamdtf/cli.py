@@ -259,6 +259,12 @@ def _cmd_train(args) -> int:
     if args.resume_from:
         with open(args.resume_from, encoding="utf-8") as fp:
             state = load_checkpoint(fp)
+        # the entries were parsed against the configured dims and kind
+        for field, have, want in (("dims", state.shape.dims, shape.dims),
+                                  ("kind", state.kind.value, kind.value)):
+            if have != want:
+                raise UsageError(f"--resume-from checkpoint has {field} {have}, "
+                                 f"the configuration has {want}")
     else:
         net = NetworkSpec.for_factorization(sum(ranks), cfg.hidden, cfg.activation)
         hyper = Hyperparams(rho0=cfg.rho0, sigma0_sq=cfg.sigma0_sq, a0=cfg.a0,

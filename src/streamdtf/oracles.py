@@ -1,11 +1,12 @@
 """Independent brute-force oracles used by the test suite and `verify`.
 
 Each oracle recomputes a quantity the engine obtains in closed form, using a
-different route: adaptive quadrature for one-dimensional tilted moments,
-Monte-Carlo sampling for output moments, central finite differences for
-gradients, and the exact single-observation Bayesian linear-regression
-update. None of them call into the engine's own code paths; the arithmetic
-here is written independently on purpose.
+different route: a scalar-loop reference forward pass for the network
+output, adaptive quadrature for one-dimensional tilted moments, Monte-Carlo
+sampling for output moments, central finite differences for gradients, and
+the exact single-observation Bayesian linear-regression update. None of
+them call into the engine's own code paths; the arithmetic here is written
+independently on purpose.
 
 All functions are pure and thread-safe.
 """
@@ -18,6 +19,27 @@ import numpy as np
 from scipy.integrate import quad
 
 from .errors import OracleError
+
+
+def naive_forward(widths, activation, weights, x) -> float:
+    """Network output at the given weights, written as straight-line scalar
+    loops over the layer recursion (bias feature 1 appended, fan-in
+    rescaling, linear output layer)."""
+    act = {"relu": lambda v: max(v, 0.0), "tanh": math.tanh,
+           "identity": lambda v: v}[activation]
+    h = [float(v) for v in x]
+    m_total = len(widths) - 1
+    for m in range(1, m_total + 1):
+        prev = h + [1.0]
+        scale = math.sqrt(len(prev))
+        z = []
+        for j in range(widths[m]):
+            acc = 0.0
+            for t, hv in enumerate(prev):
+                acc += float(weights[m - 1][j][t]) * hv
+            z.append(acc / scale)
+        h = [act(v) for v in z] if m < m_total else z
+    return h[0]
 
 
 def quad_tilted_moments(cavity_mean: float, cavity_var: float,

@@ -23,25 +23,6 @@ class CheckResult:
     detail: str
 
 
-def _naive_forward(widths, activation, weights, x):
-    """Straight-line reimplementation of the layer recursion (scalar loops)."""
-    act = {"relu": lambda v: max(v, 0.0), "tanh": math.tanh,
-           "identity": lambda v: v}[activation]
-    h = [float(v) for v in x]
-    m_total = len(widths) - 1
-    for m in range(1, m_total + 1):
-        prev = h + [1.0]
-        scale = math.sqrt(len(prev))
-        z = []
-        for j in range(widths[m]):
-            acc = 0.0
-            for t, hv in enumerate(prev):
-                acc += float(weights[m - 1][j][t]) * hv
-            z.append(acc / scale)
-        h = [act(v) for v in z] if m < m_total else z
-    return h[0]
-
-
 def _random_net(rng, activation="tanh", max_width=8, max_hidden_layers=2):
     v0 = int(rng.integers(2, 6))
     hidden = [int(rng.integers(2, max_width + 1))
@@ -235,7 +216,7 @@ def check_tau_recursion(seed: int = 6, n_entries: int = 30) -> CheckResult:
 
         def f(vec):
             mats, xin = layout.unpack(vec)
-            return _naive_forward(net.widths, net.activation, mats, xin)
+            return oracles.naive_forward(net.widths, net.activation, mats, xin)
 
         point = layout.pack(w_means, x_mean)
         alpha_ind = f(point)

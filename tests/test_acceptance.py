@@ -21,12 +21,11 @@ from streamdtf import (CpGenerator, GammaPosterior, Hyperparams,
                        synth_generate)
 from streamdtf import bnn
 from streamdtf.oracles import (conjugate_linear_update, fd_gradient,
-                               mc_output_moments, quad_tilted_moments)
+                               mc_output_moments, naive_forward,
+                               quad_tilted_moments)
 from streamdtf.ep_prior import refine_weight
 from streamdtf.posterior_store import WeightPosterior
 from streamdtf.seeding import derive_seeds, make_rng
-
-from naive_net import naive_forward
 
 
 def _report(n: int, passed: bool, detail: str) -> None:

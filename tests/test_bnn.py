@@ -7,9 +7,7 @@ from streamdtf import (FlatParamLayout, NetworkSpec, backprop_gradient,
                        forward_mean, forward_mean_batch, output_moments,
                        output_moments_batch)
 from streamdtf.errors import NumericError
-from streamdtf.oracles import fd_gradient, mc_output_moments
-
-from naive_net import naive_forward
+from streamdtf.oracles import fd_gradient, mc_output_moments, naive_forward
 
 
 def _random_net(rng, activation, max_width=8, layers=None):
@@ -198,10 +196,18 @@ def test_batched_forward_and_moments_match_single():
     xs = rng.standard_normal((10, spec.input_dim))
     x_vars = rng.uniform(0.01, 1.0, (10, spec.input_dim))
     alphas, betas = output_moments_batch(spec, weights, w_vars, xs, x_vars)
+    layout = FlatParamLayout(spec)
     for i in range(10):
         om = output_moments(spec, weights, w_vars, xs[i], x_vars[i])
         assert alphas[i] == pytest.approx(om.alpha, rel=1e-12, abs=1e-12)
         assert betas[i] == pytest.approx(om.beta, rel=1e-10, abs=1e-12)
+        # the layer-wise beta against the dense form g' diag(gamma) g
+        _, tape = forward_mean(spec, weights, xs[i])
+        g = backprop_gradient(spec, weights, xs[i], tape)
+        dense = float((g * g) @ layout.pack(w_vars, x_vars[i]))
+        assert betas[i] == pytest.approx(dense, rel=1e-10, abs=1e-12)
+        naive = naive_forward(spec.widths, spec.activation, weights, xs[i])
+        assert alphas[i] == pytest.approx(naive, rel=1e-12, abs=1e-12)
     a2, _ = forward_mean_batch(spec, weights, xs)
     assert np.allclose(a2, alphas)
 

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from streamdtf import cli, load_checkpoint
 
 
@@ -194,3 +196,39 @@ def test_synth_requires_an_output(tmp_path, capsys):
     rc = cli.main(["synth", "--dims", "5,5", "--entries", "10"])
     assert rc == 2
     assert capsys.readouterr().err.startswith("error ARG:")
+
+
+@pytest.mark.parametrize("field, dims, kind", [
+    ("dims", "20,25", "continuous"),
+    ("kind", "20,20", "binary"),
+])
+def test_resume_rejects_a_checkpoint_that_contradicts_the_config(
+        tmp_path, capsys, field, dims, kind):
+    train, _, _ = _synth_split(tmp_path)
+    first = tmp_path / "first.json"
+    rc = cli.main(["train", "--train", str(train), "--dims", "20,20",
+                   "--kind", "continuous", "--rank", "2", "--hidden", "6",
+                   "--batch-size", "64", "--seed", "5",
+                   "--checkpoint", str(first)])
+    assert rc == 0
+    more = tmp_path / "more"
+    more.mkdir()
+    data, _, _ = _synth_split(more, seed=9, kind=kind)
+    capsys.readouterr()
+    second = tmp_path / "second.json"
+    rc = cli.main(["train", "--train", str(data), "--dims", dims,
+                   "--kind", kind, "--rank", "2", "--hidden", "6",
+                   "--batch-size", "64", "--seed", "5",
+                   "--resume-from", str(first), "--checkpoint", str(second)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error ARG:")
+    assert f"checkpoint has {field}" in err
+    assert not second.exists()
+
+
+def test_verify_command_passes_every_check(capsys):
+    assert cli.main(["verify", "--seed", "0"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 7
+    assert all(line.startswith("PASS ") for line in lines)
