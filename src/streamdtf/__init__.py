@@ -20,8 +20,9 @@ from .ep_prior import EpDiagnostics, RefineResult, refine_all, refine_weight
 from .errors import (BoundsError, CheckpointError, NumericError, OracleError,
                      ParseError, UndefinedMetricError)
 from .posterior_store import (DEFAULT_V_FLOOR, GammaPosterior, Hyperparams,
-                              ModelState, WeightPosterior, checkpoint_bytes,
-                              init_state, load_checkpoint, save_checkpoint)
+                              ModelState, WeightPosterior, check_invariants,
+                              checkpoint_bytes, init_state, load_checkpoint,
+                              save_checkpoint)
 from .predict_eval import (MetricRow, MetricSeries, auc, predict_batch,
                            predict_entry, rmse, running_eval)
 from .tensor_core import (CpGenerator, DatasetSplit, EntryBatch, GroundTruth,

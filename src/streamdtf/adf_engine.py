@@ -112,19 +112,17 @@ def adf_update_entry(state: ModelState, entry: ObservedEntry,
     """One moment-matching update; mutates the state in place.
 
     Every network weight and every embedding coordinate in the entry's index
-    is updated from the same gradient. If any output moment or gradient
-    coordinate is non-finite the entry is skipped with a logged diagnostic
-    and the state is left unchanged. Variances falling below `v_floor` are
-    clamped there (counted in the result).
+    is updated from the same gradient. If any output moment, gradient
+    coordinate or updated mean is non-finite the entry is skipped with a
+    logged diagnostic and the state is left unchanged. Variances falling
+    below `v_floor` (or non-finite) are clamped there (counted in the
+    result). A binary model raises ValueError, from `evidence_binary` and
+    before any write, on a value other than 0 or 1.
     """
-    x_mean, x_var, locator = state.gather_entry(entry.index)
-    if state.kind is ValueKind.BINARY and entry.value not in (0.0, 1.0):
-        raise ValueError(f"binary model got non-binary value {entry.value}")
-
-    w_means = state.weight_means()
+    x_mean, x_var = state.gather_entry(entry.index)
     try:
-        alpha, tape = bnn.forward_mean(state.net, w_means, x_mean)
-        g = bnn.backprop_gradient(state.net, w_means, x_mean, tape)
+        alpha, tape = bnn.forward_mean(state.net, state.weight_means(), x_mean)
+        g = bnn.backprop_gradient(tape)
     except NumericError as exc:
         logger.warning("skipping entry %s: %s", entry.index, exc)
         return EntryResult(log_z=math.nan, alpha=math.nan, beta=math.nan,
@@ -136,7 +134,8 @@ def adf_update_entry(state: ModelState, entry: ObservedEntry,
     with np.errstate(over="ignore", invalid="ignore"):
         g_sq = g * g
         beta = float(g_sq @ gamma_vec)
-    if not (math.isfinite(alpha) and math.isfinite(beta)):
+    # alpha is finite: forward_mean raised on any non-finite pre-activation
+    if not math.isfinite(beta):
         logger.warning("skipping entry %s: non-finite output moments", entry.index)
         return EntryResult(log_z=math.nan, alpha=alpha, beta=beta, clamped=0,
                            skipped=True)
@@ -166,7 +165,7 @@ def adf_update_entry(state: ModelState, entry: ObservedEntry,
 
     mu_vec[...] = mu_new
     gamma_vec[...] = v_new
-    state.scatter_entry(locator, mu_new[n:], v_new[n:])
+    state.scatter_entry(entry.index, mu_new[n:], v_new[n:])
     if state.kind is ValueKind.CONTINUOUS:
         # pre-update alpha/beta of this entry feed the noise update
         state.gamma = update_tau(state.gamma, entry.value, alpha, beta)

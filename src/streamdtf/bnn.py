@@ -9,15 +9,17 @@ layer is linear with the same rescaling.
 `forward_mean_batch` is the only forward loop: it runs one input row or n
 rows at the parameter means and records hb_{m-1} and z_m per layer on a
 `ForwardTape`.
-`_backward` is the only backward loop: from a tape it returns
+`_backward` is the only backward loop: from the tape alone (it holds the
+spec and the weights the forward pass ran with) it returns
 delta_m = d alpha / d z_m per layer and d alpha / dx. Layer m's weight
 gradient is the outer product delta_m (x) hb_{m-1}, so every consumer reads
 what it needs from these factors:
 
 - `forward_mean`: the forward pass on one row, raising NumericError on a
   non-finite pre-activation;
-- `backprop_gradient`: the dense gradient g of one row in FlatParamLayout
-  order, for the per-entry update and the finite-difference oracles;
+- `backprop_gradient(tape)`: the dense gradient g of the row a
+  `forward_mean` tape was recorded on, in FlatParamLayout order, for the
+  per-entry update and the finite-difference oracles;
 - `output_moments_batch`: first-order output moments, alpha = f at the means
   and beta = g' diag(gamma) g, with beta summed layer by layer as
   sum delta_m^2 var_m hb_{m-1}^2 so the dense g is never built;
@@ -195,17 +197,8 @@ class ForwardTape:
 
     spec: NetworkSpec
     weights: list[np.ndarray]
-    input_mean: np.ndarray
     hb: list[np.ndarray]  # hb_0 .. hb_{M-1}, each [h; 1]/sqrt(V+1)
     preact: list[np.ndarray]  # z_1 .. z_M
-
-    def matches(self, spec: NetworkSpec, weights: Sequence[np.ndarray],
-                input_mean: np.ndarray) -> bool:
-        if spec != self.spec or len(weights) != len(self.weights):
-            return False
-        same = all(w is t or np.array_equal(w, t) for w, t in zip(weights, self.weights))
-        x = np.asarray(input_mean, dtype=float)
-        return same and (x is self.input_mean or np.array_equal(x, self.input_mean))
 
 
 def _check_shapes(spec: NetworkSpec, weights: Sequence[np.ndarray], x: np.ndarray) -> None:
@@ -241,14 +234,14 @@ def forward_mean_batch(spec: NetworkSpec, weight_means: Sequence[np.ndarray],
         preacts.append(z)
         h = act(z) if m < m_total else z
     return h[..., 0].copy(), ForwardTape(spec=spec, weights=weight_means,
-                                         input_mean=x, hb=hbs, preact=preacts)
+                                         hb=hbs, preact=preacts)
 
 
-def _backward(spec: NetworkSpec, weights: Sequence[np.ndarray],
-              tape: ForwardTape) -> tuple[list[np.ndarray], np.ndarray]:
+def _backward(tape: ForwardTape) -> tuple[list[np.ndarray], np.ndarray]:
     """The backward pass: returns (delta_1..delta_M, d alpha / dx), where
     delta_m = d alpha / d z_m, so layer m's weight gradient is the outer
     product delta_m (x) hb_{m-1}, row by row."""
+    spec, weights = tape.spec, tape.weights
     _, dact = ACTIVATIONS[spec.activation]
     deltas: list[np.ndarray] = []
     delta = np.ones_like(tape.preact[-1])
@@ -271,15 +264,12 @@ def forward_mean(spec: NetworkSpec, weight_means: Sequence[np.ndarray],
     return float(alpha), tape
 
 
-def backprop_gradient(spec: NetworkSpec, weight_means: Sequence[np.ndarray],
-                      input_mean: np.ndarray, tape: ForwardTape) -> np.ndarray:
+def backprop_gradient(tape: ForwardTape) -> np.ndarray:
     """Reverse-mode gradient of the scalar output over all weights and inputs
-    of one row, flattened in FlatParamLayout order."""
-    weight_means = [np.asarray(w, dtype=float) for w in weight_means]
-    x = np.asarray(input_mean, dtype=float)
-    if x.ndim != 1 or not tape.matches(spec, weight_means, x):
-        raise ValueError("tape does not match the given spec/weights/input row")
-    deltas, dx = _backward(spec, weight_means, tape)
+    of the one row `tape` was recorded on (by `forward_mean`), flattened in
+    FlatParamLayout order."""
+    spec = tape.spec
+    deltas, dx = _backward(tape)
     g = np.empty(spec.n_weights + spec.input_dim)
     for sl, shape, delta, hb in zip(spec.weight_slices, spec.weight_shapes,
                                     deltas, tape.hb):
@@ -301,7 +291,7 @@ def output_moments_batch(spec: NetworkSpec, weight_means: Sequence[np.ndarray],
     weight_vars = [np.asarray(v, dtype=float) for v in weight_vars]
     x_var = np.atleast_2d(np.asarray(input_vars, dtype=float))
     alpha, tape = forward_mean_batch(spec, weight_means, np.atleast_2d(input_means))
-    deltas, dx = _backward(spec, tape.weights, tape)
+    deltas, dx = _backward(tape)
     beta = np.zeros(alpha.shape[0])
     for m in range(spec.layer_count, 0, -1):
         delta, hb = deltas[m - 1], tape.hb[m - 1]

@@ -17,6 +17,7 @@ single machine-parsable line `error <CODE>: <message>` on stderr.
 import argparse
 import dataclasses
 import json
+import os
 import sys
 from dataclasses import dataclass
 from typing import Sequence
@@ -47,6 +48,20 @@ def _int_list(text: str) -> tuple[int, ...]:
         return tuple(int(tok) for tok in text.split(",") if tok.strip() != "")
     except ValueError:
         raise UsageError(f"expected a comma-separated integer list, got {text!r}") from None
+
+
+def _write_atomically(path: str, write) -> None:
+    """Write `path` by calling `write(fp)` on a temp file in the same
+    directory, then renaming it over `path`: a failure mid-write leaves the
+    previous file whole and no temp file behind."""
+    tmp = f"{path}.tmp{os.getpid()}"
+    try:
+        with open(tmp, "w", encoding="utf-8") as fp:
+            write(fp)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 CONFIG_KEYS = {
@@ -283,11 +298,10 @@ def _cmd_train(args) -> int:
             adf_engine.process_batch(state, batch, damping=cfg.damping)
 
     if cfg.checkpoint:
-        with open(cfg.checkpoint, "w", encoding="utf-8") as fp:
-            save_checkpoint(state, fp)
+        _write_atomically(cfg.checkpoint, lambda fp: save_checkpoint(state, fp))
     if series is not None and cfg.metrics:
-        with open(cfg.metrics, "w", encoding="utf-8") as fp:
-            series.write_csv(fp, include_timing=cfg.timing_in_csv)
+        _write_atomically(cfg.metrics, lambda fp: series.write_csv(
+            fp, include_timing=cfg.timing_in_csv))
     if series is not None and series.rows:
         print(f"final {series.metric_name} {series.rows[-1].metric!r}")
     else:
@@ -300,6 +314,8 @@ def _cmd_predict(args) -> int:
         state = load_checkpoint(fp)
     with open(args.indices, encoding="utf-8") as fp:
         indices = tensor_core.parse_index_lines(fp, state.shape)
+    if not indices:
+        raise UsageError("index file holds no indices")
     k = state.shape.mode_count
     header = ",".join(f"i_{i + 1}" for i in range(k))
     with open(args.out, "w", encoding="utf-8") as fp:

@@ -24,6 +24,13 @@ A ModelState is single-writer. Read-only snapshots (deep copies) may be
 shared across threads for prediction. Embeddings are mutated only through
 gather_entry/scatter_entry.
 
+Invariants (finite means, positive variances, selector probabilities
+inside (0, 1), a valid Gamma posterior; see check_invariants) are checked
+once, where state enters from outside: load_checkpoint rejects a document
+that breaks them. The per-entry update trusts them: gather_entry checks
+the entry's index, scatter_entry writes what the engine built (finite
+means, variances clamped to at least v_floor) without re-checking it.
+
 Checkpoints are versioned JSON with every posterior field named, one table
 per layer (format version 1, independent of the in-memory layout); floats
 are rendered with shortest round-trip decimals so load(save(s)) reproduces
@@ -68,8 +75,8 @@ class Hyperparams:
         if not 0.0 < self.rho0 < 1.0:
             raise ValueError(f"rho0 must be strictly inside (0, 1), got {self.rho0}")
         for name in ("sigma0_sq", "a0", "b0"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
+            if not 0.0 < getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be finite and > 0, got {getattr(self, name)}")
         object.__setattr__(self, "ranks", tuple(int(r) for r in self.ranks))
         if any(r < 1 for r in self.ranks):
             raise ValueError(f"all ranks must be >= 1, got {self.ranks}")
@@ -132,13 +139,6 @@ class WeightPosterior:
             raise ValueError(f"selector probability must be in [0, 1], got {self.rho_post}")
 
 
-@dataclass(frozen=True)
-class EntryLocator:
-    """Which embedding rows a gather touched; required for scatter-back."""
-
-    index: tuple[int, ...]
-
-
 @dataclass
 class ModelState:
     """The whole posterior. mu and var have length n_weights + V_0 (input slot
@@ -192,32 +192,26 @@ class ModelState:
     def weight_vars(self) -> list[np.ndarray]:
         return [lay.var for lay in self.weights]
 
-    def gather_entry(self, index: Sequence[int]) -> tuple[np.ndarray, np.ndarray, EntryLocator]:
+    def gather_entry(self, index: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
         """Concatenated embedding means/variances for one entry.
 
         Concatenation order: mode 1 first, ascending rank within a mode.
+        Raises BoundsError for an index outside the shape.
         """
         index = tuple(int(i) for i in index)
         if not self.shape.contains(index):
             raise BoundsError(f"index {index} outside shape {self.shape.dims}")
         means = np.concatenate([emb.mean[i] for emb, i in zip(self.embeddings, index)])
         variances = np.concatenate([emb.var[i] for emb, i in zip(self.embeddings, index)])
-        return means, variances, EntryLocator(index=index)
+        return means, variances
 
-    def scatter_entry(self, locator: EntryLocator, new_means: np.ndarray,
+    def scatter_entry(self, index: Sequence[int], new_means: np.ndarray,
                       new_vars: np.ndarray) -> None:
-        """Write updated moments back to exactly the gathered cells."""
-        index = locator.index
-        if not self.shape.contains(index):
-            raise ValueError(f"locator {locator} does not match shape {self.shape.dims}")
-        new_means = np.asarray(new_means, dtype=float)
-        new_vars = np.asarray(new_vars, dtype=float)
-        expected = sum(self.hyper.ranks)
-        if new_means.shape != (expected,) or new_vars.shape != (expected,):
-            raise ValueError(f"expected length-{expected} vectors for scatter")
-        if (new_vars <= 0).any() or not np.isfinite(new_vars).all() \
-                or not np.isfinite(new_means).all():
-            raise ValueError("scatter requires finite means and strictly positive variances")
+        """Write updated moments back to the rows `gather_entry(index)` read.
+
+        Trusts its caller: the index was bounds-checked by the gather, and
+        the vectors are in gather order with finite means and variances > 0.
+        """
         offset = 0
         for emb, i, r in zip(self.embeddings, index, self.hyper.ranks):
             emb.mean[i] = new_means[offset:offset + r]
@@ -230,6 +224,42 @@ class ModelState:
         n_embed = 2 * sum(d * r for d, r in zip(self.shape.dims, self.hyper.ranks))
         n_gamma = 2 if self.gamma is not None else 0
         return n_weights + n_embed + n_gamma
+
+
+_RULES = {
+    "finite": lambda x: np.isfinite(x).all(),
+    "finite and > 0": lambda x: np.isfinite(x).all() and (x > 0).all(),
+    "inside (0, 1)": lambda x: ((x > 0) & (x < 1)).all(),
+}
+
+
+def check_invariants(state: ModelState) -> None:
+    """Raise ValueError naming the first posterior field that breaks its
+    invariant: finite means and term logits; finite variances > 0
+    (weights, terms, embeddings); selector probabilities inside (0, 1); and
+    a Gamma posterior with finite a, b > 0, present exactly for continuous
+    data. The update engine and the EP sweep keep these, so they are checked
+    where state enters from outside (`load_checkpoint`), not per entry."""
+    if (state.gamma is None) != (state.kind is ValueKind.BINARY):
+        raise ValueError("a continuous model needs a Gamma noise posterior and a "
+                         f"binary model has none; this {state.kind.value} model "
+                         f"{'lacks' if state.gamma is None else 'has'} one")
+    n = state.net.n_weights
+    checks = [("weight mean", state.mu[:n], "finite"),
+              ("weight var", state.var[:n], "finite and > 0"),
+              ("rho_post", state.rho_post, "inside (0, 1)"),
+              ("term_mean", state.term_mean, "finite"),
+              ("term_var", state.term_var, "finite and > 0"),
+              ("term_logit", state.term_logit, "finite")]
+    for k, emb in enumerate(state.embeddings, start=1):
+        checks += [(f"mode-{k} embedding mean", emb.mean, "finite"),
+                   (f"mode-{k} embedding var", emb.var, "finite and > 0")]
+    if state.gamma is not None:
+        checks.append(("Gamma (a, b)", np.array([state.gamma.a, state.gamma.b]),
+                       "finite and > 0"))
+    for name, values, rule in checks:
+        if not _RULES[rule](values):
+            raise ValueError(f"every {name} must be {rule}")
 
 
 def _truncated_standard_normal(rng: np.random.Generator, bound: float,
@@ -383,7 +413,7 @@ def load_checkpoint(fp: TextIO) -> ModelState:
                 raise CheckpointError("weight table shape mismatch")
         flat = {name: np.concatenate([a.ravel() for a in arrs])
                 for name, arrs in tables.items()}
-        return ModelState(
+        state = ModelState(
             shape=shape, kind=kind, net=net, hyper=hyper, embeddings=embeddings,
             gamma=gamma, entries_seen=entries_seen, rng=rng,
             mu=_with_input_slot(flat["mean"], net.input_dim),
@@ -395,6 +425,11 @@ def load_checkpoint(fp: TextIO) -> ModelState:
         raise
     except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"checkpoint schema violation: {exc!r}") from None
+    try:
+        check_invariants(state)
+    except ValueError as exc:
+        raise CheckpointError(f"checkpoint holds an impossible posterior: {exc}") from None
+    return state
 
 
 def checkpoint_bytes(state: ModelState) -> bytes:

@@ -40,7 +40,7 @@ def check_gradient_fd(seed: int = 0, n_nets: int = 10) -> CheckResult:
         spec, weights, x = _random_net(rng)
         layout = bnn.FlatParamLayout(spec)
         alpha, tape = bnn.forward_mean(spec, weights, x)
-        g = bnn.backprop_gradient(spec, weights, x, tape)
+        g = bnn.backprop_gradient(tape)
 
         def f(vec):
             mats, xin = layout.unpack(vec)
@@ -137,7 +137,7 @@ def check_adf_conjugate(seed: int = 4, n_cases: int = 200) -> CheckResult:
     for _ in range(n_cases):
         state, v0 = _random_linear_state(rng)
         idx = (int(rng.integers(0, 4)),)
-        x_mean, x_var, _ = state.gather_entry(idx)
+        x_mean, x_var = state.gather_entry(idx)
         w_row = state.weights[0].mean[0].copy()
         w_var_row = state.weights[0].var[0].copy()
         hb = np.append(x_mean, 1.0) / math.sqrt(v0 + 1.0)
@@ -210,7 +210,7 @@ def check_tau_recursion(seed: int = 6, n_entries: int = 30) -> CheckResult:
     for n in range(1, n_entries + 1):
         idx = (int(rng.integers(0, 5)), int(rng.integers(0, 5)))
         y = float(rng.normal(0, 1))
-        x_mean, x_var, _ = state.gather_entry(idx)
+        x_mean, x_var = state.gather_entry(idx)
         w_means = [lay.mean.copy() for lay in state.weights]
         w_vars = [lay.var.copy() for lay in state.weights]
 

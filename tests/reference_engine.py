@@ -38,7 +38,7 @@ def _alpha_and_gradient(spec, w_means, x):
 def reference_batch(state, entries, damping=0.5, v_floor=DEFAULT_V_FLOOR):
     layout = bnn.FlatParamLayout(state.net)
     for entry in entries:
-        x_mean, x_var, locator = state.gather_entry(entry.index)
+        x_mean, x_var = state.gather_entry(entry.index)
         w_means = [lay.mean for lay in state.weights]
         alpha, g = _alpha_and_gradient(state.net, w_means, x_mean)
         gamma_vec = layout.pack([lay.var for lay in state.weights], x_var)
@@ -57,7 +57,7 @@ def reference_batch(state, entries, damping=0.5, v_floor=DEFAULT_V_FLOOR):
         for lay, m, v in zip(state.weights, new_w_means, new_w_vars):
             lay.mean[...] = m
             lay.var[...] = v
-        state.scatter_entry(locator, new_x_mean, new_x_var)
+        state.scatter_entry(entry.index, new_x_mean, new_x_var)
         if state.kind is ValueKind.CONTINUOUS:
             state.gamma = update_tau(state.gamma, entry.value, alpha, beta)
         state.entries_seen += 1

@@ -53,7 +53,7 @@ def test_criterion_1_gradient_oracle():
         spec, weights, x = _random_tanh_net(rng)
         layout = bnn.FlatParamLayout(spec)
         _, tape = bnn.forward_mean(spec, weights, x)
-        g = bnn.backprop_gradient(spec, weights, x, tape)
+        g = bnn.backprop_gradient(tape)
 
         def f(vec):
             mats, xin = layout.unpack(vec)
@@ -167,7 +167,7 @@ def test_criterion_4_adf_equals_conjugate_oracle():
     for _ in range(1000):
         state, v0 = _random_linear_state(rng)
         idx = (int(rng.integers(0, 4)),)
-        x_mean, x_var, _ = state.gather_entry(idx)
+        x_mean, x_var = state.gather_entry(idx)
         w_row = state.weights[0].mean[0].copy()
         w_var = state.weights[0].var[0].copy()
         hb = np.append(x_mean, 1.0) / math.sqrt(v0 + 1.0)
@@ -270,7 +270,7 @@ def test_criterion_6_noise_posterior_recursion():
     for n in range(1, n_entries + 1):
         idx = (int(rng.integers(0, 6)), int(rng.integers(0, 6)))
         y = float(rng.normal())
-        x_mean, x_var, _ = state.gather_entry(idx)
+        x_mean, x_var = state.gather_entry(idx)
         w_means = [lay.mean.copy() for lay in state.weights]
         w_vars = [lay.var.copy() for lay in state.weights]
 

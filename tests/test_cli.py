@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from streamdtf import cli, load_checkpoint
+from streamdtf import (Hyperparams, NetworkSpec, TensorShape, ValueKind,
+                       checkpoint_bytes, cli, init_state, load_checkpoint)
 
 
 def _synth_split(tmp_path, seed=3, dims="20,20", entries=400, kind="continuous"):
@@ -225,6 +226,52 @@ def test_resume_rejects_a_checkpoint_that_contradicts_the_config(
     assert err.startswith("error ARG:")
     assert f"checkpoint has {field}" in err
     assert not second.exists()
+
+
+@pytest.mark.parametrize("flag, value", [("--sigma0-sq", "nan"), ("--a0", "inf")])
+def test_train_rejects_non_finite_hyperparameters(tmp_path, capsys, flag, value):
+    train, _, _ = _synth_split(tmp_path)
+    capsys.readouterr()
+    rc = cli.main(["train", "--train", str(train), "--dims", "20,20", "--rank", "2",
+                   "--hidden", "6", flag, value])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error VALUE:") and err.count("\n") == 1
+
+
+def test_predict_rejects_an_index_file_without_indices(tmp_path, capsys):
+    model = tmp_path / "model.json"
+    state = init_state(TensorShape((4, 5)), ValueKind.CONTINUOUS,
+                       NetworkSpec.for_factorization(2, [3], "relu"),
+                       Hyperparams(ranks=(1, 1)), seed=0)
+    model.write_bytes(checkpoint_bytes(state))
+    indices = tmp_path / "idx.txt"
+    indices.write_text("# no indices here\n\n   \n")
+    rc = cli.main(["predict", "--checkpoint", str(model), "--indices", str(indices),
+                   "--out", str(tmp_path / "preds.csv")])
+    assert rc == 2
+    assert capsys.readouterr().err == "error ARG: index file holds no indices\n"
+
+
+def test_failed_checkpoint_write_keeps_the_previous_checkpoint(tmp_path, capsys,
+                                                               monkeypatch):
+    train, test, _ = _synth_split(tmp_path)
+    assert cli.main(_train_args(tmp_path, train, test)) == 0
+    model = tmp_path / "model.json"
+    before = model.read_bytes()
+    files = sorted(p.name for p in tmp_path.iterdir())
+
+    def save_part_then_fail(state, fp):
+        fp.write(checkpoint_bytes(state).decode()[:1000])
+        raise OSError("no space left on device")
+
+    monkeypatch.setattr(cli, "save_checkpoint", save_part_then_fail)
+    capsys.readouterr()
+    rc = cli.main(_train_args(tmp_path, train, test, extra=("--seed", "6")))
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error IO:")
+    assert model.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == files
 
 
 def test_verify_command_passes_every_check(capsys):

@@ -87,7 +87,7 @@ def test_mc_linear_network_matches_quadratic_form():
     x_vars = rng.uniform(0.01, 0.1, 3)
     layout = FlatParamLayout(spec)
     _, tape = forward_mean(spec, weights, x)
-    g = backprop_gradient(spec, weights, x, tape)
+    g = backprop_gradient(tape)
     want = float((g * g) @ layout.pack(w_vars, x_vars))
     mc = mc_output_moments(spec, weights, w_vars, x, x_vars, 400_000, seed=4)
     assert abs(mc.var - want) <= 3 * mc.se_var
@@ -111,7 +111,7 @@ def test_fd_detects_corrupted_gradient():
     x = rng.standard_normal(3)
     layout = FlatParamLayout(spec)
     _, tape = forward_mean(spec, weights, x)
-    g = backprop_gradient(spec, weights, x, tape)
+    g = backprop_gradient(tape)
     corrupted = g.copy()
     corrupted[2] += 0.1
 

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from streamdtf import (CheckpointError, GammaPosterior, Hyperparams,
-                       NetworkSpec, TensorShape, ValueKind, checkpoint_bytes,
-                       init_state, load_checkpoint, save_checkpoint)
+                       NetworkSpec, TensorShape, ValueKind, check_invariants,
+                       checkpoint_bytes, init_state, load_checkpoint,
+                       save_checkpoint)
 from streamdtf.errors import BoundsError
 
 
@@ -70,16 +71,20 @@ def test_init_validation():
         Hyperparams(rho0=1.0)
     with pytest.raises(ValueError):
         Hyperparams(sigma0_sq=0.0)
+    for name in ("sigma0_sq", "a0", "b0"):
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                Hyperparams(**{name: bad})
 
 
 def test_gather_at_init_and_ordering():
     state = _small_state()
-    means, variances, _ = state.gather_entry((0, 0))
+    means, variances = state.gather_entry((0, 0))
     assert np.array_equal(means, np.zeros(4))
     assert np.array_equal(variances, np.ones(4))
     # concatenation is mode 1 first, ascending rank within mode
     state.embeddings[1].mean[3, 0] = 9.0
-    means, _, _ = state.gather_entry((1, 3))
+    means, _ = state.gather_entry((1, 3))
     assert means[2] == 9.0 and means[0] == 0.0
 
 
@@ -92,32 +97,24 @@ def test_gather_bounds():
 def test_scatter_round_trip_and_isolation():
     state = _small_state()
     before = checkpoint_bytes(state)
-    means, variances, loc = state.gather_entry((2, 4))
-    state.scatter_entry(loc, means, variances)  # identity write
+    index = (2, 4)
+    means, variances = state.gather_entry(index)
+    state.scatter_entry(index, means, variances)  # identity write
     assert checkpoint_bytes(state) == before
 
     new_means = means + np.array([1.0, 2.0, 3.0, 4.0])
     new_vars = variances * 0.5
     baseline = copy.deepcopy(state)
-    state.scatter_entry(loc, new_means, new_vars)
-    got_means, got_vars, _ = state.gather_entry((2, 4))
+    state.scatter_entry(index, new_means, new_vars)
+    got_means, got_vars = state.gather_entry(index)
     assert np.array_equal(got_means, new_means)
     assert np.array_equal(got_vars, new_vars)
     # every cell outside the located rows is bit-identical
     for k, (emb, ref) in enumerate(zip(state.embeddings, baseline.embeddings)):
         untouched = np.ones(emb.mean.shape[0], dtype=bool)
-        untouched[loc.index[k]] = False
+        untouched[index[k]] = False
         assert np.array_equal(emb.mean[untouched], ref.mean[untouched])
         assert np.array_equal(emb.var[untouched], ref.var[untouched])
-
-
-def test_scatter_rejects_nonpositive_variance_and_bad_locator():
-    state = _small_state()
-    means, variances, loc = state.gather_entry((2, 4))
-    with pytest.raises(ValueError):
-        state.scatter_entry(loc, means, variances * 0.0)
-    with pytest.raises(ValueError):
-        state.scatter_entry(loc, means[:3], variances[:3])
 
 
 def test_checkpoint_round_trip():
@@ -181,6 +178,36 @@ def test_checkpoint_bad_values_raise_checkpoint_error(edit):
     edit(doc)
     with pytest.raises(CheckpointError):
         load_checkpoint(io.StringIO(json.dumps(doc)))
+
+
+@pytest.mark.parametrize("edit", [
+    _set(("weights", 0, "var", 0, 0), -1.0),
+    _set(("weights", 1, "mean", 0, 1), float("nan")),
+    _set(("weights", 0, "term_var", 1, 0), 0.0),
+    _set(("weights", 1, "term_mean", 0, 0), float("inf")),
+    _set(("weights", 0, "term_logit", 0, 2), float("nan")),
+    _set(("weights", 1, "rho_post", 0, 0), 3.0),
+    _set(("weights", 0, "rho_post", 0, 0), 0.0),
+    _set(("embeddings", 1, "var", 2, 0), -2.0),
+    _set(("embeddings", 0, "mean", 4, 1), float("inf")),
+    _set(("gamma", "b"), float("inf")),
+    _set(("gamma",), None),
+], ids=["weight-var", "weight-mean", "term-var", "term-mean", "term-logit",
+        "rho-above-one", "rho-zero", "embedding-var", "embedding-mean", "gamma-b",
+        "gamma-missing"])
+def test_checkpoint_impossible_posterior_raises_checkpoint_error(edit):
+    doc = json.loads(checkpoint_bytes(_small_state()))
+    edit(doc)
+    with pytest.raises(CheckpointError, match="impossible posterior"):
+        load_checkpoint(io.StringIO(json.dumps(doc)))
+
+
+def test_check_invariants_passes_a_fresh_state_and_names_the_broken_field():
+    state = _small_state(kind=ValueKind.BINARY)
+    check_invariants(state)
+    state.embeddings[1].var[0, 0] = -2.0
+    with pytest.raises(ValueError, match="mode-2 embedding var"):
+        check_invariants(state)
 
 
 def test_checkpoint_preserves_rng_stream():

@@ -34,7 +34,7 @@ def test_continuous_prediction_at_init_adds_noise_mean():
     state = _zero_weight_state(ValueKind.CONTINUOUS)
     mean, variance = predict_entry(state, (1, 2))
     assert mean == 0.0
-    x_mean, x_var, _ = state.gather_entry((1, 2))
+    x_mean, x_var = state.gather_entry((1, 2))
     om = output_moments(state.net, state.weight_means(), state.weight_vars(),
                         x_mean, x_var)
     assert variance == pytest.approx(om.beta + 1.0, rel=1e-12)  # a0 = b0 = 1
