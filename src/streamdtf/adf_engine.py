@@ -91,11 +91,15 @@ def evidence_continuous(alpha: float, beta: float, y: float,
 
 def update_tau(gamma_post: GammaPosterior, y: float, alpha: float,
                beta: float) -> GammaPosterior:
-    """Closed-form noise-precision update: shape + 1/2, rate + ((y-alpha)^2 + beta)/2."""
-    return GammaPosterior(
-        a=gamma_post.a + 0.5,
-        b=gamma_post.b + 0.5 * ((y - alpha) ** 2 + beta),
-    )
+    """Closed-form noise-precision update: shape + 1/2, rate + ((y-alpha)^2 + beta)/2.
+    Raises NumericError when the new rate is not finite."""
+    try:
+        b = gamma_post.b + 0.5 * ((y - alpha) ** 2 + beta)
+    except OverflowError:  # float ** raises where float * gives inf
+        b = math.inf
+    if not math.isfinite(b):
+        raise NumericError(f"non-finite noise rate {b}")
+    return GammaPosterior(a=gamma_post.a + 0.5, b=b)
 
 
 @dataclass(frozen=True)
@@ -112,63 +116,77 @@ def adf_update_entry(state: ModelState, entry: ObservedEntry,
     """One moment-matching update; mutates the state in place.
 
     Every network weight and every embedding coordinate in the entry's index
-    is updated from the same gradient. If any output moment, gradient
-    coordinate or updated mean is non-finite the entry is skipped with a
-    logged diagnostic and the state is left unchanged. Variances falling
-    below `v_floor` (or non-finite) are clamped there (counted in the
+    is updated from the same gradient. If any output moment, the evidence,
+    the noise update or an updated mean is non-finite the entry is skipped
+    with a logged diagnostic and the state is left unchanged. Variances
+    falling below `v_floor` (or non-finite) are clamped there (counted in the
     result). A binary model raises ValueError, from `evidence_binary` and
     before any write, on a value other than 0 or 1.
+
+    The update runs in place: the gradient g that `backprop_gradient`
+    returns belongs to this call, so it and g^2 serve as scratch, and the
+    new variances are written straight into `state.var`. Nothing in the
+    state is written before the last check that can skip the entry (the
+    input slot `state.mu[n:]`/`state.var[n:]` is scratch, not state).
     """
     x_mean, x_var = state.gather_entry(entry.index)
-    try:
-        alpha, tape = bnn.forward_mean(state.net, state.weight_means(), x_mean)
-        g = bnn.backprop_gradient(tape)
-    except NumericError as exc:
-        logger.warning("skipping entry %s: %s", entry.index, exc)
-        return EntryResult(log_z=math.nan, alpha=math.nan, beta=math.nan,
-                           clamped=0, skipped=True)
     n = state.net.n_weights
     mu_vec, gamma_vec = state.mu, state.var
-    mu_vec[n:] = x_mean
-    gamma_vec[n:] = x_var
     with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            alpha, tape = bnn.forward_mean(state.net, state.weight_means(), x_mean)
+        except NumericError as exc:
+            logger.warning("skipping entry %s: %s", entry.index, exc)
+            return EntryResult(log_z=math.nan, alpha=math.nan, beta=math.nan,
+                               clamped=0, skipped=True)
+        g = bnn.backprop_gradient(tape)
+        mu_vec[n:] = x_mean
+        gamma_vec[n:] = x_var
         g_sq = g * g
         beta = float(g_sq @ gamma_vec)
-    # alpha is finite: forward_mean raised on any non-finite pre-activation
-    if not math.isfinite(beta):
-        logger.warning("skipping entry %s: non-finite output moments", entry.index)
-        return EntryResult(log_z=math.nan, alpha=alpha, beta=beta, clamped=0,
-                           skipped=True)
+        # alpha is finite: forward_mean raised on any non-finite
+        # pre-activation. Every gamma_j is finite and > 0, so a non-finite
+        # g_j makes beta NaN or +inf: this check also covers g.
+        if not math.isfinite(beta):
+            logger.warning("skipping entry %s: non-finite output moments", entry.index)
+            return EntryResult(log_z=math.nan, alpha=alpha, beta=beta, clamped=0,
+                               skipped=True)
+        gamma_post = state.gamma
+        try:
+            if state.kind is ValueKind.BINARY:
+                ev = evidence_binary(alpha, beta, entry.value)
+            else:
+                ev = evidence_continuous(alpha, beta, entry.value, gamma_post)
+                # pre-update alpha/beta of this entry feed the noise update
+                gamma_post = update_tau(gamma_post, entry.value, alpha, beta)
+        except NumericError as exc:
+            logger.warning("skipping entry %s: %s", entry.index, exc)
+            return EntryResult(log_z=math.nan, alpha=alpha, beta=beta, clamped=0,
+                               skipped=True)
 
-    try:
-        if state.kind is ValueKind.BINARY:
-            ev = evidence_binary(alpha, beta, entry.value)
-        else:
-            ev = evidence_continuous(alpha, beta, entry.value, state.gamma)
-    except NumericError as exc:
-        logger.warning("skipping entry %s: %s", entry.index, exc)
-        return EntryResult(log_z=math.nan, alpha=alpha, beta=beta, clamped=0,
-                           skipped=True)
-
-    dmu = ev.dalpha * g
-    dv = ev.dbeta * g_sq
-    mu_new = mu_vec + gamma_vec * dmu
-    v_new = gamma_vec - gamma_vec * gamma_vec * (dmu * dmu - 2.0 * dv)
-    if not np.isfinite(mu_new).all():
-        logger.warning("skipping entry %s: non-finite mean update", entry.index)
-        return EntryResult(log_z=ev.log_z, alpha=alpha, beta=beta, clamped=0,
-                           skipped=True)
-    bad = ~np.isfinite(v_new) | (v_new < v_floor)
-    clamped = int(bad.sum())
-    if clamped:
-        v_new[bad] = v_floor
+        dmu = np.multiply(g, ev.dalpha, out=g)
+        mu_new = gamma_vec * dmu
+        mu_new += mu_vec
+        if not np.isfinite(mu_new).all():
+            logger.warning("skipping entry %s: non-finite mean update", entry.index)
+            return EntryResult(log_z=ev.log_z, alpha=alpha, beta=beta, clamped=0,
+                               skipped=True)
+        # var' = var - var*var*(dmu*dmu - 2*dv) with dv = dbeta * g^2, the
+        # same operations in the same order, in the buffers of g^2 and g
+        t = np.multiply(g_sq, ev.dbeta, out=g_sq)
+        t *= 2.0
+        np.subtract(np.multiply(dmu, dmu, out=dmu), t, out=t)
+        t *= np.multiply(gamma_vec, gamma_vec, out=dmu)
+        v_new = np.subtract(gamma_vec, t, out=gamma_vec)
+        ok = v_new >= v_floor
+        ok &= v_new < math.inf
+        clamped = v_new.shape[0] - int(np.count_nonzero(ok))
+        if clamped:
+            v_new[~ok] = v_floor
 
     mu_vec[...] = mu_new
-    gamma_vec[...] = v_new
     state.scatter_entry(entry.index, mu_new[n:], v_new[n:])
-    if state.kind is ValueKind.CONTINUOUS:
-        # pre-update alpha/beta of this entry feed the noise update
-        state.gamma = update_tau(state.gamma, entry.value, alpha, beta)
+    state.gamma = gamma_post
     state.entries_seen += 1
     return EntryResult(log_z=ev.log_z, alpha=alpha, beta=beta, clamped=clamped)
 
@@ -201,5 +219,5 @@ def process_batch(state: ModelState, batch: EntryBatch, damping: float = 0.5,
     for entry in batch.entries:
         diag.entry_results.append(adf_update_entry(state, entry, v_floor=v_floor))
     if refine:
-        diag.ep = ep_prior.refine_all(state, damping=damping)
+        diag.ep = ep_prior.refine_all(state, damping=damping, v_floor=v_floor)
     return diag

@@ -30,6 +30,7 @@ The 'identity' activation exists so tests can build exactly linear networks;
 user-facing configuration restricts activations to relu/tanh.
 """
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Sequence
@@ -228,7 +229,8 @@ def forward_mean_batch(spec: NetworkSpec, weight_means: Sequence[np.ndarray],
     preacts: list[np.ndarray] = []
     m_total = spec.layer_count
     for m, w in enumerate(weight_means, start=1):
-        hb = np.concatenate((h, ones), axis=-1) / np.sqrt(h.shape[-1] + 1.0)
+        hb = np.concatenate((h, ones), axis=-1)
+        hb /= math.sqrt(h.shape[-1] + 1.0)
         z = hb @ w.T
         hbs.append(hb)
         preacts.append(z)
@@ -248,7 +250,8 @@ def _backward(tape: ForwardTape) -> tuple[list[np.ndarray], np.ndarray]:
     for m in range(spec.layer_count, 0, -1):
         deltas.append(delta)
         v_prev = spec.widths[m - 1]
-        dh = (delta @ weights[m - 1][:, :v_prev]) / np.sqrt(v_prev + 1.0)
+        dh = delta @ weights[m - 1][:, :v_prev]
+        dh /= math.sqrt(v_prev + 1.0)
         delta = dact(tape.preact[m - 2]) * dh if m > 1 else dh
     return deltas[::-1], delta
 
@@ -258,16 +261,22 @@ def forward_mean(spec: NetworkSpec, weight_means: Sequence[np.ndarray],
     """Evaluate the network at the parameter means on one input row; returns
     (alpha, tape). Raises NumericError on a non-finite pre-activation."""
     alpha, tape = forward_mean_batch(spec, weight_means, input_mean)
-    for m, z in enumerate(tape.preact, start=1):
-        if not np.isfinite(z).all():
-            raise NumericError(f"non-finite pre-activation in layer {m}")
+    if not np.isfinite(np.concatenate(tape.preact)).all():
+        for m, z in enumerate(tape.preact, start=1):
+            if not np.isfinite(z).all():
+                raise NumericError(f"non-finite pre-activation in layer {m}")
     return float(alpha), tape
 
 
 def backprop_gradient(tape: ForwardTape) -> np.ndarray:
     """Reverse-mode gradient of the scalar output over all weights and inputs
     of the one row `tape` was recorded on (by `forward_mean`), flattened in
-    FlatParamLayout order."""
+    FlatParamLayout order. The array is the caller's to overwrite.
+
+    g is not scanned for non-finite values: the per-entry update, its one
+    hot caller, computes beta = sum_j g_j^2 gamma_j over variances that are
+    all finite and > 0, so any NaN or infinite g_j makes beta NaN or +inf,
+    and the update skips the entry on that check alone."""
     spec = tape.spec
     deltas, dx = _backward(tape)
     g = np.empty(spec.n_weights + spec.input_dim)
@@ -275,8 +284,6 @@ def backprop_gradient(tape: ForwardTape) -> np.ndarray:
                                     deltas, tape.hb):
         np.multiply.outer(delta, hb, out=g[sl].reshape(shape))
     g[spec.n_weights:] = dx
-    if not np.isfinite(g).all():
-        raise NumericError("non-finite gradient")
     return g
 
 

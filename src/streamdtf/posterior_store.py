@@ -92,8 +92,9 @@ class GammaPosterior:
     b: float
 
     def __post_init__(self):
-        if self.a <= 0 or self.b <= 0:
-            raise ValueError(f"Gamma parameters must be > 0, got ({self.a}, {self.b})")
+        if not (0.0 < self.a < np.inf and 0.0 < self.b < np.inf):
+            raise ValueError(f"Gamma parameters must be finite and > 0, got "
+                             f"({self.a}, {self.b})")
 
     @property
     def mean(self) -> float:
@@ -135,8 +136,9 @@ class WeightPosterior:
     def __post_init__(self):
         if self.var <= 0 or self.term_var <= 0:
             raise ValueError("weight variances must be > 0")
-        if not 0.0 <= self.rho_post <= 1.0:
-            raise ValueError(f"selector probability must be in [0, 1], got {self.rho_post}")
+        if not 0.0 < self.rho_post < 1.0:
+            raise ValueError("selector probability must be strictly inside (0, 1), "
+                             f"got {self.rho_post}")
 
 
 @dataclass
@@ -398,8 +400,10 @@ def load_checkpoint(fp: TextIO) -> ModelState:
             name: [np.asarray(w[name], dtype=float) for w in doc["weights"]]
             for name in WEIGHT_FIELDS
         }
-        gamma = None if doc["gamma"] is None else GammaPosterior(
-            a=float(doc["gamma"]["a"]), b=float(doc["gamma"]["b"]))
+        # built with the invariant checks below: a bad (a, b) is an
+        # impossible posterior, not a schema violation
+        gamma_ab = None if doc["gamma"] is None else (
+            float(doc["gamma"]["a"]), float(doc["gamma"]["b"]))
         rng = _rng_state_from_doc(doc["rng"])
         entries_seen = int(doc["entries_seen"])
         if len(embeddings) != shape.mode_count or len(hyper.ranks) != shape.mode_count \
@@ -415,7 +419,7 @@ def load_checkpoint(fp: TextIO) -> ModelState:
                 for name, arrs in tables.items()}
         state = ModelState(
             shape=shape, kind=kind, net=net, hyper=hyper, embeddings=embeddings,
-            gamma=gamma, entries_seen=entries_seen, rng=rng,
+            gamma=None, entries_seen=entries_seen, rng=rng,
             mu=_with_input_slot(flat["mean"], net.input_dim),
             var=_with_input_slot(flat["var"], net.input_dim),
             rho_post=flat["rho_post"], term_mean=flat["term_mean"],
@@ -426,6 +430,8 @@ def load_checkpoint(fp: TextIO) -> ModelState:
     except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"checkpoint schema violation: {exc!r}") from None
     try:
+        if gamma_ab is not None:
+            state.gamma = GammaPosterior(*gamma_ab)
         check_invariants(state)
     except ValueError as exc:
         raise CheckpointError(f"checkpoint holds an impossible posterior: {exc}") from None

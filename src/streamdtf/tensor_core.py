@@ -370,8 +370,8 @@ def synth_generate(shape: TensorShape, rank: int, kind: ValueKind,
     """
     if rank < 1:
         raise ValueError(f"rank must be >= 1, got {rank}")
-    if noise_sd < 0:
-        raise ValueError(f"noise_sd must be >= 0, got {noise_sd}")
+    if not 0.0 <= noise_sd < math.inf:
+        raise ValueError(f"noise_sd must be finite and >= 0, got {noise_sd}")
     if n_entries < 1:
         raise ValueError(f"n_entries must be >= 1, got {n_entries}")
     if n_entries > shape.n_cells:

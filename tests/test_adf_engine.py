@@ -11,8 +11,9 @@ from streamdtf import (CpGenerator, EntryBatch, GammaPosterior, Hyperparams,
                        evidence_binary, evidence_continuous, init_state,
                        process_batch, synth_generate, update_tau)
 from streamdtf import bnn
+from streamdtf.errors import NumericError
 from streamdtf.oracles import conjugate_linear_update, quad_tilted_moments
-from streamdtf.posterior_store import WEIGHT_FIELDS
+from streamdtf.posterior_store import DEFAULT_V_FLOOR, WEIGHT_FIELDS
 from streamdtf.seeding import make_rng
 
 from reference_engine import reference_batch
@@ -72,6 +73,13 @@ def test_evidence_continuous_partials_match_fd():
 def test_update_tau_hand_cases():
     assert update_tau(GammaPosterior(1.0, 1.0), 2.0, 2.0, 0.0) == GammaPosterior(1.5, 1.0)
     assert update_tau(GammaPosterior(2.0, 3.0), 2.0, 0.0, 1.0) == GammaPosterior(2.5, 5.5)
+
+
+@pytest.mark.parametrize("b, y", [(1.7e308, 1e154), (1.0, 1e200)])
+def test_update_tau_rejects_a_non_finite_rate(b, y):
+    # the rate overflows by addition, or the squared residual overflows
+    with pytest.raises(NumericError):
+        update_tau(GammaPosterior(1000.0, b), y, 0.0, 0.5)
 
 
 def _linear_state(rng, nodes=4):
@@ -199,16 +207,67 @@ def test_chain_rule_matches_end_to_end_fd():
             assert ev.dbeta * g[j] ** 2 == pytest.approx(fd_v, rel=1e-4, abs=1e-9)
 
 
+def _assert_skipped_without_a_write(state, entry):
+    before = checkpoint_bytes(state)
+    result = adf_update_entry(state, entry)
+    assert result.skipped
+    assert state.entries_seen == 0
+    assert checkpoint_bytes(state) == before
+
+
 def test_skipped_entry_leaves_state_unchanged():
     state = init_state(TensorShape((3, 3)), ValueKind.CONTINUOUS,
                        NetworkSpec.for_factorization(2, [2], "relu"),
                        Hyperparams(ranks=(1, 1)), seed=0)
     state.weights[0].mean[...] = 1e308  # forward overflows
-    before = checkpoint_bytes(state)
-    result = adf_update_entry(state, ObservedEntry((0, 0), 1.0))
-    assert result.skipped
-    assert state.entries_seen == 0
-    assert checkpoint_bytes(state) == before
+    _assert_skipped_without_a_write(state, ObservedEntry((0, 0), 1.0))
+
+
+def _identity_state(kind):
+    # one linear layer, alpha = (w_x * x + w_b) / sqrt(2); the embedding mean
+    # x starts at 0
+    return init_state(TensorShape((3,)), kind, NetworkSpec((1, 1), "identity"),
+                      Hyperparams(ranks=(1,)), seed=0)
+
+
+def _beta_overflows():
+    state = _identity_state(ValueKind.CONTINUOUS)
+    # x = 0 keeps alpha finite, but d alpha / dx = w_x / sqrt(2) squares to inf
+    state.weights[0].mean[0, 0] = 1e200
+    return state, ObservedEntry((0,), 1.0)
+
+
+def _evidence_overflows():
+    # (y - alpha)^2 overflows inside the evidence
+    return _identity_state(ValueKind.CONTINUOUS), ObservedEntry((0,), 1e200)
+
+
+def _noise_rate_overflows():
+    # the evidence is finite, but the Gamma rate b + ((y - alpha)^2 + beta)/2
+    # overflows
+    state = _identity_state(ValueKind.CONTINUOUS)
+    state.gamma = GammaPosterior(1000.0, 1.7e308)
+    return state, ObservedEntry((0,), 1e154)
+
+
+def _mean_update_overflows():
+    # a probit entry far on the wrong side of a huge alpha: d log Z / d alpha
+    # is about -alpha / (1 + beta), so the high-variance weight w_x, whose
+    # gradient x/sqrt(2) is small but not zero, moves by -inf
+    state = _identity_state(ValueKind.BINARY)
+    state.weights[0].mean[0] = (0.0, 1e306)
+    state.weights[0].var[0, 0] = 1e10
+    state.embeddings[0].mean[0, 0] = 1.4e-5
+    return state, ObservedEntry((0,), 0.0)
+
+
+@pytest.mark.parametrize("build", [_beta_overflows, _evidence_overflows,
+                                   _noise_rate_overflows, _mean_update_overflows],
+                         ids=["beta", "evidence", "noise-rate", "mean-update"])
+def test_skip_after_the_forward_pass_leaves_state_unchanged(build, caplog):
+    state, entry = build()
+    _assert_skipped_without_a_write(state, entry)
+    assert "skipping entry" in caplog.text
 
 
 def test_variance_guard_clamps_and_counts():
@@ -221,6 +280,20 @@ def test_variance_guard_clamps_and_counts():
     for lay in state.weights:
         assert np.all(lay.var >= 0.95)
     assert np.all(state.embeddings[0].var >= 0.95)
+
+
+def test_non_finite_variance_update_is_clamped_and_counted():
+    # a probit entry far on the wrong side of alpha = 7e305: the mean update
+    # is finite, d log Z / d beta is +inf, so each variance update is +inf
+    # (g_j != 0) or NaN (g_j = 0, here w_x and x)
+    state = _identity_state(ValueKind.BINARY)
+    state.weights[0].mean[0] = (0.0, 1e306)
+    result = adf_update_entry(state, ObservedEntry((0,), 0.0), v_floor=0.01)
+    assert not result.skipped
+    assert result.clamped == 3
+    assert np.all(state.weights[0].var == 0.01)
+    assert state.embeddings[0].var[0, 0] == 0.01
+    check_invariants(state)
 
 
 def test_binary_kind_rejects_non_binary_value():
@@ -279,20 +352,41 @@ def test_deepcopy_views_alias_the_copy_only():
     assert checkpoint_bytes(state) == before
 
 
-@pytest.mark.parametrize("kind", [ValueKind.CONTINUOUS, ValueKind.BINARY])
-@pytest.mark.parametrize("activation", ["relu", "tanh"])
-def test_engine_matches_repacking_reference_to_the_byte(kind, activation):
+def _engine_and_reference(kind, activation, v_floor):
+    """Three batches through the engine and through the repacking reference;
+    returns both states and the engine's clamp count."""
     shape = TensorShape((30, 20))
     entries, _ = synth_generate(shape, 2, kind, CpGenerator(), 0.1, 240, seed=11)
     net = NetworkSpec.for_factorization(6, [8, 5], activation)
     engine = init_state(shape, kind, net, Hyperparams(ranks=(3, 3)), seed=12)
     reference = copy.deepcopy(engine)
+    clamped = 0
     for b in range(3):
         chunk = tuple(entries[b * 80:(b + 1) * 80])
-        process_batch(engine, EntryBatch(entries=chunk, ordinal=b))
-        reference_batch(reference, chunk)
+        diag = process_batch(engine, EntryBatch(entries=chunk, ordinal=b),
+                             v_floor=v_floor)
+        clamped += diag.clamp_count
+        reference_batch(reference, chunk, v_floor=v_floor)
         check_invariants(engine)
+    return engine, reference, clamped
+
+
+@pytest.mark.parametrize("kind", [ValueKind.CONTINUOUS, ValueKind.BINARY])
+@pytest.mark.parametrize("activation", ["relu", "tanh"])
+def test_engine_matches_repacking_reference_to_the_byte(kind, activation):
+    engine, reference, _ = _engine_and_reference(kind, activation, DEFAULT_V_FLOOR)
     assert checkpoint_bytes(engine) == checkpoint_bytes(reference)
+
+
+@pytest.mark.parametrize("kind", [ValueKind.CONTINUOUS, ValueKind.BINARY])
+@pytest.mark.parametrize("activation", ["relu", "tanh"])
+def test_engine_matches_repacking_reference_to_the_byte_through_clamps(kind, activation):
+    v_floor = 0.1  # well above the data's variances: every batch clamps
+    engine, reference, clamped = _engine_and_reference(kind, activation, v_floor)
+    assert clamped > 0
+    assert checkpoint_bytes(engine) == checkpoint_bytes(reference)
+    # the EP sweep keeps the same floor as the per-entry update
+    assert engine.var[:engine.net.n_weights].min() >= v_floor
 
 
 def test_batch_embedding_touch_budget():

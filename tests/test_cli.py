@@ -199,6 +199,15 @@ def test_synth_requires_an_output(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error ARG:")
 
 
+def test_synth_rejects_a_nan_noise_level(tmp_path, capsys):
+    out = tmp_path / "y.coo"
+    rc = cli.main(["synth", "--dims", "5,5", "--entries", "10", "--noise-sd", "nan",
+                   "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error VALUE:")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("field, dims, kind", [
     ("dims", "20,25", "continuous"),
     ("kind", "20,20", "binary"),

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from streamdtf import (CheckpointError, GammaPosterior, Hyperparams,
-                       NetworkSpec, TensorShape, ValueKind, check_invariants,
-                       checkpoint_bytes, init_state, load_checkpoint,
-                       save_checkpoint)
+                       NetworkSpec, TensorShape, ValueKind, WeightPosterior,
+                       check_invariants, checkpoint_bytes, init_state,
+                       load_checkpoint, save_checkpoint)
 from streamdtf.errors import BoundsError
 
 
@@ -226,3 +226,17 @@ def test_stored_scalar_count_formula():
     assert state.stored_scalar_count() == 6 * v_total + 2 * embed_cells + 2
     binary = _small_state(kind=ValueKind.BINARY)
     assert binary.stored_scalar_count() == 6 * v_total + 2 * embed_cells
+
+
+@pytest.mark.parametrize("a, b", [(np.nan, 1.0), (1.0, np.nan), (np.inf, 1.0),
+                                  (1.0, np.inf), (0.0, 1.0), (1.0, -1.0)])
+def test_gamma_posterior_rejects_non_finite_or_non_positive_parameters(a, b):
+    with pytest.raises(ValueError):
+        GammaPosterior(a, b)
+
+
+@pytest.mark.parametrize("rho_post", [0.0, 1.0, np.nan])
+def test_weight_posterior_requires_rho_strictly_inside_the_unit_interval(rho_post):
+    with pytest.raises(ValueError):
+        WeightPosterior(mean=0.0, var=1.0, rho_post=rho_post, term_mean=0.0,
+                        term_var=1.0, term_logit=0.0)
