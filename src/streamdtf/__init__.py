@@ -13,16 +13,14 @@ noise precision; binary data uses a probit likelihood.
 from .adf_engine import (BatchDiagnostics, EntryResult, EvidenceResult,
                          adf_update_entry, evidence_binary,
                          evidence_continuous, process_batch, update_tau)
-from .bnn import (ACTIVATIONS, FlatParamLayout, NetworkSpec, OutputMoments,
-                  backprop_gradient, forward_mean, forward_mean_batch,
-                  output_moments, output_moments_batch)
-from .ep_prior import EpDiagnostics, RefineResult, refine_all, refine_weight
+from .bnn import (ACTIVATIONS, NetworkSpec, backprop_gradient, forward_mean,
+                  forward_mean_batch, output_moments_batch)
+from .ep_prior import EpDiagnostics, refine_all
 from .errors import (BoundsError, CheckpointError, NumericError, OracleError,
                      ParseError, UndefinedMetricError)
 from .posterior_store import (DEFAULT_V_FLOOR, GammaPosterior, Hyperparams,
-                              ModelState, WeightPosterior, check_invariants,
-                              checkpoint_bytes, init_state, load_checkpoint,
-                              save_checkpoint)
+                              ModelState, check_invariants, checkpoint_bytes,
+                              init_state, load_checkpoint, save_checkpoint)
 from .predict_eval import (MetricRow, MetricSeries, auc, predict_batch,
                            predict_entry, rmse, running_eval)
 from .tensor_core import (CpGenerator, DatasetSplit, EntryBatch, GroundTruth,

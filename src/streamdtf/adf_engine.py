@@ -56,7 +56,8 @@ def _phi_over_cdf(z: float) -> float:
 
 def evidence_binary(alpha: float, beta: float, y: float) -> EvidenceResult:
     """Evidence of one probit observation against N(alpha, beta):
-    Z = Phi((2y-1) * alpha / sqrt(1 + beta))."""
+    Z = Phi((2y-1) * alpha / sqrt(1 + beta)). Raises NumericError when log Z
+    or a partial is not finite (an entry far on the wrong side of alpha)."""
     if beta < 0:
         raise ValueError(f"beta must be >= 0, got {beta}")
     if y not in (0.0, 1.0):
@@ -68,6 +69,8 @@ def evidence_binary(alpha: float, beta: float, y: float) -> EvidenceResult:
     r = _phi_over_cdf(z)
     dalpha = sign * r / denom
     dbeta = -r * z / (2.0 * (1.0 + beta))
+    if not (math.isfinite(log_z) and math.isfinite(dalpha) and math.isfinite(dbeta)):
+        raise NumericError(f"non-finite probit evidence at z = {z}")
     return EvidenceResult(log_z=log_z, dalpha=dalpha, dbeta=dbeta)
 
 

@@ -16,14 +16,17 @@ gradient is the outer product delta_m (x) hb_{m-1}, so every consumer reads
 what it needs from these factors:
 
 - `forward_mean`: the forward pass on one row, raising NumericError on a
-  non-finite pre-activation;
+  non-finite pre-activation, for the per-entry update;
 - `backprop_gradient(tape)`: the dense gradient g of the row a
-  `forward_mean` tape was recorded on, in FlatParamLayout order, for the
-  per-entry update and the finite-difference oracles;
-- `output_moments_batch`: first-order output moments, alpha = f at the means
-  and beta = g' diag(gamma) g, with beta summed layer by layer as
-  sum delta_m^2 var_m hb_{m-1}^2 so the dense g is never built;
-- `output_moments`: `output_moments_batch` on one row.
+  `forward_mean` tape was recorded on, in `NetworkSpec.weight_slices` order
+  with the V_0 input coordinates last, for the per-entry update;
+- `output_moments_batch`: first-order output moments of any number of rows,
+  alpha = f at the means and beta = g' diag(gamma) g, with beta summed layer
+  by layer as sum delta_m^2 var_m hb_{m-1}^2 so the dense g is never built,
+  for prediction and the running evaluation.
+
+The oracles and `verify` check these same functions; one-row output moments
+are `output_moments_batch` on a (1, V_0) input.
 
 All functions are stateless given their inputs and safe for concurrent use.
 The 'identity' activation exists so tests can build exactly linear networks;
@@ -112,7 +115,9 @@ class NetworkSpec:
 
     @cached_property
     def weight_slices(self) -> tuple[slice, ...]:
-        """Each layer's range in the flat weight ordering of FlatParamLayout."""
+        """Each layer's range in the flat weight ordering: layers in order,
+        each matrix raveled row-major (output unit major, input slot minor,
+        bias column last)."""
         slices = []
         offs = 0
         for r, c in self.weight_shapes:
@@ -123,71 +128,6 @@ class NetworkSpec:
     @cached_property
     def n_weights(self) -> int:
         return sum(r * c for r, c in self.weight_shapes)
-
-
-@dataclass(frozen=True)
-class FlatParamLayout:
-    """Fixed linear ordering of all parameter coordinates.
-
-    Weights first, layers in order; within a layer the matrix is raveled
-    row-major (output unit major, input slot minor, bias column last). The
-    V_0 input coordinates follow, mode-concatenation order.
-    """
-
-    spec: NetworkSpec
-
-    @property
-    def input_slice(self) -> slice:
-        return slice(self.n_weights, self.total)
-
-    @property
-    def n_weights(self) -> int:
-        return self.spec.n_weights
-
-    @property
-    def n_inputs(self) -> int:
-        return self.spec.input_dim
-
-    @property
-    def total(self) -> int:
-        return self.n_weights + self.n_inputs
-
-    def pack(self, weight_mats: Sequence[np.ndarray], input_vec: np.ndarray) -> np.ndarray:
-        """Flatten per-layer matrices plus the input vector into layout order.
-
-        Works for any per-coordinate quantity sharing the weight/input shapes
-        (means, variances, gradients).
-        """
-        parts = [np.asarray(m, dtype=float).ravel() for m in weight_mats]
-        parts.append(np.asarray(input_vec, dtype=float).ravel())
-        flat = np.concatenate(parts)
-        if flat.shape[0] != self.total:
-            raise ValueError(f"packed length {flat.shape[0]} != layout length {self.total}")
-        return flat
-
-    def unpack(self, flat: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
-        flat = np.asarray(flat, dtype=float)
-        if flat.shape != (self.total,):
-            raise ValueError(f"expected length-{self.total} vector, got shape {flat.shape}")
-        mats = [
-            flat[sl].reshape(shape)
-            for sl, shape in zip(self.spec.weight_slices, self.spec.weight_shapes)
-        ]
-        return mats, flat[self.input_slice].copy()
-
-
-@dataclass(frozen=True)
-class OutputMoments:
-    """First-order posterior moments of the network output for one entry."""
-
-    alpha: float
-    beta: float
-
-    def __post_init__(self):
-        if not np.isfinite(self.alpha) or not np.isfinite(self.beta):
-            raise NumericError(f"non-finite output moments ({self.alpha}, {self.beta})")
-        if self.beta < 0:
-            raise ValueError(f"output variance must be >= 0, got {self.beta}")
 
 
 @dataclass
@@ -271,7 +211,8 @@ def forward_mean(spec: NetworkSpec, weight_means: Sequence[np.ndarray],
 def backprop_gradient(tape: ForwardTape) -> np.ndarray:
     """Reverse-mode gradient of the scalar output over all weights and inputs
     of the one row `tape` was recorded on (by `forward_mean`), flattened in
-    FlatParamLayout order. The array is the caller's to overwrite.
+    `NetworkSpec.weight_slices` order with the V_0 input coordinates last.
+    The array is the caller's to overwrite.
 
     g is not scanned for non-finite values: the per-entry update, its one
     hot caller, computes beta = sum_j g_j^2 gamma_j over variances that are
@@ -306,15 +247,3 @@ def output_moments_batch(spec: NetworkSpec, weight_means: Sequence[np.ndarray],
     beta += np.einsum("nt,nt->n", dx * dx, x_var)
     return alpha, beta
 
-
-def output_moments(spec: NetworkSpec, weight_means: Sequence[np.ndarray],
-                   weight_vars: Sequence[np.ndarray], input_mean: np.ndarray,
-                   input_vars: np.ndarray) -> OutputMoments:
-    """First-order moments of one row: alpha = f at the means,
-    beta = sum_j g_j^2 gamma_j."""
-    for v in list(weight_vars) + [np.asarray(input_vars)]:
-        if np.any(np.asarray(v) < 0):
-            raise ValueError("variances must be >= 0")
-    alpha, beta = output_moments_batch(spec, weight_means, weight_vars,
-                                       input_mean, input_vars)
-    return OutputMoments(alpha=float(alpha[0]), beta=float(beta[0]))

@@ -20,7 +20,7 @@ import json
 import os
 import sys
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Sequence, get_args, get_origin
 
 from . import adf_engine, predict_eval, tensor_core, verify
 from .bnn import USER_ACTIVATIONS, NetworkSpec
@@ -64,18 +64,30 @@ def _write_atomically(path: str, write) -> None:
             os.remove(tmp)
 
 
-CONFIG_KEYS = {
-    "dims": None, "kind": "continuous", "ranks": None, "hidden": [50, 50],
-    "activation": "relu", "batch_size": 256, "rho0": 0.5, "sigma0_sq": 1.0,
-    "a0": 1.0, "b0": 1.0, "damping": 0.5, "seed": 0, "train": None,
-    "test": None, "checkpoint": None, "metrics": None, "timing_in_csv": False,
-}
+def _as_field_type(annotation, value):
+    """`value` from a config file or a flag as a RunConfig field annotation:
+    an int tuple, int, float, str or bool, or None where the field allows it."""
+    args = get_args(annotation)
+    if type(None) in args:
+        if value is None:
+            return None
+        annotation = args[0]
+    if get_origin(annotation) is tuple:
+        if isinstance(value, str):
+            raise TypeError(value)
+        return tuple(int(v) for v in value)
+    # bool("false") is True and str(None) is "None": take neither
+    if value is None or (annotation is bool and not isinstance(value, bool)):
+        raise TypeError(value)
+    return annotation(value)
 
 
 @dataclass(frozen=True)
 class RunConfig:
     """Effective training configuration (defaults mirror the standard setup:
-    rank 8 per mode, two hidden layers of 50, relu, batch size 256)."""
+    rank 8 per mode, two hidden layers of 50, relu, batch size 256). Every
+    field is converted to its annotated type on construction; a value that
+    does not convert raises UsageError naming the key."""
 
     dims: tuple[int, ...]
     kind: str = "continuous"
@@ -95,67 +107,49 @@ class RunConfig:
     metrics: str | None = None
     timing_in_csv: bool = False
 
+    def __post_init__(self):
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            try:
+                object.__setattr__(self, f.name, _as_field_type(f.type, value))
+            except (TypeError, ValueError):
+                want = f.type.__name__ if isinstance(f.type, type) else f.type
+                raise UsageError(f"config key {f.name!r} must be {want}, "
+                                 f"got {value!r}") from None
+
     @property
     def effective_ranks(self) -> tuple[int, ...]:
         return self.ranks if self.ranks is not None else (8,) * len(self.dims)
 
-    def to_json_dict(self) -> dict:
-        doc = dataclasses.asdict(self)
-        doc["dims"] = list(self.dims)
-        doc["ranks"] = None if self.ranks is None else list(self.ranks)
-        doc["hidden"] = list(self.hidden)
-        return doc
+
+CONFIG_KEYS = tuple(f.name for f in dataclasses.fields(RunConfig))
 
 
 def _resolve_config(args) -> RunConfig:
-    merged = dict(CONFIG_KEYS)
+    """The config file's keys, overridden by the flags given; --ranks beats
+    --rank, which gives every mode the same rank."""
+    merged = {}
     if args.config is not None:
         try:
             with open(args.config, encoding="utf-8") as fp:
                 doc = json.load(fp)
         except json.JSONDecodeError as exc:
             raise UsageError(f"config file is not valid JSON: {exc}") from None
+        if not isinstance(doc, dict):
+            raise UsageError("config file must hold a JSON object, got "
+                             f"{type(doc).__name__}")
         unknown = set(doc) - set(CONFIG_KEYS)
         if unknown:
             raise UsageError(f"unknown config keys: {sorted(unknown)}")
         merged.update(doc)
-    overrides = {
-        "dims": args.dims, "kind": args.kind, "hidden": args.hidden,
-        "activation": args.activation, "batch_size": args.batch_size,
-        "rho0": args.rho0, "sigma0_sq": args.sigma0_sq, "a0": args.a0,
-        "b0": args.b0, "damping": args.damping, "seed": args.seed,
-        "train": args.train, "test": args.test, "checkpoint": args.checkpoint,
-        "metrics": args.metrics, "timing_in_csv": args.timing_in_csv,
-    }
-    if args.ranks is not None:
-        overrides["ranks"] = args.ranks
-    elif args.rank is not None:
-        dims = overrides["dims"] if overrides["dims"] is not None else merged["dims"]
-        if dims is None:
-            raise UsageError("--rank needs --dims (or dims in the config file)")
-        overrides["ranks"] = (int(args.rank),) * len(dims)
-    merged.update({k: v for k, v in overrides.items() if v is not None})
-    if merged["dims"] is None:
+    merged.update({key: getattr(args, key) for key in CONFIG_KEYS
+                   if getattr(args, key) is not None})
+    if merged.get("dims") is None:
         raise UsageError("tensor dims are required (--dims or config file)")
-    return RunConfig(
-        dims=tuple(int(d) for d in merged["dims"]),
-        kind=str(merged["kind"]),
-        ranks=None if merged["ranks"] is None else tuple(int(r) for r in merged["ranks"]),
-        hidden=tuple(int(h) for h in merged["hidden"]),
-        activation=str(merged["activation"]),
-        batch_size=int(merged["batch_size"]),
-        rho0=float(merged["rho0"]),
-        sigma0_sq=float(merged["sigma0_sq"]),
-        a0=float(merged["a0"]),
-        b0=float(merged["b0"]),
-        damping=float(merged["damping"]),
-        seed=int(merged["seed"]),
-        train=merged["train"],
-        test=merged["test"],
-        checkpoint=merged["checkpoint"],
-        metrics=merged["metrics"],
-        timing_in_csv=bool(merged["timing_in_csv"]),
-    )
+    cfg = RunConfig(**merged)
+    if args.ranks is None and args.rank is not None:
+        cfg = dataclasses.replace(cfg, ranks=(args.rank,) * len(cfg.dims))
+    return cfg
 
 
 def _build_parser() -> _Parser:
@@ -259,7 +253,8 @@ def _cmd_synth(args) -> int:
 def _cmd_train(args) -> int:
     cfg = _resolve_config(args)
     if args.dump_config:
-        print(json.dumps(cfg.to_json_dict(), sort_keys=True, indent=2))
+        # JSON renders the tuples as lists
+        print(json.dumps(dataclasses.asdict(cfg), sort_keys=True, indent=2))
         return 0
     if cfg.train is None:
         raise UsageError("a training file is required (--train or config)")

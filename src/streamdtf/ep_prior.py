@@ -30,8 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit, log_expit, logit
 
-from .posterior_store import (DEFAULT_V_FLOOR, WEIGHT_FIELDS, Hyperparams,
-                              ModelState, WeightPosterior)
+from .posterior_store import DEFAULT_V_FLOOR, WEIGHT_FIELDS, ModelState
 
 # selector probabilities stay strictly inside (0, 1)
 _RHO_LO = 1e-300
@@ -42,9 +41,14 @@ def _log_normal_at_zero(mean, var):
     return -0.5 * (np.log(2.0 * math.pi * var) + mean * mean / var)
 
 
-def _refine_arrays(mean, var, rho_post, term_mean, term_var, term_logit,
-                   slab_var: float, damping: float, v_floor: float) -> dict:
-    """Vectorized EP sweep over parallel arrays of weight sites.
+def refine_arrays(mean, var, rho_post, term_mean, term_var, term_logit,
+                  slab_var: float, damping: float, v_floor: float) -> dict:
+    """Vectorized EP sweep over parallel arrays of weight sites; `damping`
+    must be in (0, 1], which `refine_all` checks.
+
+    Returns the six new fields under their WEIGHT_FIELDS names and, per
+    site, `tilted_norm`, `tilted_mean`, `tilted_second`, `slab_prob`, `ok`
+    (False where the cavity guard skipped the site) and `term_kept`.
 
     The posterior is recomputed as cavity times the damped term, so repeated
     sweeps on a fixed cavity contract geometrically instead of re-applying
@@ -114,45 +118,6 @@ def _refine_arrays(mean, var, rho_post, term_mean, term_var, term_logit,
 
 
 @dataclass(frozen=True)
-class RefineResult:
-    site: WeightPosterior
-    tilted_norm: float
-    tilted_mean: float
-    tilted_second_moment: float
-    slab_prob: float
-    skipped: bool
-    term_kept: bool
-
-
-def refine_weight(wp: WeightPosterior, hyper: Hyperparams, damping: float = 0.5,
-                  v_floor: float = DEFAULT_V_FLOOR) -> RefineResult:
-    """Refine a single weight site; returns the new site plus the tilted
-    normalizer and first two tilted moments (for verification)."""
-    if not 0.0 < damping <= 1.0:
-        raise ValueError(f"damping must be in (0, 1], got {damping}")
-    arrays = _refine_arrays(
-        np.array([wp.mean]), np.array([wp.var]), np.array([wp.rho_post]),
-        np.array([wp.term_mean]), np.array([wp.term_var]), np.array([wp.term_logit]),
-        slab_var=hyper.sigma0_sq, damping=damping, v_floor=v_floor,
-    )
-    skipped = not bool(arrays["ok"][0])
-    site = WeightPosterior(
-        mean=float(arrays["mean"][0]), var=float(arrays["var"][0]),
-        rho_post=float(arrays["rho_post"][0]), term_mean=float(arrays["term_mean"][0]),
-        term_var=float(arrays["term_var"][0]), term_logit=float(arrays["term_logit"][0]),
-    )
-    return RefineResult(
-        site=site,
-        tilted_norm=float(arrays["tilted_norm"][0]),
-        tilted_mean=float(arrays["tilted_mean"][0]),
-        tilted_second_moment=float(arrays["tilted_second"][0]),
-        slab_prob=float(arrays["slab_prob"][0]),
-        skipped=skipped,
-        term_kept=bool(arrays["term_kept"][0]),
-    )
-
-
-@dataclass(frozen=True)
 class EpDiagnostics:
     guard_skips: int
     term_kept: int
@@ -165,7 +130,7 @@ def refine_all(state: ModelState, damping: float = 0.5,
     if not 0.0 < damping <= 1.0:
         raise ValueError(f"damping must be in (0, 1], got {damping}")
     fields = state.weight_fields()
-    out = _refine_arrays(*fields, slab_var=state.hyper.sigma0_sq, damping=damping,
+    out = refine_arrays(*fields, slab_var=state.hyper.sigma0_sq, damping=damping,
                          v_floor=v_floor)
     for flat, name in zip(fields, WEIGHT_FIELDS):
         flat[...] = out[name]

@@ -6,7 +6,9 @@ output, adaptive quadrature for one-dimensional tilted moments, Monte-Carlo
 sampling for output moments, central finite differences for gradients, and
 the exact single-observation Bayesian linear-regression update. None of
 them call into the engine's own code paths; the arithmetic here is written
-independently on purpose.
+independently on purpose. `pack` and `unpack` move between per-layer
+matrices plus an input vector and one flat vector in the engine's coordinate
+order, so finite differences and dense sums can run over every coordinate.
 
 All functions are pure and thread-safe.
 """
@@ -151,6 +153,23 @@ def mc_output_moments(spec, weight_means: Sequence[np.ndarray],
     se_var = math.sqrt(max(m4 - m2 * m2, 0.0) / n)
     return McMoments(mean=mean, var=var, se_mean=se_mean, se_var=se_var,
                      n_samples=n_samples)
+
+
+def pack(mats: Sequence[np.ndarray], x: np.ndarray) -> np.ndarray:
+    """One flat vector: each layer matrix raveled row-major, layers in order,
+    then the input vector (`NetworkSpec.weight_slices` order, inputs last).
+    Works for any per-coordinate quantity: means, variances, gradients."""
+    return np.concatenate([np.asarray(a, dtype=float).ravel() for a in (*mats, x)])
+
+
+def unpack(vec: np.ndarray, spec) -> tuple[list[np.ndarray], np.ndarray]:
+    """The inverse of `pack`: (the layer matrices, the input vector)."""
+    vec = np.asarray(vec, dtype=float)
+    sizes = [r * c for r, c in spec.weight_shapes]
+    if vec.shape != (sum(sizes) + spec.input_dim,):
+        raise ValueError(f"vector of shape {vec.shape} does not fit {spec.widths}")
+    *flat_mats, x = np.split(vec, np.cumsum(sizes))
+    return [a.reshape(s) for a, s in zip(flat_mats, spec.weight_shapes)], x
 
 
 def fd_gradient(fn: Callable[[np.ndarray], float], point: np.ndarray,

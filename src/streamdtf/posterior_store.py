@@ -8,8 +8,8 @@ posterior over the inverse noise variance. Total stored posterior scalars:
 6*V weight fields + 2*sum_k d_k*r_k embedding fields (+2 Gamma fields).
 
 Flat weight store: each weight field is one contiguous float64 vector in
-FlatParamLayout order (ModelState.mu, var, rho_post, term_mean, term_var,
-term_logit). mu and var carry V_0 more coordinates after the weights, an
+NetworkSpec.weight_slices order (ModelState.mu, var, rho_post, term_mean,
+term_var, term_logit). mu and var carry V_0 more coordinates after the weights, an
 input slot the update engine fills with the current entry's gathered
 embedding moments, so the per-entry update reads and writes whole vectors.
 The slot is scratch, not posterior state: it is neither checkpointed nor
@@ -120,25 +120,6 @@ class WeightLayer:
     term_mean: np.ndarray
     term_var: np.ndarray
     term_logit: np.ndarray
-
-
-@dataclass(frozen=True)
-class WeightPosterior:
-    """One weight's posterior Gaussian, selector probability, and prior term."""
-
-    mean: float
-    var: float
-    rho_post: float
-    term_mean: float
-    term_var: float
-    term_logit: float
-
-    def __post_init__(self):
-        if self.var <= 0 or self.term_var <= 0:
-            raise ValueError("weight variances must be > 0")
-        if not 0.0 < self.rho_post < 1.0:
-            raise ValueError("selector probability must be strictly inside (0, 1), "
-                             f"got {self.rho_post}")
 
 
 @dataclass

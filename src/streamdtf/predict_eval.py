@@ -119,8 +119,8 @@ def _metric_for(state: ModelState, test_indices, test_values) -> float:
 
 
 def running_eval(state: ModelState, stream: Iterable[EntryBatch],
-                 test_entries: Sequence[ObservedEntry], damping: float = 0.5,
-                 v_floor: float | None = None) -> MetricSeries:
+                 test_entries: Sequence[ObservedEntry],
+                 damping: float = 0.5) -> MetricSeries:
     """Process each batch, then score the full test set; one row per batch.
 
     The test set must be nonempty and disjoint (by index tuple) from the
@@ -139,10 +139,9 @@ def running_eval(state: ModelState, stream: Iterable[EntryBatch],
     test_values = np.asarray([e.value for e in test_entries])
     name = "rmse" if state.kind is ValueKind.CONTINUOUS else "auc"
     series = MetricSeries(metric_name=name)
-    kwargs = {} if v_floor is None else {"v_floor": v_floor}
     for batch in batches:
         start = time.perf_counter()
-        adf_engine.process_batch(state, batch, damping=damping, **kwargs)
+        adf_engine.process_batch(state, batch, damping=damping)
         elapsed_ms = (time.perf_counter() - start) * 1000.0
         value = _metric_for(state, test_indices, test_values)
         series.rows.append(MetricRow(batch=batch.ordinal, seen=state.entries_seen,

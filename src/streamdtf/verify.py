@@ -11,7 +11,7 @@ import numpy as np
 from scipy.special import erfc, expit, logit
 
 from . import adf_engine, bnn, ep_prior, oracles, posterior_store, tensor_core
-from .posterior_store import GammaPosterior, Hyperparams, WeightPosterior
+from .posterior_store import GammaPosterior, Hyperparams
 from .seeding import make_rng
 from .tensor_core import TensorShape, ValueKind
 
@@ -38,16 +38,15 @@ def check_gradient_fd(seed: int = 0, n_nets: int = 10) -> CheckResult:
     worst = 0.0
     for _ in range(n_nets):
         spec, weights, x = _random_net(rng)
-        layout = bnn.FlatParamLayout(spec)
         alpha, tape = bnn.forward_mean(spec, weights, x)
         g = bnn.backprop_gradient(tape)
 
         def f(vec):
-            mats, xin = layout.unpack(vec)
+            mats, xin = oracles.unpack(vec, spec)
             a, _ = bnn.forward_mean(spec, mats, xin)
             return a
 
-        fd = oracles.fd_gradient(f, layout.pack(weights, x))
+        fd = oracles.fd_gradient(f, oracles.pack(weights, x))
         err = float(np.max(np.abs(g - fd) / np.maximum(np.abs(fd), 1e-3)))
         worst = max(worst, err)
     passed = worst <= 1e-5
@@ -64,13 +63,14 @@ def check_output_moments_mc(seed: int = 1, n_nets: int = 3,
         spec, weights, x = _random_net(rng, max_width=4, max_hidden_layers=1)
         w_vars = [rng.uniform(1e-4, 1e-2, s) for s in spec.weight_shapes]
         x_vars = rng.uniform(1e-4, 1e-2, x.shape[0])
-        om = bnn.output_moments(spec, weights, w_vars, x, x_vars)
+        _, (beta,) = bnn.output_moments_batch(spec, weights, w_vars, x[None],
+                                              x_vars[None])
         mc = oracles.mc_output_moments(spec, weights, w_vars, x, x_vars,
                                        n_samples, seed=int(rng.integers(2 ** 31)))
         tol = max(4.0 * mc.se_var, 0.15 * mc.var)
-        ok = abs(om.beta - mc.var) <= tol
+        ok = abs(beta - mc.var) <= tol
         passed &= ok
-        details.append(f"|beta-mc|={abs(om.beta - mc.var):.2e} tol={tol:.2e}")
+        details.append(f"|beta-mc|={abs(beta - mc.var):.2e} tol={tol:.2e}")
     return CheckResult("output-moments-vs-monte-carlo", passed, "; ".join(details))
 
 
@@ -162,6 +162,15 @@ def check_adf_conjugate(seed: int = 4, n_cases: int = 200) -> CheckResult:
                        f"max abs error {worst:.3e} over {n_cases} cases (tol 1e-8)")
 
 
+def _refine_one(mean, var, rho_post, term_mean, term_var, term_logit,
+                slab_var) -> dict:
+    """The EP sweep on one weight site at damping 0.5; each output is a float."""
+    out = ep_prior.refine_arrays(
+        *(np.array([v]) for v in (mean, var, rho_post, term_mean, term_var, term_logit)),
+        slab_var=slab_var, damping=0.5, v_floor=posterior_store.DEFAULT_V_FLOOR)
+    return {name: float(v[0]) for name, v in out.items()}
+
+
 def check_ep_tilted(seed: int = 5, n_cases: int = 200) -> CheckResult:
     rng = make_rng(seed)
     worst = 0.0
@@ -174,29 +183,22 @@ def check_ep_tilted(seed: int = 5, n_cases: int = 200) -> CheckResult:
         mu0 = float(rng.normal(0, 1))
         logit0 = float(rng.normal(0, 1))
         v = 1.0 / (1.0 / v_cav + 1.0 / v0)
-        site = WeightPosterior(
-            mean=v * (m_cav / v_cav + mu0 / v0), var=v,
-            rho_post=float(expit(logit(p_cav) + logit0)),
-            term_mean=mu0, term_var=v0, term_logit=logit0,
-        )
-        res = ep_prior.refine_weight(site, Hyperparams(sigma0_sq=s0sq, ranks=(1,)))
+        res = _refine_one(v * (m_cav / v_cav + mu0 / v0), v,
+                          float(expit(logit(p_cav) + logit0)), mu0, v0, logit0, s0sq)
         slab_norm = 1.0 / math.sqrt(2.0 * math.pi * s0sq)
         z_q, e1_q, e2_q = oracles.quad_tilted_moments(
             m_cav, v_cav,
             factor=lambda w: p_cav * slab_norm * math.exp(-0.5 * w * w / s0sq),
             atom_weight=1.0 - p_cav,
         )
-        for got, want in ((res.tilted_norm, z_q), (res.tilted_mean, e1_q),
-                          (res.tilted_second_moment, e2_q)):
+        for got, want in ((res["tilted_norm"], z_q), (res["tilted_mean"], e1_q),
+                          (res["tilted_second"], e2_q)):
             worst = max(worst, abs(got - want) / max(1.0, abs(want)))
-    sym = ep_prior.refine_weight(
-        WeightPosterior(mean=0.0, var=0.5, rho_post=0.5, term_mean=0.0,
-                        term_var=1.0, term_logit=0.0),
-        Hyperparams(sigma0_sq=1.0, ranks=(1,)))
-    sym_ok = abs(sym.slab_prob - (math.sqrt(2.0) - 1.0)) <= 1e-5
+    sym_prob = _refine_one(0.0, 0.5, 0.5, 0.0, 1.0, 0.0, 1.0)["slab_prob"]
+    sym_ok = abs(sym_prob - (math.sqrt(2.0) - 1.0)) <= 1e-5
     return CheckResult("ep-tilted-vs-quadrature", worst <= 1e-8 and sym_ok,
                        f"max error {worst:.3e} (tol 1e-8); symmetric slab prob "
-                       f"{sym.slab_prob:.5f} (want 0.41421)")
+                       f"{sym_prob:.5f} (want 0.41421)")
 
 
 def check_tau_recursion(seed: int = 6, n_entries: int = 30) -> CheckResult:
@@ -205,7 +207,6 @@ def check_tau_recursion(seed: int = 6, n_entries: int = 30) -> CheckResult:
     hyper = Hyperparams(ranks=(2, 2))
     state = posterior_store.init_state(TensorShape((5, 5)), ValueKind.CONTINUOUS,
                                        net, hyper, seed=seed)
-    layout = bnn.FlatParamLayout(net)
     worst = 0.0
     for n in range(1, n_entries + 1):
         idx = (int(rng.integers(0, 5)), int(rng.integers(0, 5)))
@@ -215,13 +216,13 @@ def check_tau_recursion(seed: int = 6, n_entries: int = 30) -> CheckResult:
         w_vars = [lay.var.copy() for lay in state.weights]
 
         def f(vec):
-            mats, xin = layout.unpack(vec)
+            mats, xin = oracles.unpack(vec, net)
             return oracles.naive_forward(net.widths, net.activation, mats, xin)
 
-        point = layout.pack(w_means, x_mean)
+        point = oracles.pack(w_means, x_mean)
         alpha_ind = f(point)
         g_ind = oracles.fd_gradient(f, point)
-        beta_ind = float((g_ind * g_ind) @ layout.pack(w_vars, x_var))
+        beta_ind = float((g_ind * g_ind) @ oracles.pack(w_vars, x_var))
         a_prev, b_prev = state.gamma.a, state.gamma.b
         adf_engine.adf_update_entry(state, tensor_core.ObservedEntry(idx, y))
         if state.gamma.a != a_prev + 0.5:

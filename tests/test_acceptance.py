@@ -16,15 +16,15 @@ from streamdtf import (CpGenerator, GammaPosterior, Hyperparams,
                        MlpGenerator, NetworkSpec, ObservedEntry, TensorShape,
                        ValueKind, adf_update_entry, auc, cli,
                        evidence_binary, evidence_continuous, init_state,
-                       output_moments, partition_stream, predict_batch,
+                       output_moments_batch, partition_stream, predict_batch,
                        process_batch, rmse, running_eval, split_train_test,
                        synth_generate)
 from streamdtf import bnn
 from streamdtf.oracles import (conjugate_linear_update, fd_gradient,
-                               mc_output_moments, naive_forward,
-                               quad_tilted_moments)
-from streamdtf.ep_prior import refine_weight
-from streamdtf.posterior_store import WeightPosterior
+                               mc_output_moments, naive_forward, pack,
+                               quad_tilted_moments, unpack)
+from streamdtf.ep_prior import refine_arrays
+from streamdtf.posterior_store import DEFAULT_V_FLOOR
 from streamdtf.seeding import derive_seeds, make_rng
 
 
@@ -51,15 +51,14 @@ def test_criterion_1_gradient_oracle():
     worst = 0.0
     for _ in range(100):
         spec, weights, x = _random_tanh_net(rng)
-        layout = bnn.FlatParamLayout(spec)
         _, tape = bnn.forward_mean(spec, weights, x)
         g = bnn.backprop_gradient(tape)
 
         def f(vec):
-            mats, xin = layout.unpack(vec)
+            mats, xin = unpack(vec, spec)
             return bnn.forward_mean(spec, mats, xin)[0]
 
-        fd = fd_gradient(f, layout.pack(weights, x), step=1e-5)
+        fd = fd_gradient(f, pack(weights, x), step=1e-5)
         worst = max(worst, float(np.max(np.abs(g - fd) / np.maximum(np.abs(fd), 1e-3))))
     elapsed = time.perf_counter() - start
     passed = worst <= 1e-5 and elapsed <= 10.0
@@ -85,11 +84,12 @@ def test_criterion_2_output_moment_oracle():
         w_vars = [rng.uniform(1e-4, 1e-2, s) for s in spec.weight_shapes]
         x = rng.standard_normal(v0)
         x_vars = rng.uniform(1e-4, 1e-2, v0)
-        om = output_moments(spec, weights, w_vars, x, x_vars)
+        _, (beta,) = output_moments_batch(spec, weights, w_vars, x[None],
+                                          x_vars[None])
         mc = mc_output_moments(spec, weights, w_vars, x, x_vars, 1_000_000,
                                seed=int(rng.integers(2 ** 31)))
         tol = max(3.0 * mc.se_var, 0.15 * mc.var)
-        err = abs(om.beta - mc.var)
+        err = abs(beta - mc.var)
         worst_ratio = max(worst_ratio, err / tol)
         if err > tol:
             failures.append((i, err, tol))
@@ -209,6 +209,14 @@ def test_criterion_4_adf_equals_conjugate_oracle():
     assert worst <= 1e-8
 
 
+def _refine_one(mean, var, rho_post, term_mean, term_var, term_logit, slab_var):
+    """The EP sweep on one weight site at damping 0.5."""
+    out = refine_arrays(
+        *(np.array([v]) for v in (mean, var, rho_post, term_mean, term_var, term_logit)),
+        slab_var=slab_var, damping=0.5, v_floor=DEFAULT_V_FLOOR)
+    return {name: float(v[0]) for name, v in out.items()}
+
+
 def test_criterion_5_ep_tilted_moment_oracle():
     """The refinement's tilted normalizer and first two moments match
     adaptive quadrature over 1000 randomized cavity/hyper settings, and the
@@ -224,31 +232,26 @@ def test_criterion_5_ep_tilted_moment_oracle():
         term_mean = float(rng.normal())
         term_logit = float(rng.normal())
         v = 1.0 / (1.0 / v_cav + 1.0 / term_var)
-        site = WeightPosterior(
-            mean=v * (m_cav / v_cav + term_mean / term_var), var=v,
-            rho_post=float(1.0 / (1.0 + math.exp(-(math.log(p_cav / (1 - p_cav))
-                                                   + term_logit)))),
-            term_mean=term_mean, term_var=term_var, term_logit=term_logit,
-        )
-        res = refine_weight(site, Hyperparams(sigma0_sq=s0sq, ranks=(1,)))
+        res = _refine_one(
+            v * (m_cav / v_cav + term_mean / term_var), v,
+            float(1.0 / (1.0 + math.exp(-(math.log(p_cav / (1 - p_cav))
+                                          + term_logit)))),
+            term_mean, term_var, term_logit, s0sq)
         slab_norm = 1.0 / math.sqrt(2.0 * math.pi * s0sq)
         z, e1, e2 = quad_tilted_moments(
             m_cav, v_cav,
             factor=lambda w: p_cav * slab_norm * math.exp(-0.5 * w * w / s0sq),
             atom_weight=1.0 - p_cav,
         )
-        for got, want in ((res.tilted_norm, z), (res.tilted_mean, e1),
-                          (res.tilted_second_moment, e2)):
+        for got, want in ((res["tilted_norm"], z), (res["tilted_mean"], e1),
+                          (res["tilted_second"], e2)):
             worst = max(worst, abs(got - want) / max(1.0, abs(want)))
 
-    sym = refine_weight(
-        WeightPosterior(mean=0.0, var=0.5, rho_post=0.5, term_mean=0.0,
-                        term_var=1.0, term_logit=0.0),
-        Hyperparams(sigma0_sq=1.0, ranks=(1,)))
-    sym_err = abs(sym.slab_prob - 0.41421)
+    sym_prob = _refine_one(0.0, 0.5, 0.5, 0.0, 1.0, 0.0, 1.0)["slab_prob"]
+    sym_err = abs(sym_prob - 0.41421)
     passed = worst <= 1e-8 and sym_err <= 1e-5
     _report(5, passed, f"max tilted-moment error {worst:.3e} (tol 1e-8); "
-                       f"symmetric slab responsibility {sym.slab_prob:.5f}")
+                       f"symmetric slab responsibility {sym_prob:.5f}")
     assert worst <= 1e-8
     assert sym_err <= 1e-5
 
@@ -263,7 +266,6 @@ def test_criterion_6_noise_posterior_recursion():
     hyper = Hyperparams(ranks=(2, 2))
     state = init_state(TensorShape((6, 6)), ValueKind.CONTINUOUS, net, hyper,
                        seed=11)
-    layout = bnn.FlatParamLayout(net)
     n_entries = 200
     worst = 0.0
     shape_exact = True
@@ -275,13 +277,13 @@ def test_criterion_6_noise_posterior_recursion():
         w_vars = [lay.var.copy() for lay in state.weights]
 
         def f(vec):
-            mats, xin = layout.unpack(vec)
+            mats, xin = unpack(vec, net)
             return naive_forward(net.widths, net.activation, mats, xin)
 
-        point = layout.pack(w_means, x_mean)
+        point = pack(w_means, x_mean)
         alpha_ind = f(point)
         g_ind = fd_gradient(f, point)
-        beta_ind = float((g_ind * g_ind) @ layout.pack(w_vars, x_var))
+        beta_ind = float((g_ind * g_ind) @ pack(w_vars, x_var))
         a_prev, b_prev = state.gamma.a, state.gamma.b
         adf_update_entry(state, ObservedEntry(idx, y))
         shape_exact &= state.gamma.a == a_prev + 0.5

@@ -12,7 +12,8 @@ from streamdtf import (CpGenerator, EntryBatch, GammaPosterior, Hyperparams,
                        process_batch, synth_generate, update_tau)
 from streamdtf import bnn
 from streamdtf.errors import NumericError
-from streamdtf.oracles import conjugate_linear_update, quad_tilted_moments
+from streamdtf.oracles import (conjugate_linear_update, pack,
+                               quad_tilted_moments, unpack)
 from streamdtf.posterior_store import DEFAULT_V_FLOOR, WEIGHT_FIELDS
 from streamdtf.seeding import make_rng
 
@@ -45,6 +46,12 @@ def test_evidence_binary_stable_in_deep_tail():
         assert math.isfinite(ev.log_z)
         assert 0.0 < math.exp(ev.log_z) <= 1.0
         assert math.isfinite(ev.dalpha) and math.isfinite(ev.dbeta)
+
+
+def test_evidence_binary_rejects_a_non_finite_result():
+    # z = -5.8e305: z^2 overflows, so log Z is -inf and d log Z / d beta +inf
+    with pytest.raises(NumericError):
+        evidence_binary(-5.8e305, 0.0, 1.0)
 
 
 def test_evidence_continuous_at_the_mean():
@@ -172,10 +179,9 @@ def test_chain_rule_matches_end_to_end_fd():
             emb.var[...] = rng.uniform(0.1, 1.5, emb.var.shape)
         idx = (1, 2)
         y = 1.0 if kind is ValueKind.BINARY else 0.7
-        layout = bnn.FlatParamLayout(net)
 
         def moments(mu_vec, gamma_vec):
-            mats, xin = layout.unpack(mu_vec)
+            mats, xin = unpack(mu_vec, net)
             alpha, tape = bnn.forward_mean(net, mats, xin)
             g = bnn.backprop_gradient(tape)
             return alpha, float((g * g) @ gamma_vec), g
@@ -186,13 +192,13 @@ def test_chain_rule_matches_end_to_end_fd():
             return evidence_continuous(alpha, beta, y, state.gamma).log_z
 
         x_mean, x_var = state.gather_entry(idx)
-        mu = layout.pack(state.weight_means(), x_mean)
-        gamma = layout.pack(state.weight_vars(), x_var)
+        mu = pack(state.weight_means(), x_mean)
+        gamma = pack(state.weight_vars(), x_var)
         alpha, beta, g = moments(mu, gamma)
         ev = (evidence_binary(alpha, beta, y) if kind is ValueKind.BINARY
               else evidence_continuous(alpha, beta, y, state.gamma))
         h = 1e-5
-        for j in [0, 7, layout.total - 3, layout.total - 1]:
+        for j in [0, 7, mu.shape[0] - 3, mu.shape[0] - 1]:
             up, down = mu.copy(), mu.copy()
             up[j] += h
             down[j] -= h
@@ -250,24 +256,41 @@ def _noise_rate_overflows():
     return state, ObservedEntry((0,), 1e154)
 
 
-def _mean_update_overflows():
-    # a probit entry far on the wrong side of a huge alpha: d log Z / d alpha
-    # is about -alpha / (1 + beta), so the high-variance weight w_x, whose
-    # gradient x/sqrt(2) is small but not zero, moves by -inf
+def _binary_evidence_overflows():
+    # a probit entry far on the wrong side of alpha = 7e305: log Z is -inf
     state = _identity_state(ValueKind.BINARY)
     state.weights[0].mean[0] = (0.0, 1e306)
-    state.weights[0].var[0, 0] = 1e10
-    state.embeddings[0].mean[0, 0] = 1.4e-5
     return state, ObservedEntry((0,), 0.0)
 
 
-@pytest.mark.parametrize("build", [_beta_overflows, _evidence_overflows,
-                                   _noise_rate_overflows, _mean_update_overflows],
-                         ids=["beta", "evidence", "noise-rate", "mean-update"])
-def test_skip_after_the_forward_pass_leaves_state_unchanged(build, caplog):
+def _mean_update_overflows():
+    # log Z is finite (z = -9.8e153), but the weight from x_1 to hidden unit
+    # A, at 2^1023 with variance 1.5e308, moves by +1.2e308. Each unit's bias
+    # cancels its weight exactly (hb_0 = [x; 1]/2 is exact, so z_1 = 0), and
+    # unit B mirrors A, so d alpha / dx_1 is exactly 0 where A alone would
+    # overflow it
+    state = init_state(TensorShape((3,)), ValueKind.BINARY,
+                       NetworkSpec((3, 2, 1), "tanh"), Hyperparams(ranks=(3,)),
+                       seed=0)
+    big = 2.0 ** 1023
+    state.embeddings[0].mean[0] = (1.0, 0.0, 0.0)
+    state.weights[0].mean[...] = [[big, 0.0, 0.0, -big], [-big, 0.0, 0.0, big]]
+    state.weights[0].var[0, 0] = 1.5e308
+    state.weights[1].mean[...] = [[1.0, 1.0, -6e307]]
+    return state, ObservedEntry((0,), 1.0)
+
+
+@pytest.mark.parametrize("build, reason", [
+    (_beta_overflows, "non-finite output moments"),
+    (_evidence_overflows, "non-finite evidence"),
+    (_binary_evidence_overflows, "non-finite probit evidence"),
+    (_noise_rate_overflows, "non-finite noise rate"),
+    (_mean_update_overflows, "non-finite mean update"),
+], ids=["beta", "evidence", "binary-evidence", "noise-rate", "mean-update"])
+def test_skip_after_the_forward_pass_leaves_state_unchanged(build, reason, caplog):
     state, entry = build()
     _assert_skipped_without_a_write(state, entry)
-    assert "skipping entry" in caplog.text
+    assert f"skipping entry {entry.index}: {reason}" in caplog.text
 
 
 def test_variance_guard_clamps_and_counts():
@@ -283,16 +306,17 @@ def test_variance_guard_clamps_and_counts():
 
 
 def test_non_finite_variance_update_is_clamped_and_counted():
-    # a probit entry far on the wrong side of alpha = 7e305: the mean update
-    # is finite, d log Z / d beta is +inf, so each variance update is +inf
-    # (g_j != 0) or NaN (g_j = 0, here w_x and x)
-    state = _identity_state(ValueKind.BINARY)
-    state.weights[0].mean[0] = (0.0, 1e306)
+    # both weight variances at 1e200: log Z is finite (about -231) and so is
+    # the mean update, but var^2 overflows, so the bias variance update is
+    # -inf and that of w_x (gradient x = 0) is 0 * inf = NaN
+    state = _identity_state(ValueKind.CONTINUOUS)
+    state.weights[0].var[...] = 1e200
     result = adf_update_entry(state, ObservedEntry((0,), 0.0), v_floor=0.01)
     assert not result.skipped
-    assert result.clamped == 3
+    assert -232.0 < result.log_z < -230.0
+    assert result.clamped == 2
     assert np.all(state.weights[0].var == 0.01)
-    assert state.embeddings[0].var[0, 0] == 0.01
+    assert state.embeddings[0].var[0, 0] == 1.0
     check_invariants(state)
 
 

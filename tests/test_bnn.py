@@ -3,11 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from streamdtf import (FlatParamLayout, NetworkSpec, backprop_gradient,
-                       forward_mean, forward_mean_batch, output_moments,
-                       output_moments_batch)
+from streamdtf import (NetworkSpec, backprop_gradient, forward_mean,
+                       forward_mean_batch, output_moments_batch)
 from streamdtf.errors import NumericError
-from streamdtf.oracles import fd_gradient, mc_output_moments, naive_forward
+from streamdtf.oracles import (fd_gradient, mc_output_moments, naive_forward,
+                               pack, unpack)
 
 
 def _random_net(rng, activation, max_width=8, layers=None):
@@ -56,15 +56,14 @@ def test_gradient_matches_finite_differences_tanh():
     rng = np.random.default_rng(0)
     for _ in range(15):
         spec, weights, x = _random_net(rng, "tanh")
-        layout = FlatParamLayout(spec)
         _, tape = forward_mean(spec, weights, x)
         g = backprop_gradient(tape)
 
         def f(vec):
-            mats, xin = layout.unpack(vec)
+            mats, xin = unpack(vec, spec)
             return forward_mean(spec, mats, xin)[0]
 
-        fd = fd_gradient(f, layout.pack(weights, x))
+        fd = fd_gradient(f, pack(weights, x))
         assert np.max(np.abs(g - fd) / np.maximum(np.abs(fd), 1e-3)) <= 1e-5
 
 
@@ -74,8 +73,7 @@ def test_zero_weights_zero_input_gradient_is_bias_only():
     x = np.zeros(2)
     alpha, tape = forward_mean(spec, weights, x)
     g = backprop_gradient(tape)
-    layout = FlatParamLayout(spec)
-    mats, gx = layout.unpack(g)
+    mats, gx = unpack(g, spec)
     # only the output layer's bias slot sees a signal
     assert np.all(mats[0] == 0.0)
     assert np.all(gx == 0.0)
@@ -87,24 +85,19 @@ def test_output_moments_zero_variance_is_deterministic():
     spec = NetworkSpec.for_factorization(2, [3], "relu")
     rng = np.random.default_rng(1)
     weights = [rng.standard_normal(s) for s in spec.weight_shapes]
-    om = output_moments(spec, weights, [np.zeros(s) for s in spec.weight_shapes],
-                        np.array([0.3, -0.7]), np.zeros(2))
-    assert om.beta == 0.0
+    _, beta = output_moments_batch(spec, weights,
+                                   [np.zeros(s) for s in spec.weight_shapes],
+                                   np.array([[0.3, -0.7]]), np.zeros((1, 2)))
+    assert beta[0] == 0.0
 
 
 def test_output_moments_hand_case():
     spec = NetworkSpec((1, 1), "identity")
-    om = output_moments(spec, [np.array([[1.0, 0.0]])], [np.ones((1, 2))],
-                        np.array([2.0]), np.ones(1))
-    assert om.alpha == pytest.approx(math.sqrt(2.0), abs=1e-12)
-    assert om.beta == pytest.approx(3.0, abs=1e-12)
-
-
-def test_output_moments_rejects_negative_variance():
-    spec = NetworkSpec((1, 1), "identity")
-    with pytest.raises(ValueError):
-        output_moments(spec, [np.array([[1.0, 0.0]])], [np.array([[-1.0, 0.0]])],
-                       np.array([2.0]), np.ones(1))
+    alpha, beta = output_moments_batch(spec, [np.array([[1.0, 0.0]])],
+                                       [np.ones((1, 2))], np.array([[2.0]]),
+                                       np.ones((1, 1)))
+    assert alpha[0] == pytest.approx(math.sqrt(2.0), abs=1e-12)
+    assert beta[0] == pytest.approx(3.0, abs=1e-12)
 
 
 def test_beta_matches_monte_carlo_small():
@@ -113,10 +106,11 @@ def test_beta_matches_monte_carlo_small():
         spec, weights, x = _random_net(rng, "tanh", max_width=4, layers=1)
         w_vars = [rng.uniform(1e-4, 1e-2, s) for s in spec.weight_shapes]
         x_vars = rng.uniform(1e-4, 1e-2, x.shape[0])
-        om = output_moments(spec, weights, w_vars, x, x_vars)
+        _, (beta,) = output_moments_batch(spec, weights, w_vars, x[None],
+                                          x_vars[None])
         mc = mc_output_moments(spec, weights, w_vars, x, x_vars, 200_000,
                                seed=int(rng.integers(2 ** 31)))
-        assert abs(om.beta - mc.var) <= max(4 * mc.se_var, 0.15 * mc.var)
+        assert abs(beta - mc.var) <= max(4 * mc.se_var, 0.15 * mc.var)
 
 
 def test_forward_matches_straight_line_interpreter():
@@ -145,12 +139,12 @@ def test_linear_network_is_exactly_linear_in_inputs():
     x = rng.standard_normal(3)
     alpha, tape = forward_mean(spec, weights, x)
     g = backprop_gradient(tape)
-    gx = FlatParamLayout(spec).input_slice
+    gx = g[spec.n_weights:]
     for j, delta in ((0, 0.37), (1, -2.1), (2, 5.0)):
         shifted = x.copy()
         shifted[j] += delta
         alpha2, _ = forward_mean(spec, weights, shifted)
-        assert alpha2 - alpha == pytest.approx(delta * g[gx][j], rel=1e-10)
+        assert alpha2 - alpha == pytest.approx(delta * gx[j], rel=1e-10)
 
 
 def test_shape_mismatch_errors():
@@ -167,19 +161,6 @@ def test_non_finite_intermediate_raises():
         forward_mean(spec, [np.array([[np.inf, 0.0]])], np.ones(1))
 
 
-def test_layout_pack_unpack_round_trip():
-    spec = NetworkSpec.for_factorization(3, [4, 2], "tanh")
-    layout = FlatParamLayout(spec)
-    assert layout.total == spec.n_weights + 3
-    rng = np.random.default_rng(6)
-    mats = [rng.standard_normal(s) for s in spec.weight_shapes]
-    x = rng.standard_normal(3)
-    flat = layout.pack(mats, x)
-    mats2, x2 = layout.unpack(flat)
-    assert all(np.array_equal(a, b) for a, b in zip(mats, mats2))
-    assert np.array_equal(x, x2)
-
-
 def test_batched_forward_and_moments_match_single():
     rng = np.random.default_rng(7)
     spec, weights, _ = _random_net(rng, "relu")
@@ -187,15 +168,15 @@ def test_batched_forward_and_moments_match_single():
     xs = rng.standard_normal((10, spec.input_dim))
     x_vars = rng.uniform(0.01, 1.0, (10, spec.input_dim))
     alphas, betas = output_moments_batch(spec, weights, w_vars, xs, x_vars)
-    layout = FlatParamLayout(spec)
     for i in range(10):
-        om = output_moments(spec, weights, w_vars, xs[i], x_vars[i])
-        assert alphas[i] == pytest.approx(om.alpha, rel=1e-12, abs=1e-12)
-        assert betas[i] == pytest.approx(om.beta, rel=1e-10, abs=1e-12)
+        alpha, beta = output_moments_batch(spec, weights, w_vars, xs[i:i + 1],
+                                           x_vars[i:i + 1])
+        assert alphas[i] == pytest.approx(alpha[0], rel=1e-12, abs=1e-12)
+        assert betas[i] == pytest.approx(beta[0], rel=1e-10, abs=1e-12)
         # the layer-wise beta against the dense form g' diag(gamma) g
         _, tape = forward_mean(spec, weights, xs[i])
         g = backprop_gradient(tape)
-        dense = float((g * g) @ layout.pack(w_vars, x_vars[i]))
+        dense = float((g * g) @ pack(w_vars, x_vars[i]))
         assert betas[i] == pytest.approx(dense, rel=1e-10, abs=1e-12)
         naive = naive_forward(spec.widths, spec.activation, weights, xs[i])
         assert alphas[i] == pytest.approx(naive, rel=1e-12, abs=1e-12)

@@ -180,6 +180,21 @@ def test_error_lines_are_single_and_coded(tmp_path, capsys):
     assert rc == 2
     assert capsys.readouterr().err.startswith("error ARG:")
 
+    # wrong-typed values name their key; a document that is not an object
+    # says so
+    for doc, named in (('{"dims": [4, 4], "hidden": 5}', "'hidden'"),
+                       ('{"dims": [4, 4], "seed": null}', "'seed'"),
+                       ('{"dims": [4, 4], "timing_in_csv": "false"}',
+                        "'timing_in_csv'"),
+                       ('[1, 2]', "JSON object")):
+        bad_cfg.write_text(doc)
+        rc = cli.main(["train", "--config", str(bad_cfg)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error ARG:")
+        assert err.count("\n") == 1
+        assert named in err
+
 
 def test_parse_error_reported_with_code(tmp_path, capsys):
     bad = tmp_path / "bad.coo"

@@ -6,21 +6,30 @@ import pytest
 from scipy.special import expit, logit
 
 from streamdtf import (CpGenerator, EntryBatch, Hyperparams, NetworkSpec,
-                       TensorShape, ValueKind, WeightPosterior, init_state,
-                       process_batch, refine_all, refine_weight,
-                       synth_generate)
+                       TensorShape, ValueKind, checkpoint_bytes, init_state,
+                       process_batch, refine_all, synth_generate)
+from streamdtf.ep_prior import refine_arrays
 from streamdtf.oracles import quad_tilted_moments
+from streamdtf.posterior_store import DEFAULT_V_FLOOR, WEIGHT_FIELDS
 from streamdtf.seeding import make_rng
 
 
 def site_from_cavity(m_cav, v_cav, p_cav, term_mean=0.0, term_var=1.0,
                      term_logit=0.0):
-    """Build a (posterior, term) pair whose cavity is exactly the target."""
+    """Build a (posterior, term) pair whose cavity is exactly the target, as
+    a dict of the six WEIGHT_FIELDS."""
     v = 1.0 / (1.0 / v_cav + 1.0 / term_var)
     mean = v * (m_cav / v_cav + term_mean / term_var)
     rho = float(expit(logit(p_cav) + term_logit))
-    return WeightPosterior(mean=mean, var=v, rho_post=rho, term_mean=term_mean,
-                           term_var=term_var, term_logit=term_logit)
+    return dict(mean=mean, var=v, rho_post=rho, term_mean=term_mean,
+                term_var=term_var, term_logit=term_logit)
+
+
+def refine(site, slab_var, damping=0.5):
+    """The EP sweep on one weight site; every output as a Python scalar."""
+    out = refine_arrays(*(np.array([site[name]]) for name in WEIGHT_FIELDS),
+                        slab_var=slab_var, damping=damping, v_floor=DEFAULT_V_FLOOR)
+    return {name: v[0].item() for name, v in out.items()}
 
 
 def slab_factor(p_cav, slab_var):
@@ -30,13 +39,13 @@ def slab_factor(p_cav, slab_var):
 
 def test_symmetric_case_slab_responsibility():
     site = site_from_cavity(0.0, 1.0, 0.5)
-    res = refine_weight(site, Hyperparams(sigma0_sq=1.0, ranks=(1,)), damping=1.0)
-    assert res.slab_prob == pytest.approx(math.sqrt(2.0) - 1.0, abs=1e-10)
-    assert res.tilted_mean == pytest.approx(0.0, abs=1e-15)
+    res = refine(site, 1.0, damping=1.0)
+    assert res["slab_prob"] == pytest.approx(math.sqrt(2.0) - 1.0, abs=1e-10)
+    assert res["tilted_mean"] == pytest.approx(0.0, abs=1e-15)
     z, e1, e2 = quad_tilted_moments(0.0, 1.0, factor=slab_factor(0.5, 1.0),
                                     atom_weight=0.5)
-    assert res.tilted_norm == pytest.approx(z, abs=1e-8)
-    assert res.tilted_second_moment == pytest.approx(e2, abs=1e-8)
+    assert res["tilted_norm"] == pytest.approx(z, abs=1e-8)
+    assert res["tilted_second"] == pytest.approx(e2, abs=1e-8)
 
 
 def test_slab_responsibility_monotone_in_slab_variance():
@@ -48,24 +57,24 @@ def test_slab_responsibility_monotone_in_slab_variance():
     previous = -1.0
     for s0sq in hyper_grid:
         site = site_from_cavity(m_cav, v_cav, 0.5)
-        res = refine_weight(site, Hyperparams(sigma0_sq=s0sq, ranks=(1,)))
+        res = refine(site, s0sq)
         z, _, _ = quad_tilted_moments(m_cav, v_cav, factor=slab_factor(0.5, s0sq),
                                       atom_weight=0.5)
-        assert res.tilted_norm == pytest.approx(z, abs=1e-8)
-        assert res.slab_prob > previous
-        previous = res.slab_prob
+        assert res["tilted_norm"] == pytest.approx(z, abs=1e-8)
+        assert res["slab_prob"] > previous
+        previous = res["slab_prob"]
 
 
 def test_well_determined_nonzero_weight_gets_slab():
     site = site_from_cavity(5.0, 0.01, 0.5)
-    res = refine_weight(site, Hyperparams(sigma0_sq=1.0, ranks=(1,)))
-    assert res.slab_prob > 0.999999
+    res = refine(site, 1.0)
+    assert res["slab_prob"] > 0.999999
 
 
 def test_tiny_posterior_at_zero_goes_to_spike():
     site = site_from_cavity(0.0, 1e-6, 0.5)
-    res = refine_weight(site, Hyperparams(sigma0_sq=1.0, ranks=(1,)), damping=1.0)
-    assert res.site.rho_post < 0.01
+    res = refine(site, 1.0, damping=1.0)
+    assert res["rho_post"] < 0.01
 
 
 def test_refine_matches_quadrature_randomized():
@@ -79,56 +88,55 @@ def test_refine_matches_quadrature_randomized():
                                 term_mean=float(rng.normal()),
                                 term_var=float(rng.uniform(0.5, 3)),
                                 term_logit=float(rng.normal()))
-        res = refine_weight(site, Hyperparams(sigma0_sq=s0sq, ranks=(1,)))
+        res = refine(site, s0sq)
         z, e1, e2 = quad_tilted_moments(m_cav, v_cav,
                                         factor=slab_factor(p_cav, s0sq),
                                         atom_weight=1.0 - p_cav)
-        assert res.tilted_norm == pytest.approx(z, abs=1e-8, rel=1e-8)
-        assert res.tilted_mean == pytest.approx(e1, abs=1e-8, rel=1e-8)
-        assert res.tilted_second_moment == pytest.approx(e2, abs=1e-8, rel=1e-8)
+        assert res["tilted_norm"] == pytest.approx(z, abs=1e-8, rel=1e-8)
+        assert res["tilted_mean"] == pytest.approx(e1, abs=1e-8, rel=1e-8)
+        assert res["tilted_second"] == pytest.approx(e2, abs=1e-8, rel=1e-8)
 
 
 def test_invalid_cavity_is_skipped_without_change():
     # posterior variance equals term variance -> flat cavity -> guard
-    site = WeightPosterior(mean=0.3, var=1.0, rho_post=0.5, term_mean=0.3,
-                           term_var=1.0, term_logit=0.0)
-    res = refine_weight(site, Hyperparams(ranks=(1,)))
-    assert res.skipped
-    assert res.site == site
+    site = dict(mean=0.3, var=1.0, rho_post=0.5, term_mean=0.3, term_var=1.0,
+                term_logit=0.0)
+    res = refine(site, 1.0)
+    assert not res["ok"]
+    assert {name: res[name] for name in WEIGHT_FIELDS} == site
 
 
 def test_nonpositive_divided_term_keeps_old_term_updates_posterior():
     # tilted variance beyond the cavity variance makes the divided term
     # precision negative: wide slab, bimodal-ish tilt
     site = site_from_cavity(2.0, 1.0, 0.58, term_mean=0.1, term_var=2.0)
-    hyper = Hyperparams(sigma0_sq=100.0, ranks=(1,))
-    res = refine_weight(site, hyper, damping=1.0)
-    assert not res.skipped
-    assert res.term_kept
-    assert res.site.term_mean == site.term_mean
-    assert res.site.term_var == site.term_var
-    assert res.site.term_logit == site.term_logit
-    assert res.site.mean == pytest.approx(res.tilted_mean, abs=1e-12)
-    expected_var = res.tilted_second_moment - res.tilted_mean ** 2
-    assert res.site.var == pytest.approx(expected_var, rel=1e-10)
+    res = refine(site, 100.0, damping=1.0)
+    assert res["ok"]
+    assert res["term_kept"]
+    assert res["term_mean"] == site["term_mean"]
+    assert res["term_var"] == site["term_var"]
+    assert res["term_logit"] == site["term_logit"]
+    assert res["mean"] == pytest.approx(res["tilted_mean"], abs=1e-12)
+    expected_var = res["tilted_second"] - res["tilted_mean"] ** 2
+    assert res["var"] == pytest.approx(expected_var, rel=1e-10)
 
 
 def test_undamped_posterior_equals_tilted_moments_and_division_is_exact():
     site = site_from_cavity(0.8, 0.5, 0.4, term_mean=-0.2, term_var=1.5,
                             term_logit=0.3)
-    res = refine_weight(site, Hyperparams(sigma0_sq=1.0, ranks=(1,)), damping=1.0)
-    assert not res.term_kept
-    e_var = res.tilted_second_moment - res.tilted_mean ** 2
-    assert res.site.mean == pytest.approx(res.tilted_mean, rel=1e-10)
-    assert res.site.var == pytest.approx(e_var, rel=1e-10)
-    assert res.site.rho_post == pytest.approx(res.slab_prob, rel=1e-10)
+    res = refine(site, 1.0, damping=1.0)
+    assert not res["term_kept"]
+    e_var = res["tilted_second"] - res["tilted_mean"] ** 2
+    assert res["mean"] == pytest.approx(res["tilted_mean"], rel=1e-10)
+    assert res["var"] == pytest.approx(e_var, rel=1e-10)
+    assert res["rho_post"] == pytest.approx(res["slab_prob"], rel=1e-10)
     # cavity times new term reproduces the new posterior in natural parameters
-    prec_cav = 1.0 / site.var - 1.0 / site.term_var
-    m_cav_eta = site.mean / site.var - site.term_mean / site.term_var
-    assert 1.0 / res.site.var == pytest.approx(prec_cav + 1.0 / res.site.term_var,
-                                               rel=1e-9)
-    assert res.site.mean / res.site.var == pytest.approx(
-        m_cav_eta + res.site.term_mean / res.site.term_var, rel=1e-9)
+    prec_cav = 1.0 / site["var"] - 1.0 / site["term_var"]
+    m_cav_eta = site["mean"] / site["var"] - site["term_mean"] / site["term_var"]
+    assert 1.0 / res["var"] == pytest.approx(prec_cav + 1.0 / res["term_var"],
+                                             rel=1e-9)
+    assert res["mean"] / res["var"] == pytest.approx(
+        m_cav_eta + res["term_mean"] / res["term_var"], rel=1e-9)
 
 
 def test_rho_post_stays_strictly_inside_unit_interval():
@@ -137,15 +145,8 @@ def test_rho_post_stays_strictly_inside_unit_interval():
         site = site_from_cavity(float(rng.uniform(-8, 8)),
                                 float(rng.uniform(0.01, 5)),
                                 float(rng.uniform(0.01, 0.99)))
-        res = refine_weight(site, Hyperparams(sigma0_sq=float(rng.uniform(0.2, 5)),
-                                              ranks=(1,)))
-        assert 0.0 < res.site.rho_post < 1.0
-
-
-def test_refine_weight_damping_validation():
-    site = site_from_cavity(0.0, 1.0, 0.5)
-    with pytest.raises(ValueError):
-        refine_weight(site, Hyperparams(ranks=(1,)), damping=0.0)
+        res = refine(site, float(rng.uniform(0.2, 5)))
+        assert 0.0 < res["rho_post"] < 1.0
 
 
 def _trained_state(seed=0):
@@ -191,6 +192,15 @@ def test_refine_all_second_sweep_changes_less():
     first = sum(float(np.abs(b - a).sum()) for a, b in zip(snap0, snap1))
     second = sum(float(np.abs(b - a).sum()) for a, b in zip(snap1, snap2))
     assert second < first
+
+
+def test_refine_all_damping_validation():
+    state = _trained_state()
+    before = checkpoint_bytes(state)
+    for damping in (0.0, 1.5):
+        with pytest.raises(ValueError):
+            refine_all(state, damping=damping)
+        assert checkpoint_bytes(state) == before
 
 
 def test_refine_all_reports_inhibited_count():

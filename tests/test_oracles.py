@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 from scipy.special import ndtr
 
-from streamdtf import FlatParamLayout, NetworkSpec, backprop_gradient, forward_mean
+from streamdtf import NetworkSpec, backprop_gradient, forward_mean
 from streamdtf.errors import OracleError
 from streamdtf.oracles import (conjugate_linear_update, fd_gradient,
-                               mc_output_moments, quad_tilted_moments)
+                               mc_output_moments, pack, quad_tilted_moments,
+                               unpack)
 
 
 def _gauss(x, mean, var):
@@ -85,10 +86,9 @@ def test_mc_linear_network_matches_quadratic_form():
     w_vars = [rng.uniform(0.01, 0.1, s) for s in spec.weight_shapes]
     x = rng.standard_normal(3)
     x_vars = rng.uniform(0.01, 0.1, 3)
-    layout = FlatParamLayout(spec)
     _, tape = forward_mean(spec, weights, x)
     g = backprop_gradient(tape)
-    want = float((g * g) @ layout.pack(w_vars, x_vars))
+    want = float((g * g) @ pack(w_vars, x_vars))
     mc = mc_output_moments(spec, weights, w_vars, x, x_vars, 400_000, seed=4)
     assert abs(mc.var - want) <= 3 * mc.se_var
 
@@ -109,19 +109,35 @@ def test_fd_detects_corrupted_gradient():
     spec = NetworkSpec.for_factorization(3, [4], "tanh")
     weights = [rng.standard_normal(s) for s in spec.weight_shapes]
     x = rng.standard_normal(3)
-    layout = FlatParamLayout(spec)
     _, tape = forward_mean(spec, weights, x)
     g = backprop_gradient(tape)
     corrupted = g.copy()
     corrupted[2] += 0.1
 
     def f(vec):
-        mats, xin = layout.unpack(vec)
+        mats, xin = unpack(vec, spec)
         return forward_mean(spec, mats, xin)[0]
 
-    fd = fd_gradient(f, layout.pack(weights, x))
+    fd = fd_gradient(f, pack(weights, x))
     assert np.max(np.abs(g - fd)) < 1e-6
     assert np.max(np.abs(corrupted - fd)) > 0.05
+
+
+def test_layout_pack_unpack_round_trip():
+    spec = NetworkSpec.for_factorization(3, [4, 2], "tanh")
+    rng = np.random.default_rng(6)
+    mats = [rng.standard_normal(s) for s in spec.weight_shapes]
+    x = rng.standard_normal(3)
+    flat = pack(mats, x)
+    assert flat.shape == (spec.n_weights + 3,)
+    # the engine's order: each layer's range is its NetworkSpec.weight_slices
+    for sl, m in zip(spec.weight_slices, mats):
+        assert np.array_equal(flat[sl], m.ravel())
+    mats2, x2 = unpack(flat, spec)
+    assert all(np.array_equal(a, b) for a, b in zip(mats, mats2))
+    assert np.array_equal(x, x2)
+    with pytest.raises(ValueError):
+        unpack(flat[:-1], spec)
 
 
 def test_conjugate_zero_design_returns_prior():

@@ -29,15 +29,15 @@ def test_binary_prediction_is_half_at_zero_output():
 
 
 def test_continuous_prediction_at_init_adds_noise_mean():
-    from streamdtf import output_moments
+    from streamdtf import output_moments_batch
 
     state = _zero_weight_state(ValueKind.CONTINUOUS)
     mean, variance = predict_entry(state, (1, 2))
     assert mean == 0.0
     x_mean, x_var = state.gather_entry((1, 2))
-    om = output_moments(state.net, state.weight_means(), state.weight_vars(),
-                        x_mean, x_var)
-    assert variance == pytest.approx(om.beta + 1.0, rel=1e-12)  # a0 = b0 = 1
+    _, (beta,) = output_moments_batch(state.net, state.weight_means(),
+                                      state.weight_vars(), x_mean[None], x_var[None])
+    assert variance == pytest.approx(beta + 1.0, rel=1e-12)  # a0 = b0 = 1
 
 
 def test_predict_is_pure():
