@@ -217,7 +217,10 @@ def process_batch(state: ModelState, batch: EntryBatch, damping: float = 0.5,
                   v_floor: float = DEFAULT_V_FLOOR) -> BatchDiagnostics:
     """Apply the per-entry update sequentially in batch order, then refine
     the sparsity-prior approximation term once. Per-entry numeric problems
-    become diagnostics; the batch always completes."""
+    become diagnostics; the batch always completes. With `refine` set, a
+    damping outside (0, 1] raises ValueError before any entry is applied."""
+    if refine:
+        ep_prior.check_damping(damping)
     diag = BatchDiagnostics()
     for entry in batch.entries:
         diag.entry_results.append(adf_update_entry(state, entry, v_floor=v_floor))

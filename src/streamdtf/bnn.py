@@ -142,26 +142,15 @@ class ForwardTape:
     preact: list[np.ndarray]  # z_1 .. z_M
 
 
-def _check_shapes(spec: NetworkSpec, weights: Sequence[np.ndarray], x: np.ndarray) -> None:
-    if len(weights) != spec.layer_count:
-        raise ValueError(f"expected {spec.layer_count} weight matrices, got {len(weights)}")
-    for m, (w, shape) in enumerate(zip(weights, spec.weight_shapes), start=1):
-        if w.shape != shape:
-            raise ValueError(f"layer {m}: weight shape {w.shape} != expected {shape}")
-    if x.shape[-1] != spec.input_dim:
-        raise ValueError(f"input length {x.shape[-1]} != V_0 = {spec.input_dim}")
-
-
 def forward_mean_batch(spec: NetworkSpec, weight_means: Sequence[np.ndarray],
                        inputs: np.ndarray) -> tuple[np.ndarray, ForwardTape]:
     """The forward pass at the parameter means; returns (alpha, tape).
 
     `inputs` holds n rows (n, V_0), giving alpha[n], or one row (V_0,),
-    giving a 0-d alpha.
+    giving a 0-d alpha. The weights are float arrays of `spec.weight_shapes`,
+    checked where they enter (`load_checkpoint`, `GroundTruth.from_json`).
     """
-    weight_means = [np.asarray(w, dtype=float) for w in weight_means]
     x = np.asarray(inputs, dtype=float)
-    _check_shapes(spec, weight_means, x)
     act, _ = ACTIVATIONS[spec.activation]
     ones = np.ones(x.shape[:-1] + (1,))
     h = x
@@ -236,7 +225,6 @@ def output_moments_batch(spec: NetworkSpec, weight_means: Sequence[np.ndarray],
     Avoids materializing per-entry weight gradients; each layer's variance
     contribution is sum_{j,t} delta[n,j]^2 var_w[j,t] hb[n,t]^2.
     """
-    weight_vars = [np.asarray(v, dtype=float) for v in weight_vars]
     x_var = np.atleast_2d(np.asarray(input_vars, dtype=float))
     alpha, tape = forward_mean_batch(spec, weight_means, np.atleast_2d(input_means))
     deltas, dx = _backward(tape)

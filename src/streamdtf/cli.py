@@ -66,18 +66,20 @@ def _write_atomically(path: str, write) -> None:
 
 def _as_field_type(annotation, value):
     """`value` from a config file or a flag as a RunConfig field annotation:
-    an int tuple, int, float, str or bool, or None where the field allows it."""
+    an int tuple, int, float, str or bool, or None where the field allows it.
+    Only a value of that type passes, or an int for a float, so nothing is
+    truncated or reinterpreted: 4.9, "3" and true (bool is an int subclass)
+    are no int, and 1 is no bool."""
     args = get_args(annotation)
     if type(None) in args:
         if value is None:
             return None
         annotation = args[0]
     if get_origin(annotation) is tuple:
-        if isinstance(value, str):
-            raise TypeError(value)
-        return tuple(int(v) for v in value)
-    # bool("false") is True and str(None) is "None": take neither
-    if value is None or (annotation is bool and not isinstance(value, bool)):
+        # a string or an object iterates to str elements, which fail below
+        return tuple(_as_field_type(int, v) for v in value)
+    accepted = (int, float) if annotation is float else annotation
+    if not isinstance(value, accepted) or isinstance(value, bool) != (annotation is bool):
         raise TypeError(value)
     return annotation(value)
 
@@ -86,8 +88,8 @@ def _as_field_type(annotation, value):
 class RunConfig:
     """Effective training configuration (defaults mirror the standard setup:
     rank 8 per mode, two hidden layers of 50, relu, batch size 256). Every
-    field is converted to its annotated type on construction; a value that
-    does not convert raises UsageError naming the key."""
+    field is checked against its annotated type on construction; a value of
+    another type raises UsageError naming the key."""
 
     dims: tuple[int, ...]
     kind: str = "continuous"

@@ -124,11 +124,16 @@ class EpDiagnostics:
     inhibited: int  # weights with selector probability < 0.5 after the sweep
 
 
+def check_damping(damping: float) -> None:
+    """Raise ValueError unless 0 < damping <= 1."""
+    if not 0.0 < damping <= 1.0:
+        raise ValueError(f"damping must be in (0, 1], got {damping}")
+
+
 def refine_all(state: ModelState, damping: float = 0.5,
                v_floor: float = DEFAULT_V_FLOOR) -> EpDiagnostics:
     """Refine every network weight exactly once; embeddings are untouched."""
-    if not 0.0 < damping <= 1.0:
-        raise ValueError(f"damping must be in (0, 1], got {damping}")
+    check_damping(damping)
     fields = state.weight_fields()
     out = refine_arrays(*fields, slab_var=state.hyper.sigma0_sq, damping=damping,
                          v_floor=v_floor)

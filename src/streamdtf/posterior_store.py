@@ -46,7 +46,7 @@ import numpy as np
 from scipy.special import ndtr, ndtri
 
 from .bnn import NetworkSpec
-from .errors import BoundsError, CheckpointError
+from .errors import CheckpointError
 from .seeding import make_rng
 from .tensor_core import TensorShape, ValueKind
 
@@ -179,11 +179,9 @@ class ModelState:
         """Concatenated embedding means/variances for one entry.
 
         Concatenation order: mode 1 first, ascending rank within a mode.
-        Raises BoundsError for an index outside the shape.
+        The index is checked by `TensorShape.check_index`.
         """
-        index = tuple(int(i) for i in index)
-        if not self.shape.contains(index):
-            raise BoundsError(f"index {index} outside shape {self.shape.dims}")
+        index = self.shape.check_index(index)
         means = np.concatenate([emb.mean[i] for emb, i in zip(self.embeddings, index)])
         variances = np.concatenate([emb.var[i] for emb, i in zip(self.embeddings, index)])
         return means, variances

@@ -22,28 +22,17 @@ from scipy.special import ndtr
 from scipy.stats import rankdata
 
 from . import adf_engine, bnn
-from .errors import BoundsError, UndefinedMetricError
+from .errors import UndefinedMetricError
 from .posterior_store import ModelState
-from .tensor_core import EntryBatch, ObservedEntry, ValueKind
-
-
-def _gather_batch(state: ModelState, indices: Sequence[tuple[int, ...]]):
-    idx = np.asarray(indices, dtype=int)
-    if idx.ndim != 2 or idx.shape[1] != state.shape.mode_count:
-        raise ValueError("indices must be K-tuples matching the tensor shape")
-    for k, d in enumerate(state.shape.dims):
-        col = idx[:, k]
-        if col.min(initial=0) < 0 or col.max(initial=0) >= d:
-            raise BoundsError(f"index out of range in mode {k + 1}")
-    means = np.hstack([emb.mean[idx[:, k]] for k, emb in enumerate(state.embeddings)])
-    variances = np.hstack([emb.var[idx[:, k]] for k, emb in enumerate(state.embeddings)])
-    return means, variances
+from .tensor_core import EntryBatch, ObservedEntry, ValueKind, gather_rows
 
 
 def predict_batch(state: ModelState, indices: Sequence[tuple[int, ...]]):
     """Vectorized prediction. Continuous: (means, variances) arrays;
-    binary: probability array."""
-    x_mean, x_var = _gather_batch(state, indices)
+    binary: probability array. `TensorShape.check_indices` checks indices."""
+    idx = state.shape.check_indices(indices)
+    x_mean = gather_rows([emb.mean for emb in state.embeddings], idx)
+    x_var = gather_rows([emb.var for emb in state.embeddings], idx)
     alpha, beta = bnn.output_moments_batch(
         state.net, state.weight_means(), state.weight_vars(), x_mean, x_var)
     if state.kind is ValueKind.CONTINUOUS:
@@ -54,9 +43,6 @@ def predict_batch(state: ModelState, indices: Sequence[tuple[int, ...]]):
 def predict_entry(state: ModelState, index: Sequence[int]):
     """Single-entry prediction: (mean, variance) for continuous data, a
     probability for binary data. Read-only and deterministic."""
-    index = tuple(int(i) for i in index)
-    if not state.shape.contains(index):
-        raise BoundsError(f"index {index} outside shape {state.shape.dims}")
     out = predict_batch(state, [index])
     if state.kind is ValueKind.CONTINUOUS:
         means, variances = out

@@ -15,6 +15,7 @@ decimal `repr` so parse -> write -> parse is the identity.
 
 import json
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Sequence, TextIO
@@ -59,10 +60,32 @@ class TensorShape:
     def n_cells(self) -> int:
         return math.prod(self.dims)
 
-    def contains(self, index: Sequence[int]) -> bool:
-        return len(index) == len(self.dims) and all(
-            0 <= i < d for i, d in zip(index, self.dims)
-        )
+    def check_index(self, index: Sequence[int]) -> tuple[int, ...]:
+        """`index` as a tuple of ints. A non-integral coordinate raises
+        TypeError; a wrong mode count or a coordinate outside its mode's
+        [0, d_k) raises BoundsError, the latter naming the mode."""
+        index = tuple(map(operator.index, index))
+        if len(index) != len(self.dims):
+            raise BoundsError(f"index {index} has {len(index)} modes, "
+                              f"the shape {self.dims} has {len(self.dims)}")
+        for k, (i, d) in enumerate(zip(index, self.dims)):
+            if not 0 <= i < d:
+                raise BoundsError(f"index {i} out of range [0, {d}) in mode {k + 1}")
+        return index
+
+    def check_indices(self, indices) -> np.ndarray:
+        """`indices` as an (n, K) integer array, checked as `check_index`
+        checks one tuple; a non-integer dtype raises TypeError."""
+        idx = np.asarray(indices)
+        if idx.ndim != 2 or idx.shape[1] != len(self.dims):
+            raise BoundsError(f"indices of shape {idx.shape} are not (n, K) rows "
+                              f"for the shape {self.dims}")
+        if idx.dtype.kind not in "iu":
+            raise TypeError(f"indices must be integers, got dtype {idx.dtype}")
+        bad = (idx < 0) | (idx >= self.dims)
+        if bad.any():
+            self.check_index(idx[bad.any(axis=1).argmax()])  # raises for this row
+        return idx
 
 
 @dataclass(frozen=True)
@@ -73,7 +96,7 @@ class ObservedEntry:
     value: float
 
     def __post_init__(self):
-        object.__setattr__(self, "index", tuple(int(i) for i in self.index))
+        object.__setattr__(self, "index", tuple(map(operator.index, self.index)))
         object.__setattr__(self, "value", float(self.value))
         if not math.isfinite(self.value):
             raise ValueError(f"entry value must be finite, got {self.value}")
@@ -100,42 +123,45 @@ class DatasetSplit:
     test: tuple[ObservedEntry, ...]
 
 
-def _validate_entry(index: tuple[int, ...], value: float, shape: TensorShape,
-                    kind: ValueKind, where: str) -> None:
-    for k, (i, d) in enumerate(zip(index, shape.dims)):
-        if not 0 <= i < d:
-            raise BoundsError(f"{where}: index {i} out of range [0, {d}) in mode {k + 1}")
-    if not math.isfinite(value):
-        raise ValueError(f"{where}: value must be finite, got {value}")
-    if kind is ValueKind.BINARY and value not in (0.0, 1.0):
-        raise ValueError(f"{where}: binary value must be 0 or 1, got {value}")
+def _read_index_lines(lines: Iterable[str], shape: TensorShape, n_values: int):
+    """Yield (line_no, index, value_fields) for each data line of a COO or
+    index file: K indices checked against `shape`, then `n_values` fields.
+    Blank and '#' lines are skipped; errors name the 1-based line number."""
+    k = shape.mode_count
+    n_fields = k + n_values
+    for line_no, raw in enumerate(lines, start=1):
+        fields = raw.split()
+        if not fields or fields[0].startswith("#"):
+            continue
+        if len(fields) != n_fields:
+            what = "fields" if n_values else "index fields"
+            raise ParseError(f"line {line_no}: expected {n_fields} {what}, got {len(fields)}")
+        try:
+            index = shape.check_index(map(int, fields[:k]))
+        except ValueError:
+            raise ParseError(f"line {line_no}: non-integer index field") from None
+        except BoundsError as exc:
+            raise BoundsError(f"line {line_no}: {exc}") from None
+        yield line_no, index, fields[k:]
 
 
 def parse_coo(lines: Iterable[str], shape: TensorShape, kind: ValueKind) -> list[ObservedEntry]:
     """Parse a line-oriented COO source into observed entries, order preserved.
 
     Malformed lines raise ParseError with the 1-based line number; indices
-    outside the shape raise BoundsError; binary values outside {0, 1} raise
-    ValueError. Duplicate index tuples are kept as-is.
+    outside the shape raise BoundsError; non-finite values, and binary values
+    outside {0, 1}, raise ValueError. Duplicate index tuples are kept as-is.
     """
-    k = shape.mode_count
     out: list[ObservedEntry] = []
-    for line_no, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        fields = line.split()
-        if len(fields) != k + 1:
-            raise ParseError(f"line {line_no}: expected {k + 1} fields, got {len(fields)}")
+    for line_no, index, (field,) in _read_index_lines(lines, shape, 1):
         try:
-            index = tuple(int(tok) for tok in fields[:k])
+            value = float(field)
         except ValueError:
-            raise ParseError(f"line {line_no}: non-integer index field") from None
-        try:
-            value = float(fields[k])
-        except ValueError:
-            raise ParseError(f"line {line_no}: non-numeric value field {fields[k]!r}") from None
-        _validate_entry(index, value, shape, kind, f"line {line_no}")
+            raise ParseError(f"line {line_no}: non-numeric value field {field!r}") from None
+        if not math.isfinite(value):
+            raise ValueError(f"line {line_no}: value must be finite, got {value}")
+        if kind is ValueKind.BINARY and value not in (0.0, 1.0):
+            raise ValueError(f"line {line_no}: binary value must be 0 or 1, got {value}")
         out.append(ObservedEntry(index, value))
     return out
 
@@ -157,24 +183,7 @@ def write_coo(entries: Iterable[ObservedEntry], fp: TextIO, kind: ValueKind) -> 
 
 def parse_index_lines(lines: Iterable[str], shape: TensorShape) -> list[tuple[int, ...]]:
     """Parse lines of K node indices (no value column); used by prediction."""
-    k = shape.mode_count
-    out: list[tuple[int, ...]] = []
-    for line_no, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        fields = line.split()
-        if len(fields) != k:
-            raise ParseError(f"line {line_no}: expected {k} index fields, got {len(fields)}")
-        try:
-            index = tuple(int(tok) for tok in fields)
-        except ValueError:
-            raise ParseError(f"line {line_no}: non-integer index field") from None
-        for mode, (i, d) in enumerate(zip(index, shape.dims)):
-            if not 0 <= i < d:
-                raise BoundsError(f"line {line_no}: index {i} out of range [0, {d}) in mode {mode + 1}")
-        out.append(index)
-    return out
+    return [index for _, index, _ in _read_index_lines(lines, shape, 0)]
 
 
 def split_sizes(n_entries: int, test_fraction: float) -> tuple[int, int]:
@@ -265,20 +274,16 @@ class GroundTruth:
     zero_mask: list[np.ndarray] | None = None  # True where the weight was zeroed
     sparsity: float = 0.0
 
-    def inputs_for(self, indices: Sequence[tuple[int, ...]]) -> np.ndarray:
-        idx = np.asarray(indices, dtype=int)
-        return np.hstack([table[idx[:, k]] for k, table in enumerate(self.embeddings)])
-
     def evaluate(self, indices: Sequence[tuple[int, ...]]) -> np.ndarray:
         """Noiseless generator values for the given index tuples."""
-        idx = np.asarray(indices, dtype=int)
+        idx = self.shape.check_indices(indices)
         if self.generator == "multilinear-cp":
             rows = np.stack(
                 [table[idx[:, k]] for k, table in enumerate(self.embeddings)], axis=0
             )
             return np.prod(rows, axis=0).sum(axis=1)
-        x = self.inputs_for(indices)
-        alpha, _ = bnn.forward_mean_batch(self.network, self.weights, x)
+        alpha, _ = bnn.forward_mean_batch(self.network, self.weights,
+                                          gather_rows(self.embeddings, idx))
         return alpha
 
     def to_json(self, fp: TextIO) -> None:
@@ -307,29 +312,45 @@ class GroundTruth:
 
     @classmethod
     def from_json(cls, fp: TextIO) -> "GroundTruth":
+        """Load a `to_json` document; ValueError on an unsupported format or
+        on tables whose shapes contradict its dims, rank and network."""
         doc = json.load(fp)
         if doc.get("format") != GROUND_TRUTH_FORMAT or doc.get("version") != GROUND_TRUTH_VERSION:
             raise ValueError("not a ground-truth document of a supported version")
-        net = None
+        shape = TensorShape(tuple(doc["dims"]))
+        rank = int(doc["rank"])
+        embeddings = [np.asarray(t, dtype=float) for t in doc["embeddings"]]
+        if [t.shape for t in embeddings] != [(d, rank) for d in shape.dims]:
+            raise ValueError(f"embedding tables do not match dims {shape.dims} and rank {rank}")
+        net = weights = mask = None
         if doc["network"] is not None:
             net = bnn.NetworkSpec(tuple(doc["network"]["widths"]), doc["network"]["activation"])
+            if net.input_dim != rank * shape.mode_count:
+                raise ValueError(f"network input width {net.input_dim} != rank x modes")
+            weights = [np.asarray(w, dtype=float) for w in doc["weights"] or ()]
+            if doc["zero_mask"] is not None:
+                mask = [np.asarray(m, dtype=int).astype(bool) for m in doc["zero_mask"]]
+            for name, tables in (("weight", weights), ("zero_mask", mask)):
+                if tables is not None and [t.shape for t in tables] != list(net.weight_shapes):
+                    raise ValueError(f"{name} tables do not match network widths {net.widths}")
         return cls(
             generator=doc["generator"],
-            shape=TensorShape(tuple(doc["dims"])),
+            shape=shape,
             kind=ValueKind.from_string(doc["kind"]),
-            rank=int(doc["rank"]),
+            rank=rank,
             noise_sd=float(doc["noise_sd"]),
             seed=int(doc["seed"]),
             sparsity=float(doc.get("sparsity", 0.0)),
-            embeddings=[np.asarray(t, dtype=float) for t in doc["embeddings"]],
+            embeddings=embeddings,
             network=net,
-            weights=None if doc["weights"] is None else [
-                np.asarray(w, dtype=float) for w in doc["weights"]
-            ],
-            zero_mask=None if doc["zero_mask"] is None else [
-                np.asarray(m, dtype=int).astype(bool) for m in doc["zero_mask"]
-            ],
+            weights=weights,
+            zero_mask=mask,
         )
+
+
+def gather_rows(tables: Sequence[np.ndarray], idx: np.ndarray) -> np.ndarray:
+    """Rows idx[:, k] of tables[k], modes side by side (n, sum_k r_k)."""
+    return np.hstack([table[idx[:, k]] for k, table in enumerate(tables)])
 
 
 def _sample_distinct_indices(shape: TensorShape, n: int, rng: np.random.Generator) -> list[tuple[int, ...]]:

@@ -5,6 +5,7 @@ asserting, so a full run yields a per-criterion report. Tolerances are fixed
 here, not tuned at runtime.
 """
 
+import io
 import math
 import time
 
@@ -14,8 +15,9 @@ from scipy.special import erfc, ndtr
 
 from streamdtf import (CpGenerator, GammaPosterior, Hyperparams,
                        MlpGenerator, NetworkSpec, ObservedEntry, TensorShape,
-                       ValueKind, adf_update_entry, auc, cli,
-                       evidence_binary, evidence_continuous, init_state,
+                       ValueKind, adf_update_entry, auc, check_invariants,
+                       checkpoint_bytes, cli, evidence_binary,
+                       evidence_continuous, init_state, load_checkpoint,
                        output_moments_batch, partition_stream, predict_batch,
                        process_batch, rmse, running_eval, split_train_test,
                        synth_generate)
@@ -473,3 +475,47 @@ def test_criterion_11_byte_determinism(tmp_path):
                         f"metric CSVs byte-identical: {same_metrics}")
     assert same_ckpt
     assert same_metrics
+
+
+def test_criterion_12_three_way_tensor():
+    """A K = 3 tensor, 40x30x20, from a one-hidden-layer generator of rank 3
+    with noise sd 0.1, 7200 train / 800 test entries, model ranks (3, 3, 3)
+    and the default network: the final running RMSE is below half the sd of
+    the test values and below the first-batch RMSE."""
+    shape = TensorShape((40, 30, 20))
+    entries, _ = synth_generate(shape, 3, ValueKind.CONTINUOUS,
+                                MlpGenerator(hidden=(10,)), 0.1, 8000, seed=1)
+    split = split_train_test(entries, 0.1, seed=101)
+    test_sd = float(np.std([e.value for e in split.test]))
+    net = NetworkSpec.for_factorization(9, [50, 50], "relu")
+    init_seed, shuffle_seed = derive_seeds(1, 2)
+    state = init_state(shape, ValueKind.CONTINUOUS, net,
+                       Hyperparams(ranks=(3, 3, 3)), seed=init_seed)
+    series = running_eval(state, partition_stream(split.train, 256, seed=shuffle_seed),
+                          split.test)
+    first = series.rows[0].metric
+    final = series.rows[-1].metric
+    passed = final < 0.5 * test_sd and final < first
+    _report(12, passed, f"final rmse {final:.4f} vs 0.5x test sd {0.5 * test_sd:.4f}; "
+                        f"first-batch rmse {first:.4f}")
+    assert final < 0.5 * test_sd
+    assert final < first
+
+
+def test_one_mode_tensor_smoke_run():
+    """A K = 1 tensor trains, keeps its invariants, predicts finite values
+    for every node and round-trips its checkpoint byte for byte."""
+    shape = TensorShape((60,))
+    entries, _ = synth_generate(shape, 4, ValueKind.CONTINUOUS, CpGenerator(),
+                                0.1, 50, seed=2)
+    net = NetworkSpec.for_factorization(4, [8], "relu")
+    state = init_state(shape, ValueKind.CONTINUOUS, net, Hyperparams(ranks=(4,)),
+                       seed=3)
+    for batch in partition_stream(entries, 16, seed=4):
+        process_batch(state, batch)
+    assert state.entries_seen == 50
+    check_invariants(state)
+    means, variances = predict_batch(state, [(i,) for i in range(60)])
+    assert np.isfinite(means).all() and np.isfinite(variances).all()
+    saved = checkpoint_bytes(state)
+    assert checkpoint_bytes(load_checkpoint(io.StringIO(saved.decode()))) == saved

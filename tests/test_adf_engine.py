@@ -341,6 +341,15 @@ def _synth_state_and_batch(seed=0, n=64):
     return state, EntryBatch(entries=tuple(entries), ordinal=0)
 
 
+def test_process_batch_rejects_a_bad_damping_before_any_entry():
+    state, batch = _synth_state_and_batch(n=20)
+    before = checkpoint_bytes(state)
+    with pytest.raises(ValueError, match="damping"):
+        process_batch(state, batch, damping=0.0)
+    assert state.entries_seen == 0
+    assert checkpoint_bytes(state) == before
+
+
 def test_process_batch_clean_diagnostics_on_well_conditioned_data():
     state, batch = _synth_state_and_batch()
     diag = process_batch(state, batch)

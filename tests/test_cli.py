@@ -186,6 +186,13 @@ def test_error_lines_are_single_and_coded(tmp_path, capsys):
                        ('{"dims": [4, 4], "seed": null}', "'seed'"),
                        ('{"dims": [4, 4], "timing_in_csv": "false"}',
                         "'timing_in_csv'"),
+                       # nothing is truncated: no float or bool for an int
+                       ('{"dims": [4.9, 4]}', "'dims'"),
+                       ('{"dims": [4, 4], "seed": 1.7}', "'seed'"),
+                       ('{"dims": [4, 4], "batch_size": true}', "'batch_size'"),
+                       ('{"dims": [4, 4], "hidden": [5.5]}', "'hidden'"),
+                       ('{"dims": [4, 4], "ranks": [true, 2]}', "'ranks'"),
+                       ('{"dims": [4, 4], "damping": true}', "'damping'"),
                        ('[1, 2]', "JSON object")):
         bad_cfg.write_text(doc)
         rc = cli.main(["train", "--config", str(bad_cfg)])

@@ -94,6 +94,12 @@ def test_gather_bounds():
         state.gather_entry((5, 0))
 
 
+def test_gather_rejects_a_non_integral_index():
+    state = _small_state()
+    with pytest.raises(TypeError):
+        state.gather_entry((0.5, 5.99))
+
+
 def test_scatter_round_trip_and_isolation():
     state = _small_state()
     before = checkpoint_bytes(state)

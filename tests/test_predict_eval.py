@@ -56,6 +56,14 @@ def test_predict_bounds_error():
         predict_batch(state, [(0, 0), (0, 9)])
 
 
+def test_predict_rejects_non_integral_indices():
+    state = _zero_weight_state(ValueKind.CONTINUOUS)
+    with pytest.raises(TypeError):
+        predict_batch(state, [(1.7, 2)])
+    with pytest.raises(TypeError):
+        predict_entry(state, (2.9, 2))
+
+
 def test_predict_batch_matches_single_entry():
     rng = np.random.default_rng(0)
     state = _zero_weight_state(ValueKind.CONTINUOUS)

@@ -1,4 +1,5 @@
 import io
+import json
 
 import numpy as np
 import pytest
@@ -49,6 +50,35 @@ def test_parse_skips_comments_blanks_and_accepts_crlf():
     text = "# c\r\n\r\n1 2 0.25\r\n"
     entries = parse_coo(io.StringIO(text), TensorShape((5, 5)), ValueKind.CONTINUOUS)
     assert entries == [ObservedEntry((1, 2), 0.25)]
+
+
+def test_check_index_and_check_indices_share_one_rule():
+    shape = TensorShape((5, 3))
+    assert shape.check_index((np.int64(4), 2)) == (4, 2)
+    assert shape.check_indices([(4, 2), (0, 0)]).tolist() == [[4, 2], [0, 0]]
+    for bad, mode, value, bound in (((5, 0), 1, 5, 5), ((0, -1), 2, -1, 3)):
+        message = rf"index {value} out of range \[0, {bound}\) in mode {mode}"
+        with pytest.raises(BoundsError, match=message):
+            shape.check_index(bad)
+        with pytest.raises(BoundsError, match=message):
+            shape.check_indices([(0, 0), bad])
+    # a wrong mode count is a bounds error for a tuple and for rows alike
+    with pytest.raises(BoundsError):
+        shape.check_index((1, 1, 1))
+    with pytest.raises(BoundsError):
+        shape.check_indices([(1, 1, 1)])
+    with pytest.raises(BoundsError):
+        shape.check_indices((1, 1))  # one tuple, not rows of tuples
+
+
+def test_non_integral_indices_raise_type_error():
+    shape = TensorShape((5, 5))
+    with pytest.raises(TypeError):
+        ObservedEntry((1.7, 2), 0.5)
+    with pytest.raises(TypeError):
+        shape.check_index((2.0, 2))
+    with pytest.raises(TypeError):
+        shape.check_indices([(1.7, 2)])
 
 
 def test_parse_index_lines():
@@ -185,6 +215,31 @@ def test_synth_ground_truth_round_trips_exactly():
     assert all(np.array_equal(a, b) for a, b in zip(loaded.zero_mask, truth.zero_mask))
 
 
+def _truth_doc_with(**changes):
+    gen = MlpGenerator(hidden=(4,), activation="tanh")
+    _, truth = synth_generate(TensorShape((5, 4)), 2, ValueKind.CONTINUOUS, gen,
+                              0.1, 10, seed=0)
+    buf = io.StringIO()
+    truth.to_json(buf)
+    doc = json.loads(buf.getvalue())
+    doc.update(changes)
+    return io.StringIO(json.dumps(doc))
+
+
+def test_ground_truth_rejects_tables_that_contradict_its_shapes():
+    assert GroundTruth.from_json(_truth_doc_with()).evaluate([(4, 3)]).shape == (1,)
+    for changes in (
+        {"weights": [np.ones((4, 4)).tolist(), np.ones((1, 5)).tolist()]},
+        {"zero_mask": [np.zeros((4, 5), int).tolist()]},
+        {"embeddings": [np.ones((2, 2)).tolist(), np.ones((4, 2)).tolist()]},
+        {"embeddings": [np.ones((5, 3)).tolist(), np.ones((4, 3)).tolist()]},
+        {"rank": 3},
+        {"weights": None},
+    ):
+        with pytest.raises(ValueError):
+            GroundTruth.from_json(_truth_doc_with(**changes))
+
+
 def test_synth_indices_distinct_and_in_range():
     shape = TensorShape((6, 7))
     entries, _ = synth_generate(shape, 2, ValueKind.CONTINUOUS, CpGenerator(),
@@ -192,7 +247,7 @@ def test_synth_indices_distinct_and_in_range():
     indices = [e.index for e in entries]
     assert len(indices) == 42
     assert len(set(indices)) == 42
-    assert all(shape.contains(i) for i in indices)
+    assert all(shape.check_index(i) == i for i in indices)  # raises if outside
 
 
 def test_synth_binary_values_and_probit_rate():
