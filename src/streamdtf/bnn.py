@@ -34,6 +34,7 @@ user-facing configuration restricts activations to relu/tanh.
 """
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Sequence
@@ -81,7 +82,7 @@ class NetworkSpec:
     activation: str = "relu"
 
     def __post_init__(self):
-        object.__setattr__(self, "widths", tuple(int(w) for w in self.widths))
+        object.__setattr__(self, "widths", tuple(map(operator.index, self.widths)))
         if len(self.widths) < 2:
             raise ValueError("need at least an input width and the output width")
         if any(w < 1 for w in self.widths):
@@ -94,8 +95,7 @@ class NetworkSpec:
     @classmethod
     def for_factorization(cls, input_dim: int, hidden: Sequence[int],
                           activation: str = "relu") -> "NetworkSpec":
-        return cls(widths=(int(input_dim), *(int(h) for h in hidden), 1),
-                   activation=activation)
+        return cls(widths=(input_dim, *hidden, 1), activation=activation)
 
     @property
     def layer_count(self) -> int:

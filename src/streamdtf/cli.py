@@ -337,14 +337,9 @@ def _cmd_eval(args) -> int:
         entries = tensor_core.parse_coo(fp, state.shape, state.kind)
     if not entries:
         raise UsageError("evaluation file holds no entries")
-    indices = [e.index for e in entries]
-    values = [e.value for e in entries]
-    if state.kind is ValueKind.CONTINUOUS:
-        means, _ = predict_eval.predict_batch(state, indices)
-        print(f"rmse {predict_eval.rmse(means, values)!r}")
-    else:
-        probs = predict_eval.predict_batch(state, indices)
-        print(f"auc {predict_eval.auc(probs, values)!r}")
+    name, value = predict_eval.score(state, [e.index for e in entries],
+                                     [e.value for e in entries])
+    print(f"{name} {value!r}")
     return 0
 
 

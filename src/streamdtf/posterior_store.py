@@ -39,6 +39,7 @@ the identical random stream.
 """
 
 import json
+import operator
 from dataclasses import dataclass, field
 from typing import Sequence, TextIO
 
@@ -77,7 +78,7 @@ class Hyperparams:
         for name in ("sigma0_sq", "a0", "b0"):
             if not 0.0 < getattr(self, name) < np.inf:
                 raise ValueError(f"{name} must be finite and > 0, got {getattr(self, name)}")
-        object.__setattr__(self, "ranks", tuple(int(r) for r in self.ranks))
+        object.__setattr__(self, "ranks", tuple(map(operator.index, self.ranks)))
         if any(r < 1 for r in self.ranks):
             raise ValueError(f"all ranks must be >= 1, got {self.ranks}")
 
@@ -384,7 +385,7 @@ def load_checkpoint(fp: TextIO) -> ModelState:
         gamma_ab = None if doc["gamma"] is None else (
             float(doc["gamma"]["a"]), float(doc["gamma"]["b"]))
         rng = _rng_state_from_doc(doc["rng"])
-        entries_seen = int(doc["entries_seen"])
+        entries_seen = operator.index(doc["entries_seen"])
         if len(embeddings) != shape.mode_count or len(hyper.ranks) != shape.mode_count \
                 or hyper.input_dim != net.input_dim:
             raise CheckpointError("embedding tables do not match dims, ranks and network")

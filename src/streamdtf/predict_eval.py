@@ -84,7 +84,7 @@ class MetricRow:
 
 @dataclass
 class MetricSeries:
-    metric_name: str
+    metric_name: str | None
     rows: list[MetricRow] = field(default_factory=list)
 
     def write_csv(self, fp: TextIO, include_timing: bool = True) -> None:
@@ -96,12 +96,13 @@ class MetricSeries:
             fp.write(f"{row.batch},{row.seen},{row.metric!r},{ms!r}\n")
 
 
-def _metric_for(state: ModelState, test_indices, test_values) -> float:
+def score(state: ModelState, indices, values) -> tuple[str, float]:
+    """The state's test metric on the given cells as (name, value): "rmse"
+    of the predicted means for continuous data, "auc" of the predicted
+    probabilities for binary data."""
     if state.kind is ValueKind.CONTINUOUS:
-        means, _ = predict_batch(state, test_indices)
-        return rmse(means, test_values)
-    probs = predict_batch(state, test_indices)
-    return auc(probs, test_values)
+        return "rmse", rmse(predict_batch(state, indices)[0], values)
+    return "auc", auc(predict_batch(state, indices), values)
 
 
 def running_eval(state: ModelState, stream: Iterable[EntryBatch],
@@ -111,7 +112,8 @@ def running_eval(state: ModelState, stream: Iterable[EntryBatch],
 
     The test set must be nonempty and disjoint (by index tuple) from the
     stream. The state is mutated in place; per-batch wallclock covers the
-    posterior update only, not the evaluation.
+    posterior update only, not the evaluation. `metric_name` is None when
+    the stream is empty, as nothing was scored.
     """
     if len(test_entries) == 0:
         raise ValueError("test set must be nonempty")
@@ -121,15 +123,14 @@ def running_eval(state: ModelState, stream: Iterable[EntryBatch],
         for e in batch.entries:
             if e.index in test_tuples:
                 raise ValueError(f"test entry {e.index} also appears in the stream")
-    test_indices = [e.index for e in test_entries]
+    test_indices = state.shape.check_indices([e.index for e in test_entries])
     test_values = np.asarray([e.value for e in test_entries])
-    name = "rmse" if state.kind is ValueKind.CONTINUOUS else "auc"
-    series = MetricSeries(metric_name=name)
+    series = MetricSeries(metric_name=None)
     for batch in batches:
         start = time.perf_counter()
         adf_engine.process_batch(state, batch, damping=damping)
         elapsed_ms = (time.perf_counter() - start) * 1000.0
-        value = _metric_for(state, test_indices, test_values)
+        series.metric_name, value = score(state, test_indices, test_values)
         series.rows.append(MetricRow(batch=batch.ordinal, seen=state.entries_seen,
                                      metric=value, ms=elapsed_ms))
     return series

@@ -48,9 +48,9 @@ class TensorShape:
     def __post_init__(self):
         if len(self.dims) < 1:
             raise ValueError("a tensor needs at least one mode")
-        if any(int(d) < 1 for d in self.dims):
+        object.__setattr__(self, "dims", tuple(map(operator.index, self.dims)))
+        if any(d < 1 for d in self.dims):
             raise ValueError(f"all mode sizes must be >= 1, got {self.dims}")
-        object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
 
     @property
     def mode_count(self) -> int:
@@ -313,12 +313,13 @@ class GroundTruth:
     @classmethod
     def from_json(cls, fp: TextIO) -> "GroundTruth":
         """Load a `to_json` document; ValueError on an unsupported format or
-        on tables whose shapes contradict its dims, rank and network."""
+        on tables whose shapes contradict its dims, rank and network,
+        TypeError on a non-integral dim, rank or width."""
         doc = json.load(fp)
         if doc.get("format") != GROUND_TRUTH_FORMAT or doc.get("version") != GROUND_TRUTH_VERSION:
             raise ValueError("not a ground-truth document of a supported version")
         shape = TensorShape(tuple(doc["dims"]))
-        rank = int(doc["rank"])
+        rank = operator.index(doc["rank"])
         embeddings = [np.asarray(t, dtype=float) for t in doc["embeddings"]]
         if [t.shape for t in embeddings] != [(d, rank) for d in shape.dims]:
             raise ValueError(f"embedding tables do not match dims {shape.dims} and rank {rank}")

@@ -1,7 +1,11 @@
 """Self-verification: runs the independent oracles against the engine.
 
-Exposed through the command line so a deployment can be sanity-checked in
-the field; the test suite runs stricter, larger versions of the same checks.
+Each check here is the only code that compares an engine function with its
+oracle. `streamdtf verify` runs all seven at small case counts, so a
+deployment can be sanity-checked in the field; acceptance criteria 1-6 in
+the test suite call the same checks with their own seeds and larger counts.
+The tolerances and the case ranges are fixed here, so both callers hold the
+engine to the same standard.
 """
 
 import math
@@ -23,21 +27,25 @@ class CheckResult:
     detail: str
 
 
-def _random_net(rng, activation="tanh", max_width=8, max_hidden_layers=2):
-    v0 = int(rng.integers(2, 6))
+def _random_net(rng, max_v0, max_width, max_hidden_layers):
+    """A tanh net with V0 in [2, max_v0], 1..max_hidden_layers hidden layers
+    of width [2, max_width], standard-normal weights and input."""
+    v0 = int(rng.integers(2, max_v0 + 1))
     hidden = [int(rng.integers(2, max_width + 1))
               for _ in range(int(rng.integers(1, max_hidden_layers + 1)))]
-    spec = bnn.NetworkSpec.for_factorization(v0, hidden, activation)
+    spec = bnn.NetworkSpec.for_factorization(v0, hidden, "tanh")
     weights = [rng.standard_normal(s) for s in spec.weight_shapes]
     x = rng.standard_normal(v0)
     return spec, weights, x
 
 
 def check_gradient_fd(seed: int = 0, n_nets: int = 10) -> CheckResult:
+    """Reverse-mode gradients against central finite differences; each
+    coordinate's error is scaled by max(|fd|, 1e-3)."""
     rng = make_rng(seed)
     worst = 0.0
     for _ in range(n_nets):
-        spec, weights, x = _random_net(rng)
+        spec, weights, x = _random_net(rng, max_v0=6, max_width=10, max_hidden_layers=2)
         alpha, tape = bnn.forward_mean(spec, weights, x)
         g = bnn.backprop_gradient(tape)
 
@@ -56,31 +64,34 @@ def check_gradient_fd(seed: int = 0, n_nets: int = 10) -> CheckResult:
 
 def check_output_moments_mc(seed: int = 1, n_nets: int = 3,
                             n_samples: int = 200_000) -> CheckResult:
+    """First-order output variance against Monte Carlo, for parameter
+    variances <= 1e-2, within 3 MC standard errors or 15 %, the looser."""
     rng = make_rng(seed)
-    details = []
-    passed = True
+    worst = 0.0
     for _ in range(n_nets):
-        spec, weights, x = _random_net(rng, max_width=4, max_hidden_layers=1)
+        spec, weights, x = _random_net(rng, max_v0=5, max_width=5, max_hidden_layers=1)
         w_vars = [rng.uniform(1e-4, 1e-2, s) for s in spec.weight_shapes]
         x_vars = rng.uniform(1e-4, 1e-2, x.shape[0])
         _, (beta,) = bnn.output_moments_batch(spec, weights, w_vars, x[None],
                                               x_vars[None])
         mc = oracles.mc_output_moments(spec, weights, w_vars, x, x_vars,
                                        n_samples, seed=int(rng.integers(2 ** 31)))
-        tol = max(4.0 * mc.se_var, 0.15 * mc.var)
-        ok = abs(beta - mc.var) <= tol
-        passed &= ok
-        details.append(f"|beta-mc|={abs(beta - mc.var):.2e} tol={tol:.2e}")
-    return CheckResult("output-moments-vs-monte-carlo", passed, "; ".join(details))
+        worst = max(worst, abs(beta - mc.var) / max(3.0 * mc.se_var, 0.15 * mc.var))
+    return CheckResult("output-moments-vs-monte-carlo", worst <= 1.0,
+                       f"worst |beta-mc|/tol {worst:.3f} over {n_nets} nets of "
+                       f"{n_samples} samples (tol max(3 se, 0.15 var))")
 
 
-def check_evidence_binary(seed: int = 2) -> CheckResult:
+def check_evidence_binary(seed: int = 2, n_cases: int = 200) -> CheckResult:
+    """Probit evidence against the normal CDF on a grid of 61 z values in
+    [-30, 30] x beta in {0, 2, 10} x both labels, then `n_cases` random
+    cases."""
     rng = make_rng(seed)
     worst = 0.0
-    cases = [(z, b, y) for z in np.linspace(-30, 30, 41) for b in (0.0, 2.0)
+    cases = [(z, b, y) for z in np.linspace(-30, 30, 61) for b in (0.0, 2.0, 10.0)
              for y in (0.0, 1.0)]
     cases += [(float(rng.uniform(-8, 8)), float(rng.uniform(0, 10)),
-               float(rng.integers(0, 2))) for _ in range(200)]
+               float(rng.integers(0, 2))) for _ in range(n_cases)]
     for z_target, beta, y in cases:
         sign = 2.0 * y - 1.0
         alpha = sign * z_target * math.sqrt(1.0 + beta)
@@ -94,10 +105,12 @@ def check_evidence_binary(seed: int = 2) -> CheckResult:
         worst = max(worst, abs(ev.log_z - math.log(ref)) /
                     max(1.0, abs(math.log(ref))))
     return CheckResult("evidence-binary-vs-reference-cdf", worst <= 1e-10,
-                       f"max relative error {worst:.3e} (tol 1e-10)")
+                       f"max relative error {worst:.3e} over {len(cases)} cases (tol 1e-10)")
 
 
 def check_evidence_continuous(seed: int = 3, n_cases: int = 200) -> CheckResult:
+    """The Gaussian evidence's partials in alpha and beta against central
+    finite differences of its log Z."""
     rng = make_rng(seed)
     worst = 0.0
     h = 1e-6
@@ -114,7 +127,7 @@ def check_evidence_continuous(seed: int = 3, n_cases: int = 200) -> CheckResult:
         for got, want in ((ev.dalpha, fd_a), (ev.dbeta, fd_b)):
             worst = max(worst, abs(got - want) / max(abs(want), 1e-3))
     return CheckResult("evidence-continuous-partials-vs-fd", worst <= 1e-6,
-                       f"max relative error {worst:.3e} (tol 1e-6)")
+                       f"max relative error {worst:.3e} over {n_cases} cases (tol 1e-6)")
 
 
 def _random_linear_state(rng):
@@ -132,10 +145,20 @@ def _random_linear_state(rng):
 
 
 def check_adf_conjugate(seed: int = 4, n_cases: int = 200) -> CheckResult:
+    """On the identity single-layer model with the noise precision held at
+    its posterior mean, every coordinate's update equals the exact conjugate
+    one. After `n_cases` random cases come `n_cases // 5` that isolate the
+    first weight: every other variance is pinned at 1e-18, below the
+    engine's variance floor, so only the free weight is compared."""
     rng = make_rng(seed)
     worst = 0.0
-    for _ in range(n_cases):
+    n_isolated = n_cases // 5
+    for case in range(n_cases + n_isolated):
         state, v0 = _random_linear_state(rng)
+        isolated = case >= n_cases
+        if isolated:
+            state.embeddings[0].var[...] = 1e-18
+            state.weights[0].var[0, 1:] = 1e-18
         idx = (int(rng.integers(0, 4)),)
         x_mean, x_var = state.gather_entry(idx)
         w_row = state.weights[0].mean[0].copy()
@@ -153,13 +176,14 @@ def check_adf_conjugate(seed: int = 4, n_cases: int = 200) -> CheckResult:
                                   state.gather_entry(idx)[0]])
         post_var = np.concatenate([state.weights[0].var[0],
                                    state.gather_entry(idx)[1]])
-        for j in range(mu.shape[0]):
+        for j in range(1 if isolated else mu.shape[0]):
             noise_eff = s - g[j] * g[j] * var[j]
             want_m, want_v = oracles.conjugate_linear_update(
                 mu[j], var[j], g[j], y - (alpha - g[j] * mu[j]), noise_eff)
             worst = max(worst, abs(post_mu[j] - want_m), abs(post_var[j] - want_v))
     return CheckResult("adf-update-vs-conjugate-oracle", worst <= 1e-8,
-                       f"max abs error {worst:.3e} over {n_cases} cases (tol 1e-8)")
+                       f"max abs error {worst:.3e} over {n_cases} + {n_isolated} "
+                       f"isolated-weight cases (tol 1e-8)")
 
 
 def _refine_one(mean, var, rho_post, term_mean, term_var, term_logit,
@@ -172,6 +196,9 @@ def _refine_one(mean, var, rho_post, term_mean, term_var, term_logit,
 
 
 def check_ep_tilted(seed: int = 5, n_cases: int = 200) -> CheckResult:
+    """The EP sweep's tilted normalizer and first two moments against
+    quadrature on random cavities, and the symmetric case's slab
+    responsibility against sqrt(2) - 1."""
     rng = make_rng(seed)
     worst = 0.0
     for _ in range(n_cases):
@@ -197,11 +224,14 @@ def check_ep_tilted(seed: int = 5, n_cases: int = 200) -> CheckResult:
     sym_prob = _refine_one(0.0, 0.5, 0.5, 0.0, 1.0, 0.0, 1.0)["slab_prob"]
     sym_ok = abs(sym_prob - (math.sqrt(2.0) - 1.0)) <= 1e-5
     return CheckResult("ep-tilted-vs-quadrature", worst <= 1e-8 and sym_ok,
-                       f"max error {worst:.3e} (tol 1e-8); symmetric slab prob "
-                       f"{sym_prob:.5f} (want 0.41421)")
+                       f"max error {worst:.3e} over {n_cases} cases (tol 1e-8); "
+                       f"symmetric slab prob {sym_prob:.5f} (want 0.41421)")
 
 
 def check_tau_recursion(seed: int = 6, n_entries: int = 30) -> CheckResult:
+    """The Gamma shape grows by exactly 1/2 per continuous entry, and each
+    rate increment equals ((y - alpha)^2 + beta) / 2, with alpha and beta
+    recomputed by the scalar forward pass and finite differences."""
     rng = make_rng(seed)
     net = bnn.NetworkSpec.for_factorization(4, [3], "tanh")
     hyper = Hyperparams(ranks=(2, 2))
@@ -233,7 +263,8 @@ def check_tau_recursion(seed: int = 6, n_entries: int = 30) -> CheckResult:
         worst = max(worst, abs(got_incr - want_incr) / max(1.0, abs(want_incr)))
     passed = worst <= 1e-6 and state.gamma.a == hyper.a0 + n_entries / 2.0
     return CheckResult("tau-recursion", passed,
-                       f"shape exact; max rate-increment error {worst:.3e} (tol 1e-6)")
+                       f"shape exact; max rate-increment error {worst:.3e} over "
+                       f"{n_entries} entries (tol 1e-6)")
 
 
 ALL_CHECKS = (

@@ -12,8 +12,7 @@ from streamdtf import (CpGenerator, EntryBatch, GammaPosterior, Hyperparams,
                        process_batch, synth_generate, update_tau)
 from streamdtf import bnn
 from streamdtf.errors import NumericError
-from streamdtf.oracles import (conjugate_linear_update, pack,
-                               quad_tilted_moments, unpack)
+from streamdtf.oracles import pack, quad_tilted_moments, unpack
 from streamdtf.posterior_store import DEFAULT_V_FLOOR, WEIGHT_FIELDS
 from streamdtf.seeding import make_rng
 
@@ -60,23 +59,6 @@ def test_evidence_continuous_at_the_mean():
     assert ev.dalpha == 0.0
 
 
-def test_evidence_continuous_partials_match_fd():
-    rng = make_rng(0)
-    h = 1e-6
-    for _ in range(100):
-        alpha = float(rng.uniform(-3, 3))
-        beta = float(rng.uniform(0.01, 5))
-        y = float(rng.uniform(-4, 4))
-        gp = GammaPosterior(float(rng.uniform(0.5, 4)), float(rng.uniform(0.5, 4)))
-        ev = evidence_continuous(alpha, beta, y, gp)
-        fd_a = (evidence_continuous(alpha + h, beta, y, gp).log_z
-                - evidence_continuous(alpha - h, beta, y, gp).log_z) / (2 * h)
-        fd_b = (evidence_continuous(alpha, beta + h, y, gp).log_z
-                - evidence_continuous(alpha, beta - h, y, gp).log_z) / (2 * h)
-        assert ev.dalpha == pytest.approx(fd_a, rel=1e-6, abs=1e-8)
-        assert ev.dbeta == pytest.approx(fd_b, rel=1e-6, abs=1e-8)
-
-
 def test_update_tau_hand_cases():
     assert update_tau(GammaPosterior(1.0, 1.0), 2.0, 2.0, 0.0) == GammaPosterior(1.5, 1.0)
     assert update_tau(GammaPosterior(2.0, 3.0), 2.0, 0.0, 1.0) == GammaPosterior(2.5, 5.5)
@@ -87,45 +69,6 @@ def test_update_tau_rejects_a_non_finite_rate(b, y):
     # the rate overflows by addition, or the squared residual overflows
     with pytest.raises(NumericError):
         update_tau(GammaPosterior(1000.0, b), y, 0.0, 0.5)
-
-
-def _linear_state(rng, nodes=4):
-    v0 = int(rng.integers(1, 5))
-    net = NetworkSpec((v0, 1), "identity")
-    state = init_state(TensorShape((nodes,)), ValueKind.CONTINUOUS, net,
-                       Hyperparams(ranks=(v0,)), seed=int(rng.integers(2 ** 31)))
-    state.embeddings[0].mean[...] = rng.standard_normal((nodes, v0))
-    state.embeddings[0].var[...] = rng.uniform(0.05, 2.0, (nodes, v0))
-    state.weights[0].mean[...] = rng.standard_normal((1, v0 + 1))
-    state.weights[0].var[...] = rng.uniform(0.05, 2.0, (1, v0 + 1))
-    state.gamma = GammaPosterior(float(rng.uniform(0.5, 4)), float(rng.uniform(0.5, 4)))
-    return state, v0
-
-
-def test_adf_equals_conjugate_oracle_on_linear_model():
-    rng = make_rng(1)
-    for _ in range(100):
-        state, v0 = _linear_state(rng)
-        idx = (int(rng.integers(0, 4)),)
-        x_mean, x_var = state.gather_entry(idx)
-        w_row = state.weights[0].mean[0].copy()
-        w_var = state.weights[0].var[0].copy()
-        hb = np.append(x_mean, 1.0) / math.sqrt(v0 + 1.0)
-        g = np.concatenate([hb, w_row[:v0] / math.sqrt(v0 + 1.0)])
-        mu = np.concatenate([w_row, x_mean])
-        var = np.concatenate([w_var, x_var])
-        alpha = float(w_row @ hb)
-        s = float((g * g) @ var) + state.gamma.b / state.gamma.a
-        y = alpha + float(rng.normal(0, math.sqrt(s)))
-        adf_update_entry(state, ObservedEntry(idx, y))
-        post_mu = np.concatenate([state.weights[0].mean[0], state.gather_entry(idx)[0]])
-        post_var = np.concatenate([state.weights[0].var[0], state.gather_entry(idx)[1]])
-        for j in range(mu.shape[0]):
-            noise_eff = s - g[j] * g[j] * var[j]
-            want_m, want_v = conjugate_linear_update(
-                mu[j], var[j], g[j], y - (alpha - g[j] * mu[j]), noise_eff)
-            assert post_mu[j] == pytest.approx(want_m, abs=1e-8)
-            assert post_var[j] == pytest.approx(want_v, abs=1e-8)
 
 
 def test_zero_gradient_coordinate_is_a_fixed_point():

@@ -77,26 +77,6 @@ def test_tiny_posterior_at_zero_goes_to_spike():
     assert res["rho_post"] < 0.01
 
 
-def test_refine_matches_quadrature_randomized():
-    rng = make_rng(0)
-    for _ in range(100):
-        m_cav = float(rng.uniform(-3, 3))
-        v_cav = float(rng.uniform(0.05, 3))
-        s0sq = float(rng.uniform(0.3, 3))
-        p_cav = float(rng.uniform(0.05, 0.95))
-        site = site_from_cavity(m_cav, v_cav, p_cav,
-                                term_mean=float(rng.normal()),
-                                term_var=float(rng.uniform(0.5, 3)),
-                                term_logit=float(rng.normal()))
-        res = refine(site, s0sq)
-        z, e1, e2 = quad_tilted_moments(m_cav, v_cav,
-                                        factor=slab_factor(p_cav, s0sq),
-                                        atom_weight=1.0 - p_cav)
-        assert res["tilted_norm"] == pytest.approx(z, abs=1e-8, rel=1e-8)
-        assert res["tilted_mean"] == pytest.approx(e1, abs=1e-8, rel=1e-8)
-        assert res["tilted_second"] == pytest.approx(e2, abs=1e-8, rel=1e-8)
-
-
 def test_invalid_cavity_is_skipped_without_change():
     # posterior variance equals term variance -> flat cavity -> guard
     site = dict(mean=0.3, var=1.0, rho_post=0.5, term_mean=0.3, term_var=1.0,

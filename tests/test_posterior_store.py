@@ -77,6 +77,11 @@ def test_init_validation():
                 Hyperparams(**{name: bad})
 
 
+def test_non_integral_ranks_raise_type_error():
+    with pytest.raises(TypeError):
+        Hyperparams(ranks=(2.7,))
+
+
 def test_gather_at_init_and_ordering():
     state = _small_state()
     means, variances = state.gather_entry((0, 0))
@@ -177,8 +182,14 @@ def _set(path, value):
     _set(("weights", 0, "var"), lambda rows: rows[:-1]),
     _set(("embeddings", 1, "mean"), lambda rows: rows[:-1]),
     _set(("embeddings",), lambda tables: tables[:1]),
+    _set(("dims",), [5.5, 6]),
+    _set(("hyper", "ranks"), [2.5, 2]),
+    _set(("network", "widths", 0), 4.5),
+    _set(("entries_seen",), 0.5),
 ], ids=["rho0", "gamma-a", "output-width", "rng-state", "negative-dims",
-        "weight-table-short", "embedding-table-short", "embedding-table-missing"])
+        "weight-table-short", "embedding-table-short", "embedding-table-missing",
+        "fractional-dims", "fractional-ranks", "fractional-width",
+        "fractional-entries-seen"])
 def test_checkpoint_bad_values_raise_checkpoint_error(edit):
     doc = json.loads(checkpoint_bytes(_small_state()))
     edit(doc)

@@ -12,6 +12,7 @@ from streamdtf import (Hyperparams, MetricRow, MetricSeries, MlpGenerator,
                        partition_stream, predict_batch, predict_entry, rmse,
                        running_eval, split_train_test, synth_generate)
 from streamdtf.errors import BoundsError
+from streamdtf.predict_eval import score
 
 
 def _zero_weight_state(kind):
@@ -160,7 +161,27 @@ def test_running_eval_empty_stream():
     before = checkpoint_bytes(state)
     series = running_eval(state, [], split.test)
     assert series.rows == []
+    assert series.metric_name is None
     assert checkpoint_bytes(state) == before
+
+
+@pytest.mark.parametrize("kind, name", [(ValueKind.CONTINUOUS, "rmse"),
+                                        (ValueKind.BINARY, "auc")])
+def test_score_is_the_running_metric_of_the_kind(kind, name):
+    shape = TensorShape((12, 10))
+    entries, _ = synth_generate(shape, 2, kind, MlpGenerator(hidden=(4,)), 0.1,
+                                100, seed=1)
+    split = split_train_test(entries, 0.3, seed=2)
+    state = init_state(shape, kind, NetworkSpec.for_factorization(4, [6], "tanh"),
+                       Hyperparams(ranks=(2, 2)), seed=3)
+    series = running_eval(state, partition_stream(split.train, 35, seed=4), split.test)
+    indices = [e.index for e in split.test]
+    values = [e.value for e in split.test]
+    assert score(state, indices, values) == (name, series.rows[-1].metric)
+    assert series.metric_name == name
+    predicted = predict_batch(state, indices)
+    want = rmse(predicted[0], values) if name == "rmse" else auc(predicted, values)
+    assert series.rows[-1].metric == want
 
 
 def test_running_eval_rejects_empty_or_overlapping_test():

@@ -240,6 +240,13 @@ def test_ground_truth_rejects_tables_that_contradict_its_shapes():
             GroundTruth.from_json(_truth_doc_with(**changes))
 
 
+def test_non_integral_sizes_raise_type_error():
+    with pytest.raises(TypeError):
+        TensorShape((4.9, 4))  # was read as a 4x4 tensor
+    with pytest.raises(TypeError):
+        GroundTruth.from_json(_truth_doc_with(rank=2.5))
+
+
 def test_synth_indices_distinct_and_in_range():
     shape = TensorShape((6, 7))
     entries, _ = synth_generate(shape, 2, ValueKind.CONTINUOUS, CpGenerator(),
