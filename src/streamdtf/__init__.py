@@ -23,9 +23,9 @@ from .posterior_store import (DEFAULT_V_FLOOR, GammaPosterior, Hyperparams,
                               init_state, load_checkpoint, save_checkpoint)
 from .predict_eval import (MetricRow, MetricSeries, auc, predict_batch,
                            predict_entry, rmse, running_eval)
-from .tensor_core import (CpGenerator, DatasetSplit, EntryBatch, GroundTruth,
-                          MlpGenerator, ObservedEntry, TensorShape, ValueKind,
-                          parse_coo, partition_stream, split_sizes,
-                          split_train_test, synth_generate, write_coo)
+from .tensor_core import (CpGenerator, DatasetSplit, GroundTruth, MlpGenerator,
+                          ObservedEntry, TensorShape, ValueKind, parse_coo,
+                          partition_stream, split_sizes, split_train_test,
+                          synth_generate, write_coo)
 
 __version__ = "0.1.0"

@@ -16,12 +16,14 @@ Continuous data additionally applies the closed-form Gamma update for the
 noise precision, using that entry's pre-update (alpha, beta).
 
 Processing is strictly sequential over entries (the update is order
-dependent); the engine owns the state exclusively during process_batch.
+dependent); the engine owns the state exclusively during process_batch,
+which checks the whole batch before its first entry.
 """
 
 import logging
 import math
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 from scipy.special import erfcx, log_ndtr, ndtr
@@ -29,7 +31,7 @@ from scipy.special import erfcx, log_ndtr, ndtr
 from . import bnn, ep_prior
 from .errors import NumericError
 from .posterior_store import DEFAULT_V_FLOOR, GammaPosterior, ModelState
-from .tensor_core import EntryBatch, ObservedEntry, ValueKind
+from .tensor_core import ObservedEntry, ValueKind
 
 logger = logging.getLogger(__name__)
 
@@ -123,8 +125,8 @@ def adf_update_entry(state: ModelState, entry: ObservedEntry,
     the noise update or an updated mean is non-finite the entry is skipped
     with a logged diagnostic and the state is left unchanged. Variances
     falling below `v_floor` (or non-finite) are clamped there (counted in the
-    result). A binary model raises ValueError, from `evidence_binary` and
-    before any write, on a value other than 0 or 1.
+    result). The entry comes from a batch `process_batch` checked: its index
+    is inside the shape and its value valid for the model's kind.
 
     The update runs in place: the gradient g that `backprop_gradient`
     returns belongs to this call, so it and g^2 serve as scratch, and the
@@ -212,17 +214,22 @@ class BatchDiagnostics:
         return sum(1 for r in self.entry_results if r.skipped)
 
 
-def process_batch(state: ModelState, batch: EntryBatch, damping: float = 0.5,
-                  refine: bool = True,
+def process_batch(state: ModelState, batch: Sequence[ObservedEntry],
+                  damping: float = ep_prior.DEFAULT_DAMPING, refine: bool = True,
                   v_floor: float = DEFAULT_V_FLOOR) -> BatchDiagnostics:
     """Apply the per-entry update sequentially in batch order, then refine
     the sparsity-prior approximation term once. Per-entry numeric problems
-    become diagnostics; the batch always completes. With `refine` set, a
-    damping outside (0, 1] raises ValueError before any entry is applied."""
+    become diagnostics. An empty batch, an index or value that
+    `check_indices` or `check_values` rejects and, with `refine` set, a
+    damping outside (0, 1] raise before the first entry is applied."""
+    if not batch:
+        raise ValueError("a batch cannot be empty")
+    state.shape.check_indices([e.index for e in batch])
+    state.kind.check_values([e.value for e in batch])
     if refine:
         ep_prior.check_damping(damping)
     diag = BatchDiagnostics()
-    for entry in batch.entries:
+    for entry in batch:
         diag.entry_results.append(adf_update_entry(state, entry, v_floor=v_floor))
     if refine:
         diag.ep = ep_prior.refine_all(state, damping=damping, v_floor=v_floor)

@@ -22,7 +22,7 @@ import sys
 from dataclasses import dataclass
 from typing import Sequence, get_args, get_origin
 
-from . import adf_engine, predict_eval, tensor_core, verify
+from . import adf_engine, ep_prior, predict_eval, tensor_core, verify
 from .bnn import USER_ACTIVATIONS, NetworkSpec
 from .errors import (BoundsError, CheckpointError, NumericError, ParseError,
                      UndefinedMetricError)
@@ -97,11 +97,11 @@ class RunConfig:
     hidden: tuple[int, ...] = (50, 50)
     activation: str = "relu"
     batch_size: int = 256
-    rho0: float = 0.5
-    sigma0_sq: float = 1.0
-    a0: float = 1.0
-    b0: float = 1.0
-    damping: float = 0.5
+    rho0: float = Hyperparams.rho0
+    sigma0_sq: float = Hyperparams.sigma0_sq
+    a0: float = Hyperparams.a0
+    b0: float = Hyperparams.b0
+    damping: float = ep_prior.DEFAULT_DAMPING
     seed: int = 0
     train: str | None = None
     test: str | None = None

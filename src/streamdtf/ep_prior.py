@@ -32,6 +32,8 @@ from scipy.special import expit, log_expit, logit
 
 from .posterior_store import DEFAULT_V_FLOOR, WEIGHT_FIELDS, ModelState
 
+DEFAULT_DAMPING = 0.5
+
 # selector probabilities stay strictly inside (0, 1)
 _RHO_LO = 1e-300
 _RHO_HI = float(np.nextafter(1.0, 0.0))
@@ -130,7 +132,7 @@ def check_damping(damping: float) -> None:
         raise ValueError(f"damping must be in (0, 1], got {damping}")
 
 
-def refine_all(state: ModelState, damping: float = 0.5,
+def refine_all(state: ModelState, damping: float = DEFAULT_DAMPING,
                v_floor: float = DEFAULT_V_FLOOR) -> EpDiagnostics:
     """Refine every network weight exactly once; embeddings are untouched."""
     check_damping(damping)

@@ -107,14 +107,16 @@ def mc_output_moments(spec, weight_means: Sequence[np.ndarray],
                       chunk_size: int = 200_000) -> McMoments:
     """Monte-Carlo output moments under independent Gaussian parameters.
 
-    Carries its own forward pass (independent of the engine's). Reports the
-    Monte-Carlo standard errors of both estimates so callers can use
-    statistically sound tolerances: se_var uses the fourth central moment.
+    Carries its own forward pass (independent of the engine's), which draws
+    each pre-activation exactly given the layer input: N(hb . mean(w_j),
+    hb^2 . var(w_j)). Reports the Monte-Carlo standard errors of both
+    estimates so callers can use statistically sound tolerances: se_var
+    uses the fourth central moment.
     """
     rng = np.random.Generator(np.random.PCG64(seed))
     act = _mc_activation(spec.activation)
     w_means = [np.asarray(w, dtype=float) for w in weight_means]
-    w_sds = [np.sqrt(np.asarray(v, dtype=float)) for v in weight_vars]
+    w_vars = [np.asarray(v, dtype=float) for v in weight_vars]
     x_mean = np.asarray(input_mean, dtype=float)
     x_sd = np.sqrt(np.asarray(input_vars, dtype=float))
     m_total = len(w_means)
@@ -127,11 +129,11 @@ def mc_output_moments(spec, weight_means: Sequence[np.ndarray],
     while done < n_samples:
         c = min(chunk_size, n_samples - done)
         h = x_mean + x_sd * rng.standard_normal((c, x_mean.shape[0]))
-        for m, (wm, ws) in enumerate(zip(w_means, w_sds), start=1):
-            w = wm + ws * rng.standard_normal((c,) + wm.shape)
+        for m, (wm, wv) in enumerate(zip(w_means, w_vars), start=1):
             hb = np.concatenate([h, np.ones((c, 1))], axis=1)
             hb /= math.sqrt(hb.shape[1])
-            z = np.einsum("cjt,ct->cj", w, hb)
+            z_sd = np.sqrt((hb * hb) @ wv.T)
+            z = hb @ wm.T + z_sd * rng.standard_normal((c, wm.shape[0]))
             h = act(z) if m < m_total else z
         f = h[:, 0]
         if pivot is None:

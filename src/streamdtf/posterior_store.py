@@ -27,9 +27,10 @@ gather_entry/scatter_entry.
 Invariants (finite means, positive variances, selector probabilities
 inside (0, 1), a valid Gamma posterior; see check_invariants) are checked
 once, where state enters from outside: load_checkpoint rejects a document
-that breaks them. The per-entry update trusts them: gather_entry checks
-the entry's index, scatter_entry writes what the engine built (finite
-means, variances clamped to at least v_floor) without re-checking it.
+that breaks them. adf_engine.process_batch checks a batch's indices and
+values before its first entry, so gather_entry reads the entry's rows and
+scatter_entry writes what the engine built (finite means, variances
+clamped to at least v_floor) without re-checking either.
 
 Checkpoints are versioned JSON with every posterior field named, one table
 per layer (format version 1, independent of the in-memory layout); floats
@@ -180,9 +181,8 @@ class ModelState:
         """Concatenated embedding means/variances for one entry.
 
         Concatenation order: mode 1 first, ascending rank within a mode.
-        The index is checked by `TensorShape.check_index`.
-        """
-        index = self.shape.check_index(index)
+        Trusts its caller, as `scatter_entry` does: the index is inside the
+        shape (`adf_engine.process_batch` checks its batch)."""
         means = np.concatenate([emb.mean[i] for emb, i in zip(self.embeddings, index)])
         variances = np.concatenate([emb.var[i] for emb, i in zip(self.embeddings, index)])
         return means, variances
@@ -191,8 +191,8 @@ class ModelState:
                       new_vars: np.ndarray) -> None:
         """Write updated moments back to the rows `gather_entry(index)` read.
 
-        Trusts its caller: the index was bounds-checked by the gather, and
-        the vectors are in gather order with finite means and variances > 0.
+        Trusts its caller: the index is the one gathered, and the vectors
+        are in gather order with finite means and variances > 0.
         """
         offset = 0
         for emb, i, r in zip(self.embeddings, index, self.hyper.ranks):

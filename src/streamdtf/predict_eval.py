@@ -21,10 +21,10 @@ import numpy as np
 from scipy.special import ndtr
 from scipy.stats import rankdata
 
-from . import adf_engine, bnn
+from . import adf_engine, bnn, ep_prior
 from .errors import UndefinedMetricError
 from .posterior_store import ModelState
-from .tensor_core import EntryBatch, ObservedEntry, ValueKind, gather_rows
+from .tensor_core import ObservedEntry, ValueKind, gather_rows
 
 
 def predict_batch(state: ModelState, indices: Sequence[tuple[int, ...]]):
@@ -105,32 +105,32 @@ def score(state: ModelState, indices, values) -> tuple[str, float]:
     return "auc", auc(predict_batch(state, indices), values)
 
 
-def running_eval(state: ModelState, stream: Iterable[EntryBatch],
+def running_eval(state: ModelState, stream: Iterable[Sequence[ObservedEntry]],
                  test_entries: Sequence[ObservedEntry],
-                 damping: float = 0.5) -> MetricSeries:
+                 damping: float = ep_prior.DEFAULT_DAMPING) -> MetricSeries:
     """Process each batch, then score the full test set; one row per batch.
 
-    The test set must be nonempty and disjoint (by index tuple) from the
-    stream. The state is mutated in place; per-batch wallclock covers the
-    posterior update only, not the evaluation. `metric_name` is None when
-    the stream is empty, as nothing was scored.
+    Rows are numbered from 0. The test set must be nonempty, valid as a
+    batch is, and disjoint (by index tuple) from the stream. The state is
+    mutated in place; per-batch wallclock covers the posterior update only,
+    not the evaluation. `metric_name` is None when the stream is empty.
     """
     if len(test_entries) == 0:
         raise ValueError("test set must be nonempty")
     batches = list(stream)
     test_tuples = {e.index for e in test_entries}
     for batch in batches:
-        for e in batch.entries:
+        for e in batch:
             if e.index in test_tuples:
                 raise ValueError(f"test entry {e.index} also appears in the stream")
     test_indices = state.shape.check_indices([e.index for e in test_entries])
-    test_values = np.asarray([e.value for e in test_entries])
+    test_values = state.kind.check_values([e.value for e in test_entries])
     series = MetricSeries(metric_name=None)
-    for batch in batches:
+    for ordinal, batch in enumerate(batches):
         start = time.perf_counter()
         adf_engine.process_batch(state, batch, damping=damping)
         elapsed_ms = (time.perf_counter() - start) * 1000.0
         series.metric_name, value = score(state, test_indices, test_values)
-        series.rows.append(MetricRow(batch=batch.ordinal, seen=state.entries_seen,
+        series.rows.append(MetricRow(batch=ordinal, seen=state.entries_seen,
                                      metric=value, ms=elapsed_ms))
     return series

@@ -18,7 +18,7 @@ import math
 import operator
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Sequence, TextIO
+from typing import Iterable, NamedTuple, Sequence, TextIO
 
 import numpy as np
 
@@ -37,6 +37,21 @@ class ValueKind(Enum):
             return cls(name.lower())
         except ValueError:
             raise ValueError(f"unknown value kind {name!r}") from None
+
+    def check_value(self, value: float) -> None:
+        """Raise ValueError unless `value` is finite and, for binary data, 0 or 1."""
+        if not math.isfinite(value):
+            raise ValueError(f"value must be finite, got {value}")
+        if self is ValueKind.BINARY and value not in (0.0, 1.0):
+            raise ValueError(f"binary value must be 0 or 1, got {value}")
+
+    def check_values(self, values) -> np.ndarray:
+        """`values` as an array, each checked as `check_value` checks one."""
+        v = np.asarray(values)
+        bad = (v != 0) & (v != 1) if self is ValueKind.BINARY else ~np.isfinite(v)
+        if bad.any():
+            self.check_value(v[bad.argmax()])  # raises for this value
+        return v
 
 
 @dataclass(frozen=True)
@@ -88,33 +103,11 @@ class TensorShape:
         return idx
 
 
-@dataclass(frozen=True)
-class ObservedEntry:
+class ObservedEntry(NamedTuple):
     """One observed tensor cell: a K-tuple of node indices and its value."""
 
     index: tuple[int, ...]
     value: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "index", tuple(map(operator.index, self.index)))
-        object.__setattr__(self, "value", float(self.value))
-        if not math.isfinite(self.value):
-            raise ValueError(f"entry value must be finite, got {self.value}")
-
-
-@dataclass(frozen=True)
-class EntryBatch:
-    """One shuffled chunk of the training stream."""
-
-    entries: tuple[ObservedEntry, ...]
-    ordinal: int
-
-    def __post_init__(self):
-        if len(self.entries) == 0:
-            raise ValueError("a batch cannot be empty")
-
-    def __len__(self) -> int:
-        return len(self.entries)
 
 
 @dataclass(frozen=True)
@@ -149,8 +142,8 @@ def parse_coo(lines: Iterable[str], shape: TensorShape, kind: ValueKind) -> list
     """Parse a line-oriented COO source into observed entries, order preserved.
 
     Malformed lines raise ParseError with the 1-based line number; indices
-    outside the shape raise BoundsError; non-finite values, and binary values
-    outside {0, 1}, raise ValueError. Duplicate index tuples are kept as-is.
+    outside the shape raise BoundsError; values that `kind.check_value`
+    rejects raise ValueError. Duplicate index tuples are kept as-is.
     """
     out: list[ObservedEntry] = []
     for line_no, index, (field,) in _read_index_lines(lines, shape, 1):
@@ -158,27 +151,19 @@ def parse_coo(lines: Iterable[str], shape: TensorShape, kind: ValueKind) -> list
             value = float(field)
         except ValueError:
             raise ParseError(f"line {line_no}: non-numeric value field {field!r}") from None
-        if not math.isfinite(value):
-            raise ValueError(f"line {line_no}: value must be finite, got {value}")
-        if kind is ValueKind.BINARY and value not in (0.0, 1.0):
-            raise ValueError(f"line {line_no}: binary value must be 0 or 1, got {value}")
+        try:
+            kind.check_value(value)
+        except ValueError as exc:
+            raise ValueError(f"line {line_no}: {exc}") from None
         out.append(ObservedEntry(index, value))
     return out
-
-
-def format_value(value: float, kind: ValueKind) -> str:
-    if kind is ValueKind.BINARY:
-        return str(int(value))
-    return repr(float(value))
 
 
 def write_coo(entries: Iterable[ObservedEntry], fp: TextIO, kind: ValueKind) -> None:
     """Write entries in the COO text format (counterpart of parse_coo)."""
     for e in entries:
-        fp.write(" ".join(str(i) for i in e.index))
-        fp.write(" ")
-        fp.write(format_value(e.value, kind))
-        fp.write("\n")
+        value = str(int(e.value)) if kind is ValueKind.BINARY else repr(float(e.value))
+        fp.write(" ".join(str(i) for i in e.index) + f" {value}\n")
 
 
 def parse_index_lines(lines: Iterable[str], shape: TensorShape) -> list[tuple[int, ...]]:
@@ -214,7 +199,7 @@ def split_train_test(entries: Sequence[ObservedEntry], test_fraction: float,
 
 
 def partition_stream(entries: Sequence[ObservedEntry], batch_size: int,
-                     seed: int) -> list[EntryBatch]:
+                     seed: int) -> list[tuple[ObservedEntry, ...]]:
     """Shuffle entries uniformly by seed, then chunk into consecutive batches.
 
     All batches have `batch_size` entries except possibly the last; the union
@@ -224,10 +209,8 @@ def partition_stream(entries: Sequence[ObservedEntry], batch_size: int,
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
     perm = make_rng(seed).permutation(len(entries))
     shuffled = [entries[int(i)] for i in perm]
-    return [
-        EntryBatch(entries=tuple(shuffled[lo:lo + batch_size]), ordinal=ordinal)
-        for ordinal, lo in enumerate(range(0, len(shuffled), batch_size))
-    ]
+    return [tuple(shuffled[lo:lo + batch_size])
+            for lo in range(0, len(shuffled), batch_size)]
 
 
 # ---------------------------------------------------------------------------
@@ -314,7 +297,8 @@ class GroundTruth:
     def from_json(cls, fp: TextIO) -> "GroundTruth":
         """Load a `to_json` document; ValueError on an unsupported format or
         on tables whose shapes contradict its dims, rank and network,
-        TypeError on a non-integral dim, rank or width."""
+        TypeError on a non-integral dim, rank, width or seed, or on a noise
+        level or sparsity that is not a number."""
         doc = json.load(fp)
         if doc.get("format") != GROUND_TRUTH_FORMAT or doc.get("version") != GROUND_TRUTH_VERSION:
             raise ValueError("not a ground-truth document of a supported version")
@@ -334,14 +318,17 @@ class GroundTruth:
             for name, tables in (("weight", weights), ("zero_mask", mask)):
                 if tables is not None and [t.shape for t in tables] != list(net.weight_shapes):
                     raise ValueError(f"{name} tables do not match network widths {net.widths}")
+        reals = {"noise_sd": doc["noise_sd"], "sparsity": doc.get("sparsity", 0.0)}
+        if any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in reals.values()):
+            raise TypeError(f"noise_sd and sparsity must be numbers, got {reals}")
         return cls(
             generator=doc["generator"],
             shape=shape,
             kind=ValueKind.from_string(doc["kind"]),
             rank=rank,
-            noise_sd=float(doc["noise_sd"]),
-            seed=int(doc["seed"]),
-            sparsity=float(doc.get("sparsity", 0.0)),
+            noise_sd=float(reals["noise_sd"]),
+            seed=operator.index(doc["seed"]),
+            sparsity=float(reals["sparsity"]),
             embeddings=embeddings,
             network=net,
             weights=weights,

@@ -3,15 +3,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import ndtr
 
-from streamdtf import (CpGenerator, EntryBatch, GammaPosterior, Hyperparams,
+from streamdtf import (CpGenerator, GammaPosterior, Hyperparams,
                        NetworkSpec, ObservedEntry, TensorShape, ValueKind,
                        adf_update_entry, check_invariants, checkpoint_bytes,
                        evidence_binary, evidence_continuous, init_state,
                        process_batch, synth_generate, update_tau)
 from streamdtf import bnn
-from streamdtf.errors import NumericError
+from streamdtf.errors import BoundsError, NumericError
 from streamdtf.oracles import pack, quad_tilted_moments, unpack
 from streamdtf.posterior_store import DEFAULT_V_FLOOR, WEIGHT_FIELDS
 from streamdtf.seeding import make_rng
@@ -281,7 +283,7 @@ def _synth_state_and_batch(seed=0, n=64):
     net = NetworkSpec.for_factorization(4, [6], "relu")
     state = init_state(shape, ValueKind.CONTINUOUS, net,
                        Hyperparams(ranks=(2, 2)), seed=seed)
-    return state, EntryBatch(entries=tuple(entries), ordinal=0)
+    return state, tuple(entries)
 
 
 def test_process_batch_rejects_a_bad_damping_before_any_entry():
@@ -308,10 +310,70 @@ def test_process_batch_order_dependent_but_always_valid():
     state_fwd, batch = _synth_state_and_batch(seed=3)
     state_rev = copy.deepcopy(state_fwd)
     process_batch(state_fwd, batch)
-    reversed_batch = EntryBatch(entries=tuple(reversed(batch.entries)), ordinal=0)
-    process_batch(state_rev, reversed_batch)
+    process_batch(state_rev, tuple(reversed(batch)))
     check_invariants(state_fwd)
     check_invariants(state_rev)
+
+
+@st.composite
+def _state_and_batch(draw, kind=None):
+    """A K = 1 or K = 3 model and a batch of 1-8 entries over at most 27
+    cells."""
+    k = draw(st.sampled_from([1, 3]))
+    dims = tuple(draw(st.lists(st.integers(1, 3), min_size=k, max_size=k)))
+    kind = kind or draw(st.sampled_from(list(ValueKind)))
+    value = (st.sampled_from([0.0, 1.0]) if kind is ValueKind.BINARY
+             else st.floats(-3.0, 3.0))
+    index = st.tuples(*(st.integers(0, d - 1) for d in dims))
+    batch = draw(st.lists(st.builds(ObservedEntry, index, value),
+                          min_size=1, max_size=8))
+    net = NetworkSpec.for_factorization(k, [3], draw(st.sampled_from(["relu", "tanh"])))
+    state = init_state(TensorShape(dims), kind, net, Hyperparams(ranks=(1,) * k),
+                       seed=draw(st.integers(0, 5)))
+    return state, batch
+
+
+@settings(max_examples=40, deadline=None)
+@given(_state_and_batch())
+def test_process_batch_keeps_the_invariants_on_good_batches(state_and_batch):
+    state, batch = state_and_batch
+    skipped = 0
+    # the batch doubled, so every index repeats in it, then batches of one
+    for chunk in [batch + batch] + [[entry] for entry in batch]:
+        diag = process_batch(state, chunk)
+        assert len(diag.entry_results) == len(chunk)
+        skipped += diag.skip_count
+        check_invariants(state)
+    assert state.entries_seen == 3 * len(batch) - skipped
+
+
+def _out_of_range_index(state, entry):
+    return ObservedEntry(entry.index[:-1] + (state.shape.dims[-1],), entry.value)
+
+
+def _non_integral_index(state, entry):
+    return ObservedEntry((entry.index[0] + 0.5,) + entry.index[1:], entry.value)
+
+
+@pytest.mark.parametrize("make_bad, error, kind", [
+    (_out_of_range_index, BoundsError, None),
+    (_non_integral_index, TypeError, None),
+    (lambda state, e: ObservedEntry(e.index, math.nan), ValueError, None),
+    (lambda state, e: ObservedEntry(e.index, 0.5), ValueError, ValueKind.BINARY),
+], ids=["out-of-range-index", "non-integral-index", "nan-value", "binary-half"])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_process_batch_rejects_a_bad_entry_before_any_write(make_bad, error, kind, data):
+    state, batch = data.draw(_state_and_batch(kind))
+    process_batch(state, batch)  # a state that has seen data
+    position = data.draw(st.integers(0, len(batch) - 1))
+    bad = list(batch)
+    bad[position] = make_bad(state, batch[position])
+    seen, before = state.entries_seen, checkpoint_bytes(state)
+    with pytest.raises(error):
+        process_batch(state, bad)
+    assert state.entries_seen == seen
+    assert checkpoint_bytes(state) == before
 
 
 def test_deepcopy_views_alias_the_copy_only():
@@ -339,8 +401,7 @@ def _engine_and_reference(kind, activation, v_floor):
     clamped = 0
     for b in range(3):
         chunk = tuple(entries[b * 80:(b + 1) * 80])
-        diag = process_batch(engine, EntryBatch(entries=chunk, ordinal=b),
-                             v_floor=v_floor)
+        diag = process_batch(engine, chunk, v_floor=v_floor)
         clamped += diag.clamp_count
         reference_batch(reference, chunk, v_floor=v_floor)
         check_invariants(engine)
@@ -368,7 +429,7 @@ def test_engine_matches_repacking_reference_to_the_byte_through_clamps(kind, act
 def test_batch_embedding_touch_budget():
     state, batch = _synth_state_and_batch(seed=5, n=64)
     touched = 0
-    for entry in batch.entries:
+    for entry in batch:
         means, _ = state.gather_entry(entry.index)
         touched += means.shape[0]
     assert touched == len(batch) * sum(state.hyper.ranks)

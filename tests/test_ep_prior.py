@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.special import expit, logit
 
-from streamdtf import (CpGenerator, EntryBatch, Hyperparams, NetworkSpec,
+from streamdtf import (CpGenerator, Hyperparams, NetworkSpec,
                        TensorShape, ValueKind, checkpoint_bytes, init_state,
                        process_batch, refine_all, synth_generate)
 from streamdtf.ep_prior import refine_arrays
@@ -136,8 +136,7 @@ def _trained_state(seed=0):
     net = NetworkSpec.for_factorization(4, [5], "tanh")
     state = init_state(shape, ValueKind.CONTINUOUS, net,
                        Hyperparams(ranks=(2, 2)), seed=seed)
-    process_batch(state, EntryBatch(entries=tuple(entries), ordinal=0),
-                  refine=False)
+    process_batch(state, tuple(entries), refine=False)
     return state
 
 

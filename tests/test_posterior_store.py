@@ -9,7 +9,6 @@ from streamdtf import (CheckpointError, GammaPosterior, Hyperparams,
                        NetworkSpec, TensorShape, ValueKind, check_invariants,
                        checkpoint_bytes, init_state, load_checkpoint,
                        save_checkpoint)
-from streamdtf.errors import BoundsError
 
 
 def _small_state(seed=0, kind=ValueKind.CONTINUOUS, rho0=0.5, sigma0_sq=1.0):
@@ -91,18 +90,6 @@ def test_gather_at_init_and_ordering():
     state.embeddings[1].mean[3, 0] = 9.0
     means, _ = state.gather_entry((1, 3))
     assert means[2] == 9.0 and means[0] == 0.0
-
-
-def test_gather_bounds():
-    state = _small_state()
-    with pytest.raises(BoundsError):
-        state.gather_entry((5, 0))
-
-
-def test_gather_rejects_a_non_integral_index():
-    state = _small_state()
-    with pytest.raises(TypeError):
-        state.gather_entry((0.5, 5.99))
 
 
 def test_scatter_round_trip_and_isolation():

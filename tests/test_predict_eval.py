@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from streamdtf import (Hyperparams, MetricRow, MetricSeries, MlpGenerator,
-                       NetworkSpec, TensorShape, UndefinedMetricError,
+                       NetworkSpec, ObservedEntry, TensorShape, UndefinedMetricError,
                        ValueKind, auc, checkpoint_bytes, init_state,
                        partition_stream, predict_batch, predict_entry, rmse,
                        running_eval, split_train_test, synth_generate)
@@ -141,7 +141,7 @@ def test_running_eval_row_per_batch_and_csv():
     series = running_eval(state, batches, split.test)
     assert series.metric_name == "rmse"
     assert len(series.rows) == len(batches)
-    assert [r.batch for r in series.rows] == [b.ordinal for b in batches]
+    assert [r.batch for r in series.rows] == list(range(len(batches)))
     assert series.rows[-1].seen == state.entries_seen
     assert all(math.isfinite(r.metric) for r in series.rows)
 
@@ -191,6 +191,17 @@ def test_running_eval_rejects_empty_or_overlapping_test():
         running_eval(state, batches, [])
     with pytest.raises(ValueError):
         running_eval(state, batches, list(split.test) + [split.train[0]])
+
+
+def test_running_eval_rejects_a_nan_test_value():
+    state, split = _learnable_setup(seed=3)
+    batches = partition_stream(split.train, 64, seed=0)
+    test = list(split.test)
+    test[2] = ObservedEntry(test[2].index, math.nan)
+    before = checkpoint_bytes(state)
+    with pytest.raises(ValueError, match="value must be finite, got nan"):
+        running_eval(state, batches, test)
+    assert checkpoint_bytes(state) == before
 
 
 def test_running_eval_tracks_learnable_signal():
