@@ -10,7 +10,15 @@ apply
     mean' = mean + var * dlogZ/dmean
     var'  = var  - var^2 * ((dlogZ/dmean)^2 - 2 * dlogZ/dvar)
 
-to all network weights and the entry's embedding coordinates. Selector
+to all network weights and the entry's embedding coordinates. Both partials
+share the factor g, so with u = var * g and the scalar
+c = (dlogZ/dalpha)^2 - 2 * dlogZ/dbeta the step is taken factored:
+
+    beta  = g . u
+    mean' = mean + dlogZ/dalpha * u
+    var'  = var - c * u^2
+
+Selector
 probabilities are untouched here (the likelihood does not involve them).
 Continuous data additionally applies the closed-form Gamma update for the
 noise precision, using that entry's pre-update (alpha, beta).
@@ -23,7 +31,7 @@ which checks the whole batch before its first entry.
 import logging
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 from scipy.special import erfcx, log_ndtr, ndtr
@@ -39,8 +47,7 @@ _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 
 
-@dataclass(frozen=True)
-class EvidenceResult:
+class EvidenceResult(NamedTuple):
     """log Z and its partials with respect to the output moments."""
 
     log_z: float
@@ -73,7 +80,7 @@ def evidence_binary(alpha: float, beta: float, y: float) -> EvidenceResult:
     dbeta = -r * z / (2.0 * (1.0 + beta))
     if not (math.isfinite(log_z) and math.isfinite(dalpha) and math.isfinite(dbeta)):
         raise NumericError(f"non-finite probit evidence at z = {z}")
-    return EvidenceResult(log_z=log_z, dalpha=dalpha, dbeta=dbeta)
+    return EvidenceResult(log_z, dalpha, dbeta)
 
 
 def evidence_continuous(alpha: float, beta: float, y: float,
@@ -91,7 +98,7 @@ def evidence_continuous(alpha: float, beta: float, y: float,
     dbeta = -0.5 / s + resid * resid / (2.0 * s * s)
     if not (math.isfinite(log_z) and math.isfinite(dalpha) and math.isfinite(dbeta)):
         raise NumericError("non-finite evidence computation")
-    return EvidenceResult(log_z=log_z, dalpha=dalpha, dbeta=dbeta)
+    return EvidenceResult(log_z, dalpha, dbeta)
 
 
 def update_tau(gamma_post: GammaPosterior, y: float, alpha: float,
@@ -107,8 +114,11 @@ def update_tau(gamma_post: GammaPosterior, y: float, alpha: float,
     return GammaPosterior(a=gamma_post.a + 0.5, b=b)
 
 
-@dataclass(frozen=True)
-class EntryResult:
+class EntryResult(NamedTuple):
+    """What one entry's update did: its log Z and output moments (NaN where
+    the update skipped the entry before computing them), the number of
+    variances clamped to the floor, and whether the entry was skipped."""
+
     log_z: float
     alpha: float
     beta: float
@@ -126,36 +136,35 @@ def adf_update_entry(state: ModelState, entry: ObservedEntry,
     with a logged diagnostic and the state is left unchanged. Variances
     falling below `v_floor` (or non-finite) are clamped there (counted in the
     result). The entry comes from a batch `process_batch` checked: its index
-    is inside the shape and its value valid for the model's kind.
+    holds integers inside the shape and its value is valid for the model's
+    kind.
 
-    The update runs in place: the gradient g that `backprop_gradient`
-    returns belongs to this call, so it and g^2 serve as scratch, and the
-    new variances are written straight into `state.var`. Nothing in the
-    state is written before the last check that can skip the entry (the
-    input slot `state.mu[n:]`/`state.var[n:]` is scratch, not state).
+    The update runs in the state's per-entry scratch: `gather_entry` fills
+    the input slot `state.mu[n:]`/`state.var[n:]`, the passes run in
+    `state.tape`, u = var * g and the new means go to the two rows of
+    `state.work`, and the new variances are written straight into
+    `state.var`. Nothing in the state is written before the last check that
+    can skip the entry (the input slot is scratch, not state).
     """
-    x_mean, x_var = state.gather_entry(entry.index)
-    n = state.net.n_weights
+    x_mean, _ = state.gather_entry(entry.index)
     mu_vec, gamma_vec = state.mu, state.var
     with np.errstate(over="ignore", invalid="ignore"):
         try:
-            alpha, tape = bnn.forward_mean(state.net, state.weight_means(), x_mean)
+            alpha, tape = bnn.forward_mean(state.net, state.weight_means(), x_mean,
+                                           state.tape)
         except NumericError as exc:
             logger.warning("skipping entry %s: %s", entry.index, exc)
-            return EntryResult(log_z=math.nan, alpha=math.nan, beta=math.nan,
-                               clamped=0, skipped=True)
+            return EntryResult(math.nan, math.nan, math.nan, 0, True)
         g = bnn.backprop_gradient(tape)
-        mu_vec[n:] = x_mean
-        gamma_vec[n:] = x_var
-        g_sq = g * g
-        beta = float(g_sq @ gamma_vec)
+        u, mu_new = state.work
+        np.multiply(gamma_vec, g, out=u)
+        beta = float(g @ u)
         # alpha is finite: forward_mean raised on any non-finite
         # pre-activation. Every gamma_j is finite and > 0, so a non-finite
         # g_j makes beta NaN or +inf: this check also covers g.
         if not math.isfinite(beta):
             logger.warning("skipping entry %s: non-finite output moments", entry.index)
-            return EntryResult(log_z=math.nan, alpha=alpha, beta=beta, clamped=0,
-                               skipped=True)
+            return EntryResult(math.nan, alpha, beta, 0, True)
         gamma_post = state.gamma
         try:
             if state.kind is ValueKind.BINARY:
@@ -166,34 +175,33 @@ def adf_update_entry(state: ModelState, entry: ObservedEntry,
                 gamma_post = update_tau(gamma_post, entry.value, alpha, beta)
         except NumericError as exc:
             logger.warning("skipping entry %s: %s", entry.index, exc)
-            return EntryResult(log_z=math.nan, alpha=alpha, beta=beta, clamped=0,
-                               skipped=True)
+            return EntryResult(math.nan, alpha, beta, 0, True)
 
-        dmu = np.multiply(g, ev.dalpha, out=g)
-        mu_new = gamma_vec * dmu
+        dalpha = ev.dalpha
+        np.multiply(u, dalpha, out=mu_new)
         mu_new += mu_vec
         if not np.isfinite(mu_new).all():
             logger.warning("skipping entry %s: non-finite mean update", entry.index)
-            return EntryResult(log_z=ev.log_z, alpha=alpha, beta=beta, clamped=0,
-                               skipped=True)
-        # var' = var - var*var*(dmu*dmu - 2*dv) with dv = dbeta * g^2, the
-        # same operations in the same order, in the buffers of g^2 and g
-        t = np.multiply(g_sq, ev.dbeta, out=g_sq)
-        t *= 2.0
-        np.subtract(np.multiply(dmu, dmu, out=dmu), t, out=t)
-        t *= np.multiply(gamma_vec, gamma_vec, out=dmu)
-        v_new = np.subtract(gamma_vec, t, out=gamma_vec)
-        ok = v_new >= v_floor
-        ok &= v_new < math.inf
-        clamped = v_new.shape[0] - int(np.count_nonzero(ok))
-        if clamped:
+            return EntryResult(ev.log_z, alpha, beta, 0, True)
+        # var' = var - c * u^2, in the buffer of u
+        c = dalpha * dalpha - 2.0 * ev.dbeta
+        u *= u
+        u *= c
+        v_new = np.subtract(gamma_vec, u, out=gamma_vec)
+        clamped = 0
+        # min is NaN if any entry is; with c >= 0 no entry exceeds its old
+        # variance, so only c < 0 (or NaN) can make one +inf
+        if not (v_new.min() >= v_floor and (c >= 0.0 or v_new.max() < math.inf)):
+            ok = v_new >= v_floor
+            ok &= v_new < math.inf
+            clamped = v_new.shape[0] - int(np.count_nonzero(ok))
             v_new[~ok] = v_floor
 
     mu_vec[...] = mu_new
-    state.scatter_entry(entry.index, mu_new[n:], v_new[n:])
+    state.scatter_entry(entry.index)
     state.gamma = gamma_post
     state.entries_seen += 1
-    return EntryResult(log_z=ev.log_z, alpha=alpha, beta=beta, clamped=clamped)
+    return EntryResult(ev.log_z, alpha, beta, clamped)
 
 
 @dataclass
@@ -224,13 +232,15 @@ def process_batch(state: ModelState, batch: Sequence[ObservedEntry],
     damping outside (0, 1] raise before the first entry is applied."""
     if not batch:
         raise ValueError("a batch cannot be empty")
-    state.shape.check_indices([e.index for e in batch])
+    indices = state.shape.check_indices([e.index for e in batch]).tolist()
     state.kind.check_values([e.value for e in batch])
     if refine:
         ep_prior.check_damping(damping)
     diag = BatchDiagnostics()
-    for entry in batch:
-        diag.entry_results.append(adf_update_entry(state, entry, v_floor=v_floor))
+    # each entry is indexed with the integers check_indices read from it
+    for entry, index in zip(batch, indices):
+        diag.entry_results.append(adf_update_entry(
+            state, ObservedEntry(tuple(index), entry.value), v_floor=v_floor))
     if refine:
         diag.ep = ep_prior.refine_all(state, damping=damping, v_floor=v_floor)
     return diag

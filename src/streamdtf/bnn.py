@@ -13,7 +13,15 @@ rows at the parameter means and records hb_{m-1} and z_m per layer on a
 spec and the weights the forward pass ran with) it returns
 delta_m = d alpha / d z_m per layer and d alpha / dx. Layer m's weight
 gradient is the outer product delta_m (x) hb_{m-1}, so every consumer reads
-what it needs from these factors:
+what it needs from these factors.
+
+Buffers: both passes write into the buffers of the tape they run on (with
+`out=`), and where it has none they allocate as they go. A tape belongs
+to whoever allocated it. The per-entry update passes the one-row tape its
+`ModelState` owns, which has every buffer, so one entry after another
+allocates nothing, and `backprop_gradient` fills that tape's g. The batch
+consumers get a fresh tape per call, which the passes fill with new arrays,
+as an allocating implementation would. Consumers:
 
 - `forward_mean`: the forward pass on one row, raising NumericError on a
   non-finite pre-activation, for the per-entry update;
@@ -28,7 +36,8 @@ what it needs from these factors:
 The oracles and `verify` check these same functions; one-row output moments
 are `output_moments_batch` on a (1, V_0) input.
 
-All functions are stateless given their inputs and safe for concurrent use.
+All functions are stateless given their inputs and safe for concurrent use
+as long as no tape is shared between threads.
 The 'identity' activation exists so tests can build exactly linear networks;
 user-facing configuration restricts activations to relu/tanh.
 """
@@ -44,32 +53,35 @@ import numpy as np
 from .errors import NumericError
 
 
-def _relu(z):
-    return np.maximum(z, 0.0)
+def _relu(z, out):
+    return np.maximum(z, 0.0, out=out)
 
 
-def _drelu(z):
-    # subgradient at exactly 0 is defined as 0
-    return (z > 0).astype(float)
+def _relu_grad(z, dh, out):
+    if out is None:
+        out = np.empty_like(dh)
+    np.greater(z, 0.0, out=out)  # the derivative at exactly 0 is defined as 0
+    out *= dh
+    return out
 
 
-def _dtanh(z):
-    t = np.tanh(z)
-    return 1.0 - t * t
+def _tanh_grad(z, dh, out):
+    t = np.tanh(z, out=out)
+    np.subtract(1.0, np.multiply(t, t, out=t), out=t)
+    t *= dh
+    return t
 
 
-def _identity(z):
-    return np.asarray(z, dtype=float)
+def _identity_grad(z, dh, out):
+    return np.positive(dh, out=out)
 
 
-def _didentity(z):
-    return np.ones_like(z, dtype=float)
-
-
+# name -> (act(z, out), grad(z, dh, out) = act'(z) * dh); each writes into
+# `out`, or into a new array when `out` is None, and returns it
 ACTIVATIONS: dict[str, tuple[Callable, Callable]] = {
-    "relu": (_relu, _drelu),
-    "tanh": (np.tanh, _dtanh),
-    "identity": (_identity, _didentity),
+    "relu": (_relu, _relu_grad),
+    "tanh": (np.tanh, _tanh_grad),
+    "identity": (np.positive, _identity_grad),
 }
 
 USER_ACTIVATIONS = ("relu", "tanh")
@@ -129,68 +141,129 @@ class NetworkSpec:
     def n_weights(self) -> int:
         return sum(r * c for r, c in self.weight_shapes)
 
+    @cached_property
+    def fan_in_scales(self) -> tuple[float, ...]:
+        """sqrt(V_{m-1} + 1) for m = 1..M: layer m divides its input by it."""
+        return tuple(math.sqrt(v + 1.0) for v in self.widths[:-1])
+
 
 @dataclass
 class ForwardTape:
-    """Per-layer caches from one forward pass, sufficient for the backward
-    pass. Each array has the leading shape of the inputs: none for one row,
-    (n,) for n rows."""
+    """The buffers one forward pass and one backward pass write, for n rows
+    (leading shape (n,)) or one row (no leading shape). A pass writes into
+    each buffer the tape has; where the tape has None it keeps the new
+    arrays later steps read (hb, the pre-activations and the deltas) and
+    drops the rest. A tape holds the last pass run on it and belongs to one
+    caller at a time."""
 
     spec: NetworkSpec
-    weights: list[np.ndarray]
-    hb: list[np.ndarray]  # hb_0 .. hb_{M-1}, each [h; 1]/sqrt(V+1)
-    preact: list[np.ndarray]  # z_1 .. z_M
+    weights: Sequence[np.ndarray]  # the weight means of the last forward pass
+    hb: list  # hb_0 .. hb_{M-1}, each [h; 1]/sqrt(V+1)
+    h: list  # one row: h_1 .. h_{M-1}, the hidden activations
+    preacts: np.ndarray | None  # one row: z_1 .. z_M side by side
+    preact: list  # z_1 .. z_M (one row: views into preacts)
+    deltas: list  # delta_1 .. delta_M = d alpha / d z_m; delta_M is `ones`
+    ones: np.ndarray  # 1 per row: delta_M, and the bias feature of hb
+    dh: list  # one row: d alpha / d h_{m-1}, m = 1..M; dh[0] is d alpha / dx
+    g: np.ndarray | None  # one row: the dense gradient, dh[0] its input block
+    g_layers: list[np.ndarray]  # one row: layer m's (V_m, V_{m-1}+1) view into g
+
+    @classmethod
+    def allocate(cls, spec: NetworkSpec, lead: tuple[int, ...] = ()) -> "ForwardTape":
+        """A tape for inputs of leading shape `lead`, with delta_M = 1. A
+        one-row tape, reused entry after entry, gets every buffer here: the
+        hb vectors with their bias slot set to 1/sqrt(V+1), the
+        pre-activations as one contiguous block (one finite check covers
+        them), and g with its layer views, dh[0] being its input block. A
+        batch tape, used once, leaves every other buffer to the passes."""
+        hidden, outs = spec.widths[1:-1], spec.widths[1:]
+        ones = np.ones(lead + (1,))
+        if lead:
+            none = [None] * len(outs)
+            return cls(spec=spec, weights=(), hb=none.copy(), h=none[1:],
+                       preacts=None, preact=none.copy(), deltas=none[1:] + [ones],
+                       ones=ones, dh=none.copy(), g=None, g_layers=[])
+        hb = []
+        for v, scale in zip(spec.widths[:-1], spec.fan_in_scales):
+            buf = np.empty(v + 1)
+            buf[v] = 1.0 / scale
+            hb.append(buf)
+        preacts = np.empty(sum(outs))
+        bounds = np.cumsum((0,) + outs)
+        g = np.empty(spec.n_weights + spec.input_dim)
+        return cls(
+            spec=spec, weights=(), hb=hb, h=[np.empty(v) for v in hidden],
+            preacts=preacts,
+            preact=[preacts[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])],
+            deltas=[np.empty(v) for v in hidden] + [ones], ones=ones,
+            dh=[g[spec.n_weights:]] + [np.empty(v) for v in hidden],
+            g=g, g_layers=[g[sl].reshape(shape) for sl, shape
+                           in zip(spec.weight_slices, spec.weight_shapes)])
+
+
+def _with_bias(h: np.ndarray, scale: float, out: np.ndarray | None,
+               ones: np.ndarray) -> np.ndarray:
+    """[h; 1] / scale. Into `out`, a one-row buffer whose bias slot already
+    holds 1/scale, or as a new array: on n rows a strided write into a
+    preset buffer is slower than dividing the concatenation in place."""
+    if out is None:
+        out = np.concatenate((h, ones), axis=-1)
+        out /= scale
+        return out
+    np.divide(h, scale, out=out[:-1])
+    return out
 
 
 def forward_mean_batch(spec: NetworkSpec, weight_means: Sequence[np.ndarray],
-                       inputs: np.ndarray) -> tuple[np.ndarray, ForwardTape]:
+                       inputs: np.ndarray,
+                       tape: ForwardTape | None = None) -> tuple[np.ndarray, ForwardTape]:
     """The forward pass at the parameter means; returns (alpha, tape).
 
     `inputs` holds n rows (n, V_0), giving alpha[n], or one row (V_0,),
     giving a 0-d alpha. The weights are float arrays of `spec.weight_shapes`,
     checked where they enter (`load_checkpoint`, `GroundTruth.from_json`).
+    The pass writes into `tape`, which must have been allocated for the
+    inputs' leading shape, or into a fresh tape when none is given.
     """
     x = np.asarray(inputs, dtype=float)
+    if tape is None:
+        tape = ForwardTape.allocate(spec, x.shape[:-1])
+    tape.weights = weight_means
     act, _ = ACTIVATIONS[spec.activation]
-    ones = np.ones(x.shape[:-1] + (1,))
-    h = x
-    hbs: list[np.ndarray] = []
-    preacts: list[np.ndarray] = []
+    hb, h, preact, scales = tape.hb, tape.h, tape.preact, spec.fan_in_scales
+    hb[0] = _with_bias(x, scales[0], hb[0], tape.ones)
     m_total = spec.layer_count
-    for m, w in enumerate(weight_means, start=1):
-        hb = np.concatenate((h, ones), axis=-1)
-        hb /= math.sqrt(h.shape[-1] + 1.0)
-        z = hb @ w.T
-        hbs.append(hb)
-        preacts.append(z)
-        h = act(z) if m < m_total else z
-    return h[..., 0].copy(), ForwardTape(spec=spec, weights=weight_means,
-                                         hb=hbs, preact=preacts)
+    for m in range(1, m_total):
+        preact[m - 1] = np.matmul(hb[m - 1], weight_means[m - 1].T, out=preact[m - 1])
+        # a batch tape keeps no h: freed here, its memory serves the next layer
+        hb[m] = _with_bias(act(preact[m - 1], out=h[m - 1]), scales[m], hb[m], tape.ones)
+    preact[-1] = np.matmul(hb[-1], weight_means[-1].T, out=preact[-1])
+    return preact[-1][..., 0].copy(), tape
 
 
 def _backward(tape: ForwardTape) -> tuple[list[np.ndarray], np.ndarray]:
     """The backward pass: returns (delta_1..delta_M, d alpha / dx), where
     delta_m = d alpha / d z_m, so layer m's weight gradient is the outer
-    product delta_m (x) hb_{m-1}, row by row."""
-    spec, weights = tape.spec, tape.weights
-    _, dact = ACTIVATIONS[spec.activation]
-    deltas: list[np.ndarray] = []
-    delta = np.ones_like(tape.preact[-1])
+    product delta_m (x) hb_{m-1}, row by row. Both are the tape's buffers."""
+    spec, weights, deltas, dh = tape.spec, tape.weights, tape.deltas, tape.dh
+    _, act_grad = ACTIVATIONS[spec.activation]
     for m in range(spec.layer_count, 0, -1):
-        deltas.append(delta)
         v_prev = spec.widths[m - 1]
-        dh = delta @ weights[m - 1][:, :v_prev]
-        dh /= math.sqrt(v_prev + 1.0)
-        delta = dact(tape.preact[m - 2]) * dh if m > 1 else dh
-    return deltas[::-1], delta
+        grad_h = np.matmul(deltas[m - 1], weights[m - 1][:, :v_prev], out=dh[m - 1])
+        grad_h /= spec.fan_in_scales[m - 1]
+        if m > 1:
+            deltas[m - 2] = act_grad(tape.preact[m - 2], grad_h, out=deltas[m - 2])
+    return deltas, grad_h
 
 
 def forward_mean(spec: NetworkSpec, weight_means: Sequence[np.ndarray],
-                 input_mean: np.ndarray) -> tuple[float, ForwardTape]:
-    """Evaluate the network at the parameter means on one input row; returns
-    (alpha, tape). Raises NumericError on a non-finite pre-activation."""
-    alpha, tape = forward_mean_batch(spec, weight_means, input_mean)
-    if not np.isfinite(np.concatenate(tape.preact)).all():
+                 input_mean: np.ndarray,
+                 tape: ForwardTape | None = None) -> tuple[float, ForwardTape]:
+    """Evaluate the network at the parameter means on one input row, in
+    `tape` (a one-row tape) or a fresh one; returns (alpha, tape). Raises
+    NumericError on a non-finite pre-activation."""
+    alpha, tape = forward_mean_batch(spec, weight_means, input_mean, tape)
+    if not np.isfinite(tape.preacts).all():
         for m, z in enumerate(tape.preact, start=1):
             if not np.isfinite(z).all():
                 raise NumericError(f"non-finite pre-activation in layer {m}")
@@ -201,20 +274,17 @@ def backprop_gradient(tape: ForwardTape) -> np.ndarray:
     """Reverse-mode gradient of the scalar output over all weights and inputs
     of the one row `tape` was recorded on (by `forward_mean`), flattened in
     `NetworkSpec.weight_slices` order with the V_0 input coordinates last.
-    The array is the caller's to overwrite.
+    The array is the tape's `g`: the caller may overwrite it, and the next
+    backward pass on the tape does.
 
     g is not scanned for non-finite values: the per-entry update, its one
-    hot caller, computes beta = sum_j g_j^2 gamma_j over variances that are
-    all finite and > 0, so any NaN or infinite g_j makes beta NaN or +inf,
-    and the update skips the entry on that check alone."""
-    spec = tape.spec
-    deltas, dx = _backward(tape)
-    g = np.empty(spec.n_weights + spec.input_dim)
-    for sl, shape, delta, hb in zip(spec.weight_slices, spec.weight_shapes,
-                                    deltas, tape.hb):
-        np.multiply.outer(delta, hb, out=g[sl].reshape(shape))
-    g[spec.n_weights:] = dx
-    return g
+    hot caller, computes beta = sum_j g_j (gamma_j g_j) over variances that
+    are all finite and > 0, so any NaN or infinite g_j makes beta NaN or
+    +inf, and the update skips the entry on that check alone."""
+    deltas, _ = _backward(tape)  # d alpha / dx lands in g's input block
+    for g_m, delta, hb in zip(tape.g_layers, deltas, tape.hb):
+        np.multiply(delta[:, None], hb, out=g_m)
+    return tape.g
 
 
 def output_moments_batch(spec: NetworkSpec, weight_means: Sequence[np.ndarray],

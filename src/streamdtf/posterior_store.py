@@ -20,9 +20,18 @@ attribute (`lay.mean = x`) detaches it from the store and the engine will
 not see the write. Copies (copy.deepcopy, pickle) rebuild the views over
 the copy's own vectors.
 
-A ModelState is single-writer. Read-only snapshots (deep copies) may be
-shared across threads for prediction. Embeddings are mutated only through
-gather_entry/scatter_entry.
+Per-entry scratch: next to the layer views, _bind_layers builds the
+buffers the per-entry update reuses from one entry to the next: a one-row
+bnn.ForwardTape (layer inputs with their bias slot set once, one contiguous
+pre-activation block, the backward vectors, and g with per-layer views),
+two work vectors as long as mu, and each mode's view into the input slot.
+The scratch belongs to the state: it is rebuilt, not copied, by deepcopy,
+pickle and load_checkpoint, and is never checkpointed.
+
+A ModelState is single-writer: the per-entry update and gather_entry write
+its scratch. Read-only snapshots (deep copies) may be shared across threads
+for prediction, which allocates its own buffers. Embeddings are mutated
+only through scatter_entry.
 
 Invariants (finite means, positive variances, selector probabilities
 inside (0, 1), a valid Gamma posterior; see check_invariants) are checked
@@ -47,7 +56,7 @@ from typing import Sequence, TextIO
 import numpy as np
 from scipy.special import ndtr, ndtri
 
-from .bnn import NetworkSpec
+from .bnn import ForwardTape, NetworkSpec
 from .errors import CheckpointError
 from .seeding import make_rng
 from .tensor_core import TensorShape, ValueKind
@@ -60,6 +69,9 @@ DEFAULT_V_FLOOR = 1e-10
 
 # WeightLayer fields, also the per-layer keys of a checkpoint
 WEIGHT_FIELDS = ("mean", "var", "rho_post", "term_mean", "term_var", "term_logit")
+
+# ModelState attributes _bind_layers builds over the flat vectors
+_BOUND = ("weights", "tape", "work", "slot")
 
 
 @dataclass(frozen=True)
@@ -127,7 +139,9 @@ class WeightLayer:
 @dataclass
 class ModelState:
     """The whole posterior. mu and var have length n_weights + V_0 (input slot
-    last); rho_post and the three term fields have length n_weights."""
+    last); rho_post and the three term fields have length n_weights. The
+    per-entry scratch (tape, work, slot) is the state's own, rebuilt with
+    the layer views and never part of a copy or a checkpoint."""
 
     shape: TensorShape
     kind: ValueKind
@@ -144,6 +158,11 @@ class ModelState:
     term_var: np.ndarray
     term_logit: np.ndarray
     weights: list[WeightLayer] = field(init=False, repr=False, compare=False)
+    # per-entry scratch, built by _bind_layers: never checkpointed or copied
+    tape: ForwardTape = field(init=False, repr=False, compare=False)
+    work: np.ndarray = field(init=False, repr=False, compare=False)
+    slot: list[tuple[np.ndarray, np.ndarray]] = field(init=False, repr=False,
+                                                       compare=False)
 
     def __post_init__(self):
         self._bind_layers()
@@ -155,16 +174,29 @@ class ModelState:
                 self.term_logit)
 
     def _bind_layers(self) -> None:
+        """Bind the layer views over the flat vectors, and build the
+        per-entry scratch next to them: a one-row ForwardTape, two work
+        vectors as long as mu, and each mode's (mean, var) view into the
+        input slot."""
         flats = self.weight_fields()
         self.weights = [
             WeightLayer(*(flat[sl].reshape(w_shape) for flat in flats))
             for sl, w_shape in zip(self.net.weight_slices, self.net.weight_shapes)
         ]
+        self.tape = ForwardTape.allocate(self.net)
+        self.work = np.empty((2, self.mu.shape[0]))
+        self.slot = []
+        offset = self.net.n_weights
+        for r in self.hyper.ranks:
+            self.slot.append((self.mu[offset:offset + r], self.var[offset:offset + r]))
+            offset += r
 
-    # copies carry the flat vectors only and rebuild the views over their own
+    # copies carry the flat vectors only and rebuild the views and the
+    # scratch over their own
     def __getstate__(self) -> dict:
         fields = dict(self.__dict__)
-        del fields["weights"]
+        for name in _BOUND:
+            del fields[name]
         return fields
 
     def __setstate__(self, fields: dict) -> None:
@@ -178,27 +210,28 @@ class ModelState:
         return [lay.var for lay in self.weights]
 
     def gather_entry(self, index: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
-        """Concatenated embedding means/variances for one entry.
+        """Copy one entry's embedding means/variances into the input slot and
+        return the slot, (mu[n:], var[n:]), as views.
 
-        Concatenation order: mode 1 first, ascending rank within a mode.
-        Trusts its caller, as `scatter_entry` does: the index is inside the
-        shape (`adf_engine.process_batch` checks its batch)."""
-        means = np.concatenate([emb.mean[i] for emb, i in zip(self.embeddings, index)])
-        variances = np.concatenate([emb.var[i] for emb, i in zip(self.embeddings, index)])
-        return means, variances
+        Order: mode 1 first, ascending rank within a mode. The next gather
+        overwrites the slot. Trusts its caller, as `scatter_entry` does: the
+        index holds integers inside the shape (`adf_engine.process_batch`
+        checks its batch)."""
+        for (means, variances), emb, i in zip(self.slot, self.embeddings, index):
+            means[...] = emb.mean[i]
+            variances[...] = emb.var[i]
+        n = self.net.n_weights
+        return self.mu[n:], self.var[n:]
 
-    def scatter_entry(self, index: Sequence[int], new_means: np.ndarray,
-                      new_vars: np.ndarray) -> None:
-        """Write updated moments back to the rows `gather_entry(index)` read.
+    def scatter_entry(self, index: Sequence[int]) -> None:
+        """Copy the input slot back to the rows `gather_entry(index)` read.
 
-        Trusts its caller: the index is the one gathered, and the vectors
-        are in gather order with finite means and variances > 0.
+        Trusts its caller: the index is the one gathered, and the slot holds
+        finite means and variances > 0.
         """
-        offset = 0
-        for emb, i, r in zip(self.embeddings, index, self.hyper.ranks):
-            emb.mean[i] = new_means[offset:offset + r]
-            emb.var[i] = new_vars[offset:offset + r]
-            offset += r
+        for (means, variances), emb, i in zip(self.slot, self.embeddings, index):
+            emb.mean[i] = means
+            emb.var[i] = variances
 
     def stored_scalar_count(self) -> int:
         """Exact number of stored posterior scalars (space-linearity check)."""

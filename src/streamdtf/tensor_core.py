@@ -90,8 +90,15 @@ class TensorShape:
 
     def check_indices(self, indices) -> np.ndarray:
         """`indices` as an (n, K) integer array, checked as `check_index`
-        checks one tuple; a non-integer dtype raises TypeError."""
-        idx = np.asarray(indices)
+        checks one tuple; a non-integer dtype raises TypeError, and rows of
+        unequal length raise as `check_index` does for the first row with the
+        wrong mode count."""
+        try:
+            idx = np.asarray(indices)
+        except ValueError:  # ragged rows
+            for index in indices:
+                self.check_index(index)
+            raise
         if idx.ndim != 2 or idx.shape[1] != len(self.dims):
             raise BoundsError(f"indices of shape {idx.shape} are not (n, K) rows "
                               f"for the shape {self.dims}")

@@ -1,5 +1,7 @@
 import copy
+import io
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -12,13 +14,14 @@ from streamdtf import (CpGenerator, GammaPosterior, Hyperparams,
                        adf_update_entry, check_invariants, checkpoint_bytes,
                        evidence_binary, evidence_continuous, init_state,
                        process_batch, synth_generate, update_tau)
-from streamdtf import bnn
+from streamdtf import adf_engine, bnn
 from streamdtf.errors import BoundsError, NumericError
 from streamdtf.oracles import pack, quad_tilted_moments, unpack
-from streamdtf.posterior_store import DEFAULT_V_FLOOR, WEIGHT_FIELDS
+from streamdtf.posterior_store import (DEFAULT_V_FLOOR, WEIGHT_FIELDS, ModelState,
+                                       load_checkpoint, save_checkpoint)
 from streamdtf.seeding import make_rng
 
-from reference_engine import reference_batch
+from reference_engine import reference_batch, unfactored_step
 
 
 def test_evidence_binary_symmetry_at_zero():
@@ -252,16 +255,37 @@ def test_variance_guard_clamps_and_counts():
 
 def test_non_finite_variance_update_is_clamped_and_counted():
     # both weight variances at 1e200: log Z is finite (about -231) and so is
-    # the mean update, but var^2 overflows, so the bias variance update is
-    # -inf and that of w_x (gradient x = 0) is 0 * inf = NaN
+    # the mean update, but u = var * g overflows when squared, so the bias
+    # variance update is -inf and is clamped. w_x has gradient x = 0, so
+    # u = 0 there and its variance is a fixed point of the factored step
     state = _identity_state(ValueKind.CONTINUOUS)
     state.weights[0].var[...] = 1e200
     result = adf_update_entry(state, ObservedEntry((0,), 0.0), v_floor=0.01)
     assert not result.skipped
     assert -232.0 < result.log_z < -230.0
-    assert result.clamped == 2
-    assert np.all(state.weights[0].var == 0.01)
+    assert result.clamped == 1
+    assert state.weights[0].var[0, 1] == 0.01
+    assert state.weights[0].var[0, 0] == 1e200
     assert state.embeddings[0].var[0, 0] == 1.0
+    check_invariants(state)
+
+
+def test_variance_grown_to_inf_by_a_negative_rounded_c_is_clamped():
+    # c = dalpha^2 - 2 dbeta is exactly 1/s (about 5e-152 here), but with a
+    # residual of 3e153 it is the difference of two numbers near 2.4e4 and
+    # rounds to -3.6e-12, so every variance grows. w_x has gradient 1e-3 and
+    # variance 2e157: u^2 overflows and its new variance is +inf, which the
+    # min check alone does not see
+    state = _identity_state(ValueKind.CONTINUOUS)
+    state.weights[0].var[0, 0] = 2e157
+    state.embeddings[0].mean[0, 0] = 1e-3 * math.sqrt(2.0)
+    y, gamma = 3.132e153, state.gamma
+    result = adf_update_entry(state, ObservedEntry((0,), y), v_floor=0.01)
+    ev = evidence_continuous(result.alpha, result.beta, y, gamma)
+    assert ev.dalpha * ev.dalpha - 2.0 * ev.dbeta < 0.0
+    assert result.clamped == 1
+    assert state.weights[0].var[0, 0] == 0.01
+    assert state.weights[0].var[0, 1] > 1.0  # the bias variance grew
     check_invariants(state)
 
 
@@ -390,7 +414,7 @@ def test_deepcopy_views_alias_the_copy_only():
     assert checkpoint_bytes(state) == before
 
 
-def _engine_and_reference(kind, activation, v_floor):
+def _engine_and_reference(kind, activation, v_floor, **reference_options):
     """Three batches through the engine and through the repacking reference;
     returns both states and the engine's clamp count."""
     shape = TensorShape((30, 20))
@@ -403,7 +427,7 @@ def _engine_and_reference(kind, activation, v_floor):
         chunk = tuple(entries[b * 80:(b + 1) * 80])
         diag = process_batch(engine, chunk, v_floor=v_floor)
         clamped += diag.clamp_count
-        reference_batch(reference, chunk, v_floor=v_floor)
+        reference_batch(reference, chunk, v_floor=v_floor, **reference_options)
         check_invariants(engine)
     return engine, reference, clamped
 
@@ -424,6 +448,162 @@ def test_engine_matches_repacking_reference_to_the_byte_through_clamps(kind, act
     assert checkpoint_bytes(engine) == checkpoint_bytes(reference)
     # the EP sweep keeps the same floor as the per-entry update
     assert engine.var[:engine.net.n_weights].min() >= v_floor
+
+
+def _posterior_fields(state):
+    n = state.net.n_weights
+    return {"weight mean": state.mu[:n], "weight var": state.var[:n],
+            **{f"mode-{k} {name}": getattr(emb, name)
+               for k, emb in enumerate(state.embeddings, start=1)
+               for name in ("mean", "var")}}
+
+
+# The largest drift measured over the four cases below is 1.4e-15 (the
+# weight variances, binary tanh); the bound leaves a margin of about 70x.
+FACTORED_DRIFT_BOUND = 1e-13
+
+
+@pytest.mark.parametrize("kind", [ValueKind.CONTINUOUS, ValueKind.BINARY])
+@pytest.mark.parametrize("activation", ["relu", "tanh"])
+def test_factored_step_drifts_from_the_unfactored_order_within_bound(kind, activation):
+    # u = var g, var' = var - c u^2 rounds differently from
+    # var' = var - var^2 (dmu^2 - 2 dv); the drift of each field is
+    # max |engine - unfactored| / max |unfactored| over the field
+    engine, reference, _ = _engine_and_reference(kind, activation, DEFAULT_V_FLOOR,
+                                                 step=unfactored_step)
+    drifts = {}
+    for (name, got), want in zip(_posterior_fields(engine).items(),
+                                 _posterior_fields(reference).values()):
+        drifts[name] = float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
+    assert max(drifts.values()) <= FACTORED_DRIFT_BOUND, drifts
+    assert max(drifts.values()) > 0.0  # the two orders do round differently
+
+
+def test_process_batch_indexes_with_the_integers_it_checked():
+    # np.asarray reads (True, 2) as [1, 2]; the engine must use those
+    # integers, not index the embedding tables with the bool
+    def trained(second_index):
+        state = init_state(TensorShape((6, 6)), ValueKind.CONTINUOUS,
+                           NetworkSpec.for_factorization(2, [3], "relu"),
+                           Hyperparams(ranks=(1, 1)), seed=0)
+        process_batch(state, [ObservedEntry((0, 1), 0.5),
+                              ObservedEntry(second_index, 0.1)])
+        return state
+
+    state = trained((True, 2))
+    assert state.entries_seen == 2
+    assert checkpoint_bytes(state) == checkpoint_bytes(trained((1, 2)))
+    assert checkpoint_bytes(trained((np.int64(1), 2))) == checkpoint_bytes(state)
+
+
+def _restart_by_checkpoint(state):
+    buf = io.StringIO()
+    save_checkpoint(state, buf)
+    buf.seek(0)
+    return load_checkpoint(buf)
+
+
+@pytest.mark.parametrize("restart", [_restart_by_checkpoint, copy.deepcopy],
+                         ids=["checkpoint", "deepcopy"])
+@pytest.mark.parametrize("activation", ["relu", "tanh"])
+@pytest.mark.parametrize("k", [1, 3])
+def test_warm_and_cold_buffers_agree_to_the_byte(k, activation, restart):
+    # the per-entry scratch is rebuilt on a copy or a load, never carried:
+    # a run restarted on cold buffers ends on the same bytes as one that
+    # kept its warm buffers
+    shape = TensorShape({1: (150,), 3: (9, 8, 7)}[k])
+    entries, _ = synth_generate(shape, 2, ValueKind.CONTINUOUS, CpGenerator(), 0.1,
+                                120, seed=k)
+    batches = [tuple(entries[b:b + 30]) for b in range(0, 120, 30)]
+
+    def fresh():
+        return init_state(shape, ValueKind.CONTINUOUS,
+                          NetworkSpec.for_factorization(2 * k, [5, 4], activation),
+                          Hyperparams(ranks=(2,) * k), seed=3)
+
+    uninterrupted, restarted = fresh(), fresh()
+    for batch in batches:
+        process_batch(uninterrupted, batch)
+    for batch in batches[:2]:
+        process_batch(restarted, batch)
+    restarted = restart(restarted)
+    assert not np.shares_memory(restarted.tape.g, uninterrupted.tape.g)
+    for batch in batches[2:]:
+        process_batch(restarted, batch)
+    assert checkpoint_bytes(restarted) == checkpoint_bytes(uninterrupted)
+
+
+@pytest.mark.parametrize("kind", [ValueKind.CONTINUOUS, ValueKind.BINARY])
+def test_each_traced_layer_runs_once_per_applied_entry(kind, monkeypatch):
+    # the benchmark times each layer by replacing these attributes on their
+    # owners; the engine must reach every one through that attribute
+    shape = TensorShape((12, 12))
+    entries, _ = synth_generate(shape, 2, kind, CpGenerator(), 0.1, 50, seed=6)
+    state = init_state(shape, kind, NetworkSpec.for_factorization(4, [6], "relu"),
+                       Hyperparams(ranks=(2, 2)), seed=6)
+    calls = Counter()
+    for owner, name in [(bnn, "forward_mean"), (bnn, "backprop_gradient"),
+                        (ModelState, "gather_entry"), (ModelState, "scatter_entry"),
+                        (adf_engine, "evidence_continuous"),
+                        (adf_engine, "evidence_binary")]:
+        def counted(*args, _name=name, _original=owner.__dict__[name], **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(owner, name, counted)
+    diag = process_batch(state, tuple(entries))
+    assert diag.skip_count == 0
+    evidence = f"evidence_{kind.value}"
+    assert calls == {name: len(entries) for name in
+                     ("forward_mean", "backprop_gradient", "gather_entry",
+                      "scatter_entry", evidence)}
+
+
+@st.composite
+def _extreme_state_and_batch(draw):
+    """A K = 1, 3 or 5 model whose variances sit just above a floor of 1e-10
+    (the default) or 1e-3, with a near-noiseless likelihood: continuous
+    values up to 1e6 in magnitude, or binary entries through an output layer
+    scaled so |alpha| reaches 1e6. Both clamps and a rounded
+    c = dalpha^2 - 2 dbeta below 0 (the variance grows) occur here."""
+    k = draw(st.sampled_from([1, 3, 5]))
+    dims = tuple(draw(st.lists(st.integers(1, 2), min_size=k, max_size=k)))
+    kind = draw(st.sampled_from(list(ValueKind)))
+    if kind is ValueKind.BINARY:
+        value = st.sampled_from([0.0, 1.0])
+    else:
+        magnitude = draw(st.sampled_from([1.0, 1e3, 1e6]))
+        value = st.floats(-1.0, 1.0).map(lambda v: v * magnitude)
+    index = st.tuples(*(st.integers(0, d - 1) for d in dims))
+    batch = draw(st.lists(st.builds(ObservedEntry, index, value),
+                          min_size=1, max_size=6))
+    net = NetworkSpec.for_factorization(k, [3], draw(st.sampled_from(["relu", "tanh"])))
+    state = init_state(TensorShape(dims), kind, net, Hyperparams(ranks=(1,) * k),
+                       seed=draw(st.integers(0, 5)))
+    v_floor = draw(st.sampled_from([DEFAULT_V_FLOOR, 1e-3]))
+    spread = draw(st.floats(0.0, 1.0))
+    rng = make_rng(draw(st.integers(0, 5)))
+    n = net.n_weights
+    state.var[:n] = v_floor * (1.0 + spread * rng.uniform(size=n))
+    for emb in state.embeddings:
+        emb.var[...] = v_floor * (1.0 + spread * rng.uniform(size=emb.var.shape))
+    if kind is ValueKind.BINARY:
+        state.weights[-1].mean[...] *= draw(st.floats(1.0, 1e6))
+    else:
+        state.gamma = GammaPosterior(1.0, draw(st.sampled_from([1e-12, 1e-6, 1.0])))
+    return state, batch, v_floor
+
+
+@settings(max_examples=60, deadline=None)
+@given(_extreme_state_and_batch())
+def test_process_batch_keeps_the_invariants_at_the_extremes(case):
+    # on a valid batch process_batch raises nothing: a numeric failure
+    # skips its entry
+    state, batch, v_floor = case
+    diag = process_batch(state, batch, v_floor=v_floor)
+    check_invariants(state)
+    assert state.entries_seen == len(batch) - diag.skip_count
+    assert state.var[:state.net.n_weights].min() >= v_floor
+    assert all(emb.var.min() >= v_floor for emb in state.embeddings)
 
 
 def test_batch_embedding_touch_budget():

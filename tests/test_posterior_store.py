@@ -97,13 +97,16 @@ def test_scatter_round_trip_and_isolation():
     before = checkpoint_bytes(state)
     index = (2, 4)
     means, variances = state.gather_entry(index)
-    state.scatter_entry(index, means, variances)  # identity write
+    state.scatter_entry(index)  # identity write
     assert checkpoint_bytes(state) == before
 
-    new_means = means + np.array([1.0, 2.0, 3.0, 4.0])
-    new_vars = variances * 0.5
+    # the engine writes the new rows into the input slot gather returned
     baseline = copy.deepcopy(state)
-    state.scatter_entry(index, new_means, new_vars)
+    means += np.array([1.0, 2.0, 3.0, 4.0])
+    variances *= 0.5
+    new_means, new_vars = means.copy(), variances.copy()
+    state.scatter_entry(index)
+    state.gather_entry((0, 0))  # overwrites the slot
     got_means, got_vars = state.gather_entry(index)
     assert np.array_equal(got_means, new_means)
     assert np.array_equal(got_vars, new_vars)

@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 from streamdtf import (Hyperparams, MetricRow, MetricSeries, MlpGenerator,
                        NetworkSpec, ObservedEntry, TensorShape, UndefinedMetricError,
                        ValueKind, auc, checkpoint_bytes, init_state,
-                       partition_stream, predict_batch, predict_entry, rmse,
-                       running_eval, split_train_test, synth_generate)
+                       partition_stream, predict_batch, predict_entry,
+                       process_batch, rmse, running_eval, split_train_test,
+                       synth_generate)
 from streamdtf.errors import BoundsError
 from streamdtf.predict_eval import score
 
@@ -201,6 +202,22 @@ def test_running_eval_rejects_a_nan_test_value():
     before = checkpoint_bytes(state)
     with pytest.raises(ValueError, match="value must be finite, got nan"):
         running_eval(state, batches, test)
+    assert checkpoint_bytes(state) == before
+
+
+@pytest.mark.parametrize("consumer", ["process_batch", "predict_batch", "running_eval"])
+def test_ragged_index_rows_raise_bounds_error_naming_the_row(consumer):
+    # a row with one mode among rows with two: the message is check_index's
+    state, split = _learnable_setup(seed=5)
+    rows = [e.index for e in split.test[:3]] + [(1,)]
+    entries = [ObservedEntry(i, 0.5) for i in rows]
+    call = {"process_batch": lambda: process_batch(state, entries),
+            "predict_batch": lambda: predict_batch(state, rows),
+            "running_eval": lambda: running_eval(state, [tuple(split.train[:8])],
+                                                 entries)}[consumer]
+    before = checkpoint_bytes(state)
+    with pytest.raises(BoundsError, match=r"index \(1,\) has 1 modes, the shape"):
+        call()
     assert checkpoint_bytes(state) == before
 
 

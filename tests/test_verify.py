@@ -18,7 +18,7 @@ def _bump_first(g):
 
 
 def _shift(name, by):
-    return lambda ev: dataclasses.replace(ev, **{name: getattr(ev, name) + by})
+    return lambda ev: ev._replace(**{name: getattr(ev, name) + by})
 
 
 def _shift_tilted_mean(out):
@@ -36,7 +36,8 @@ CORRUPTIONS = {
                                   _shift("dbeta", 1e-3)),
     "check_adf_conjugate": (adf_engine, "evidence_continuous", _shift("dalpha", 1e-3)),
     "check_ep_tilted": (ep_prior, "refine_arrays", _shift_tilted_mean),
-    "check_tau_recursion": (adf_engine, "update_tau", _shift("b", 1e-3)),
+    "check_tau_recursion": (adf_engine, "update_tau",
+                            lambda gp: dataclasses.replace(gp, b=gp.b + 1e-3)),
 }
 
 
