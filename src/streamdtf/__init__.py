@@ -11,7 +11,7 @@ noise precision; binary data uses a probit likelihood.
 """
 
 from .adf_engine import (BatchDiagnostics, EntryResult, EvidenceResult,
-                         adf_update_entry, evidence_binary,
+                         adf_update_entry, entry_errstate, evidence_binary,
                          evidence_continuous, process_batch, update_tau)
 from .bnn import (ACTIVATIONS, NetworkSpec, backprop_gradient, forward_mean,
                   forward_mean_batch, output_moments_batch)

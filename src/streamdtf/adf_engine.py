@@ -114,6 +114,13 @@ def update_tau(gamma_post: GammaPosterior, y: float, alpha: float,
     return GammaPosterior(a=gamma_post.a + 0.5, b=b)
 
 
+def entry_errstate() -> np.errstate:
+    """The numpy error state `adf_update_entry` runs under: overflow and
+    invalid operations are ignored, because the update detects their
+    results (it skips the entry or clamps the variance)."""
+    return np.errstate(over="ignore", invalid="ignore")
+
+
 class EntryResult(NamedTuple):
     """What one entry's update did: its log Z and output moments (NaN where
     the update skipped the entry before computing them), the number of
@@ -145,57 +152,60 @@ def adf_update_entry(state: ModelState, entry: ObservedEntry,
     `state.work`, and the new variances are written straight into
     `state.var`. Nothing in the state is written before the last check that
     can skip the entry (the input slot is scratch, not state).
+
+    Callers run it under `entry_errstate()`, as `process_batch` does once
+    per batch: an overflow or invalid operation here ends in a skip or a
+    clamp, never in a numpy warning.
     """
     x_mean, _ = state.gather_entry(entry.index)
     mu_vec, gamma_vec = state.mu, state.var
-    with np.errstate(over="ignore", invalid="ignore"):
-        try:
-            alpha, tape = bnn.forward_mean(state.net, state.weight_means(), x_mean,
-                                           state.tape)
-        except NumericError as exc:
-            logger.warning("skipping entry %s: %s", entry.index, exc)
-            return EntryResult(math.nan, math.nan, math.nan, 0, True)
-        g = bnn.backprop_gradient(tape)
-        u, mu_new = state.work
-        np.multiply(gamma_vec, g, out=u)
-        beta = float(g @ u)
-        # alpha is finite: forward_mean raised on any non-finite
-        # pre-activation. Every gamma_j is finite and > 0, so a non-finite
-        # g_j makes beta NaN or +inf: this check also covers g.
-        if not math.isfinite(beta):
-            logger.warning("skipping entry %s: non-finite output moments", entry.index)
-            return EntryResult(math.nan, alpha, beta, 0, True)
-        gamma_post = state.gamma
-        try:
-            if state.kind is ValueKind.BINARY:
-                ev = evidence_binary(alpha, beta, entry.value)
-            else:
-                ev = evidence_continuous(alpha, beta, entry.value, gamma_post)
-                # pre-update alpha/beta of this entry feed the noise update
-                gamma_post = update_tau(gamma_post, entry.value, alpha, beta)
-        except NumericError as exc:
-            logger.warning("skipping entry %s: %s", entry.index, exc)
-            return EntryResult(math.nan, alpha, beta, 0, True)
+    try:
+        alpha, tape = bnn.forward_mean(state.net, state.weight_means(), x_mean,
+                                       state.tape)
+    except NumericError as exc:
+        logger.warning("skipping entry %s: %s", entry.index, exc)
+        return EntryResult(math.nan, math.nan, math.nan, 0, True)
+    g = bnn.backprop_gradient(tape)
+    u, mu_new = state.work
+    np.multiply(gamma_vec, g, out=u)
+    beta = float(g @ u)
+    # alpha is finite: forward_mean raised on any non-finite
+    # pre-activation. Every gamma_j is finite and > 0, so a non-finite
+    # g_j makes beta NaN or +inf: this check also covers g.
+    if not math.isfinite(beta):
+        logger.warning("skipping entry %s: non-finite output moments", entry.index)
+        return EntryResult(math.nan, alpha, beta, 0, True)
+    gamma_post = state.gamma
+    try:
+        if state.kind is ValueKind.BINARY:
+            ev = evidence_binary(alpha, beta, entry.value)
+        else:
+            ev = evidence_continuous(alpha, beta, entry.value, gamma_post)
+            # pre-update alpha/beta of this entry feed the noise update
+            gamma_post = update_tau(gamma_post, entry.value, alpha, beta)
+    except NumericError as exc:
+        logger.warning("skipping entry %s: %s", entry.index, exc)
+        return EntryResult(math.nan, alpha, beta, 0, True)
 
-        dalpha = ev.dalpha
-        np.multiply(u, dalpha, out=mu_new)
-        mu_new += mu_vec
-        if not np.isfinite(mu_new).all():
-            logger.warning("skipping entry %s: non-finite mean update", entry.index)
-            return EntryResult(ev.log_z, alpha, beta, 0, True)
-        # var' = var - c * u^2, in the buffer of u
-        c = dalpha * dalpha - 2.0 * ev.dbeta
-        u *= u
-        u *= c
-        v_new = np.subtract(gamma_vec, u, out=gamma_vec)
-        clamped = 0
-        # min is NaN if any entry is; with c >= 0 no entry exceeds its old
-        # variance, so only c < 0 (or NaN) can make one +inf
-        if not (v_new.min() >= v_floor and (c >= 0.0 or v_new.max() < math.inf)):
-            ok = v_new >= v_floor
-            ok &= v_new < math.inf
-            clamped = v_new.shape[0] - int(np.count_nonzero(ok))
-            v_new[~ok] = v_floor
+    dalpha = ev.dalpha
+    np.multiply(u, dalpha, out=mu_new)
+    mu_new += mu_vec
+    if not np.isfinite(mu_new).all():
+        logger.warning("skipping entry %s: non-finite mean update", entry.index)
+        return EntryResult(ev.log_z, alpha, beta, 0, True)
+    # var' = var - c * u^2, in the buffer of u
+    c = dalpha * dalpha - 2.0 * ev.dbeta
+    u *= u
+    u *= c
+    v_new = np.subtract(gamma_vec, u, out=gamma_vec)
+    clamped = 0
+    # min is NaN if any entry is; with c >= 0 no entry exceeds its old
+    # variance, so only c < 0 (or NaN) can make one +inf
+    if not (v_new.min() >= v_floor and (c >= 0.0 or v_new.max() < math.inf)):
+        ok = v_new >= v_floor
+        ok &= v_new < math.inf
+        clamped = v_new.shape[0] - int(np.count_nonzero(ok))
+        v_new[~ok] = v_floor
 
     mu_vec[...] = mu_new
     state.scatter_entry(entry.index)
@@ -238,9 +248,10 @@ def process_batch(state: ModelState, batch: Sequence[ObservedEntry],
         ep_prior.check_damping(damping)
     diag = BatchDiagnostics()
     # each entry is indexed with the integers check_indices read from it
-    for entry, index in zip(batch, indices):
-        diag.entry_results.append(adf_update_entry(
-            state, ObservedEntry(tuple(index), entry.value), v_floor=v_floor))
+    with entry_errstate():
+        for entry, index in zip(batch, indices):
+            diag.entry_results.append(adf_update_entry(
+                state, ObservedEntry(tuple(index), entry.value), v_floor=v_floor))
     if refine:
         diag.ep = ep_prior.refine_all(state, damping=damping, v_floor=v_floor)
     return diag

@@ -19,9 +19,12 @@ Buffers: both passes write into the buffers of the tape they run on (with
 `out=`), and where it has none they allocate as they go. A tape belongs
 to whoever allocated it. The per-entry update passes the one-row tape its
 `ModelState` owns, which has every buffer, so one entry after another
-allocates nothing, and `backprop_gradient` fills that tape's g. The batch
-consumers get a fresh tape per call, which the passes fill with new arrays,
-as an allocating implementation would. Consumers:
+allocates nothing, and `backprop_gradient` fills that tape's g.
+`predict_eval.running_eval` allocates one n-row tape per call, as large as
+the test set, and scores every batch in it, so the re-scoring allocates
+only its results. Batch consumers that pass no tape get an unbuffered one
+per call, which the passes fill with new arrays, as an allocating
+implementation would. Consumers:
 
 - `forward_mean`: the forward pass on one row, raising NumericError on a
   non-finite pre-activation, for the per-entry update;
@@ -154,63 +157,98 @@ class ForwardTape:
     each buffer the tape has; where the tape has None it keeps the new
     arrays later steps read (hb, the pre-activations and the deltas) and
     drops the rest. A tape holds the last pass run on it and belongs to one
-    caller at a time."""
+    caller at a time.
+
+    On a buffered tape the backward pass writes delta_m over z_m (m < M),
+    and the hidden activations, the backward products and the squares the
+    output moments sum all take turns in one flat `scratch`."""
 
     spec: NetworkSpec
     weights: Sequence[np.ndarray]  # the weight means of the last forward pass
     hb: list  # hb_0 .. hb_{M-1}, each [h; 1]/sqrt(V+1)
-    h: list  # one row: h_1 .. h_{M-1}, the hidden activations
-    preacts: np.ndarray | None  # one row: z_1 .. z_M side by side
-    preact: list  # z_1 .. z_M (one row: views into preacts)
-    deltas: list  # delta_1 .. delta_M = d alpha / d z_m; delta_M is `ones`
+    h: list  # h_1 .. h_{M-1}, the hidden activations (views into scratch)
+    preacts: np.ndarray | None  # z_1 .. z_M, one block
+    preact: list  # z_1 .. z_M, views into preacts
+    deltas: list  # delta_1 .. delta_M = d alpha / d z_m: preact[:-1], then `ones`
     ones: np.ndarray  # 1 per row: delta_M, and the bias feature of hb
-    dh: list  # one row: d alpha / d h_{m-1}, m = 1..M; dh[0] is d alpha / dx
+    dh: list  # d alpha / d h_{m-1}, m = 1..M; dh[0] is d alpha / dx
+    scratch: np.ndarray | None  # flat, room for (rows, max V + 1)
     g: np.ndarray | None  # one row: the dense gradient, dh[0] its input block
     g_layers: list[np.ndarray]  # one row: layer m's (V_m, V_{m-1}+1) view into g
+    inputs: np.ndarray | None  # n rows: (n, V_0) input means, then dh[0]
+    input_vars: np.ndarray | None  # n rows: (n, V_0) input variances
+    products: np.ndarray | None  # n rows: flat, each layer's (delta^2) var
 
     @classmethod
     def allocate(cls, spec: NetworkSpec, lead: tuple[int, ...] = ()) -> "ForwardTape":
-        """A tape for inputs of leading shape `lead`, with delta_M = 1. A
-        one-row tape, reused entry after entry, gets every buffer here: the
-        hb vectors with their bias slot set to 1/sqrt(V+1), the
-        pre-activations as one contiguous block (one finite check covers
-        them), and g with its layer views, dh[0] being its input block. A
-        batch tape, used once, leaves every other buffer to the passes."""
-        hidden, outs = spec.widths[1:-1], spec.widths[1:]
-        ones = np.ones(lead + (1,))
-        if lead:
-            none = [None] * len(outs)
-            return cls(spec=spec, weights=(), hb=none.copy(), h=none[1:],
-                       preacts=None, preact=none.copy(), deltas=none[1:] + [ones],
-                       ones=ones, dh=none.copy(), g=None, g_layers=[])
+        """A tape with every buffer, for inputs of leading shape `lead`: the
+        hb arrays with their bias column set to 1/sqrt(V+1), the
+        pre-activations as one block (one finite check covers them),
+        delta_M = 1 and the flat scratch. One row (lead ()) adds g with its
+        layer views, dh[0] being its input block; n rows add the input
+        buffers `predict_eval` gathers into, dh[0] being `inputs`, and the
+        flat `products` the output moments use."""
+        rows = math.prod(lead)
+        widths, outs = spec.widths, spec.widths[1:]
         hb = []
-        for v, scale in zip(spec.widths[:-1], spec.fan_in_scales):
-            buf = np.empty(v + 1)
-            buf[v] = 1.0 / scale
+        for v, scale in zip(widths[:-1], spec.fan_in_scales):
+            buf = np.empty(lead + (v + 1,))
+            buf[..., v] = 1.0 / scale
             hb.append(buf)
-        preacts = np.empty(sum(outs))
-        bounds = np.cumsum((0,) + outs)
-        g = np.empty(spec.n_weights + spec.input_dim)
-        return cls(
-            spec=spec, weights=(), hb=hb, h=[np.empty(v) for v in hidden],
-            preacts=preacts,
-            preact=[preacts[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])],
-            deltas=[np.empty(v) for v in hidden] + [ones], ones=ones,
-            dh=[g[spec.n_weights:]] + [np.empty(v) for v in hidden],
-            g=g, g_layers=[g[sl].reshape(shape) for sl, shape
-                           in zip(spec.weight_slices, spec.weight_shapes)])
+        preacts = np.empty(rows * sum(outs))
+        bounds = rows * np.cumsum((0,) + outs)
+        preact = [preacts[lo:hi].reshape(lead + (v,))
+                  for lo, hi, v in zip(bounds[:-1], bounds[1:], outs)]
+        ones = np.ones(lead + (1,))
+        scratch = np.empty(rows * (max(widths[:-1]) + 1))
+        hidden = [scratch[:rows * v].reshape(lead + (v,)) for v in widths[1:-1]]
+        g, g_layers, inputs, input_vars, products = None, [], None, None, None
+        if lead:
+            inputs, input_vars = (np.empty(lead + (spec.input_dim,)) for _ in range(2))
+            products = np.empty(scratch.shape)
+            dx = inputs
+        else:
+            g = np.empty(spec.n_weights + spec.input_dim)
+            g_layers = [g[sl].reshape(shape) for sl, shape
+                        in zip(spec.weight_slices, spec.weight_shapes)]
+            dx = g[spec.n_weights:]
+        return cls(spec=spec, weights=(), hb=hb, h=hidden, preacts=preacts,
+                   preact=preact, deltas=preact[:-1] + [ones], ones=ones,
+                   dh=[dx] + hidden, scratch=scratch, g=g, g_layers=g_layers,
+                   inputs=inputs, input_vars=input_vars, products=products)
+
+    @classmethod
+    def unbuffered(cls, spec: NetworkSpec, lead: tuple[int, ...]) -> "ForwardTape":
+        """An n-row tape with no buffers but delta_M = 1: the passes allocate
+        as they go, as an allocating implementation would."""
+        ones = np.ones(lead + (1,))
+        none = [None] * spec.layer_count
+        return cls(spec=spec, weights=(), hb=none.copy(), h=none[1:], preacts=None,
+                   preact=none.copy(), deltas=none[1:] + [ones], ones=ones,
+                   dh=none.copy(), scratch=None, g=None, g_layers=[], inputs=None,
+                   input_vars=None, products=None)
+
+    def rows_view(self, flat: np.ndarray | None, width: int,
+                  start: int = 0) -> np.ndarray | None:
+        """A C-contiguous (n, width) view of a flat buffer of this n-row
+        tape, `start` columns' worth in; None where the tape has no such
+        buffer, so an `out=` given it allocates."""
+        if flat is None:
+            return None
+        n = self.ones.shape[0]
+        return flat[n * start:n * (start + width)].reshape(n, width)
 
 
 def _with_bias(h: np.ndarray, scale: float, out: np.ndarray | None,
                ones: np.ndarray) -> np.ndarray:
-    """[h; 1] / scale. Into `out`, a one-row buffer whose bias slot already
-    holds 1/scale, or as a new array: on n rows a strided write into a
-    preset buffer is slower than dividing the concatenation in place."""
+    """[h; 1] / scale. Into `out`, whose bias column already holds 1/scale,
+    or as a new array: on a few rows a strided write into a preset buffer
+    is slower than dividing the concatenation in place."""
     if out is None:
         out = np.concatenate((h, ones), axis=-1)
         out /= scale
         return out
-    np.divide(h, scale, out=out[:-1])
+    np.divide(h, scale, out=out[..., :-1])
     return out
 
 
@@ -223,11 +261,13 @@ def forward_mean_batch(spec: NetworkSpec, weight_means: Sequence[np.ndarray],
     giving a 0-d alpha. The weights are float arrays of `spec.weight_shapes`,
     checked where they enter (`load_checkpoint`, `GroundTruth.from_json`).
     The pass writes into `tape`, which must have been allocated for the
-    inputs' leading shape, or into a fresh tape when none is given.
+    inputs' leading shape, or into a fresh tape when none is given: a
+    buffered one for one row, an unbuffered one for n rows.
     """
     x = np.asarray(inputs, dtype=float)
     if tape is None:
-        tape = ForwardTape.allocate(spec, x.shape[:-1])
+        lead = x.shape[:-1]
+        tape = ForwardTape.unbuffered(spec, lead) if lead else ForwardTape.allocate(spec)
     tape.weights = weight_means
     act, _ = ACTIVATIONS[spec.activation]
     hb, h, preact, scales = tape.hb, tape.h, tape.preact, spec.fan_in_scales
@@ -235,7 +275,7 @@ def forward_mean_batch(spec: NetworkSpec, weight_means: Sequence[np.ndarray],
     m_total = spec.layer_count
     for m in range(1, m_total):
         preact[m - 1] = np.matmul(hb[m - 1], weight_means[m - 1].T, out=preact[m - 1])
-        # a batch tape keeps no h: freed here, its memory serves the next layer
+        # an unbuffered tape keeps no h: freed here, its memory serves the next layer
         hb[m] = _with_bias(act(preact[m - 1], out=h[m - 1]), scales[m], hb[m], tape.ones)
     preact[-1] = np.matmul(hb[-1], weight_means[-1].T, out=preact[-1])
     return preact[-1][..., 0].copy(), tape
@@ -244,7 +284,8 @@ def forward_mean_batch(spec: NetworkSpec, weight_means: Sequence[np.ndarray],
 def _backward(tape: ForwardTape) -> tuple[list[np.ndarray], np.ndarray]:
     """The backward pass: returns (delta_1..delta_M, d alpha / dx), where
     delta_m = d alpha / d z_m, so layer m's weight gradient is the outer
-    product delta_m (x) hb_{m-1}, row by row. Both are the tape's buffers."""
+    product delta_m (x) hb_{m-1}, row by row. Both are the tape's buffers;
+    on a buffered tape delta_m (m < M) overwrites z_m."""
     spec, weights, deltas, dh = tape.spec, tape.weights, tape.deltas, tape.dh
     _, act_grad = ACTIVATIONS[spec.activation]
     for m in range(spec.layer_count, 0, -1):
@@ -289,19 +330,34 @@ def backprop_gradient(tape: ForwardTape) -> np.ndarray:
 
 def output_moments_batch(spec: NetworkSpec, weight_means: Sequence[np.ndarray],
                          weight_vars: Sequence[np.ndarray], input_means: np.ndarray,
-                         input_vars: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+                         input_vars: np.ndarray,
+                         tape: ForwardTape | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Batched (alpha, beta): per-row first-order output moments.
 
     Avoids materializing per-entry weight gradients; each layer's variance
     contribution is sum_{j,t} delta[n,j]^2 var_w[j,t] hb[n,t]^2.
+
+    With `tape`, an n-row tape from `ForwardTape.allocate` for the inputs'
+    row count, every intermediate lives in its buffers and only alpha and
+    beta are new; the input means may be the tape's own `inputs`, which the
+    backward pass overwrites with d alpha / dx. Without one, the passes
+    allocate.
     """
     x_var = np.atleast_2d(np.asarray(input_vars, dtype=float))
-    alpha, tape = forward_mean_batch(spec, weight_means, np.atleast_2d(input_means))
+    alpha, tape = forward_mean_batch(spec, weight_means, np.atleast_2d(input_means), tape)
     deltas, dx = _backward(tape)
     beta = np.zeros(alpha.shape[0])
+    # delta^2, hb^2 and dx^2 take turns in scratch; on an unbuffered tape
+    # rows() is None and each is a new array, unnamed so that it is freed
+    # as soon as einsum has read it
+    scratch, rows = tape.scratch, tape.rows_view
     for m in range(spec.layer_count, 0, -1):
         delta, hb = deltas[m - 1], tape.hb[m - 1]
-        beta += np.einsum("nt,nt->n", (delta * delta) @ weight_vars[m - 1], hb * hb)
-    beta += np.einsum("nt,nt->n", dx * dx, x_var)
+        beta += np.einsum(
+            "nt,nt->n",
+            np.matmul(np.multiply(delta, delta, out=rows(scratch, delta.shape[-1])),
+                      weight_vars[m - 1], out=rows(tape.products, hb.shape[-1])),
+            np.multiply(hb, hb, out=rows(scratch, hb.shape[-1])))
+    beta += np.einsum("nt,nt->n", np.multiply(dx, dx, out=rows(scratch, dx.shape[-1])),
+                      x_var)
     return alpha, beta
-

@@ -8,9 +8,13 @@ probability rather than the plug-in Phi(alpha).
 Metrics: RMSE for continuous data; AUC for binary data as the Mann-Whitney
 statistic with ties counted one half.
 
-Prediction is read-only; test-set scoring may fan out over a shared state
-snapshot. The running evaluation re-scores the full test set after every
-processed batch and records per-batch wallclock.
+Prediction is read-only. The running evaluation re-scores the full test
+set after every processed batch and records per-batch wallclock. It
+allocates one n-row `bnn.ForwardTape` per call and scores every batch in
+it: the test rows' embedding moments are gathered into the tape and both
+network passes write into its buffers. The workspace is the call's, not
+the state's, so copies and checkpoints never carry it. `predict_batch` and
+`score` called without a tape allocate per call.
 """
 
 import time
@@ -24,17 +28,42 @@ from scipy.stats import rankdata
 from . import adf_engine, bnn, ep_prior
 from .errors import UndefinedMetricError
 from .posterior_store import ModelState
-from .tensor_core import ObservedEntry, ValueKind, gather_rows
+from .tensor_core import ObservedEntry, ValueKind
 
 
-def predict_batch(state: ModelState, indices: Sequence[tuple[int, ...]]):
+def _gather(tables: Sequence[np.ndarray], idx: np.ndarray, out: np.ndarray | None,
+            tape: bnn.ForwardTape) -> np.ndarray:
+    """Rows idx[:, k] of tables[k], modes side by side (n, sum_k r_k), into
+    `out`, or a new array where it is None. np.take writes straight only
+    into a C-contiguous array, so each mode's rows land in the tape's
+    scratch first, where it has one. The indices are checked, so
+    mode="clip" never clips."""
+    parts, start = [], 0
+    for k, table in enumerate(tables):
+        r = table.shape[1]
+        parts.append(np.take(table, idx[:, k], axis=0, mode="clip",
+                             out=tape.rows_view(tape.scratch, r, start)))
+        start += r
+    return np.concatenate(parts, axis=1, out=out)
+
+
+def predict_batch(state: ModelState, indices: Sequence[tuple[int, ...]],
+                  tape: bnn.ForwardTape | None = None):
     """Vectorized prediction. Continuous: (means, variances) arrays;
-    binary: probability array. `TensorShape.check_indices` checks indices."""
+    binary: probability array. `TensorShape.check_indices` checks indices.
+    With `tape`, an n-row `bnn.ForwardTape` from `bnn.ForwardTape.allocate`
+    for the network and as many rows as `indices`, the gather and both
+    passes run in its buffers; without one they allocate."""
     idx = state.shape.check_indices(indices)
-    x_mean = gather_rows([emb.mean for emb in state.embeddings], idx)
-    x_var = gather_rows([emb.var for emb in state.embeddings], idx)
+    if tape is None:
+        tape = bnn.ForwardTape.unbuffered(state.net, idx.shape[:1])
+    elif tape.ones.shape != (idx.shape[0], 1):
+        raise ValueError(f"a tape of leading shape {tape.ones.shape[:-1]} cannot "
+                         f"score {idx.shape[0]} indices")
+    x_mean = _gather([emb.mean for emb in state.embeddings], idx, tape.inputs, tape)
+    x_var = _gather([emb.var for emb in state.embeddings], idx, tape.input_vars, tape)
     alpha, beta = bnn.output_moments_batch(
-        state.net, state.weight_means(), state.weight_vars(), x_mean, x_var)
+        state.net, state.weight_means(), state.weight_vars(), x_mean, x_var, tape)
     if state.kind is ValueKind.CONTINUOUS:
         return alpha, beta + state.gamma.b / state.gamma.a
     return ndtr(alpha / np.sqrt(1.0 + beta))
@@ -96,13 +125,14 @@ class MetricSeries:
             fp.write(f"{row.batch},{row.seen},{row.metric!r},{ms!r}\n")
 
 
-def score(state: ModelState, indices, values) -> tuple[str, float]:
+def score(state: ModelState, indices, values,
+          tape: bnn.ForwardTape | None = None) -> tuple[str, float]:
     """The state's test metric on the given cells as (name, value): "rmse"
     of the predicted means for continuous data, "auc" of the predicted
-    probabilities for binary data."""
+    probabilities for binary data; `tape` as for `predict_batch`."""
     if state.kind is ValueKind.CONTINUOUS:
-        return "rmse", rmse(predict_batch(state, indices)[0], values)
-    return "auc", auc(predict_batch(state, indices), values)
+        return "rmse", rmse(predict_batch(state, indices, tape)[0], values)
+    return "auc", auc(predict_batch(state, indices, tape), values)
 
 
 def running_eval(state: ModelState, stream: Iterable[Sequence[ObservedEntry]],
@@ -114,6 +144,7 @@ def running_eval(state: ModelState, stream: Iterable[Sequence[ObservedEntry]],
     batch is, and disjoint (by index tuple) from the stream. The state is
     mutated in place; per-batch wallclock covers the posterior update only,
     not the evaluation. `metric_name` is None when the stream is empty.
+    Every batch is scored in one n-row tape allocated here.
     """
     if len(test_entries) == 0:
         raise ValueError("test set must be nonempty")
@@ -125,12 +156,13 @@ def running_eval(state: ModelState, stream: Iterable[Sequence[ObservedEntry]],
                 raise ValueError(f"test entry {e.index} also appears in the stream")
     test_indices = state.shape.check_indices([e.index for e in test_entries])
     test_values = state.kind.check_values([e.value for e in test_entries])
+    tape = bnn.ForwardTape.allocate(state.net, (len(test_indices),))
     series = MetricSeries(metric_name=None)
     for ordinal, batch in enumerate(batches):
         start = time.perf_counter()
         adf_engine.process_batch(state, batch, damping=damping)
         elapsed_ms = (time.perf_counter() - start) * 1000.0
-        series.metric_name, value = score(state, test_indices, test_values)
+        series.metric_name, value = score(state, test_indices, test_values, tape)
         series.rows.append(MetricRow(batch=ordinal, seen=state.entries_seen,
                                      metric=value, ms=elapsed_ms))
     return series

@@ -171,7 +171,8 @@ def check_adf_conjugate(seed: int = 4, n_cases: int = 200) -> CheckResult:
         noise = state.gamma.b / state.gamma.a
         s = float((g * g) @ var) + noise
         y = alpha + float(rng.normal(0, math.sqrt(s)))
-        adf_engine.adf_update_entry(state, tensor_core.ObservedEntry(idx, y))
+        with adf_engine.entry_errstate():
+            adf_engine.adf_update_entry(state, tensor_core.ObservedEntry(idx, y))
         post_mu = np.concatenate([state.weights[0].mean[0],
                                   state.gather_entry(idx)[0]])
         post_var = np.concatenate([state.weights[0].var[0],
@@ -254,7 +255,8 @@ def check_tau_recursion(seed: int = 6, n_entries: int = 30) -> CheckResult:
         g_ind = oracles.fd_gradient(f, point)
         beta_ind = float((g_ind * g_ind) @ oracles.pack(w_vars, x_var))
         a_prev, b_prev = state.gamma.a, state.gamma.b
-        adf_engine.adf_update_entry(state, tensor_core.ObservedEntry(idx, y))
+        with adf_engine.entry_errstate():
+            adf_engine.adf_update_entry(state, tensor_core.ObservedEntry(idx, y))
         if state.gamma.a != a_prev + 0.5:
             return CheckResult("tau-recursion", False,
                                f"shape not exactly a0 + n/2 at n={n}")

@@ -15,6 +15,7 @@ from streamdtf import (CpGenerator, GammaPosterior, Hyperparams,
                        evidence_binary, evidence_continuous, init_state,
                        process_batch, synth_generate, update_tau)
 from streamdtf import adf_engine, bnn
+from streamdtf.adf_engine import entry_errstate
 from streamdtf.errors import BoundsError, NumericError
 from streamdtf.oracles import pack, quad_tilted_moments, unpack
 from streamdtf.posterior_store import (DEFAULT_V_FLOOR, WEIGHT_FIELDS, ModelState,
@@ -86,7 +87,8 @@ def test_zero_gradient_coordinate_is_a_fixed_point():
     state.embeddings[1].mean[1, 0] = -0.3
     before_mean = state.embeddings[1].mean[1, 0]
     before_var = state.embeddings[1].var[1, 0]
-    adf_update_entry(state, ObservedEntry((0, 1), 2.0))
+    with entry_errstate():
+        adf_update_entry(state, ObservedEntry((0, 1), 2.0))
     assert state.embeddings[1].mean[1, 0] == before_mean
     assert state.embeddings[1].var[1, 0] == before_var
     assert state.embeddings[0].mean[0, 0] != 0.8  # the live coordinate moved
@@ -107,7 +109,8 @@ def test_binary_update_matches_probit_quadrature_moments():
         state.weights[0].mean[...] = np.array([[math.sqrt(2.0), 0.0]])
         state.weights[0].var[...] = 1e-18  # weights pinned: f = x exactly
         y = float(rng.integers(0, 2))
-        adf_update_entry(state, ObservedEntry((0,), y))
+        with entry_errstate():
+            adf_update_entry(state, ObservedEntry((0,), y))
         sign = 2.0 * y - 1.0
         z, e1, e2 = quad_tilted_moments(psi, nu, factor=lambda w: ndtr(sign * w))
         assert state.embeddings[0].mean[0, 0] == pytest.approx(e1, abs=1e-6)
@@ -163,7 +166,8 @@ def test_chain_rule_matches_end_to_end_fd():
 
 def _assert_skipped_without_a_write(state, entry):
     before = checkpoint_bytes(state)
-    result = adf_update_entry(state, entry)
+    with entry_errstate():
+        result = adf_update_entry(state, entry)
     assert result.skipped
     assert state.entries_seen == 0
     assert checkpoint_bytes(state) == before
@@ -246,7 +250,8 @@ def test_variance_guard_clamps_and_counts():
                        NetworkSpec((1, 1), "identity"),
                        Hyperparams(ranks=(1,)), seed=0)
     state.embeddings[0].mean[0, 0] = 1.0
-    result = adf_update_entry(state, ObservedEntry((0,), 0.5), v_floor=0.95)
+    with entry_errstate():
+        result = adf_update_entry(state, ObservedEntry((0,), 0.5), v_floor=0.95)
     assert result.clamped > 0
     for lay in state.weights:
         assert np.all(lay.var >= 0.95)
@@ -260,7 +265,8 @@ def test_non_finite_variance_update_is_clamped_and_counted():
     # u = 0 there and its variance is a fixed point of the factored step
     state = _identity_state(ValueKind.CONTINUOUS)
     state.weights[0].var[...] = 1e200
-    result = adf_update_entry(state, ObservedEntry((0,), 0.0), v_floor=0.01)
+    with entry_errstate():
+        result = adf_update_entry(state, ObservedEntry((0,), 0.0), v_floor=0.01)
     assert not result.skipped
     assert -232.0 < result.log_z < -230.0
     assert result.clamped == 1
@@ -268,6 +274,16 @@ def test_non_finite_variance_update_is_clamped_and_counted():
     assert state.weights[0].var[0, 0] == 1e200
     assert state.embeddings[0].var[0, 0] == 1.0
     check_invariants(state)
+
+
+def test_a_direct_update_outside_entry_errstate_warns():
+    # process_batch enters entry_errstate() once per batch and
+    # adf_update_entry does not, so a direct caller that skips it sees the
+    # overflow the clamp above absorbs as numpy's warning
+    state = _identity_state(ValueKind.CONTINUOUS)
+    state.weights[0].var[...] = 1e200
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        adf_update_entry(state, ObservedEntry((0,), 0.0), v_floor=0.01)
 
 
 def test_variance_grown_to_inf_by_a_negative_rounded_c_is_clamped():
@@ -280,7 +296,8 @@ def test_variance_grown_to_inf_by_a_negative_rounded_c_is_clamped():
     state.weights[0].var[0, 0] = 2e157
     state.embeddings[0].mean[0, 0] = 1e-3 * math.sqrt(2.0)
     y, gamma = 3.132e153, state.gamma
-    result = adf_update_entry(state, ObservedEntry((0,), y), v_floor=0.01)
+    with entry_errstate():
+        result = adf_update_entry(state, ObservedEntry((0,), y), v_floor=0.01)
     ev = evidence_continuous(result.alpha, result.beta, y, gamma)
     assert ev.dalpha * ev.dalpha - 2.0 * ev.dbeta < 0.0
     assert result.clamped == 1
@@ -295,7 +312,7 @@ def test_binary_kind_rejects_non_binary_value():
                        Hyperparams(ranks=(1,)), seed=0)
     before = checkpoint_bytes(state)
     # raised by evidence_binary, after the forward pass and before any write
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError), entry_errstate():
         adf_update_entry(state, ObservedEntry((0,), 0.5))
     assert checkpoint_bytes(state) == before
 
@@ -433,14 +450,15 @@ def _engine_and_reference(kind, activation, v_floor, **reference_options):
 
 
 @pytest.mark.parametrize("kind", [ValueKind.CONTINUOUS, ValueKind.BINARY])
-@pytest.mark.parametrize("activation", ["relu", "tanh"])
+@pytest.mark.parametrize("activation", ["relu", "tanh", "identity"])
 def test_engine_matches_repacking_reference_to_the_byte(kind, activation):
+    # the engine reuses one one-row tape entry after entry
     engine, reference, _ = _engine_and_reference(kind, activation, DEFAULT_V_FLOOR)
     assert checkpoint_bytes(engine) == checkpoint_bytes(reference)
 
 
 @pytest.mark.parametrize("kind", [ValueKind.CONTINUOUS, ValueKind.BINARY])
-@pytest.mark.parametrize("activation", ["relu", "tanh"])
+@pytest.mark.parametrize("activation", ["relu", "tanh", "identity"])
 def test_engine_matches_repacking_reference_to_the_byte_through_clamps(kind, activation):
     v_floor = 0.1  # well above the data's variances: every batch clamps
     engine, reference, clamped = _engine_and_reference(kind, activation, v_floor)

@@ -5,6 +5,7 @@ import pytest
 
 from streamdtf import (NetworkSpec, backprop_gradient, forward_mean,
                        forward_mean_batch, output_moments_batch)
+from streamdtf.bnn import ForwardTape
 from streamdtf.errors import NumericError
 from streamdtf.oracles import naive_forward, pack, unpack
 
@@ -170,3 +171,33 @@ def test_non_integral_widths_raise_type_error():
         NetworkSpec((3.5, 1))
     with pytest.raises(TypeError):
         NetworkSpec.for_factorization(4, [2.5])
+
+
+@pytest.mark.parametrize("activation", ["relu", "tanh", "identity"])
+@pytest.mark.parametrize("widths", [(6, 9, 4, 1), (9, 3, 1), (4, 1)])
+def test_a_reused_batch_tape_gives_the_bytes_of_a_fresh_one(widths, activation):
+    # one n-row tape across calls with new weights and inputs: no buffer may
+    # carry anything from the last call (the bias columns, set once, must
+    # survive, and delta_m overwrites z_m), so the bytes equal a fresh
+    # tape's and the allocating path's
+    spec = NetworkSpec(widths, activation)
+    rng = np.random.default_rng(11)
+    n = 7
+    tape = ForwardTape.allocate(spec, (n,))
+    for call in range(4):
+        w_means = [rng.standard_normal(s) for s in spec.weight_shapes]
+        w_vars = [rng.uniform(0.01, 1.0, s) for s in spec.weight_shapes]
+        x = rng.standard_normal((n, spec.input_dim))
+        x_var = rng.uniform(0.01, 1.0, (n, spec.input_dim))
+        want = output_moments_batch(spec, w_means, w_vars, x, x_var)
+        if call % 2:
+            # the input rows in the tape's own buffers, as predict_batch passes them
+            tape.inputs[...], tape.input_vars[...] = x, x_var
+            got = output_moments_batch(spec, w_means, w_vars, tape.inputs,
+                                       tape.input_vars, tape)
+        else:
+            got = output_moments_batch(spec, w_means, w_vars, x, x_var, tape)
+        fresh = output_moments_batch(spec, w_means, w_vars, x, x_var,
+                                     ForwardTape.allocate(spec, (n,)))
+        for moments in (got, fresh):
+            assert [a.tobytes() for a in moments] == [a.tobytes() for a in want]

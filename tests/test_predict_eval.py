@@ -1,5 +1,7 @@
+import copy
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from streamdtf import (Hyperparams, MetricRow, MetricSeries, MlpGenerator,
                        partition_stream, predict_batch, predict_entry,
                        process_batch, rmse, running_eval, split_train_test,
                        synth_generate)
+from streamdtf import adf_engine, bnn, predict_eval
 from streamdtf.errors import BoundsError
 from streamdtf.predict_eval import score
 
@@ -237,3 +240,101 @@ def test_metric_series_row_fields():
     buf = io.StringIO()
     series.write_csv(buf)
     assert buf.getvalue().splitlines()[1] == "3,900,0.5,12.5"
+
+
+def _stream_setup(kind, k=2, activation="tanh", hidden=(5, 4), seed=1):
+    shape = TensorShape({1: (300,), 2: (20, 15), 3: (7, 6, 5)}[k])
+    entries, _ = synth_generate(shape, 2, kind, MlpGenerator(hidden=(4,)), 0.1, 200,
+                                seed=seed)
+    split = split_train_test(entries, 0.3, seed=seed)
+    state = init_state(shape, kind,
+                       NetworkSpec.for_factorization(2 * k, list(hidden), activation),
+                       Hyperparams(ranks=(2,) * k), seed=3)
+    return state, partition_stream(split.train, 40, seed=4), split.test
+
+
+@pytest.mark.parametrize("kind", [ValueKind.CONTINUOUS, ValueKind.BINARY])
+@pytest.mark.parametrize("activation", ["relu", "tanh"])
+@pytest.mark.parametrize("k", [1, 3])
+def test_each_running_row_is_a_fresh_score_of_that_batch_state(k, activation, kind,
+                                                                monkeypatch):
+    # running_eval scores every batch in one tape: each row must be the
+    # bytes a tapeless score gives on a copy of the state taken after that
+    # batch, so nothing a buffer held from the last batch leaks in
+    state, batches, test = _stream_setup(kind, k, activation)
+    snapshots = []
+    process = adf_engine.process_batch
+
+    def snapshotting(state, batch, **kwargs):
+        diag = process(state, batch, **kwargs)
+        snapshots.append(copy.deepcopy(state))
+        return diag
+
+    monkeypatch.setattr(adf_engine, "process_batch", snapshotting)
+    series = running_eval(state, batches, test)
+    indices = [e.index for e in test]
+    values = [e.value for e in test]
+    assert len(snapshots) == len(series.rows) == len(batches) > 1
+    for row, snapshot in zip(series.rows, snapshots):
+        name, want = score(snapshot, indices, values)
+        assert name == series.metric_name
+        assert np.float64(row.metric).tobytes() == np.float64(want).tobytes()
+
+
+def test_running_eval_reaches_each_traced_layer_once_per_batch(monkeypatch):
+    # the benchmark times scoring by replacing these module attributes, and
+    # counts the rows in predict_batch's 2nd and output_moments_batch's 4th
+    # positional argument; every batch is scored in the same tape
+    state, batches, test = _stream_setup(ValueKind.BINARY)
+    calls, tapes = [], set()
+    for owner, name, rows_at in [(predict_eval, "predict_batch", 1),
+                                 (bnn, "output_moments_batch", 3)]:
+        def counted(*args, _name=name, _original=owner.__dict__[name], _at=rows_at,
+                    **kwargs):
+            calls.append((_name, len(args[_at])))
+            tapes.add(id(args[-1]))
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(owner, name, counted)
+    running_eval(state, batches, test)
+    assert calls == [("predict_batch", len(test)),
+                     ("output_moments_batch", len(test))] * len(batches)
+    assert len(tapes) == 1
+
+
+@pytest.mark.parametrize("kind", [ValueKind.CONTINUOUS, ValueKind.BINARY])
+def test_a_warm_scoring_pass_allocates_under_16_doubles_per_row(kind):
+    # in running_eval's tape only the results are new: alpha, beta, the
+    # prediction and the metric's own arrays (the tapeless pass allocates
+    # about 440 doubles per row on this network)
+    n = 2000
+    shape = TensorShape((60, 50))
+    state = init_state(shape, kind, NetworkSpec.for_factorization(16, [50, 50], "relu"),
+                       Hyperparams(ranks=(8, 8)), seed=0)
+    rng = np.random.default_rng(0)
+    flat = rng.choice(shape.n_cells, size=n, replace=False)
+    indices = state.shape.check_indices(np.stack(np.unravel_index(flat, shape.dims), 1))
+    values = state.kind.check_values(rng.integers(0, 2, n).astype(float))
+    tape = bnn.ForwardTape.allocate(state.net, (n,))
+    score(state, indices, values, tape)
+    tracemalloc.start()
+    try:
+        score(state, indices, values, tape)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 8 * n
+
+
+def test_a_tape_for_other_rows_is_refused():
+    # a tape's buffers fix its row count: one index on an n-row tape would
+    # otherwise broadcast into n predictions
+    state, _, test = _stream_setup(ValueKind.CONTINUOUS)
+    indices = [e.index for e in test]
+    tape = bnn.ForwardTape.allocate(state.net, (len(indices),))
+    for wrong in (indices[:1], indices[1:], indices + indices[:1]):
+        with pytest.raises(ValueError, match="cannot score"):
+            predict_batch(state, wrong, tape)
+    with pytest.raises(ValueError, match="cannot score"):
+        predict_batch(state, indices[:1], bnn.ForwardTape.allocate(state.net))
+    assert [a.tobytes() for a in predict_batch(state, indices, tape)] == \
+        [a.tobytes() for a in predict_batch(state, indices)]
