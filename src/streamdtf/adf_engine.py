@@ -168,7 +168,7 @@ def adf_update_entry(state: ModelState, entry: ObservedEntry,
     g = bnn.backprop_gradient(tape)
     u, mu_new = state.work
     np.multiply(gamma_vec, g, out=u)
-    beta = float(g @ u)
+    beta = float(np.dot(g, u))
     # alpha is finite: forward_mean raised on any non-finite
     # pre-activation. Every gamma_j is finite and > 0, so a non-finite
     # g_j makes beta NaN or +inf: this check also covers g.
@@ -190,7 +190,7 @@ def adf_update_entry(state: ModelState, entry: ObservedEntry,
     dalpha = ev.dalpha
     np.multiply(u, dalpha, out=mu_new)
     mu_new += mu_vec
-    if not np.isfinite(mu_new).all():
+    if not bnn.all_finite(mu_new):
         logger.warning("skipping entry %s: non-finite mean update", entry.index)
         return EntryResult(ev.log_z, alpha, beta, 0, True)
     # var' = var - c * u^2, in the buffer of u

@@ -24,7 +24,19 @@ allocates nothing, and `backprop_gradient` fills that tape's g.
 the test set, and scores every batch in it, so the re-scoring allocates
 only its results. Batch consumers that pass no tape get an unbuffered one
 per call, which the passes fill with new arrays, as an allocating
-implementation would. Consumers:
+implementation would.
+
+Products: on one row every call costs more than its arithmetic, so the
+passes call BLAS through np.dot, numpy's cheapest entry: z_m =
+np.dot(hb_{m-1}, W_m.T) on any row count, and on one row each layer's block
+of g is a k = 1 np.dot of delta_m as a column and hb_{m-1} as a row, whose
+bits are np.multiply's except that a zero product is +0.0. The backward
+product stays np.matmul(delta_m, W_m[:, :V_{m-1}]): np.dot copies that
+strided view, and a full-width np.dot(delta_m, W_m) rounds differently
+from it for some widths. The finiteness screens of the per-entry update
+(`all_finite`) are one dot each.
+
+Consumers:
 
 - `forward_mean`: the forward pass on one row, raising NumericError on a
   non-finite pre-activation, for the per-entry update;
@@ -161,7 +173,9 @@ class ForwardTape:
 
     On a buffered tape the backward pass writes delta_m over z_m (m < M),
     and the hidden activations, the backward products and the squares the
-    output moments sum all take turns in one flat `scratch`."""
+    output moments sum all take turns in one flat `scratch`. On one row,
+    `outer` holds each layer's block of g next to the (V_m, 1) and
+    (1, V_{m-1} + 1) views of delta_m and hb_{m-1} whose np.dot fills it."""
 
     spec: NetworkSpec
     weights: Sequence[np.ndarray]  # the weight means of the last forward pass
@@ -174,7 +188,9 @@ class ForwardTape:
     dh: list  # d alpha / d h_{m-1}, m = 1..M; dh[0] is d alpha / dx
     scratch: np.ndarray | None  # flat, room for (rows, max V + 1)
     g: np.ndarray | None  # one row: the dense gradient, dh[0] its input block
-    g_layers: list[np.ndarray]  # one row: layer m's (V_m, V_{m-1}+1) view into g
+    # one row, per layer: (its (V_m, V_{m-1}+1) view into g, delta_m as a
+    # column, hb_{m-1} as a row)
+    outer: list[tuple[np.ndarray, np.ndarray, np.ndarray]]
     inputs: np.ndarray | None  # n rows: (n, V_0) input means, then dh[0]
     input_vars: np.ndarray | None  # n rows: (n, V_0) input variances
     products: np.ndarray | None  # n rows: flat, each layer's (delta^2) var
@@ -185,9 +201,10 @@ class ForwardTape:
         hb arrays with their bias column set to 1/sqrt(V+1), the
         pre-activations as one block (one finite check covers them),
         delta_M = 1 and the flat scratch. One row (lead ()) adds g with its
-        layer views, dh[0] being its input block; n rows add the input
-        buffers `predict_eval` gathers into, dh[0] being `inputs`, and the
-        flat `products` the output moments use."""
+        layer blocks and the outer-product factors, dh[0] being g's input
+        block; n rows add the input buffers `predict_eval` gathers into,
+        dh[0] being `inputs`, and the flat `products` the output moments
+        use."""
         rows = math.prod(lead)
         widths, outs = spec.widths, spec.widths[1:]
         hb = []
@@ -200,21 +217,23 @@ class ForwardTape:
         preact = [preacts[lo:hi].reshape(lead + (v,))
                   for lo, hi, v in zip(bounds[:-1], bounds[1:], outs)]
         ones = np.ones(lead + (1,))
+        deltas = preact[:-1] + [ones]
         scratch = np.empty(rows * (max(widths[:-1]) + 1))
         hidden = [scratch[:rows * v].reshape(lead + (v,)) for v in widths[1:-1]]
-        g, g_layers, inputs, input_vars, products = None, [], None, None, None
+        g, outer, inputs, input_vars, products = None, [], None, None, None
         if lead:
             inputs, input_vars = (np.empty(lead + (spec.input_dim,)) for _ in range(2))
             products = np.empty(scratch.shape)
             dx = inputs
         else:
             g = np.empty(spec.n_weights + spec.input_dim)
-            g_layers = [g[sl].reshape(shape) for sl, shape
-                        in zip(spec.weight_slices, spec.weight_shapes)]
+            outer = [(g[sl].reshape(shape), d.reshape(-1, 1), b.reshape(1, -1))
+                     for sl, shape, d, b
+                     in zip(spec.weight_slices, spec.weight_shapes, deltas, hb)]
             dx = g[spec.n_weights:]
         return cls(spec=spec, weights=(), hb=hb, h=hidden, preacts=preacts,
-                   preact=preact, deltas=preact[:-1] + [ones], ones=ones,
-                   dh=[dx] + hidden, scratch=scratch, g=g, g_layers=g_layers,
+                   preact=preact, deltas=deltas, ones=ones, dh=[dx] + hidden,
+                   scratch=scratch, g=g, outer=outer,
                    inputs=inputs, input_vars=input_vars, products=products)
 
     @classmethod
@@ -225,8 +244,8 @@ class ForwardTape:
         none = [None] * spec.layer_count
         return cls(spec=spec, weights=(), hb=none.copy(), h=none[1:], preacts=None,
                    preact=none.copy(), deltas=none[1:] + [ones], ones=ones,
-                   dh=none.copy(), scratch=None, g=None, g_layers=[], inputs=None,
-                   input_vars=None, products=None)
+                   dh=none.copy(), scratch=None, g=None, outer=[],
+                   inputs=None, input_vars=None, products=None)
 
     def rows_view(self, flat: np.ndarray | None, width: int,
                   start: int = 0) -> np.ndarray | None:
@@ -237,6 +256,14 @@ class ForwardTape:
             return None
         n = self.ones.shape[0]
         return flat[n * start:n * (start + width)].reshape(n, width)
+
+
+def all_finite(x: np.ndarray) -> bool:
+    """Whether every value of the 1-D float array x is finite. One dot
+    decides for almost every x: x . x is finite only if each x_j is. A
+    NaN, an infinity or an overflow of large finite values makes the dot
+    non-finite, and only then are the values scanned one by one."""
+    return math.isfinite(np.dot(x, x)) or bool(np.isfinite(x).all())
 
 
 def _with_bias(h: np.ndarray, scale: float, out: np.ndarray | None,
@@ -274,10 +301,10 @@ def forward_mean_batch(spec: NetworkSpec, weight_means: Sequence[np.ndarray],
     hb[0] = _with_bias(x, scales[0], hb[0], tape.ones)
     m_total = spec.layer_count
     for m in range(1, m_total):
-        preact[m - 1] = np.matmul(hb[m - 1], weight_means[m - 1].T, out=preact[m - 1])
+        preact[m - 1] = np.dot(hb[m - 1], weight_means[m - 1].T, out=preact[m - 1])
         # an unbuffered tape keeps no h: freed here, its memory serves the next layer
         hb[m] = _with_bias(act(preact[m - 1], out=h[m - 1]), scales[m], hb[m], tape.ones)
-    preact[-1] = np.matmul(hb[-1], weight_means[-1].T, out=preact[-1])
+    preact[-1] = np.dot(hb[-1], weight_means[-1].T, out=preact[-1])
     return preact[-1][..., 0].copy(), tape
 
 
@@ -302,9 +329,12 @@ def forward_mean(spec: NetworkSpec, weight_means: Sequence[np.ndarray],
                  tape: ForwardTape | None = None) -> tuple[float, ForwardTape]:
     """Evaluate the network at the parameter means on one input row, in
     `tape` (a one-row tape) or a fresh one; returns (alpha, tape). Raises
-    NumericError on a non-finite pre-activation."""
+    NumericError on a non-finite pre-activation. The screen is
+    `all_finite`: pre-activations past about 1e154 overflow its dot, which
+    numpy reports unless the caller ignores overflow, as the per-entry
+    update does under `adf_engine.entry_errstate()`."""
     alpha, tape = forward_mean_batch(spec, weight_means, input_mean, tape)
-    if not np.isfinite(tape.preacts).all():
+    if not all_finite(tape.preacts):
         for m, z in enumerate(tape.preact, start=1):
             if not np.isfinite(z).all():
                 raise NumericError(f"non-finite pre-activation in layer {m}")
@@ -322,9 +352,9 @@ def backprop_gradient(tape: ForwardTape) -> np.ndarray:
     hot caller, computes beta = sum_j g_j (gamma_j g_j) over variances that
     are all finite and > 0, so any NaN or infinite g_j makes beta NaN or
     +inf, and the update skips the entry on that check alone."""
-    deltas, _ = _backward(tape)  # d alpha / dx lands in g's input block
-    for g_m, delta, hb in zip(tape.g_layers, deltas, tape.hb):
-        np.multiply(delta[:, None], hb, out=g_m)
+    _backward(tape)  # d alpha / dx lands in g's input block
+    for g_m, delta, hb in tape.outer:
+        np.dot(delta, hb, out=g_m)
     return tape.g
 
 

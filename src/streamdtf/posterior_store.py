@@ -353,6 +353,30 @@ def _rng_state_from_doc(doc: dict) -> np.random.Generator:
     return rng
 
 
+def _write_json(obj, fp: TextIO) -> None:
+    """Write the text of json.dump(obj, fp, sort_keys=True,
+    separators=(",", ":")) for a document whose dict keys are strings,
+    encoding each value that holds no dict (a list
+    of numbers, a scalar) with one json.dumps. json.dump runs its
+    pure-Python encoder item by item, at twice the time; one json.dumps of
+    the whole document holds every float's text at once, about 2 MB on the
+    README configuration, where one array's text is at most 0.2 MB."""
+    if isinstance(obj, dict):
+        fp.write("{")
+        for i, key in enumerate(sorted(obj)):
+            fp.write(("," if i else "") + json.dumps(key) + ":")
+            _write_json(obj[key], fp)
+        fp.write("}")
+    elif isinstance(obj, list) and any(isinstance(item, dict) for item in obj):
+        fp.write("[")
+        for i, item in enumerate(obj):
+            fp.write("," if i else "")
+            _write_json(item, fp)
+        fp.write("]")
+    else:
+        fp.write(json.dumps(obj, separators=(",", ":")))
+
+
 def save_checkpoint(state: ModelState, fp: TextIO) -> None:
     doc = {
         "format": CHECKPOINT_FORMAT,
@@ -379,7 +403,7 @@ def save_checkpoint(state: ModelState, fp: TextIO) -> None:
         "gamma": None if state.gamma is None else {"a": state.gamma.a, "b": state.gamma.b},
         "rng": _rng_state_to_doc(state.rng),
     }
-    json.dump(doc, fp, sort_keys=True, separators=(",", ":"))
+    _write_json(doc, fp)
     fp.write("\n")
 
 

@@ -93,14 +93,15 @@ def auc(scores: Sequence[float], labels: Sequence[float]) -> float:
     labels = np.asarray(labels, dtype=float)
     if scores.shape != labels.shape or scores.size < 1:
         raise ValueError("scores and labels must be equal-length, nonempty")
-    if not set(np.unique(labels)) <= {0.0, 1.0}:
+    positive = labels == 1.0
+    n_pos = int(np.count_nonzero(positive))
+    n_neg = int(np.count_nonzero(labels == 0.0))  # -0.0 == 0.0 counts as 0
+    if n_pos + n_neg != labels.size:  # NaN equals neither
         raise ValueError("labels must be 0/1")
-    n_pos = int(labels.sum())
-    n_neg = labels.size - n_pos
     if n_pos == 0 or n_neg == 0:
         raise UndefinedMetricError("AUC needs both classes present")
     ranks = rankdata(scores)  # average ranks implement the half-tie convention
-    return float((ranks[labels == 1].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
+    return float((ranks[positive].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
 
 
 @dataclass(frozen=True)

@@ -638,3 +638,90 @@ def test_tau_accumulates_half_per_entry():
     a0 = state.gamma.a
     process_batch(state, batch, refine=False)
     assert state.gamma.a == a0 + len(batch) / 2.0
+
+
+@pytest.mark.parametrize("activation", ["relu", "tanh", "identity"])
+@pytest.mark.parametrize("k, ranks, hidden", [
+    (1, (1,), [1]),  # V_0 = 1 and a hidden width of 1
+    (1, (1,), [6, 4]),
+    (3, (2, 1, 3), [5, 1]),
+    (3, (1, 1, 1), [7, 4]),
+], ids=["V0-1-hidden-1", "V0-1", "k3-hidden-1", "k3"])
+def test_one_row_passes_match_the_n_row_passes_to_the_byte(k, ranks, hidden, activation):
+    # one row runs gemv products and k = 1 outer-product dots; the n-row
+    # passes run here on that one row, as a gemm over several rows may
+    # round a row differently from a gemv
+    shape = TensorShape({1: (80,), 3: (6, 5, 4)}[k])
+    entries, _ = synth_generate(shape, 2, ValueKind.CONTINUOUS, CpGenerator(), 0.1,
+                                60, seed=k)
+    net = NetworkSpec.for_factorization(sum(ranks), hidden, activation)
+    state = init_state(shape, ValueKind.CONTINUOUS, net, Hyperparams(ranks=ranks),
+                       seed=5)
+    process_batch(state, tuple(entries[:40]))  # weights away from their draw
+    for entry in entries[40:]:
+        x_mean, _ = state.gather_entry(entry.index)
+        alpha, tape = bnn.forward_mean(net, state.weight_means(), x_mean, state.tape)
+        g = bnn.backprop_gradient(tape)
+        assert g.shape == (net.n_weights + net.input_dim,)
+        for batch_tape in (None, bnn.ForwardTape.allocate(net, (1,))):
+            alphas, batch_tape = bnn.forward_mean_batch(
+                net, state.weight_means(), x_mean[None, :], batch_tape)
+            deltas, dx = bnn._backward(batch_tape)
+            assert np.float64(alpha).tobytes() == alphas[0].tobytes()
+            assert g[net.n_weights:].tobytes() == dx[0].tobytes()
+            for m, (sl, w_shape) in enumerate(zip(net.weight_slices, net.weight_shapes)):
+                assert tape.deltas[m].tobytes() == deltas[m][0].tobytes()
+                want = np.multiply(deltas[m][0][:, None], batch_tape.hb[m][0])
+                # a k = 1 dot stores 0 + d * h, so a zero product is +0.0
+                # where np.multiply may give -0.0: adding 0.0 maps -0.0 to
+                # +0.0 and leaves every other value's bytes as they are
+                assert g[sl].reshape(w_shape).tobytes() == (want + 0.0).tobytes()
+
+
+def test_finite_means_whose_dot_overflows_are_applied():
+    # one linear layer with w_x = 0: alpha = w_b / sqrt(2) whatever x is, so
+    # x = 1e200 moves by u_x = 0 and its new mean squares to inf in the
+    # screen's dot. w_x's own gradient is x / sqrt(2); its variance of
+    # 1e-300 keeps beta finite
+    state = _identity_state(ValueKind.CONTINUOUS)
+    state.weights[0].mean[0, 0] = 0.0
+    state.weights[0].var[0, 0] = 1e-300
+    state.embeddings[0].mean[0, 0] = 1e200
+    with entry_errstate():
+        result = adf_update_entry(state, ObservedEntry((0,), 0.5))
+        assert not math.isfinite(np.dot(state.mu, state.mu))
+    assert not result.skipped
+    assert state.entries_seen == 1
+    assert state.embeddings[0].mean[0, 0] == 1e200
+    check_invariants(state)
+
+
+def test_finite_pre_activations_whose_dot_overflows_do_not_raise():
+    spec = NetworkSpec((1, 2, 1), "identity")
+    weights = [np.array([[0.0, 1e200], [0.0, -1e200]]), np.array([[1.0, 1.0, 0.0]])]
+    with entry_errstate():
+        alpha, tape = bnn.forward_mean(spec, weights, np.ones(1))
+        assert not math.isfinite(np.dot(tape.preacts, tape.preacts))
+    assert alpha == 0.0  # the two hidden units cancel
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_pre_activations_still_raise(bad):
+    spec = NetworkSpec((1, 2, 1), "identity")
+    weights = [np.array([[1.0, 0.0], [0.0, bad]]), np.array([[1.0, 1.0, 0.0]])]
+    with entry_errstate(), pytest.raises(NumericError, match="layer 1"):
+        bnn.forward_mean(spec, weights, np.ones(1))
+
+
+@pytest.mark.parametrize("dalpha", [math.nan, math.inf])
+def test_non_finite_new_means_are_still_skipped(dalpha, monkeypatch, caplog):
+    # an evidence partial forced non-finite: u * dalpha makes every new mean
+    # with u != 0 NaN or infinite, and u_x = 0 times inf makes x's NaN
+    state = _identity_state(ValueKind.BINARY)
+
+    def bad_evidence(alpha, beta, y):
+        return adf_engine.EvidenceResult(0.0, dalpha, 0.0)
+
+    monkeypatch.setattr(adf_engine, "evidence_binary", bad_evidence)
+    _assert_skipped_without_a_write(state, ObservedEntry((0,), 1.0))
+    assert "non-finite mean update" in caplog.text

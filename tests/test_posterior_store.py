@@ -8,7 +8,7 @@ import pytest
 from streamdtf import (CheckpointError, GammaPosterior, Hyperparams,
                        NetworkSpec, TensorShape, ValueKind, check_invariants,
                        checkpoint_bytes, init_state, load_checkpoint,
-                       save_checkpoint)
+                       posterior_store, save_checkpoint)
 
 
 def _small_state(seed=0, kind=ValueKind.CONTINUOUS, rho0=0.5, sigma0_sq=1.0):
@@ -130,6 +130,23 @@ def test_checkpoint_round_trip():
     assert loaded.entries_seen == 17
     assert loaded.net == state.net
     assert loaded.hyper == state.hyper
+
+
+@pytest.mark.parametrize("kind", [ValueKind.CONTINUOUS, ValueKind.BINARY])
+def test_checkpoint_text_is_json_dump_text(kind):
+    state = _small_state(seed=2, kind=kind)
+    buf = io.StringIO()
+    save_checkpoint(state, buf)
+    want = io.StringIO()
+    json.dump(json.loads(buf.getvalue()), want, sort_keys=True, separators=(",", ":"))
+    assert buf.getvalue() == want.getvalue() + "\n"
+    # the writer's own cases beyond a checkpoint: empty containers, a list
+    # mixing dicts with other values, nesting, non-ASCII keys
+    doc = {"b": {}, "a": [], "é": [{"z": [1.5, None], "y": {"x": []}}, 2, "s", [3]],
+           "c": [[0.1, -0.0], [1e300]], "d": {"f": {"g": True}}}
+    got = io.StringIO()
+    posterior_store._write_json(doc, got)
+    assert got.getvalue() == json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
 def test_checkpoint_of_fresh_init_equals_fresh_init():

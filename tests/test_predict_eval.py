@@ -100,6 +100,16 @@ def test_auc_perfect_and_tied():
     assert auc([0.1, 0.9], [1.0, 0.0]) == 0.0
 
 
+@pytest.mark.parametrize("label", [2.0, -1.0, math.nan])
+def test_auc_rejects_a_label_other_than_0_or_1(label):
+    with pytest.raises(ValueError, match="labels must be 0/1"):
+        auc([0.9, 0.1, 0.5], [1.0, 0.0, label])
+
+
+def test_auc_takes_negative_zero_as_a_0_label():
+    assert auc([0.9, 0.1, 0.5], [1.0, -0.0, 0.0]) == auc([0.9, 0.1, 0.5], [1.0, 0.0, 0.0])
+
+
 def test_auc_single_class_is_undefined():
     with pytest.raises(UndefinedMetricError):
         auc([0.3, 0.7], [1.0, 1.0])
