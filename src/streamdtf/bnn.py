@@ -46,7 +46,10 @@ Consumers:
 - `output_moments_batch`: first-order output moments of any number of rows,
   alpha = f at the means and beta = g' diag(gamma) g, with beta summed layer
   by layer as sum delta_m^2 var_m hb_{m-1}^2 so the dense g is never built,
-  for prediction and the running evaluation.
+  for prediction and the binary running evaluation. Given no input
+  variances it runs the forward pass alone and returns no beta, for the
+  continuous running evaluation and `streamdtf eval`, whose RMSE reads only
+  the means: the tape's backward buffers stay unused.
 
 The oracles and `verify` check these same functions; one-row output moments
 are `output_moments_batch` on a (1, V_0) input.
@@ -360,8 +363,9 @@ def backprop_gradient(tape: ForwardTape) -> np.ndarray:
 
 def output_moments_batch(spec: NetworkSpec, weight_means: Sequence[np.ndarray],
                          weight_vars: Sequence[np.ndarray], input_means: np.ndarray,
-                         input_vars: np.ndarray,
-                         tape: ForwardTape | None = None) -> tuple[np.ndarray, np.ndarray]:
+                         input_vars: np.ndarray | None,
+                         tape: ForwardTape | None = None
+                         ) -> tuple[np.ndarray, np.ndarray | None]:
     """Batched (alpha, beta): per-row first-order output moments.
 
     Avoids materializing per-entry weight gradients; each layer's variance
@@ -372,9 +376,15 @@ def output_moments_batch(spec: NetworkSpec, weight_means: Sequence[np.ndarray],
     beta are new; the input means may be the tape's own `inputs`, which the
     backward pass overwrites with d alpha / dx. Without one, the passes
     allocate.
+
+    With `input_vars` None only the forward pass runs and beta is None:
+    alpha is the same bytes, and neither the weight variances nor the
+    tape's backward buffers are read or written.
     """
-    x_var = np.atleast_2d(np.asarray(input_vars, dtype=float))
     alpha, tape = forward_mean_batch(spec, weight_means, np.atleast_2d(input_means), tape)
+    if input_vars is None:
+        return alpha, None
+    x_var = np.atleast_2d(np.asarray(input_vars, dtype=float))
     deltas, dx = _backward(tape)
     beta = np.zeros(alpha.shape[0])
     # delta^2, hb^2 and dx^2 take turns in scratch; on an unbuffered tape

@@ -232,22 +232,18 @@ def _cmd_synth(args) -> int:
     entries, truth = synth_generate(shape, args.rank, kind, generator,
                                     args.noise_sd, args.entries, args.seed)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fp:
-            write_coo(entries, fp, kind)
+        _write_atomically(args.out, lambda fp: write_coo(entries, fp, kind))
         print(f"wrote {len(entries)} entries to {args.out}")
     if args.test_fraction is not None:
         if not args.train_out or not args.test_out:
             raise UsageError("--test-fraction needs --train-out and --test-out")
         split_seed = derive_seeds(args.seed, 2)[1]
         split = split_train_test(entries, args.test_fraction, split_seed)
-        with open(args.train_out, "w", encoding="utf-8") as fp:
-            write_coo(split.train, fp, kind)
-        with open(args.test_out, "w", encoding="utf-8") as fp:
-            write_coo(split.test, fp, kind)
+        _write_atomically(args.train_out, lambda fp: write_coo(split.train, fp, kind))
+        _write_atomically(args.test_out, lambda fp: write_coo(split.test, fp, kind))
         print(f"wrote {len(split.train)} train / {len(split.test)} test entries")
     if args.truth:
-        with open(args.truth, "w", encoding="utf-8") as fp:
-            truth.to_json(fp)
+        _write_atomically(args.truth, truth.to_json)
         print(f"wrote ground truth to {args.truth}")
     return 0
 
@@ -315,17 +311,20 @@ def _cmd_predict(args) -> int:
         raise UsageError("index file holds no indices")
     k = state.shape.mode_count
     header = ",".join(f"i_{i + 1}" for i in range(k))
-    with open(args.out, "w", encoding="utf-8") as fp:
-        if state.kind is ValueKind.CONTINUOUS:
-            means, variances = predict_eval.predict_batch(state, indices)
-            fp.write(header + ",prediction,variance\n")
-            for idx, m, v in zip(indices, means, variances):
-                fp.write(",".join(str(i) for i in idx) + f",{float(m)!r},{float(v)!r}\n")
-        else:
-            probs = predict_eval.predict_batch(state, indices)
-            fp.write(header + ",prediction\n")
-            for idx, pr in zip(indices, probs):
-                fp.write(",".join(str(i) for i in idx) + f",{float(pr)!r}\n")
+    predicted = predict_eval.predict_batch(state, indices)
+    if state.kind is ValueKind.CONTINUOUS:
+        header += ",prediction,variance"
+        cells = (f",{float(m)!r},{float(v)!r}" for m, v in zip(*predicted))
+    else:
+        header += ",prediction"
+        cells = (f",{float(pr)!r}" for pr in predicted)
+
+    def write(fp):
+        fp.write(header + "\n")
+        for idx, cell in zip(indices, cells):
+            fp.write(",".join(str(i) for i in idx) + cell + "\n")
+
+    _write_atomically(args.out, write)
     print(f"wrote {len(indices)} predictions to {args.out}")
     return 0
 

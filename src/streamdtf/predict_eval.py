@@ -11,10 +11,14 @@ statistic with ties counted one half.
 Prediction is read-only. The running evaluation re-scores the full test
 set after every processed batch and records per-batch wallclock. It
 allocates one n-row `bnn.ForwardTape` per call and scores every batch in
-it: the test rows' embedding moments are gathered into the tape and both
-network passes write into its buffers. The workspace is the call's, not
-the state's, so copies and checkpoints never carry it. `predict_batch` and
-`score` called without a tape allocate per call.
+it. A binary score gathers the test rows' embedding means and variances
+into the tape and both network passes write into its buffers, since the
+probit probability needs beta. A continuous score is the RMSE of the
+means alone: it gathers only the embedding means and runs only the
+forward pass, so the variance gather, the backward pass and beta are
+skipped and the tape's backward buffers stay unused. The workspace is the
+call's, not the state's, so copies and checkpoints never carry it.
+`predict_batch` and `score` called without a tape allocate per call.
 """
 
 import time
@@ -48,12 +52,17 @@ def _gather(tables: Sequence[np.ndarray], idx: np.ndarray, out: np.ndarray | Non
 
 
 def predict_batch(state: ModelState, indices: Sequence[tuple[int, ...]],
-                  tape: bnn.ForwardTape | None = None):
-    """Vectorized prediction. Continuous: (means, variances) arrays;
-    binary: probability array. `TensorShape.check_indices` checks indices.
-    With `tape`, an n-row `bnn.ForwardTape` from `bnn.ForwardTape.allocate`
-    for the network and as many rows as `indices`, the gather and both
-    passes run in its buffers; without one they allocate."""
+                  tape: bnn.ForwardTape | None = None, means_only: bool = False):
+    """Vectorized prediction. Continuous: (means, variances) arrays, or the
+    means alone with `means_only`, which gathers no variances and runs only
+    the forward pass (the same means, byte for byte); binary: probability
+    array, and `means_only` raises ValueError. `TensorShape.check_indices`
+    checks indices. With `tape`, an n-row `bnn.ForwardTape` from
+    `bnn.ForwardTape.allocate` for the network and as many rows as
+    `indices`, the gather and the passes run in its buffers; without one
+    they allocate."""
+    if means_only and state.kind is not ValueKind.CONTINUOUS:
+        raise ValueError("means_only needs continuous data: a probability needs beta")
     idx = state.shape.check_indices(indices)
     if tape is None:
         tape = bnn.ForwardTape.unbuffered(state.net, idx.shape[:1])
@@ -61,9 +70,13 @@ def predict_batch(state: ModelState, indices: Sequence[tuple[int, ...]],
         raise ValueError(f"a tape of leading shape {tape.ones.shape[:-1]} cannot "
                          f"score {idx.shape[0]} indices")
     x_mean = _gather([emb.mean for emb in state.embeddings], idx, tape.inputs, tape)
-    x_var = _gather([emb.var for emb in state.embeddings], idx, tape.input_vars, tape)
+    x_var = None
+    if not means_only:
+        x_var = _gather([emb.var for emb in state.embeddings], idx, tape.input_vars, tape)
     alpha, beta = bnn.output_moments_batch(
         state.net, state.weight_means(), state.weight_vars(), x_mean, x_var, tape)
+    if means_only:
+        return alpha
     if state.kind is ValueKind.CONTINUOUS:
         return alpha, beta + state.gamma.b / state.gamma.a
     return ndtr(alpha / np.sqrt(1.0 + beta))
@@ -129,10 +142,11 @@ class MetricSeries:
 def score(state: ModelState, indices, values,
           tape: bnn.ForwardTape | None = None) -> tuple[str, float]:
     """The state's test metric on the given cells as (name, value): "rmse"
-    of the predicted means for continuous data, "auc" of the predicted
-    probabilities for binary data; `tape` as for `predict_batch`."""
+    of the predicted means for continuous data, from the forward pass alone
+    (`means_only`), "auc" of the predicted probabilities for binary data;
+    `tape` as for `predict_batch`."""
     if state.kind is ValueKind.CONTINUOUS:
-        return "rmse", rmse(predict_batch(state, indices, tape)[0], values)
+        return "rmse", rmse(predict_batch(state, indices, tape, means_only=True), values)
     return "auc", auc(predict_batch(state, indices, tape), values)
 
 

@@ -201,3 +201,33 @@ def test_a_reused_batch_tape_gives_the_bytes_of_a_fresh_one(widths, activation):
                                      ForwardTape.allocate(spec, (n,)))
         for moments in (got, fresh):
             assert [a.tobytes() for a in moments] == [a.tobytes() for a in want]
+
+
+@pytest.mark.parametrize("activation", ["relu", "tanh", "identity"])
+@pytest.mark.parametrize("widths", [(6, 9, 4, 1), (9, 3, 1), (4, 1)])
+def test_output_moments_without_input_variances_give_the_same_alpha_bytes(widths,
+                                                                          activation):
+    # the continuous score reads only alpha: without input variances the
+    # forward pass alone runs, and alpha must keep its bytes, on an
+    # allocating tape and on one n-row tape that alternates both kinds of call
+    spec = NetworkSpec(widths, activation)
+    rng = np.random.default_rng(12)
+    n = 7
+    tape = ForwardTape.allocate(spec, (n,))
+    for call in range(4):
+        w_means = [rng.standard_normal(s) for s in spec.weight_shapes]
+        w_vars = [rng.uniform(0.01, 1.0, s) for s in spec.weight_shapes]
+        x = rng.standard_normal((n, spec.input_dim))
+        x_var = rng.uniform(0.01, 1.0, (n, spec.input_dim))
+        want, _ = output_moments_batch(spec, w_means, w_vars, x, x_var)
+        tape.inputs[...] = x
+        for got, beta in (output_moments_batch(spec, w_means, w_vars, x, None),
+                          output_moments_batch(spec, w_means, w_vars, tape.inputs,
+                                               None, tape)):
+            assert beta is None
+            assert got.tobytes() == want.tobytes()
+        # a full pass on the same tape right after is unaffected
+        full = output_moments_batch(spec, w_means, w_vars, x, x_var, tape)
+        assert full[0].tobytes() == want.tobytes()
+        assert full[1].tobytes() == output_moments_batch(spec, w_means, w_vars, x,
+                                                         x_var)[1].tobytes()

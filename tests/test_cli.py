@@ -4,6 +4,7 @@ import pytest
 
 from streamdtf import (Hyperparams, NetworkSpec, TensorShape, ValueKind,
                        checkpoint_bytes, cli, init_state, load_checkpoint)
+from streamdtf.tensor_core import GroundTruth
 
 
 def _synth_split(tmp_path, seed=3, dims="20,20", entries=400, kind="continuous"):
@@ -302,6 +303,61 @@ def test_failed_checkpoint_write_keeps_the_previous_checkpoint(tmp_path, capsys,
     assert rc == 1
     assert capsys.readouterr().err.startswith("error IO:")
     assert model.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == files
+
+
+def _synth_all(tmp_path, seed):
+    return ["synth", "--dims", "20,20", "--generator", "cp", "--rank", "2",
+            "--entries", "400", "--seed", str(seed), "--out", str(tmp_path / "all.coo"),
+            "--test-fraction", "0.1", "--train-out", str(tmp_path / "train.coo"),
+            "--test-out", str(tmp_path / "test.coo"),
+            "--truth", str(tmp_path / "truth.json")]
+
+
+@pytest.mark.parametrize("target", ["all.coo", "train.coo", "test.coo", "truth.json",
+                                    "preds.csv"])
+def test_a_failed_output_write_keeps_the_previous_file(tmp_path, capsys, monkeypatch,
+                                                       target):
+    # synth and predict write each output through a temp file: a write that
+    # fails midway leaves the file of the last run whole and no temp file
+    assert cli.main(_synth_all(tmp_path, seed=3)) == 0
+    assert cli.main(_train_args(tmp_path, tmp_path / "train.coo",
+                                tmp_path / "test.coo")) == 0
+    indices = tmp_path / "idx.txt"
+    indices.write_text("0 0\n3 7\n19 19\n")
+    predict = ["predict", "--checkpoint", str(tmp_path / "model.json"),
+               "--indices", str(indices), "--out", str(tmp_path / "preds.csv")]
+    assert cli.main(predict) == 0
+    path = tmp_path / target
+    before = path.read_bytes()
+    files = sorted(p.name for p in tmp_path.iterdir())
+
+    def partly(write):
+        # the whole write into other files; into the target, a part, then a failure
+        def wrapped(obj, fp, *args):
+            if not fp.name.startswith(f"{path}.tmp"):
+                return write(obj, fp, *args)
+            fp.write("partial\n")
+            raise OSError("no space left on device")
+        return wrapped
+
+    def predict_then_fail(state, indices):
+        means, variances = predict_batch(state, indices)
+
+        def failing():
+            yield variances[0]
+            raise OSError("no space left on device")
+        return means, failing()
+
+    predict_batch = cli.predict_eval.predict_batch
+    monkeypatch.setattr(cli, "write_coo", partly(cli.write_coo))
+    monkeypatch.setattr(GroundTruth, "to_json", partly(GroundTruth.to_json))
+    monkeypatch.setattr(cli.predict_eval, "predict_batch", predict_then_fail)
+    capsys.readouterr()
+    rc = cli.main(predict if target == "preds.csv" else _synth_all(tmp_path, seed=8))
+    assert rc == 1
+    assert capsys.readouterr().err == "error IO: no space left on device\n"
+    assert path.read_bytes() == before
     assert sorted(p.name for p in tmp_path.iterdir()) == files
 
 

@@ -269,8 +269,10 @@ def _stream_setup(kind, k=2, activation="tanh", hidden=(5, 4), seed=1):
 def test_each_running_row_is_a_fresh_score_of_that_batch_state(k, activation, kind,
                                                                 monkeypatch):
     # running_eval scores every batch in one tape: each row must be the
-    # bytes a tapeless score gives on a copy of the state taken after that
-    # batch, so nothing a buffer held from the last batch leaks in
+    # bytes the full read path (tapeless predict_batch, both passes) gives
+    # on a copy of the state taken after that batch, so nothing a buffer
+    # held from the last batch leaks in, and the continuous score's
+    # forward-only pass loses no bit of the means
     state, batches, test = _stream_setup(kind, k, activation)
     snapshots = []
     process = adf_engine.process_batch
@@ -286,16 +288,22 @@ def test_each_running_row_is_a_fresh_score_of_that_batch_state(k, activation, ki
     values = [e.value for e in test]
     assert len(snapshots) == len(series.rows) == len(batches) > 1
     for row, snapshot in zip(series.rows, snapshots):
-        name, want = score(snapshot, indices, values)
-        assert name == series.metric_name
+        predicted = predict_batch(snapshot, indices)
+        if kind is ValueKind.CONTINUOUS:
+            want = rmse(predicted[0], values)
+        else:
+            want = auc(predicted, values)
+        assert score(snapshot, indices, values)[0] == series.metric_name
         assert np.float64(row.metric).tobytes() == np.float64(want).tobytes()
 
 
-def test_running_eval_reaches_each_traced_layer_once_per_batch(monkeypatch):
+@pytest.mark.parametrize("kind", [ValueKind.CONTINUOUS, ValueKind.BINARY])
+def test_running_eval_reaches_each_traced_layer_once_per_batch(kind, monkeypatch):
     # the benchmark times scoring by replacing these module attributes, and
     # counts the rows in predict_batch's 2nd and output_moments_batch's 4th
-    # positional argument; every batch is scored in the same tape
-    state, batches, test = _stream_setup(ValueKind.BINARY)
+    # positional argument; every batch is scored in the same tape, and a
+    # continuous score's forward-only pass goes through both functions too
+    state, batches, test = _stream_setup(kind)
     calls, tapes = [], set()
     for owner, name, rows_at in [(predict_eval, "predict_batch", 1),
                                  (bnn, "output_moments_batch", 3)]:
@@ -311,11 +319,39 @@ def test_running_eval_reaches_each_traced_layer_once_per_batch(monkeypatch):
     assert len(tapes) == 1
 
 
+def test_continuous_scoring_never_runs_the_backward_pass(monkeypatch):
+    # the RMSE reads only the means: neither running_eval's scoring nor
+    # score may run the backward pass on their n-row tapes (the per-entry
+    # update runs it on its one-row tape), while predict_batch's variances
+    # still need it
+    state, batches, test = _stream_setup(ValueKind.CONTINUOUS)
+    indices = [e.index for e in test]
+    values = [e.value for e in test]
+    backward = bnn._backward
+
+    def refuse(tape):
+        if tape.ones.ndim == 1:
+            return backward(tape)
+        raise AssertionError("continuous scoring ran the backward pass")
+
+    monkeypatch.setattr(bnn, "_backward", refuse)
+    series = running_eval(state, batches, test)
+    assert score(state, indices, values) == ("rmse", series.rows[-1].metric)
+    with pytest.raises(AssertionError, match="backward pass"):
+        predict_batch(state, indices)
+
+
+def test_means_only_is_for_continuous_data():
+    state, _, test = _stream_setup(ValueKind.BINARY)
+    with pytest.raises(ValueError, match="means_only needs continuous data"):
+        predict_batch(state, [e.index for e in test], means_only=True)
+
+
 @pytest.mark.parametrize("kind", [ValueKind.CONTINUOUS, ValueKind.BINARY])
 def test_a_warm_scoring_pass_allocates_under_16_doubles_per_row(kind):
-    # in running_eval's tape only the results are new: alpha, beta, the
-    # prediction and the metric's own arrays (the tapeless pass allocates
-    # about 440 doubles per row on this network)
+    # in running_eval's tape only the results are new: alpha, beta (binary
+    # data only), the prediction and the metric's own arrays (the tapeless
+    # pass allocates about 440 doubles per row on this network)
     n = 2000
     shape = TensorShape((60, 50))
     state = init_state(shape, kind, NetworkSpec.for_factorization(16, [50, 50], "relu"),
