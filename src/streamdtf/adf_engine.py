@@ -30,7 +30,7 @@ which checks the whole batch before its first entry.
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -216,8 +216,8 @@ def adf_update_entry(state: ModelState, entry: ObservedEntry,
 
 @dataclass
 class BatchDiagnostics:
-    entry_results: list[EntryResult] = field(default_factory=list)
-    ep: "ep_prior.EpDiagnostics | None" = None
+    entry_results: list[EntryResult]
+    ep: ep_prior.EpDiagnostics
 
     @property
     def log_z_trace(self) -> list[float]:
@@ -233,25 +233,22 @@ class BatchDiagnostics:
 
 
 def process_batch(state: ModelState, batch: Sequence[ObservedEntry],
-                  damping: float = ep_prior.DEFAULT_DAMPING, refine: bool = True,
+                  damping: float = ep_prior.DEFAULT_DAMPING,
                   v_floor: float = DEFAULT_V_FLOOR) -> BatchDiagnostics:
     """Apply the per-entry update sequentially in batch order, then refine
     the sparsity-prior approximation term once. Per-entry numeric problems
     become diagnostics. An empty batch, an index or value that
-    `check_indices` or `check_values` rejects and, with `refine` set, a
-    damping outside (0, 1] raise before the first entry is applied."""
+    `check_indices` or `check_values` rejects and a damping outside (0, 1]
+    raise before the first entry is applied."""
     if not batch:
         raise ValueError("a batch cannot be empty")
     indices = state.shape.check_indices([e.index for e in batch]).tolist()
     state.kind.check_values([e.value for e in batch])
-    if refine:
-        ep_prior.check_damping(damping)
-    diag = BatchDiagnostics()
+    ep_prior.check_damping(damping)
     # each entry is indexed with the integers check_indices read from it
     with entry_errstate():
-        for entry, index in zip(batch, indices):
-            diag.entry_results.append(adf_update_entry(
-                state, ObservedEntry(tuple(index), entry.value), v_floor=v_floor))
-    if refine:
-        diag.ep = ep_prior.refine_all(state, damping=damping, v_floor=v_floor)
-    return diag
+        results = [adf_update_entry(state, ObservedEntry(tuple(index), entry.value),
+                                    v_floor=v_floor)
+                   for entry, index in zip(batch, indices)]
+    return BatchDiagnostics(results, ep_prior.refine_all(state, damping=damping,
+                                                         v_floor=v_floor))

@@ -289,7 +289,8 @@ def forward_mean_batch(spec: NetworkSpec, weight_means: Sequence[np.ndarray],
 
     `inputs` holds n rows (n, V_0), giving alpha[n], or one row (V_0,),
     giving a 0-d alpha. The weights are float arrays of `spec.weight_shapes`,
-    checked where they enter (`load_checkpoint`, `GroundTruth.from_json`).
+    checked where they enter (`load_checkpoint`) or drawn to their shapes
+    (`synth_generate`).
     The pass writes into `tape`, which must have been allocated for the
     inputs' leading shape, or into a fresh tape when none is given: a
     buffered one for one row, an unbuffered one for n rows.

@@ -356,7 +356,6 @@ _ERROR_CODES = (
     (CheckpointError, "CHECKPOINT", 1),
     (UndefinedMetricError, "METRIC", 1),
     (NumericError, "NUMERIC", 1),
-    (FileNotFoundError, "IO", 1),
     (OSError, "IO", 1),
     (ValueError, "VALUE", 1),
 )

@@ -110,10 +110,6 @@ class GammaPosterior:
             raise ValueError(f"Gamma parameters must be finite and > 0, got "
                              f"({self.a}, {self.b})")
 
-    @property
-    def mean(self) -> float:
-        return self.a / self.b
-
 
 @dataclass
 class ModeEmbeddings:
@@ -232,13 +228,6 @@ class ModelState:
         for (means, variances), emb, i in zip(self.slot, self.embeddings, index):
             emb.mean[i] = means
             emb.var[i] = variances
-
-    def stored_scalar_count(self) -> int:
-        """Exact number of stored posterior scalars (space-linearity check)."""
-        n_weights = 6 * self.net.n_weights
-        n_embed = 2 * sum(d * r for d, r in zip(self.shape.dims, self.hyper.ranks))
-        n_gamma = 2 if self.gamma is not None else 0
-        return n_weights + n_embed + n_gamma
 
 
 _RULES = {
@@ -407,6 +396,22 @@ def save_checkpoint(state: ModelState, fp: TextIO) -> None:
     fp.write("\n")
 
 
+def _count(value) -> int:
+    """A checkpoint's dim, width, rank or entries_seen: an int >= 0, and no
+    bool (an int subclass), as the --config reader requires."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise ValueError(f"a count must be an integer >= 0, got {value!r}")
+    return value
+
+
+def _real(value) -> float:
+    """A checkpoint's hyperparameter or Gamma a or b: an int or a float, as
+    read, and no bool or string."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"a real must be a JSON number, got {value!r}")
+    return value
+
+
 def load_checkpoint(fp: TextIO) -> ModelState:
     try:
         doc = json.load(fp)
@@ -420,14 +425,13 @@ def load_checkpoint(fp: TextIO) -> ModelState:
             f"(expected {CHECKPOINT_VERSION})"
         )
     try:
-        shape = TensorShape(tuple(doc["dims"]))
+        shape = TensorShape(tuple(map(_count, doc["dims"])))
         kind = ValueKind.from_string(doc["kind"])
-        net = NetworkSpec(tuple(doc["network"]["widths"]), doc["network"]["activation"])
-        hyper = Hyperparams(
-            rho0=doc["hyper"]["rho0"], sigma0_sq=doc["hyper"]["sigma0_sq"],
-            a0=doc["hyper"]["a0"], b0=doc["hyper"]["b0"],
-            ranks=tuple(doc["hyper"]["ranks"]),
-        )
+        net = NetworkSpec(tuple(map(_count, doc["network"]["widths"])),
+                          doc["network"]["activation"])
+        hyper = Hyperparams(ranks=tuple(map(_count, doc["hyper"]["ranks"])),
+                            **{name: _real(doc["hyper"][name])
+                               for name in ("rho0", "sigma0_sq", "a0", "b0")})
         embeddings = [
             ModeEmbeddings(mean=np.asarray(e["mean"], dtype=float),
                            var=np.asarray(e["var"], dtype=float))
@@ -440,9 +444,9 @@ def load_checkpoint(fp: TextIO) -> ModelState:
         # built with the invariant checks below: a bad (a, b) is an
         # impossible posterior, not a schema violation
         gamma_ab = None if doc["gamma"] is None else (
-            float(doc["gamma"]["a"]), float(doc["gamma"]["b"]))
+            float(_real(doc["gamma"]["a"])), float(_real(doc["gamma"]["b"])))
         rng = _rng_state_from_doc(doc["rng"])
-        entries_seen = operator.index(doc["entries_seen"])
+        entries_seen = _count(doc["entries_seen"])
         if len(embeddings) != shape.mode_count or len(hyper.ranks) != shape.mode_count \
                 or hyper.input_dim != net.input_dim:
             raise CheckpointError("embedding tables do not match dims, ranks and network")

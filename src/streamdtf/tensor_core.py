@@ -249,8 +249,8 @@ GROUND_TRUTH_VERSION = 1
 
 @dataclass
 class GroundTruth:
-    """Stored generator parameters; re-evaluating on stored indices
-    reproduces the stored noiseless values exactly."""
+    """The generator's parameters, written by `to_json` at full precision;
+    `evaluate` gives the noiseless values the data were drawn around."""
 
     generator: str  # "multilinear-cp" | "random-mlp"
     shape: TensorShape
@@ -267,13 +267,10 @@ class GroundTruth:
     def evaluate(self, indices: Sequence[tuple[int, ...]]) -> np.ndarray:
         """Noiseless generator values for the given index tuples."""
         idx = self.shape.check_indices(indices)
+        rows = [table[idx[:, k]] for k, table in enumerate(self.embeddings)]
         if self.generator == "multilinear-cp":
-            rows = np.stack(
-                [table[idx[:, k]] for k, table in enumerate(self.embeddings)], axis=0
-            )
-            return np.prod(rows, axis=0).sum(axis=1)
-        alpha, _ = bnn.forward_mean_batch(self.network, self.weights,
-                                          gather_rows(self.embeddings, idx))
+            return np.prod(np.stack(rows, axis=0), axis=0).sum(axis=1)
+        alpha, _ = bnn.forward_mean_batch(self.network, self.weights, np.hstack(rows))
         return alpha
 
     def to_json(self, fp: TextIO) -> None:
@@ -299,53 +296,6 @@ class GroundTruth:
         }
         json.dump(doc, fp, sort_keys=True, separators=(",", ":"))
         fp.write("\n")
-
-    @classmethod
-    def from_json(cls, fp: TextIO) -> "GroundTruth":
-        """Load a `to_json` document; ValueError on an unsupported format or
-        on tables whose shapes contradict its dims, rank and network,
-        TypeError on a non-integral dim, rank, width or seed, or on a noise
-        level or sparsity that is not a number."""
-        doc = json.load(fp)
-        if doc.get("format") != GROUND_TRUTH_FORMAT or doc.get("version") != GROUND_TRUTH_VERSION:
-            raise ValueError("not a ground-truth document of a supported version")
-        shape = TensorShape(tuple(doc["dims"]))
-        rank = operator.index(doc["rank"])
-        embeddings = [np.asarray(t, dtype=float) for t in doc["embeddings"]]
-        if [t.shape for t in embeddings] != [(d, rank) for d in shape.dims]:
-            raise ValueError(f"embedding tables do not match dims {shape.dims} and rank {rank}")
-        net = weights = mask = None
-        if doc["network"] is not None:
-            net = bnn.NetworkSpec(tuple(doc["network"]["widths"]), doc["network"]["activation"])
-            if net.input_dim != rank * shape.mode_count:
-                raise ValueError(f"network input width {net.input_dim} != rank x modes")
-            weights = [np.asarray(w, dtype=float) for w in doc["weights"] or ()]
-            if doc["zero_mask"] is not None:
-                mask = [np.asarray(m, dtype=int).astype(bool) for m in doc["zero_mask"]]
-            for name, tables in (("weight", weights), ("zero_mask", mask)):
-                if tables is not None and [t.shape for t in tables] != list(net.weight_shapes):
-                    raise ValueError(f"{name} tables do not match network widths {net.widths}")
-        reals = {"noise_sd": doc["noise_sd"], "sparsity": doc.get("sparsity", 0.0)}
-        if any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in reals.values()):
-            raise TypeError(f"noise_sd and sparsity must be numbers, got {reals}")
-        return cls(
-            generator=doc["generator"],
-            shape=shape,
-            kind=ValueKind.from_string(doc["kind"]),
-            rank=rank,
-            noise_sd=float(reals["noise_sd"]),
-            seed=operator.index(doc["seed"]),
-            sparsity=float(reals["sparsity"]),
-            embeddings=embeddings,
-            network=net,
-            weights=weights,
-            zero_mask=mask,
-        )
-
-
-def gather_rows(tables: Sequence[np.ndarray], idx: np.ndarray) -> np.ndarray:
-    """Rows idx[:, k] of tables[k], modes side by side (n, sum_k r_k)."""
-    return np.hstack([table[idx[:, k]] for k, table in enumerate(tables)])
 
 
 def _sample_distinct_indices(shape: TensorShape, n: int, rng: np.random.Generator) -> list[tuple[int, ...]]:

@@ -636,7 +636,7 @@ def test_batch_embedding_touch_budget():
 def test_tau_accumulates_half_per_entry():
     state, batch = _synth_state_and_batch(seed=7, n=30)
     a0 = state.gamma.a
-    process_batch(state, batch, refine=False)
+    process_batch(state, batch)
     assert state.gamma.a == a0 + len(batch) / 2.0
 
 

@@ -6,8 +6,8 @@ import pytest
 from scipy.special import expit, logit
 
 from streamdtf import (CpGenerator, Hyperparams, NetworkSpec,
-                       TensorShape, ValueKind, checkpoint_bytes, init_state,
-                       process_batch, refine_all, synth_generate)
+                       TensorShape, ValueKind, adf_update_entry, checkpoint_bytes,
+                       entry_errstate, init_state, refine_all, synth_generate)
 from streamdtf.ep_prior import refine_arrays
 from streamdtf.oracles import quad_tilted_moments
 from streamdtf.posterior_store import DEFAULT_V_FLOOR, WEIGHT_FIELDS
@@ -136,7 +136,9 @@ def _trained_state(seed=0):
     net = NetworkSpec.for_factorization(4, [5], "tanh")
     state = init_state(shape, ValueKind.CONTINUOUS, net,
                        Hyperparams(ranks=(2, 2)), seed=seed)
-    process_batch(state, tuple(entries), refine=False)
+    with entry_errstate():  # the per-entry updates of a batch, without its sweep
+        for entry in entries:
+            adf_update_entry(state, entry)
     return state
 
 

@@ -205,6 +205,23 @@ def test_checkpoint_bad_values_raise_checkpoint_error(edit):
 
 
 @pytest.mark.parametrize("edit", [
+    _set(("entries_seen",), -3),
+    _set(("entries_seen",), True),
+    _set(("hyper", "sigma0_sq"), True),
+    _set(("gamma", "a"), "1.5"),
+    _set(("network", "widths", -1), True),
+], ids=["negative-entries-seen", "bool-entries-seen", "bool-sigma0-sq", "string-gamma-a",
+        "bool-width"])
+def test_checkpoint_counts_must_be_ints_and_reals_numbers(edit):
+    # bool is an int subclass and float() reads a string: each of these
+    # documents loaded, and a bool sigma0_sq was written back as true
+    doc = json.loads(checkpoint_bytes(_small_state()))
+    edit(doc)
+    with pytest.raises(CheckpointError, match="schema violation"):
+        load_checkpoint(io.StringIO(json.dumps(doc)))
+
+
+@pytest.mark.parametrize("edit", [
     _set(("weights", 0, "var", 0, 0), -1.0),
     _set(("weights", 1, "mean", 0, 1), float("nan")),
     _set(("weights", 0, "term_var", 1, 0), 0.0),
@@ -244,12 +261,15 @@ def test_checkpoint_preserves_rng_stream():
 
 
 def test_stored_scalar_count_formula():
-    state = _small_state()
-    v_total = state.net.n_weights
-    embed_cells = sum(d * r for d, r in zip(state.shape.dims, state.hyper.ranks))
-    assert state.stored_scalar_count() == 6 * v_total + 2 * embed_cells + 2
-    binary = _small_state(kind=ValueKind.BINARY)
-    assert binary.stored_scalar_count() == 6 * v_total + 2 * embed_cells
+    # the module docstring's count: 6*V weight fields + 2*sum_k d_k*r_k
+    # embedding fields (+2 Gamma fields), against the arrays a state holds
+    for kind, n_gamma in ((ValueKind.CONTINUOUS, 2), (ValueKind.BINARY, 0)):
+        state = _small_state(kind=kind)
+        held = sum(f.size for f in state.weight_fields())
+        held += sum(emb.mean.size + emb.var.size for emb in state.embeddings)
+        held += 0 if state.gamma is None else len((state.gamma.a, state.gamma.b))
+        embed_cells = sum(d * r for d, r in zip(state.shape.dims, state.hyper.ranks))
+        assert held == 6 * state.net.n_weights + 2 * embed_cells + n_gamma
 
 
 @pytest.mark.parametrize("a, b", [(np.nan, 1.0), (1.0, np.nan), (np.inf, 1.0),
