@@ -26,6 +26,21 @@ only its results. Batch consumers that pass no tape get an unbuffered one
 per call, which the passes fill with new arrays, as an allocating
 implementation would.
 
+Binding: what the passes read that does not change between passes is
+built once, not per pass. A tape keeps one `TapeLayer` record per layer,
+fixed when the tape is built: the fan-in scale, the activation and its
+gradient, and on a buffered tape the view of hb_{m-1} without its bias
+column and h_m's buffer (unbuffered tapes share their spec's records,
+`NetworkSpec.unbuffered_layers`). Next to them it keeps the weight views
+W_m.T and W_m[:, :V_{m-1}], bound to the weights sequence the forward
+pass is given (`ForwardTape.bind`) and rebuilt only when it is given a
+different sequence object. The views alias the arrays, so a write into
+their memory reaches the next pass, while replacing an item of a bound
+list in place is not seen. `ModelState.weight_means()` returns the same
+list on every call, so the state's one-row tape binds once per state,
+copy or load, and `running_eval`'s n-row tape once per call; a fresh list
+binds on each pass.
+
 Products: on one row every call costs more than its arithmetic, so the
 passes call BLAS through np.dot, numpy's cheapest entry: z_m =
 np.dot(hb_{m-1}, W_m.T) on any row count, and on one row each layer's block
@@ -164,6 +179,37 @@ class NetworkSpec:
         """sqrt(V_{m-1} + 1) for m = 1..M: layer m divides its input by it."""
         return tuple(math.sqrt(v + 1.0) for v in self.widths[:-1])
 
+    @cached_property
+    def unbuffered_layers(self) -> tuple["TapeLayer", ...]:
+        """The layer records of an unbuffered tape, which name no buffer:
+        built once per spec and shared by its unbuffered tapes, since a
+        batch consumer without a tape makes one per call. Records are never
+        written."""
+        m_total = self.layer_count
+        return _tape_layers(self, [None] * m_total, [None] * (m_total - 1))
+
+
+@dataclass(frozen=True, slots=True, eq=False)
+class TapeLayer:
+    """Layer m's record on a tape: what its steps of the two passes read
+    besides the weights, fixed when the tape is built."""
+
+    scale: float  # sqrt(V_{m-1} + 1), the fan-in divisor of hb_{m-1}
+    act: Callable | None  # the hidden activation; None on the linear output layer
+    grad: Callable | None  # act'(z_m) * dh, into out; None on the output layer
+    hb_body: np.ndarray | None  # hb_{m-1} without its bias column, on a buffered tape
+    h: np.ndarray | None  # h_m, a view into scratch, on a buffered tape
+
+
+def _tape_layers(spec: NetworkSpec, hb: Sequence, hidden: Sequence) -> tuple[TapeLayer, ...]:
+    """The layer records over the buffers hb and hidden (h_1..h_{M-1}),
+    None where a tape has no such buffer."""
+    act, grad = ACTIVATIONS[spec.activation]
+    steps = [(act, grad)] * (spec.layer_count - 1) + [(None, None)]
+    return tuple(TapeLayer(scale, act, grad, None if buf is None else buf[..., :-1], h)
+                 for scale, (act, grad), buf, h
+                 in zip(spec.fan_in_scales, steps, hb, [*hidden, None]))
+
 
 @dataclass
 class ForwardTape:
@@ -178,12 +224,13 @@ class ForwardTape:
     and the hidden activations, the backward products and the squares the
     output moments sum all take turns in one flat `scratch`. On one row,
     `outer` holds each layer's block of g next to the (V_m, 1) and
-    (1, V_{m-1} + 1) views of delta_m and hb_{m-1} whose np.dot fills it."""
+    (1, V_{m-1} + 1) views of delta_m and hb_{m-1} whose np.dot fills it.
+    `layers` holds one `TapeLayer` per layer, and `w_t` and `w_in` each
+    layer's views of the weights the tape is bound to."""
 
     spec: NetworkSpec
-    weights: Sequence[np.ndarray]  # the weight means of the last forward pass
+    layers: Sequence[TapeLayer]
     hb: list  # hb_0 .. hb_{M-1}, each [h; 1]/sqrt(V+1)
-    h: list  # h_1 .. h_{M-1}, the hidden activations (views into scratch)
     preacts: np.ndarray | None  # z_1 .. z_M, one block
     preact: list  # z_1 .. z_M, views into preacts
     deltas: list  # delta_1 .. delta_M = d alpha / d z_m: preact[:-1], then `ones`
@@ -197,6 +244,11 @@ class ForwardTape:
     inputs: np.ndarray | None  # n rows: (n, V_0) input means, then dh[0]
     input_vars: np.ndarray | None  # n rows: (n, V_0) input variances
     products: np.ndarray | None  # n rows: flat, each layer's (delta^2) var
+    # set by bind: the weights the views below alias, W_m.T for the forward
+    # products and W_m[:, :V_{m-1}] for the backward ones
+    weights: Sequence[np.ndarray] = ()
+    w_t: Sequence[np.ndarray] = ()
+    w_in: Sequence[np.ndarray] = ()
 
     @classmethod
     def allocate(cls, spec: NetworkSpec, lead: tuple[int, ...] = ()) -> "ForwardTape":
@@ -234,9 +286,9 @@ class ForwardTape:
                      for sl, shape, d, b
                      in zip(spec.weight_slices, spec.weight_shapes, deltas, hb)]
             dx = g[spec.n_weights:]
-        return cls(spec=spec, weights=(), hb=hb, h=hidden, preacts=preacts,
-                   preact=preact, deltas=deltas, ones=ones, dh=[dx] + hidden,
-                   scratch=scratch, g=g, outer=outer,
+        return cls(spec=spec, layers=_tape_layers(spec, hb, hidden), hb=hb,
+                   preacts=preacts, preact=preact, deltas=deltas, ones=ones,
+                   dh=[dx] + hidden, scratch=scratch, g=g, outer=outer,
                    inputs=inputs, input_vars=input_vars, products=products)
 
     @classmethod
@@ -245,10 +297,22 @@ class ForwardTape:
         as they go, as an allocating implementation would."""
         ones = np.ones(lead + (1,))
         none = [None] * spec.layer_count
-        return cls(spec=spec, weights=(), hb=none.copy(), h=none[1:], preacts=None,
-                   preact=none.copy(), deltas=none[1:] + [ones], ones=ones,
-                   dh=none.copy(), scratch=None, g=None, outer=[],
-                   inputs=None, input_vars=None, products=None)
+        return cls(spec=spec, layers=spec.unbuffered_layers,
+                   hb=none.copy(), preacts=None, preact=none.copy(),
+                   deltas=none[1:] + [ones], ones=ones, dh=none.copy(), scratch=None,
+                   g=None, outer=[], inputs=None, input_vars=None, products=None)
+
+    def bind(self, weights: Sequence[np.ndarray]) -> None:
+        """Build the weight views `w_t` and `w_in` over `weights`, one array
+        per layer, unless they already view this very sequence: a caller
+        that passes the same list on every pass (`ModelState.weight_means()`)
+        binds once, and writes into the arrays' memory reach every later
+        pass."""
+        if weights is self.weights:
+            return
+        self.w_t = [w.T for w in weights]
+        self.w_in = [w[:, :v] for w, v in zip(weights, self.spec.widths)]
+        self.weights = weights
 
     def rows_view(self, flat: np.ndarray | None, width: int,
                   start: int = 0) -> np.ndarray | None:
@@ -269,19 +333,6 @@ def all_finite(x: np.ndarray) -> bool:
     return math.isfinite(np.dot(x, x)) or bool(np.isfinite(x).all())
 
 
-def _with_bias(h: np.ndarray, scale: float, out: np.ndarray | None,
-               ones: np.ndarray) -> np.ndarray:
-    """[h; 1] / scale. Into `out`, whose bias column already holds 1/scale,
-    or as a new array: on a few rows a strided write into a preset buffer
-    is slower than dividing the concatenation in place."""
-    if out is None:
-        out = np.concatenate((h, ones), axis=-1)
-        out /= scale
-        return out
-    np.divide(h, scale, out=out[..., :-1])
-    return out
-
-
 def forward_mean_batch(spec: NetworkSpec, weight_means: Sequence[np.ndarray],
                        inputs: np.ndarray,
                        tape: ForwardTape | None = None) -> tuple[np.ndarray, ForwardTape]:
@@ -293,22 +344,30 @@ def forward_mean_batch(spec: NetworkSpec, weight_means: Sequence[np.ndarray],
     (`synth_generate`).
     The pass writes into `tape`, which must have been allocated for the
     inputs' leading shape, or into a fresh tape when none is given: a
-    buffered one for one row, an unbuffered one for n rows.
+    buffered one for one row, an unbuffered one for n rows. The tape is
+    bound to `weight_means` first (`ForwardTape.bind`).
     """
     x = np.asarray(inputs, dtype=float)
     if tape is None:
         lead = x.shape[:-1]
         tape = ForwardTape.unbuffered(spec, lead) if lead else ForwardTape.allocate(spec)
-    tape.weights = weight_means
-    act, _ = ACTIVATIONS[spec.activation]
-    hb, h, preact, scales = tape.hb, tape.h, tape.preact, spec.fan_in_scales
-    hb[0] = _with_bias(x, scales[0], hb[0], tape.ones)
-    m_total = spec.layer_count
-    for m in range(1, m_total):
-        preact[m - 1] = np.dot(hb[m - 1], weight_means[m - 1].T, out=preact[m - 1])
-        # an unbuffered tape keeps no h: freed here, its memory serves the next layer
-        hb[m] = _with_bias(act(preact[m - 1], out=h[m - 1]), scales[m], hb[m], tape.ones)
-    preact[-1] = np.dot(hb[-1], weight_means[-1].T, out=preact[-1])
+    tape.bind(weight_means)
+    hb, preact, w_t = tape.hb, tape.preact, tape.w_t
+    h = x
+    for m, layer in enumerate(tape.layers):
+        # hb_{m-1} = [h; 1] / scale: into the buffer, whose bias column
+        # already holds 1/scale, or as a new array, since on a few rows a
+        # strided write into a preset buffer is slower than dividing the
+        # concatenation in place
+        if layer.hb_body is None:
+            hb[m] = np.concatenate((h, tape.ones), axis=-1)
+            hb[m] /= layer.scale
+        else:
+            np.divide(h, layer.scale, out=layer.hb_body)
+        preact[m] = np.dot(hb[m], w_t[m], out=preact[m])
+        if layer.act is not None:
+            # an unbuffered tape keeps no h: the next layer's hb holds it
+            h = layer.act(preact[m], out=layer.h)
     return preact[-1][..., 0].copy(), tape
 
 
@@ -317,14 +376,13 @@ def _backward(tape: ForwardTape) -> tuple[list[np.ndarray], np.ndarray]:
     delta_m = d alpha / d z_m, so layer m's weight gradient is the outer
     product delta_m (x) hb_{m-1}, row by row. Both are the tape's buffers;
     on a buffered tape delta_m (m < M) overwrites z_m."""
-    spec, weights, deltas, dh = tape.spec, tape.weights, tape.deltas, tape.dh
-    _, act_grad = ACTIVATIONS[spec.activation]
-    for m in range(spec.layer_count, 0, -1):
-        v_prev = spec.widths[m - 1]
-        grad_h = np.matmul(deltas[m - 1], weights[m - 1][:, :v_prev], out=dh[m - 1])
-        grad_h /= spec.fan_in_scales[m - 1]
-        if m > 1:
-            deltas[m - 2] = act_grad(tape.preact[m - 2], grad_h, out=deltas[m - 2])
+    layers, w_in, deltas, dh, preact = (tape.layers, tape.w_in, tape.deltas, tape.dh,
+                                        tape.preact)
+    for m in range(len(layers) - 1, -1, -1):
+        grad_h = np.matmul(deltas[m], w_in[m], out=dh[m])
+        grad_h /= layers[m].scale
+        if m:
+            deltas[m - 1] = layers[m - 1].grad(preact[m - 1], grad_h, out=deltas[m - 1])
     return deltas, grad_h
 
 

@@ -20,13 +20,20 @@ attribute (`lay.mean = x`) detaches it from the store and the engine will
 not see the write. Copies (copy.deepcopy, pickle) rebuild the views over
 the copy's own vectors.
 
-Per-entry scratch: next to the layer views, _bind_layers builds the
-buffers the per-entry update reuses from one entry to the next: a one-row
-bnn.ForwardTape (layer inputs with their bias slot set once, one contiguous
-pre-activation block, the backward vectors, and g with per-layer views),
-two work vectors as long as mu, and each mode's view into the input slot.
-The scratch belongs to the state: it is rebuilt, not copied, by deepcopy,
-pickle and load_checkpoint, and is never checkpointed.
+Per-entry scratch: next to the layer views, _bind_layers builds what the
+per-entry update reuses from one entry to the next, so an entry runs only
+its numpy calls: the list of the layers' mean views that weight_means()
+returns on every call; a one-row bnn.ForwardTape bound to that list once
+(layer inputs with their bias slot set once, one contiguous pre-activation
+block, the backward vectors, g with per-layer views, and per layer the
+weight views the two products read); two work vectors as long as mu; the
+input slot's (mean, var) views that gather_entry returns; and per mode a
+(table mean, table var, slot mean, slot var) tuple that gather_entry and
+scatter_entry copy between. Like the layer views, these alias the store
+and the embedding tables, so writes through `[...] =` reach them and
+rebinding an attribute (`lay.mean`, `emb.mean`, `state.embeddings`)
+detaches it. The scratch belongs to the state: it is rebuilt, not copied,
+by deepcopy, pickle and load_checkpoint, and is never checkpointed.
 
 A ModelState is single-writer: the per-entry update and gather_entry write
 its scratch. Read-only snapshots (deep copies) may be shared across threads
@@ -50,6 +57,7 @@ the identical random stream.
 
 import json
 import operator
+import re
 from dataclasses import dataclass, field
 from typing import Sequence, TextIO
 
@@ -71,7 +79,7 @@ DEFAULT_V_FLOOR = 1e-10
 WEIGHT_FIELDS = ("mean", "var", "rho_post", "term_mean", "term_var", "term_logit")
 
 # ModelState attributes _bind_layers builds over the flat vectors
-_BOUND = ("weights", "tape", "work", "slot")
+_BOUND = ("weights", "means", "tape", "work", "slot", "slot_modes")
 
 
 @dataclass(frozen=True)
@@ -136,8 +144,9 @@ class WeightLayer:
 class ModelState:
     """The whole posterior. mu and var have length n_weights + V_0 (input slot
     last); rho_post and the three term fields have length n_weights. The
-    per-entry scratch (tape, work, slot) is the state's own, rebuilt with
-    the layer views and never part of a copy or a checkpoint."""
+    per-entry scratch (means, tape, work, slot, slot_modes) is the state's
+    own, rebuilt with the layer views and never part of a copy or a
+    checkpoint."""
 
     shape: TensorShape
     kind: ValueKind
@@ -154,11 +163,13 @@ class ModelState:
     term_var: np.ndarray
     term_logit: np.ndarray
     weights: list[WeightLayer] = field(init=False, repr=False, compare=False)
+    means: list[np.ndarray] = field(init=False, repr=False, compare=False)
     # per-entry scratch, built by _bind_layers: never checkpointed or copied
     tape: ForwardTape = field(init=False, repr=False, compare=False)
-    work: np.ndarray = field(init=False, repr=False, compare=False)
-    slot: list[tuple[np.ndarray, np.ndarray]] = field(init=False, repr=False,
-                                                       compare=False)
+    work: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
+    slot: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
+    slot_modes: list[tuple[np.ndarray, ...]] = field(init=False, repr=False,
+                                                     compare=False)
 
     def __post_init__(self):
         self._bind_layers()
@@ -170,21 +181,26 @@ class ModelState:
                 self.term_logit)
 
     def _bind_layers(self) -> None:
-        """Bind the layer views over the flat vectors, and build the
-        per-entry scratch next to them: a one-row ForwardTape, two work
-        vectors as long as mu, and each mode's (mean, var) view into the
-        input slot."""
+        """Bind the layer views over the flat vectors and the list of their
+        means, and build the per-entry scratch next to them: a one-row
+        ForwardTape bound to that list, two work vectors as long as mu, the
+        input slot's (mean, var) views, and per mode its embedding tables
+        next to its (mean, var) views into the slot."""
         flats = self.weight_fields()
         self.weights = [
             WeightLayer(*(flat[sl].reshape(w_shape) for flat in flats))
             for sl, w_shape in zip(self.net.weight_slices, self.net.weight_shapes)
         ]
+        self.means = [lay.mean for lay in self.weights]
         self.tape = ForwardTape.allocate(self.net)
-        self.work = np.empty((2, self.mu.shape[0]))
-        self.slot = []
+        self.tape.bind(self.means)
+        self.work = tuple(np.empty((2, self.mu.shape[0])))
         offset = self.net.n_weights
-        for r in self.hyper.ranks:
-            self.slot.append((self.mu[offset:offset + r], self.var[offset:offset + r]))
+        self.slot = (self.mu[offset:], self.var[offset:])
+        self.slot_modes = []
+        for r, emb in zip(self.hyper.ranks, self.embeddings):
+            self.slot_modes.append((emb.mean, emb.var, self.mu[offset:offset + r],
+                                    self.var[offset:offset + r]))
             offset += r
 
     # copies carry the flat vectors only and rebuild the views and the
@@ -200,7 +216,11 @@ class ModelState:
         self._bind_layers()
 
     def weight_means(self) -> list[np.ndarray]:
-        return [lay.mean for lay in self.weights]
+        """Each layer's mean view, as the same list on every call, so a tape
+        given it binds once (`bnn.ForwardTape.bind`). The list is built
+        with the layer views: rebinding `lay.mean` detaches it from the
+        store and from this list alike."""
+        return self.means
 
     def weight_vars(self) -> list[np.ndarray]:
         return [lay.var for lay in self.weights]
@@ -213,11 +233,10 @@ class ModelState:
         overwrites the slot. Trusts its caller, as `scatter_entry` does: the
         index holds integers inside the shape (`adf_engine.process_batch`
         checks its batch)."""
-        for (means, variances), emb, i in zip(self.slot, self.embeddings, index):
-            means[...] = emb.mean[i]
-            variances[...] = emb.var[i]
-        n = self.net.n_weights
-        return self.mu[n:], self.var[n:]
+        for (table_mean, table_var, means, variances), i in zip(self.slot_modes, index):
+            means[...] = table_mean[i]
+            variances[...] = table_var[i]
+        return self.slot
 
     def scatter_entry(self, index: Sequence[int]) -> None:
         """Copy the input slot back to the rows `gather_entry(index)` read.
@@ -225,9 +244,9 @@ class ModelState:
         Trusts its caller: the index is the one gathered, and the slot holds
         finite means and variances > 0.
         """
-        for (means, variances), emb, i in zip(self.slot, self.embeddings, index):
-            emb.mean[i] = means
-            emb.var[i] = variances
+        for (table_mean, table_var, means, variances), i in zip(self.slot_modes, index):
+            table_mean[i] = means
+            table_var[i] = variances
 
 
 _RULES = {
@@ -329,15 +348,33 @@ def _rng_state_to_doc(rng: np.random.Generator) -> dict:
     }
 
 
+def _state_word(text) -> int:
+    """A PCG64 state word: the decimal string _rng_state_to_doc writes for
+    an int in [0, 2**128), digits only, with no sign, space or leading zero."""
+    if not isinstance(text, str) or re.fullmatch(r"0|[1-9][0-9]*", text) is None:
+        raise ValueError(f"a generator state word must be a decimal string, got {text!r}")
+    return _count(int(text), 2 ** 128)
+
+
 def _rng_state_from_doc(doc: dict) -> np.random.Generator:
+    """The generator a checkpoint's rng block describes. Each value must be
+    what `_rng_state_to_doc` writes, since a wrong one changes the random
+    stream a resumed run continues: has_uint32 a JSON int 0 or 1, uinteger
+    an int in [0, 2**32) and the PCG64 words `state` and `inc` decimal
+    strings (ValueError otherwise)."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"a generator state is a table, got {doc!r}")
     if doc.get("bit_generator") != "PCG64":
         raise CheckpointError(f"unsupported bit generator {doc.get('bit_generator')!r}")
+    words = doc["state"]
+    if not isinstance(words, dict) or sorted(words) != ["inc", "state"]:
+        raise ValueError(f"a PCG64 state holds the words inc and state, got {words!r}")
     rng = np.random.Generator(np.random.PCG64())
     rng.bit_generator.state = {
         "bit_generator": "PCG64",
-        "state": {k: int(v) for k, v in doc["state"].items()},
-        "has_uint32": int(doc["has_uint32"]),
-        "uinteger": int(doc["uinteger"]),
+        "state": {k: _state_word(v) for k, v in words.items()},
+        "has_uint32": _count(doc["has_uint32"], 2),
+        "uinteger": _count(doc["uinteger"], 2 ** 32),
     }
     return rng
 
@@ -396,11 +433,14 @@ def save_checkpoint(state: ModelState, fp: TextIO) -> None:
     fp.write("\n")
 
 
-def _count(value) -> int:
-    """A checkpoint's dim, width, rank or entries_seen: an int >= 0, and no
-    bool (an int subclass), as the --config reader requires."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
-        raise ValueError(f"a count must be an integer >= 0, got {value!r}")
+def _count(value, bound: int | None = None) -> int:
+    """A checkpoint's dim, width, rank, entries_seen or generator state
+    value: an int >= 0, below `bound` where one is given, and no bool (an
+    int subclass), as the --config reader requires."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0 \
+            or (bound is not None and value >= bound):
+        raise ValueError(f"a count must be an integer >= 0"
+                         f"{'' if bound is None else f' and < {bound}'}, got {value!r}")
     return value
 
 

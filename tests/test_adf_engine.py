@@ -1,6 +1,7 @@
 import copy
 import io
 import math
+import pickle
 from collections import Counter
 
 import numpy as np
@@ -417,18 +418,67 @@ def test_process_batch_rejects_a_bad_entry_before_any_write(make_bad, error, kin
     assert checkpoint_bytes(state) == before
 
 
+def _restart_by_checkpoint(state):
+    buf = io.StringIO()
+    save_checkpoint(state, buf)
+    buf.seek(0)
+    return load_checkpoint(buf)
+
+
 def test_deepcopy_views_alias_the_copy_only():
+    # a deep copy, a pickle round trip and a loaded checkpoint each bind
+    # their layer views, their tape's weight views and their slot tables
+    # to their own vectors and tables, never to the original's
     state, batch = _synth_state_and_batch(seed=4)
     before = checkpoint_bytes(state)
-    clone = copy.deepcopy(state)
-    for lay in clone.weights:
-        for name, own, original in zip(WEIGHT_FIELDS, clone.weight_fields(),
-                                       state.weight_fields()):
-            assert np.shares_memory(getattr(lay, name), own)
-            assert not np.shares_memory(getattr(lay, name), original)
-    process_batch(clone, batch)
-    assert checkpoint_bytes(clone) != before
-    assert checkpoint_bytes(state) == before
+    for restart in (copy.deepcopy, lambda s: pickle.loads(pickle.dumps(s)),
+                    _restart_by_checkpoint):
+        clone = restart(state)
+        for lay in clone.weights:
+            for name, own, original in zip(WEIGHT_FIELDS, clone.weight_fields(),
+                                           state.weight_fields()):
+                assert np.shares_memory(getattr(lay, name), own)
+                assert not np.shares_memory(getattr(lay, name), original)
+        assert clone.tape.weights is clone.weight_means()
+        assert clone.weight_means() is clone.weight_means()
+        for w_t, w_in, mean in zip(clone.tape.w_t, clone.tape.w_in, clone.weight_means(),
+                                   strict=True):
+            for view in (w_t, w_in):
+                assert np.shares_memory(view, mean)
+                assert not np.shares_memory(view, state.mu)
+        for views, emb, original in zip(clone.slot_modes, clone.embeddings,
+                                         state.embeddings):
+            table_mean, table_var, slot_mean, slot_var = views
+            assert table_mean is emb.mean and table_var is emb.var
+            assert not np.shares_memory(table_mean, original.mean)
+            assert np.shares_memory(slot_mean, clone.mu)
+            assert np.shares_memory(slot_var, clone.var)
+        for view, flat in zip(clone.slot, (clone.mu, clone.var)):
+            assert np.shares_memory(view, flat)
+            assert not np.shares_memory(view, state.mu)
+            assert not np.shares_memory(view, state.var)
+        process_batch(clone, batch)
+        assert checkpoint_bytes(clone) != before
+        assert checkpoint_bytes(state) == before
+
+
+def test_a_write_through_the_layer_views_reaches_the_next_entry():
+    # the state's tape binds its weight views once: a write into the store
+    # through state.weights between two entries must reach the next
+    # entry's forward pass, as a fresh tape over copies of the weights sees it
+    state, batch = _synth_state_and_batch(seed=4)
+    with entry_errstate():
+        adf_update_entry(state, batch[0])
+        x_mean = state.gather_entry(batch[1].index)[0].copy()
+        unwritten, _ = bnn.forward_mean(state.net, [w.copy() for w in state.weight_means()],
+                                        x_mean)
+        for lay in state.weights:
+            lay.mean[...] = lay.mean + 0.25
+        want, _ = bnn.forward_mean(state.net, [w.copy() for w in state.weight_means()],
+                                   x_mean)
+        result = adf_update_entry(state, batch[1])
+    assert want != unwritten
+    assert np.float64(result.alpha).tobytes() == np.float64(want).tobytes()
 
 
 def _engine_and_reference(kind, activation, v_floor, **reference_options):
@@ -512,13 +562,6 @@ def test_process_batch_indexes_with_the_integers_it_checked():
     assert state.entries_seen == 2
     assert checkpoint_bytes(state) == checkpoint_bytes(trained((1, 2)))
     assert checkpoint_bytes(trained((np.int64(1), 2))) == checkpoint_bytes(state)
-
-
-def _restart_by_checkpoint(state):
-    buf = io.StringIO()
-    save_checkpoint(state, buf)
-    buf.seek(0)
-    return load_checkpoint(buf)
 
 
 @pytest.mark.parametrize("restart", [_restart_by_checkpoint, copy.deepcopy],

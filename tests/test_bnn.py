@@ -179,11 +179,13 @@ def test_a_reused_batch_tape_gives_the_bytes_of_a_fresh_one(widths, activation):
     # one n-row tape across calls with new weights and inputs: no buffer may
     # carry anything from the last call (the bias columns, set once, must
     # survive, and delta_m overwrites z_m), so the bytes equal a fresh
-    # tape's and the allocating path's
+    # tape's and the allocating path's. Each call passes a new weights
+    # list, so the tape, and a reused one-row tape, must rebind to it
     spec = NetworkSpec(widths, activation)
     rng = np.random.default_rng(11)
     n = 7
     tape = ForwardTape.allocate(spec, (n,))
+    one_row = ForwardTape.allocate(spec)
     for call in range(4):
         w_means = [rng.standard_normal(s) for s in spec.weight_shapes]
         w_vars = [rng.uniform(0.01, 1.0, s) for s in spec.weight_shapes]
@@ -201,6 +203,15 @@ def test_a_reused_batch_tape_gives_the_bytes_of_a_fresh_one(widths, activation):
                                      ForwardTape.allocate(spec, (n,)))
         for moments in (got, fresh):
             assert [a.tobytes() for a in moments] == [a.tobytes() for a in want]
+        assert tape.weights is w_means
+        for w_t, w_in, w in zip(tape.w_t, tape.w_in, w_means, strict=True):
+            assert np.shares_memory(w_t, w) and np.shares_memory(w_in, w)
+        alpha, _ = forward_mean(spec, w_means, x[0], one_row)
+        alpha_fresh, fresh_tape = forward_mean(spec, w_means, x[0])
+        assert one_row.weights is w_means
+        assert np.float64(alpha).tobytes() == np.float64(alpha_fresh).tobytes()
+        assert backprop_gradient(one_row).tobytes() == \
+            backprop_gradient(fresh_tape).tobytes()
 
 
 @pytest.mark.parametrize("activation", ["relu", "tanh", "identity"])

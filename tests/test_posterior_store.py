@@ -193,10 +193,26 @@ def _set(path, value):
     _set(("hyper", "ranks"), [2.5, 2]),
     _set(("network", "widths", 0), 4.5),
     _set(("entries_seen",), 0.5),
+    _set(("rng", "has_uint32"), True),
+    _set(("rng", "has_uint32"), 2),
+    _set(("rng", "has_uint32"), 1.0),
+    _set(("rng", "uinteger"), "5"),
+    _set(("rng", "uinteger"), 2 ** 32),
+    _set(("rng", "uinteger"), -1),
+    _set(("rng", "state", "state"), int),
+    _set(("rng", "state", "inc"), lambda word: "+" + word),
+    _set(("rng", "state", "inc"), lambda word: "0" + word),
+    _set(("rng", "state", "state"), str(2 ** 128)),
+    _set(("rng", "state"), lambda words: {"state": words["state"]}),
+    _set(("rng", "state"), "0"),
+    _set(("rng",), None),
 ], ids=["rho0", "gamma-a", "output-width", "rng-state", "negative-dims",
         "weight-table-short", "embedding-table-short", "embedding-table-missing",
         "fractional-dims", "fractional-ranks", "fractional-width",
-        "fractional-entries-seen"])
+        "fractional-entries-seen", "bool-has-uint32", "two-has-uint32",
+        "float-has-uint32", "string-uinteger", "wide-uinteger", "negative-uinteger",
+        "int-state-word", "signed-state-word", "zero-padded-state-word",
+        "wide-state-word", "missing-state-word", "state-not-a-table", "rng-not-a-table"])
 def test_checkpoint_bad_values_raise_checkpoint_error(edit):
     doc = json.loads(checkpoint_bytes(_small_state()))
     edit(doc)
