@@ -19,7 +19,10 @@ Buffers: both passes write into the buffers of the tape they run on (with
 `out=`), and where it has none they allocate as they go. A tape belongs
 to whoever allocated it. The per-entry update passes the one-row tape its
 `ModelState` owns, which has every buffer, so one entry after another
-allocates nothing, and `backprop_gradient` fills that tape's g.
+allocates nothing, and `backprop_gradient` fills that tape's g. On that
+tape g's output-layer block is the hb_{M-1} buffer: the output layer's
+gradient delta_M hb_{M-1} is hb_{M-1} itself (delta_M = 1), so the forward
+pass writes that block of g and the backward pass leaves it alone.
 `predict_eval.running_eval` allocates one n-row tape per call, as large as
 the test set, and scores every batch in it, so the re-scoring allocates
 only its results. Batch consumers that pass no tape get an unbuffered one
@@ -43,13 +46,25 @@ binds on each pass.
 
 Products: on one row every call costs more than its arithmetic, so the
 passes call BLAS through np.dot, numpy's cheapest entry: z_m =
-np.dot(hb_{m-1}, W_m.T) on any row count, and on one row each layer's block
-of g is a k = 1 np.dot of delta_m as a column and hb_{m-1} as a row, whose
-bits are np.multiply's except that a zero product is +0.0. The backward
-product stays np.matmul(delta_m, W_m[:, :V_{m-1}]): np.dot copies that
-strided view, and a full-width np.dot(delta_m, W_m) rounds differently
-from it for some widths. The finiteness screens of the per-entry update
+np.dot(hb_{m-1}, W_m.T) on any row count, and on one row each hidden
+layer's block of g is a k = 1 np.dot of delta_m as a column and hb_{m-1} as
+a row, whose bits are np.multiply's except that a zero product is +0.0. The
+backward product stays np.matmul(delta_m, W_m[:, :V_{m-1}]): np.dot copies
+that strided view, and a full-width np.dot(delta_m, W_m) rounds differently
+from it for some widths. The linear output layer has no product on any
+row count: dh_{M-1} is W_M[0, :V_{M-1}] / sqrt(V_{M-1} + 1), written into
+each row, and its block of g is hb_{M-1} (above). Both are the bytes the
+products gave, except that a -0.0 weight or hb value stays -0.0 where the
+product made it +0.0. The finiteness screens of the per-entry update
 (`all_finite`) are one dot each.
+
+Activation derivatives: a tape's records fix the gradient form for its row
+count. relu's act'(z) dh is np.heaviside(z, 0.0) then the multiply on one
+row, where np.greater into the float delta buffer pays a bool-to-float
+cast, and np.greater on n rows, where heaviside is 2-10x slower on inputs
+of mixed sign. Both give H(0) = 0 and the same bytes for every z but NaN,
+which heaviside keeps and greater maps to 0; the one-row pass screens z
+before the backward pass.
 
 Consumers:
 
@@ -98,6 +113,13 @@ def _relu_grad(z, dh, out):
     return out
 
 
+def _relu_grad_one_row(z, dh, out):
+    # H(z) with H(0) = 0, written as floats: no bool-to-float cast
+    out = np.heaviside(z, 0.0, out=out)
+    out *= dh
+    return out
+
+
 def _tanh_grad(z, dh, out):
     t = np.tanh(z, out=out)
     np.subtract(1.0, np.multiply(t, t, out=t), out=t)
@@ -116,6 +138,10 @@ ACTIVATIONS: dict[str, tuple[Callable, Callable]] = {
     "tanh": (np.tanh, _tanh_grad),
     "identity": (np.positive, _identity_grad),
 }
+
+# the one-row tape's gradient where it differs from ACTIVATIONS' (see
+# "Activation derivatives" above)
+_ONE_ROW_GRADS: dict[str, Callable] = {"relu": _relu_grad_one_row}
 
 USER_ACTIVATIONS = ("relu", "tanh")
 
@@ -186,7 +212,7 @@ class NetworkSpec:
         batch consumer without a tape makes one per call. Records are never
         written."""
         m_total = self.layer_count
-        return _tape_layers(self, [None] * m_total, [None] * (m_total - 1))
+        return _tape_layers(self, [None] * m_total, [None] * (m_total - 1), False)
 
 
 @dataclass(frozen=True, slots=True, eq=False)
@@ -201,10 +227,14 @@ class TapeLayer:
     h: np.ndarray | None  # h_m, a view into scratch, on a buffered tape
 
 
-def _tape_layers(spec: NetworkSpec, hb: Sequence, hidden: Sequence) -> tuple[TapeLayer, ...]:
+def _tape_layers(spec: NetworkSpec, hb: Sequence, hidden: Sequence,
+                 one_row: bool) -> tuple[TapeLayer, ...]:
     """The layer records over the buffers hb and hidden (h_1..h_{M-1}),
-    None where a tape has no such buffer."""
+    None where a tape has no such buffer, with the gradient form of the
+    tape's row count."""
     act, grad = ACTIVATIONS[spec.activation]
+    if one_row:
+        grad = _ONE_ROW_GRADS.get(spec.activation, grad)
     steps = [(act, grad)] * (spec.layer_count - 1) + [(None, None)]
     return tuple(TapeLayer(scale, act, grad, None if buf is None else buf[..., :-1], h)
                  for scale, (act, grad), buf, h
@@ -223,8 +253,9 @@ class ForwardTape:
     On a buffered tape the backward pass writes delta_m over z_m (m < M),
     and the hidden activations, the backward products and the squares the
     output moments sum all take turns in one flat `scratch`. On one row,
-    `outer` holds each layer's block of g next to the (V_m, 1) and
-    (1, V_{m-1} + 1) views of delta_m and hb_{m-1} whose np.dot fills it.
+    `outer` holds each hidden layer's block of g next to the (V_m, 1) and
+    (1, V_{m-1} + 1) views of delta_m and hb_{m-1} whose np.dot fills it;
+    the output layer's block is hb_{M-1}'s buffer.
     `layers` holds one `TapeLayer` per layer, and `w_t` and `w_in` each
     layer's views of the weights the tape is bound to."""
 
@@ -238,8 +269,8 @@ class ForwardTape:
     dh: list  # d alpha / d h_{m-1}, m = 1..M; dh[0] is d alpha / dx
     scratch: np.ndarray | None  # flat, room for (rows, max V + 1)
     g: np.ndarray | None  # one row: the dense gradient, dh[0] its input block
-    # one row, per layer: (its (V_m, V_{m-1}+1) view into g, delta_m as a
-    # column, hb_{m-1} as a row)
+    # one row, per layer m < M: (its (V_m, V_{m-1}+1) view into g, delta_m
+    # as a column, hb_{m-1} as a row)
     outer: list[tuple[np.ndarray, np.ndarray, np.ndarray]]
     inputs: np.ndarray | None  # n rows: (n, V_0) input means, then dh[0]
     input_vars: np.ndarray | None  # n rows: (n, V_0) input variances
@@ -256,17 +287,20 @@ class ForwardTape:
         hb arrays with their bias column set to 1/sqrt(V+1), the
         pre-activations as one block (one finite check covers them),
         delta_M = 1 and the flat scratch. One row (lead ()) adds g with its
-        layer blocks and the outer-product factors, dh[0] being g's input
-        block; n rows add the input buffers `predict_eval` gathers into,
-        dh[0] being `inputs`, and the flat `products` the output moments
-        use."""
+        layer blocks and the outer-product factors, hb_{M-1} being g's
+        output-layer block and dh[0] its input block; n rows add the input
+        buffers `predict_eval` gathers into, dh[0] being `inputs`, and the
+        flat `products` the output moments use."""
         rows = math.prod(lead)
         widths, outs = spec.widths, spec.widths[1:]
-        hb = []
-        for v, scale in zip(widths[:-1], spec.fan_in_scales):
-            buf = np.empty(lead + (v + 1,))
-            buf[..., v] = 1.0 / scale
-            hb.append(buf)
+        # one row: g, whose output-layer block delta_M hb_{M-1} is hb_{M-1}
+        # itself, so that block is the hb_{M-1} buffer
+        g = None if lead else np.empty(spec.n_weights + spec.input_dim)
+        hb = [np.empty(lead + (v + 1,)) for v in widths[:-2]]
+        hb.append(g[spec.weight_slices[-1]] if g is not None
+                  else np.empty(lead + (widths[-2] + 1,)))
+        for buf, scale in zip(hb, spec.fan_in_scales):
+            buf[..., -1] = 1.0 / scale
         preacts = np.empty(rows * sum(outs))
         bounds = rows * np.cumsum((0,) + outs)
         preact = [preacts[lo:hi].reshape(lead + (v,))
@@ -275,18 +309,17 @@ class ForwardTape:
         deltas = preact[:-1] + [ones]
         scratch = np.empty(rows * (max(widths[:-1]) + 1))
         hidden = [scratch[:rows * v].reshape(lead + (v,)) for v in widths[1:-1]]
-        g, outer, inputs, input_vars, products = None, [], None, None, None
+        outer, inputs, input_vars, products = [], None, None, None
         if lead:
             inputs, input_vars = (np.empty(lead + (spec.input_dim,)) for _ in range(2))
             products = np.empty(scratch.shape)
             dx = inputs
         else:
-            g = np.empty(spec.n_weights + spec.input_dim)
             outer = [(g[sl].reshape(shape), d.reshape(-1, 1), b.reshape(1, -1))
                      for sl, shape, d, b
-                     in zip(spec.weight_slices, spec.weight_shapes, deltas, hb)]
+                     in zip(spec.weight_slices[:-1], spec.weight_shapes, deltas, hb)]
             dx = g[spec.n_weights:]
-        return cls(spec=spec, layers=_tape_layers(spec, hb, hidden), hb=hb,
+        return cls(spec=spec, layers=_tape_layers(spec, hb, hidden, not lead), hb=hb,
                    preacts=preacts, preact=preact, deltas=deltas, ones=ones,
                    dh=[dx] + hidden, scratch=scratch, g=g, outer=outer,
                    inputs=inputs, input_vars=input_vars, products=products)
@@ -339,9 +372,9 @@ def forward_mean_batch(spec: NetworkSpec, weight_means: Sequence[np.ndarray],
     """The forward pass at the parameter means; returns (alpha, tape).
 
     `inputs` holds n rows (n, V_0), giving alpha[n], or one row (V_0,),
-    giving a 0-d alpha. The weights are float arrays of `spec.weight_shapes`,
-    checked where they enter (`load_checkpoint`) or drawn to their shapes
-    (`synth_generate`).
+    giving alpha as a numpy scalar. The weights are float arrays of
+    `spec.weight_shapes`, checked where they enter (`load_checkpoint`) or
+    drawn to their shapes (`synth_generate`).
     The pass writes into `tape`, which must have been allocated for the
     inputs' leading shape, or into a fresh tape when none is given: a
     buffered one for one row, an unbuffered one for n rows. The tape is
@@ -368,7 +401,10 @@ def forward_mean_batch(spec: NetworkSpec, weight_means: Sequence[np.ndarray],
         if layer.act is not None:
             # an unbuffered tape keeps no h: the next layer's hb holds it
             h = layer.act(preact[m], out=layer.h)
-    return preact[-1][..., 0].copy(), tape
+    z_out = preact[-1]
+    # n rows: a copy, since the tape's next pass overwrites z_M; one row: a
+    # numpy scalar, which holds none of the tape's memory
+    return (z_out[..., 0].copy() if z_out.ndim > 1 else z_out[0]), tape
 
 
 def _backward(tape: ForwardTape) -> tuple[list[np.ndarray], np.ndarray]:
@@ -378,11 +414,17 @@ def _backward(tape: ForwardTape) -> tuple[list[np.ndarray], np.ndarray]:
     on a buffered tape delta_m (m < M) overwrites z_m."""
     layers, w_in, deltas, dh, preact = (tape.layers, tape.w_in, tape.deltas, tape.dh,
                                         tape.preact)
-    for m in range(len(layers) - 1, -1, -1):
-        grad_h = np.matmul(deltas[m], w_in[m], out=dh[m])
-        grad_h /= layers[m].scale
-        if m:
-            deltas[m - 1] = layers[m - 1].grad(preact[m - 1], grad_h, out=deltas[m - 1])
+    # the output layer is linear with delta_M = 1, so on every row dh_{M-1}
+    # is W_M's weight row over its fan-in scale: no product
+    m = len(layers) - 1
+    out = dh[m]
+    if out is None:
+        out = np.empty(tape.ones.shape[:-1] + w_in[m].shape[1:])
+    grad_h = np.divide(w_in[m][0], layers[m].scale, out=out)
+    for m in range(m, 0, -1):
+        deltas[m - 1] = layers[m - 1].grad(preact[m - 1], grad_h, out=deltas[m - 1])
+        grad_h = np.matmul(deltas[m - 1], w_in[m - 1], out=dh[m - 1])
+        grad_h /= layers[m - 1].scale
     return deltas, grad_h
 
 
@@ -407,14 +449,17 @@ def backprop_gradient(tape: ForwardTape) -> np.ndarray:
     """Reverse-mode gradient of the scalar output over all weights and inputs
     of the one row `tape` was recorded on (by `forward_mean`), flattened in
     `NetworkSpec.weight_slices` order with the V_0 input coordinates last.
-    The array is the tape's `g`: the caller may overwrite it, and the next
-    backward pass on the tape does.
+    The array is the tape's `g`, which the next passes on the tape
+    overwrite. The caller must not write it: its output-layer block is the
+    tape's hb_{M-1}, whose bias slot is set once, when the tape is built.
 
     g is not scanned for non-finite values: the per-entry update, its one
     hot caller, computes beta = sum_j g_j (gamma_j g_j) over variances that
     are all finite and > 0, so any NaN or infinite g_j makes beta NaN or
     +inf, and the update skips the entry on that check alone."""
-    _backward(tape)  # d alpha / dx lands in g's input block
+    # d alpha / dx lands in g's input block; the forward pass wrote the
+    # output layer's block, hb_{M-1}
+    _backward(tape)
     for g_m, delta, hb in tape.outer:
         np.dot(delta, hb, out=g_m)
     return tape.g

@@ -13,9 +13,11 @@ separated, UTF-8, LF or CRLF. Values are rendered with full-precision
 decimal `repr` so parse -> write -> parse is the identity.
 """
 
+import itertools
 import json
 import math
 import operator
+import struct
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, NamedTuple, Sequence, TextIO
@@ -92,13 +94,19 @@ class TensorShape:
         """`indices` as an (n, K) integer array, checked as `check_index`
         checks one tuple; a non-integer dtype raises TypeError, and rows of
         unequal length raise as `check_index` does for the first row with the
-        wrong mode count."""
-        try:
-            idx = np.asarray(indices)
-        except ValueError:  # ragged rows
-            for index in indices:
-                self.check_index(index)
-            raise
+        wrong mode count. Rows of K integers convert without np.asarray's
+        walk over every coordinate (`_int_rows`); any other input goes
+        through np.asarray, whose dtype decides what is an integer."""
+        idx = indices
+        if not isinstance(idx, np.ndarray):
+            idx = _int_rows(indices, len(self.dims))
+        if idx is None:
+            try:
+                idx = np.asarray(indices)
+            except ValueError:  # ragged rows
+                for index in indices:
+                    self.check_index(index)
+                raise
         if idx.ndim != 2 or idx.shape[1] != len(self.dims):
             raise BoundsError(f"indices of shape {idx.shape} are not (n, K) rows "
                               f"for the shape {self.dims}")
@@ -108,6 +116,26 @@ class TensorShape:
         if bad.any():
             self.check_index(idx[bad.any(axis=1).argmax()])  # raises for this row
         return idx
+
+
+def _int_rows(rows, k: int) -> np.ndarray | None:
+    """The n rows of k integers as an (n, k) int64 array (a transposed view
+    of a (k, n) block), or None where `rows` is anything else: struct packs
+    each column through `__index__`, which refuses a float or a string, and
+    zip(strict=True) refuses rows of unequal length. Rows whose first
+    coordinate is a bool get None too, since np.asarray reads rows of bools
+    alone as a bool array; a bool among integers reads as its integer
+    either way."""
+    try:
+        n = len(rows)
+        if type(rows[0][0]) is bool:
+            return None
+        out = np.empty((k, n), np.int64)
+        struct.pack_into(f"{n * k}q", out, 0,
+                         *itertools.chain.from_iterable(zip(*rows, strict=True)))
+    except (TypeError, ValueError, LookupError, struct.error):
+        return None
+    return out.T
 
 
 class ObservedEntry(NamedTuple):

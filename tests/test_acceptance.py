@@ -210,19 +210,20 @@ def test_criterion_10_linear_cost():
     net = NetworkSpec.for_factorization(9, [40, 40], "relu")
     hyper = Hyperparams(ranks=(3, 3, 3))
     counts = [10, 20, 40]
-    times = []
-    for n_batches in counts:
-        best = math.inf
-        for _ in range(2):
-            init_seed, shuffle_seed = derive_seeds(0, 2)
-            state = init_state(shape, ValueKind.CONTINUOUS, net, hyper,
-                               seed=init_seed)
-            batches = partition_stream(entries, 128, seed=shuffle_seed)[:n_batches]
+    init_seed, shuffle_seed = derive_seeds(0, 2)
+    batches = partition_stream(entries, 128, seed=shuffle_seed)
+    best = dict.fromkeys(counts, math.inf)
+    # the counts take turns, round after round, so that a slow or a fast
+    # phase of the host falls on every count rather than on one count's
+    # back-to-back repeats; each count keeps its fastest time
+    for _ in range(4):
+        for n_batches in counts:
+            state = init_state(shape, ValueKind.CONTINUOUS, net, hyper, seed=init_seed)
             t0 = time.perf_counter()
-            for batch in batches:
+            for batch in batches[:n_batches]:
                 process_batch(state, batch)
-            best = min(best, time.perf_counter() - t0)
-        times.append(best)
+            best[n_batches] = min(best[n_batches], time.perf_counter() - t0)
+    times = [best[n_batches] for n_batches in counts]
     x = np.array(counts, dtype=float)
     y = np.array(times)
     coef = np.polyfit(x, y, 1)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from streamdtf import (NetworkSpec, backprop_gradient, forward_mean,
+from streamdtf import (NetworkSpec, backprop_gradient, bnn, forward_mean,
                        forward_mean_batch, output_moments_batch)
 from streamdtf.bnn import ForwardTape
 from streamdtf.errors import NumericError
@@ -242,3 +242,120 @@ def test_output_moments_without_input_variances_give_the_same_alpha_bytes(widths
         assert full[0].tobytes() == want.tobytes()
         assert full[1].tobytes() == output_moments_batch(spec, w_means, w_vars, x,
                                                          x_var)[1].tobytes()
+
+
+def test_the_relu_derivative_forms_agree_to_the_byte():
+    # the one-row tape takes heaviside then the multiply, n rows take
+    # np.greater into the float buffer then the multiply: the same bytes on
+    # signed zeros, subnormals, infinities and random z
+    rng = np.random.default_rng(13)
+    tiny = np.nextafter(0.0, 1.0)
+    special = np.array([0.0, -0.0, tiny, -tiny, 2.2e-308, -2.2e-308, np.inf, -np.inf])
+    z = np.concatenate([special, rng.standard_normal(200), rng.standard_normal(40) * 1e300])
+    for dh in (rng.standard_normal(z.shape), np.full(z.shape, -0.0),
+               np.full(z.shape, np.inf)):
+        with np.errstate(invalid="ignore"):  # 0 * inf
+            one_row = bnn._relu_grad_one_row(z, dh, np.empty_like(z))
+            rows = bnn._relu_grad(z, dh, np.empty_like(z))
+            fresh = bnn._relu_grad_one_row(z, dh, None)
+        assert one_row.tobytes() == rows.tobytes() == fresh.tobytes()
+    # NaN is where they part: heaviside keeps it, np.greater reads it as 0
+    nan = np.array([np.nan])
+    assert np.isnan(bnn._relu_grad_one_row(nan, np.ones(1), np.empty(1))[0])
+    assert bnn._relu_grad(nan, np.ones(1), np.empty(1))[0] == 0.0
+
+
+def test_each_tape_takes_the_relu_derivative_of_its_row_count():
+    spec = NetworkSpec((3, 4, 2, 1), "relu")
+    hidden = slice(0, spec.layer_count - 1)
+    for tape, grad in ((ForwardTape.allocate(spec), bnn._relu_grad_one_row),
+                       (ForwardTape.allocate(spec, (5,)), bnn._relu_grad),
+                       (ForwardTape.unbuffered(spec, (5,)), bnn._relu_grad)):
+        assert all(layer.grad is grad for layer in tape.layers[hidden])
+        assert tape.layers[-1].grad is None
+
+
+def _backward_by_products(tape):
+    """The backward pass with the output layer's dh_{M-1} taken as the
+    product np.matmul(delta_M, W_M[:, :V_{M-1}]) / s_M, like every other
+    layer's."""
+    layers, w_in, deltas, dh, preact = (tape.layers, tape.w_in, tape.deltas, tape.dh,
+                                        tape.preact)
+    for m in range(len(layers) - 1, -1, -1):
+        grad_h = np.matmul(deltas[m], w_in[m], out=dh[m])
+        grad_h /= layers[m].scale
+        if m:
+            deltas[m - 1] = layers[m - 1].grad(preact[m - 1], grad_h, out=deltas[m - 1])
+    return deltas, grad_h
+
+
+@pytest.mark.parametrize("activation", ["relu", "tanh", "identity"])
+@pytest.mark.parametrize("widths", [(6, 9, 4, 1), (5, 7, 1), (4, 1), (1, 1)])
+def test_the_output_layer_dh_is_the_product_form_to_the_byte(widths, activation):
+    # delta_M = 1, so dh_{M-1} is W_M's weight row over s_M: the deltas and
+    # d alpha / dx must keep the bytes of the product form on one row and on
+    # buffered and unbuffered n-row tapes. With identity delta_{M-1} is
+    # dh_{M-1} itself, and with no hidden layer so is d alpha / dx
+    spec = NetworkSpec(widths, activation)
+    rng = np.random.default_rng(14)
+    for _ in range(3):
+        weights = [rng.standard_normal(s) for s in spec.weight_shapes]
+        for lead, make in (((), ForwardTape.allocate), ((6,), ForwardTape.allocate),
+                           ((6,), ForwardTape.unbuffered)):
+            x = rng.standard_normal(lead + (spec.input_dim,))
+            runs = []
+            for backward in (bnn._backward, _backward_by_products):
+                tape = make(spec, lead)
+                forward_mean_batch(spec, weights, x, tape)
+                deltas, dx = backward(tape)
+                runs.append([d.tobytes() for d in deltas] + [dx.tobytes()])
+                assert dx.shape == x.shape
+            assert runs[0] == runs[1]
+
+
+def test_a_minus_zero_output_weight_keeps_its_sign_in_dh():
+    # the one difference from the product form: a -0.0 weight of W_M gives
+    # dh = -0.0 where the product gave 0 + 1 * -0.0 = +0.0
+    spec = NetworkSpec((2, 1), "identity")
+    weights = [np.array([[-0.0, 1.0, 0.5]])]
+    _, tape = forward_mean_batch(spec, weights, np.ones(2))
+    _, dx = bnn._backward(tape)
+    _, tape_p = forward_mean_batch(spec, weights, np.ones(2))
+    _, dx_p = _backward_by_products(tape_p)
+    assert np.signbit(dx[0]) and not np.signbit(dx_p[0])
+    assert (dx + 0.0).tobytes() == dx_p.tobytes()
+
+
+@pytest.mark.parametrize("activation", ["relu", "tanh", "identity"])
+@pytest.mark.parametrize("widths", [(6, 9, 4, 1), (4, 1)])
+def test_the_forward_pass_writes_the_output_block_of_g(widths, activation):
+    # the output layer's block of g is hb_{M-1}'s buffer: every forward
+    # pass on the one-row tape rewrites it, backprop_gradient only reads it,
+    # and only the hidden layers have outer-product factors
+    spec = NetworkSpec(widths, activation)
+    rng = np.random.default_rng(15)
+    weights = [rng.standard_normal(s) for s in spec.weight_shapes]
+    tape = ForwardTape.allocate(spec)
+    assert len(tape.outer) == spec.layer_count - 1
+    out_block = spec.weight_slices[-1]
+    assert np.shares_memory(tape.g[out_block], tape.hb[-1])
+    for _ in range(3):
+        x = rng.standard_normal(spec.input_dim)
+        forward_mean(spec, weights, x, tape)
+        _, fresh = forward_mean(spec, weights, x)
+        assert tape.g[out_block].tobytes() == tape.hb[-1].tobytes() \
+            == fresh.hb[-1].tobytes()
+        assert tape.hb[-1][-1] == 1.0 / spec.fan_in_scales[-1]
+        g = backprop_gradient(tape)
+        assert g[out_block].tobytes() == tape.hb[-1].tobytes()
+
+
+def test_a_one_row_alpha_outlives_the_next_pass_on_its_tape():
+    spec = NetworkSpec((3, 4, 1), "tanh")
+    rng = np.random.default_rng(16)
+    weights = [rng.standard_normal(s) for s in spec.weight_shapes]
+    tape = ForwardTape.allocate(spec)
+    alpha, _ = forward_mean_batch(spec, weights, rng.standard_normal(3), tape)
+    kept = float(alpha)
+    forward_mean_batch(spec, weights, rng.standard_normal(3), tape)
+    assert alpha.shape == () and float(alpha) == kept

@@ -206,13 +206,21 @@ def _set(path, value):
     _set(("rng", "state"), lambda words: {"state": words["state"]}),
     _set(("rng", "state"), "0"),
     _set(("rng",), None),
+    _set(("weights", 0, "mean", 0, 0), "0.25"),
+    _set(("weights", 1, "var", 0, 1), True),
+    _set(("weights", 0, "term_mean", 1, 0), False),
+    _set(("embeddings", 0, "mean", 2, 1), "0.25"),
+    _set(("embeddings", 1, "var", 0, 0), True),
+    _set(("weights", 0, "var", 0), lambda row: [True] * len(row)),
 ], ids=["rho0", "gamma-a", "output-width", "rng-state", "negative-dims",
         "weight-table-short", "embedding-table-short", "embedding-table-missing",
         "fractional-dims", "fractional-ranks", "fractional-width",
         "fractional-entries-seen", "bool-has-uint32", "two-has-uint32",
         "float-has-uint32", "string-uinteger", "wide-uinteger", "negative-uinteger",
         "int-state-word", "signed-state-word", "zero-padded-state-word",
-        "wide-state-word", "missing-state-word", "state-not-a-table", "rng-not-a-table"])
+        "wide-state-word", "missing-state-word", "state-not-a-table", "rng-not-a-table",
+        "string-weight-cell", "true-weight-cell", "false-weight-cell",
+        "string-embedding-cell", "true-embedding-cell", "bool-weight-row"])
 def test_checkpoint_bad_values_raise_checkpoint_error(edit):
     doc = json.loads(checkpoint_bytes(_small_state()))
     edit(doc)

@@ -79,6 +79,36 @@ def test_non_integral_indices_raise_type_error():
         shape.check_indices([(1.7, 2)])
 
 
+def test_check_indices_reads_a_bool_among_integers_as_its_integer():
+    shape = TensorShape((5, 3))
+    rows = [(4, 2), (0, 0), (3, 1)]
+    assert shape.check_indices(rows).tolist() == shape.check_indices(np.array(rows)).tolist()
+    assert shape.check_indices([(True, 2), (0, False)]).tolist() == [[1, 2], [0, 0]]
+    assert shape.check_indices([(1, 2), (True, False)]).tolist() == [[1, 2], [1, 0]]
+    # rows of bools alone are a bool array, not integers
+    with pytest.raises(TypeError, match="dtype bool"):
+        shape.check_indices([(True, False), (False, True)])
+
+
+def test_check_indices_refuses_a_float_or_a_string_coordinate():
+    shape = TensorShape((5, 3))
+    for bad in ([(2.0, 2)], [(1, 2), (3, 1.0)], [(np.float64(1.0), 2)], [("1", 2)],
+                [(1, 2), (2 ** 70, 0)]):
+        with pytest.raises(TypeError, match="indices must be integers"):
+            shape.check_indices(bad)
+
+
+def test_check_indices_names_the_first_row_of_the_wrong_length():
+    shape = TensorShape((5, 3))
+    # [(1, 2, 0), (4,)] has the four coordinates of two rows of K = 2
+    for rows, named in (([(1, 2), (3,)], r"\(3,\)"), ([(1, 2, 0), (4,)], r"\(1, 2, 0\)"),
+                        ([(1, 2), (0, 1), (3, 4, 0)], r"\(3, 4, 0\)")):
+        with pytest.raises(BoundsError, match=rf"index {named} has \d modes"):
+            shape.check_indices(rows)
+    with pytest.raises(BoundsError, match=r"indices of shape \(2, 1\)"):
+        shape.check_indices([(1,), (2,)])
+
+
 def test_parse_index_lines():
     idx = parse_index_lines(["# c", "1 2", "0 4"], TensorShape((5, 5)))
     assert idx == [(1, 2), (0, 4)]
