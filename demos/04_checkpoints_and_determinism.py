@@ -2,10 +2,12 @@
 
 Shows that (a) a run split in half with a checkpoint in the middle ends in
 exactly the same state as an uninterrupted run, and (b) repeating a run with
-the same seed reproduces the checkpoint byte for byte.
+the same seed reproduces the checkpoint byte for byte. Exits nonzero if
+either claim fails.
 """
 
 import io
+import sys
 
 import streamdtf as s
 from streamdtf.seeding import derive_seeds
@@ -51,9 +53,12 @@ print(f"resumed run matches the uninterrupted run byte for byte: {same}")
 state_repeat = fresh_state()
 for batch in batches:
     s.process_batch(state_repeat, batch)
-print("repeated run reproduces the checkpoint byte for byte:",
-      s.checkpoint_bytes(state_repeat) == s.checkpoint_bytes(state_full))
+repeated = s.checkpoint_bytes(state_repeat) == s.checkpoint_bytes(state_full)
+print(f"repeated run reproduces the checkpoint byte for byte: {repeated}")
 
 mean, var = s.predict_entry(state_b, entries[0].index)
 print(f"prediction from the restored state: {mean:+.3f} +- {var ** 0.5:.3f} "
       f"for entry {entries[0].index}")
+
+if not (same and repeated):
+    sys.exit("checkpoint resume or seeded reproducibility failed")

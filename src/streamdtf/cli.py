@@ -114,7 +114,7 @@ class RunConfig:
             value = getattr(self, f.name)
             try:
                 object.__setattr__(self, f.name, _as_field_type(f.type, value))
-            except (TypeError, ValueError):
+            except (TypeError, ValueError, OverflowError):
                 want = f.type.__name__ if isinstance(f.type, type) else f.type
                 raise UsageError(f"config key {f.name!r} must be {want}, "
                                  f"got {value!r}") from None

@@ -49,16 +49,17 @@ scatter_entry writes what the engine built (finite means, variances
 clamped to at least v_floor) without re-checking either.
 
 Checkpoints are versioned JSON with every posterior field named, one table
-per layer (format version 1, independent of the in-memory layout); floats
+per layer (format version 2, independent of the in-memory layout); floats
 are rendered with shortest round-trip decimals so load(save(s)) reproduces
-s exactly, and the generator state is stored so a resumed run continues
-the identical random stream.
+s exactly. A checkpoint holds the posterior alone: given it and the next
+batch, the update and the EP sweep are deterministic, so a resumed run
+needs no random generator. Version 1 differs only by a generator-state
+block, which load_checkpoint ignores.
 """
 
 import itertools
 import json
 import operator
-import re
 import struct
 from dataclasses import dataclass, field
 from typing import Sequence, TextIO
@@ -72,7 +73,7 @@ from .seeding import make_rng
 from .tensor_core import TensorShape, ValueKind
 
 CHECKPOINT_FORMAT = "streamdtf-checkpoint"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 # variance guard floor used by the update engine
 DEFAULT_V_FLOOR = 1e-10
@@ -101,6 +102,10 @@ class Hyperparams:
         for name in ("sigma0_sq", "a0", "b0"):
             if not 0.0 < getattr(self, name) < np.inf:
                 raise ValueError(f"{name} must be finite and > 0, got {getattr(self, name)}")
+        # the reals are stored as floats, as the ranks as ints: an int too
+        # large for a float, which the checks above pass, raises OverflowError
+        for name in ("rho0", "sigma0_sq", "a0", "b0"):
+            object.__setattr__(self, name, float(getattr(self, name)))
         object.__setattr__(self, "ranks", tuple(map(operator.index, self.ranks)))
         if any(r < 1 for r in self.ranks):
             raise ValueError(f"all ranks must be >= 1, got {self.ranks}")
@@ -157,7 +162,6 @@ class ModelState:
     embeddings: list[ModeEmbeddings]
     gamma: GammaPosterior | None
     entries_seen: int
-    rng: np.random.Generator
     mu: np.ndarray
     var: np.ndarray
     rho_post: np.ndarray
@@ -322,7 +326,7 @@ def init_state(shape: TensorShape, kind: ValueKind, net: NetworkSpec,
     gamma = GammaPosterior(hyper.a0, hyper.b0) if kind is ValueKind.CONTINUOUS else None
     return ModelState(
         shape=shape, kind=kind, net=net, hyper=hyper, embeddings=embeddings,
-        gamma=gamma, entries_seen=0, rng=rng,
+        gamma=gamma, entries_seen=0,
         mu=_with_input_slot(term_mean, net.input_dim),
         var=_with_input_slot(np.full(n, hyper.sigma0_sq), net.input_dim),
         rho_post=np.full(n, hyper.rho0), term_mean=term_mean,
@@ -337,48 +341,6 @@ def _with_input_slot(weights: np.ndarray, input_dim: int) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # checkpoint IO
-
-
-def _rng_state_to_doc(rng: np.random.Generator) -> dict:
-    state = rng.bit_generator.state
-    return {
-        "bit_generator": state["bit_generator"],
-        # 128-bit integers go through as strings for portability
-        "state": {k: str(v) for k, v in state["state"].items()},
-        "has_uint32": int(state["has_uint32"]),
-        "uinteger": int(state["uinteger"]),
-    }
-
-
-def _state_word(text) -> int:
-    """A PCG64 state word: the decimal string _rng_state_to_doc writes for
-    an int in [0, 2**128), digits only, with no sign, space or leading zero."""
-    if not isinstance(text, str) or re.fullmatch(r"0|[1-9][0-9]*", text) is None:
-        raise ValueError(f"a generator state word must be a decimal string, got {text!r}")
-    return _count(int(text), 2 ** 128)
-
-
-def _rng_state_from_doc(doc: dict) -> np.random.Generator:
-    """The generator a checkpoint's rng block describes. Each value must be
-    what `_rng_state_to_doc` writes, since a wrong one changes the random
-    stream a resumed run continues: has_uint32 a JSON int 0 or 1, uinteger
-    an int in [0, 2**32) and the PCG64 words `state` and `inc` decimal
-    strings (ValueError otherwise)."""
-    if not isinstance(doc, dict):
-        raise ValueError(f"a generator state is a table, got {doc!r}")
-    if doc.get("bit_generator") != "PCG64":
-        raise CheckpointError(f"unsupported bit generator {doc.get('bit_generator')!r}")
-    words = doc["state"]
-    if not isinstance(words, dict) or sorted(words) != ["inc", "state"]:
-        raise ValueError(f"a PCG64 state holds the words inc and state, got {words!r}")
-    rng = np.random.Generator(np.random.PCG64())
-    rng.bit_generator.state = {
-        "bit_generator": "PCG64",
-        "state": {k: _state_word(v) for k, v in words.items()},
-        "has_uint32": _count(doc["has_uint32"], 2),
-        "uinteger": _count(doc["uinteger"], 2 ** 32),
-    }
-    return rng
 
 
 def _write_json(obj, fp: TextIO) -> None:
@@ -429,20 +391,16 @@ def save_checkpoint(state: ModelState, fp: TextIO) -> None:
             for lay in state.weights
         ],
         "gamma": None if state.gamma is None else {"a": state.gamma.a, "b": state.gamma.b},
-        "rng": _rng_state_to_doc(state.rng),
     }
     _write_json(doc, fp)
     fp.write("\n")
 
 
-def _count(value, bound: int | None = None) -> int:
-    """A checkpoint's dim, width, rank, entries_seen or generator state
-    value: an int >= 0, below `bound` where one is given, and no bool (an
-    int subclass), as the --config reader requires."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < 0 \
-            or (bound is not None and value >= bound):
-        raise ValueError(f"a count must be an integer >= 0"
-                         f"{'' if bound is None else f' and < {bound}'}, got {value!r}")
+def _count(value) -> int:
+    """A checkpoint's dim, width, rank or entries_seen: an int >= 0 and no
+    bool (an int subclass), as the --config reader requires."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise ValueError(f"a count must be an integer >= 0, got {value!r}")
     return value
 
 
@@ -503,10 +461,14 @@ def load_checkpoint(fp: TextIO) -> ModelState:
     bools = _holds_bool_literal(text)
     if not isinstance(doc, dict) or doc.get("format") != CHECKPOINT_FORMAT:
         raise CheckpointError("not a model checkpoint document")
-    if doc.get("version") != CHECKPOINT_VERSION:
+    # a version-1 document also holds a generator-state block, which no
+    # step reads: it loads as version 2 does. A version is a JSON int, so
+    # true and 1.0, which equal 1, are no version
+    version = doc.get("version")
+    if type(version) is not int or version not in (1, CHECKPOINT_VERSION):
         raise CheckpointError(
-            f"unsupported checkpoint version {doc.get('version')!r} "
-            f"(expected {CHECKPOINT_VERSION})"
+            f"unsupported checkpoint version {version!r} "
+            f"(expected 1 or {CHECKPOINT_VERSION})"
         )
     try:
         shape = TensorShape(tuple(map(_count, doc["dims"])))
@@ -528,7 +490,6 @@ def load_checkpoint(fp: TextIO) -> ModelState:
         # impossible posterior, not a schema violation
         gamma_ab = None if doc["gamma"] is None else (
             float(_real(doc["gamma"]["a"])), float(_real(doc["gamma"]["b"])))
-        rng = _rng_state_from_doc(doc["rng"])
         entries_seen = _count(doc["entries_seen"])
         if len(embeddings) != shape.mode_count or len(hyper.ranks) != shape.mode_count \
                 or hyper.input_dim != net.input_dim:
@@ -543,7 +504,7 @@ def load_checkpoint(fp: TextIO) -> ModelState:
                 for name, arrs in tables.items()}
         state = ModelState(
             shape=shape, kind=kind, net=net, hyper=hyper, embeddings=embeddings,
-            gamma=None, entries_seen=entries_seen, rng=rng,
+            gamma=None, entries_seen=entries_seen,
             mu=_with_input_slot(flat["mean"], net.input_dim),
             var=_with_input_slot(flat["var"], net.input_dim),
             rho_post=flat["rho_post"], term_mean=flat["term_mean"],
@@ -551,7 +512,7 @@ def load_checkpoint(fp: TextIO) -> ModelState:
         )
     except CheckpointError:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise CheckpointError(f"checkpoint schema violation: {exc!r}") from None
     try:
         if gamma_ab is not None:

@@ -20,6 +20,7 @@ import operator
 import struct
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Iterable, NamedTuple, Sequence, TextIO
 
 import numpy as np
@@ -77,6 +78,15 @@ class TensorShape:
     def n_cells(self) -> int:
         return math.prod(self.dims)
 
+    # the shape is frozen, so this is built once per instance
+    @cached_property
+    def dims_array(self) -> np.ndarray:
+        """`dims` as a read-only int64 array, which `check_indices` compares
+        with every request without converting the tuple each call."""
+        dims = np.array(self.dims, dtype=np.int64)
+        dims.flags.writeable = False
+        return dims
+
     def check_index(self, index: Sequence[int]) -> tuple[int, ...]:
         """`index` as a tuple of ints. A non-integral coordinate raises
         TypeError; a wrong mode count or a coordinate outside its mode's
@@ -112,7 +122,7 @@ class TensorShape:
                               f"for the shape {self.dims}")
         if idx.dtype.kind not in "iu":
             raise TypeError(f"indices must be integers, got dtype {idx.dtype}")
-        bad = (idx < 0) | (idx >= self.dims)
+        bad = (idx < 0) | (idx >= self.dims_array)
         if bad.any():
             self.check_index(idx[bad.any(axis=1).argmax()])  # raises for this row
         return idx

@@ -194,6 +194,9 @@ def test_error_lines_are_single_and_coded(tmp_path, capsys):
                        ('{"dims": [4, 4], "hidden": [5.5]}', "'hidden'"),
                        ('{"dims": [4, 4], "ranks": [true, 2]}', "'ranks'"),
                        ('{"dims": [4, 4], "damping": true}', "'damping'"),
+                       # an int too large for a float is no float
+                       ('{"dims": [4, 4], "sigma0_sq": 1' + "0" * 400 + '}',
+                        "'sigma0_sq'"),
                        ('[1, 2]', "JSON object")):
         bad_cfg.write_text(doc)
         rc = cli.main(["train", "--config", str(bad_cfg)])

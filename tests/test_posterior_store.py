@@ -164,8 +164,10 @@ def test_checkpoint_truncated_and_wrong_version():
     text = buf.getvalue()
     with pytest.raises(CheckpointError):
         load_checkpoint(io.StringIO(text[: len(text) // 2]))
-    bad = text.replace('"version":1', '"version":99')
-    with pytest.raises(CheckpointError):
+    version = f'"version":{posterior_store.CHECKPOINT_VERSION}'
+    assert text.count(version) == 1
+    bad = text.replace(version, '"version":99')
+    with pytest.raises(CheckpointError, match="unsupported checkpoint version 99"):
         load_checkpoint(io.StringIO(bad))
     with pytest.raises(CheckpointError):
         load_checkpoint(io.StringIO('{"format":"something-else"}'))
@@ -184,7 +186,6 @@ def _set(path, value):
     _set(("hyper", "rho0"), 3.0),
     _set(("gamma", "a"), -1),
     _set(("network", "widths", -1), 2),
-    _set(("rng", "state", "state"), "1.5"),
     _set(("dims",), [-5, 6]),
     _set(("weights", 0, "var"), lambda rows: rows[:-1]),
     _set(("embeddings", 1, "mean"), lambda rows: rows[:-1]),
@@ -193,33 +194,16 @@ def _set(path, value):
     _set(("hyper", "ranks"), [2.5, 2]),
     _set(("network", "widths", 0), 4.5),
     _set(("entries_seen",), 0.5),
-    _set(("rng", "has_uint32"), True),
-    _set(("rng", "has_uint32"), 2),
-    _set(("rng", "has_uint32"), 1.0),
-    _set(("rng", "uinteger"), "5"),
-    _set(("rng", "uinteger"), 2 ** 32),
-    _set(("rng", "uinteger"), -1),
-    _set(("rng", "state", "state"), int),
-    _set(("rng", "state", "inc"), lambda word: "+" + word),
-    _set(("rng", "state", "inc"), lambda word: "0" + word),
-    _set(("rng", "state", "state"), str(2 ** 128)),
-    _set(("rng", "state"), lambda words: {"state": words["state"]}),
-    _set(("rng", "state"), "0"),
-    _set(("rng",), None),
     _set(("weights", 0, "mean", 0, 0), "0.25"),
     _set(("weights", 1, "var", 0, 1), True),
     _set(("weights", 0, "term_mean", 1, 0), False),
     _set(("embeddings", 0, "mean", 2, 1), "0.25"),
     _set(("embeddings", 1, "var", 0, 0), True),
     _set(("weights", 0, "var", 0), lambda row: [True] * len(row)),
-], ids=["rho0", "gamma-a", "output-width", "rng-state", "negative-dims",
+], ids=["rho0", "gamma-a", "output-width", "negative-dims",
         "weight-table-short", "embedding-table-short", "embedding-table-missing",
         "fractional-dims", "fractional-ranks", "fractional-width",
-        "fractional-entries-seen", "bool-has-uint32", "two-has-uint32",
-        "float-has-uint32", "string-uinteger", "wide-uinteger", "negative-uinteger",
-        "int-state-word", "signed-state-word", "zero-padded-state-word",
-        "wide-state-word", "missing-state-word", "state-not-a-table", "rng-not-a-table",
-        "string-weight-cell", "true-weight-cell", "false-weight-cell",
+        "fractional-entries-seen", "string-weight-cell", "true-weight-cell", "false-weight-cell",
         "string-embedding-cell", "true-embedding-cell", "bool-weight-row"])
 def test_checkpoint_bad_values_raise_checkpoint_error(edit):
     doc = json.loads(checkpoint_bytes(_small_state()))
@@ -234,11 +218,15 @@ def test_checkpoint_bad_values_raise_checkpoint_error(edit):
     _set(("hyper", "sigma0_sq"), True),
     _set(("gamma", "a"), "1.5"),
     _set(("network", "widths", -1), True),
+    _set(("gamma", "a"), 10 ** 400),
+    _set(("hyper", "sigma0_sq"), 10 ** 400),
+    _set(("hyper", "a0"), 10 ** 400),
 ], ids=["negative-entries-seen", "bool-entries-seen", "bool-sigma0-sq", "string-gamma-a",
-        "bool-width"])
+        "bool-width", "huge-int-gamma-a", "huge-int-sigma0-sq", "huge-int-a0"])
 def test_checkpoint_counts_must_be_ints_and_reals_numbers(edit):
     # bool is an int subclass and float() reads a string: each of these
-    # documents loaded, and a bool sigma0_sq was written back as true
+    # documents loaded, and a bool sigma0_sq was written back as true; an
+    # int too large for a float loaded too, or raised a bare OverflowError
     doc = json.loads(checkpoint_bytes(_small_state()))
     edit(doc)
     with pytest.raises(CheckpointError, match="schema violation"):
@@ -267,21 +255,58 @@ def test_checkpoint_impossible_posterior_raises_checkpoint_error(edit):
         load_checkpoint(io.StringIO(json.dumps(doc)))
 
 
+def test_checkpoint_holds_no_generator_state():
+    doc = json.loads(checkpoint_bytes(_small_state()))
+    assert doc["version"] == posterior_store.CHECKPOINT_VERSION == 2
+    assert "rng" not in doc
+
+
+@pytest.mark.parametrize("kind", [ValueKind.CONTINUOUS, ValueKind.BINARY])
+def test_version_1_checkpoint_loads_and_its_generator_block_is_ignored(kind):
+    state = _small_state(seed=4, kind=kind)
+    state.entries_seen = 9
+    doc = json.loads(checkpoint_bytes(state))
+    # the generator-state block a version-1 save of this state wrote
+    doc["version"] = 1
+    doc["rng"] = {"bit_generator": "PCG64",
+                  "state": {"inc": "278272906083703887290699702293328866393",
+                            "state": "29287479138149045759364207458872477195"},
+                  "has_uint32": 0, "uinteger": 0}
+    loaded = load_checkpoint(io.StringIO(json.dumps(doc)))
+    assert checkpoint_bytes(loaded) == checkpoint_bytes(state)
+
+
+_NO_VERSION = object()
+
+
+# true and 1.0 equal 1, and 2.0 equals 2, but none is a JSON int
+@pytest.mark.parametrize("version", [0, 3, 99, -1, True, 1.0, 2.0, "2", None, _NO_VERSION],
+                         ids=["zero", "three", "ninety-nine", "negative", "true",
+                              "float-one", "float-two", "string-two", "null", "missing"])
+def test_unsupported_checkpoint_version_raises(version):
+    doc = json.loads(checkpoint_bytes(_small_state()))
+    if version is _NO_VERSION:
+        del doc["version"]
+    else:
+        doc["version"] = version
+    with pytest.raises(CheckpointError, match="unsupported checkpoint version"):
+        load_checkpoint(io.StringIO(json.dumps(doc)))
+
+
+@pytest.mark.parametrize("name", ["sigma0_sq", "a0", "b0"])
+def test_hyperparams_store_an_int_real_as_a_float(name):
+    hyper = Hyperparams(**{name: 2}, ranks=(2, 2))
+    assert type(getattr(hyper, name)) is float and getattr(hyper, name) == 2.0
+    with pytest.raises(OverflowError):
+        Hyperparams(**{name: 10 ** 400}, ranks=(2, 2))
+
+
 def test_check_invariants_passes_a_fresh_state_and_names_the_broken_field():
     state = _small_state(kind=ValueKind.BINARY)
     check_invariants(state)
     state.embeddings[1].var[0, 0] = -2.0
     with pytest.raises(ValueError, match="mode-2 embedding var"):
         check_invariants(state)
-
-
-def test_checkpoint_preserves_rng_stream():
-    state = _small_state(seed=11)
-    buf = io.StringIO()
-    save_checkpoint(state, buf)
-    buf.seek(0)
-    loaded = load_checkpoint(buf)
-    assert np.array_equal(state.rng.standard_normal(8), loaded.rng.standard_normal(8))
 
 
 def test_stored_scalar_count_formula():

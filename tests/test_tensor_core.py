@@ -71,6 +71,17 @@ def test_check_index_and_check_indices_share_one_rule():
         shape.check_indices((1, 1))  # one tuple, not rows of tuples
 
 
+def test_dims_array_is_built_once_and_read_only():
+    shape = TensorShape((5, 3, 7))
+    dims = shape.dims_array
+    assert dims.dtype == np.int64 and dims.tolist() == [5, 3, 7]
+    assert shape.dims_array is dims
+    with pytest.raises(ValueError):
+        dims[0] = 100
+    with pytest.raises(BoundsError):
+        shape.check_indices([(4, 2, 6), (0, 3, 0)])
+
+
 def test_non_integral_indices_raise_type_error():
     shape = TensorShape((5, 5))
     with pytest.raises(TypeError):
