@@ -53,10 +53,11 @@ backward product stays np.matmul(delta_m, W_m[:, :V_{m-1}]): np.dot copies
 that strided view, and a full-width np.dot(delta_m, W_m) rounds differently
 from it for some widths. The linear output layer has no product on any
 row count: dh_{M-1} is W_M[0, :V_{M-1}] / sqrt(V_{M-1} + 1), written into
-each row, and its block of g is hb_{M-1} (above). Both are the bytes the
-products gave, except that a -0.0 weight or hb value stays -0.0 where the
-product made it +0.0. The finiteness screens of the per-entry update
-(`all_finite`) are one dot each.
+each row, its block of g is hb_{M-1} (above), and its term of the n-row
+output variance is hb_{M-1}^2 summed against var_M's one row. These are
+the bytes the products gave, except that a -0.0 weight or hb value stays
+-0.0 in dh_{M-1} and g where the product made it +0.0. The finiteness
+screens of the per-entry update (`all_finite`) are one dot each.
 
 Activation derivatives: a tape's records fix the gradient form for its row
 count. relu's act'(z) dh is np.heaviside(z, 0.0) then the multiply on one
@@ -473,7 +474,10 @@ def output_moments_batch(spec: NetworkSpec, weight_means: Sequence[np.ndarray],
     """Batched (alpha, beta): per-row first-order output moments.
 
     Avoids materializing per-entry weight gradients; each layer's variance
-    contribution is sum_{j,t} delta[n,j]^2 var_w[j,t] hb[n,t]^2.
+    contribution is sum_{j,t} delta[n,j]^2 var_w[j,t] hb[n,t]^2. The
+    linear output layer has delta_M = 1 on every row, so its term is
+    sum_t var_M[0,t] hb[n,t]^2, with no (delta^2) var product: the same
+    bytes as the product form, which gave var_M's row on every row.
 
     With `tape`, an n-row tape from `ForwardTape.allocate` for the inputs'
     row count, every intermediate lives in its buffers and only alpha and
@@ -490,12 +494,14 @@ def output_moments_batch(spec: NetworkSpec, weight_means: Sequence[np.ndarray],
         return alpha, None
     x_var = np.atleast_2d(np.asarray(input_vars, dtype=float))
     deltas, dx = _backward(tape)
-    beta = np.zeros(alpha.shape[0])
     # delta^2, hb^2 and dx^2 take turns in scratch; on an unbuffered tape
     # rows() is None and each is a new array, unnamed so that it is freed
     # as soon as einsum has read it
     scratch, rows = tape.scratch, tape.rows_view
-    for m in range(spec.layer_count, 0, -1):
+    hb = tape.hb[-1]
+    beta = np.einsum("nt,t->n", np.multiply(hb, hb, out=rows(scratch, hb.shape[-1])),
+                     weight_vars[-1][0])
+    for m in range(spec.layer_count - 1, 0, -1):
         delta, hb = deltas[m - 1], tape.hb[m - 1]
         beta += np.einsum(
             "nt,nt->n",

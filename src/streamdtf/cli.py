@@ -22,7 +22,7 @@ import sys
 from dataclasses import dataclass
 from typing import Sequence, get_args, get_origin
 
-from . import adf_engine, ep_prior, predict_eval, tensor_core, verify
+from . import adf_engine, ep_prior, predict_eval, tensor_core
 from .bnn import USER_ACTIVATIONS, NetworkSpec
 from .errors import (BoundsError, CheckpointError, NumericError, ParseError,
                      UndefinedMetricError)
@@ -343,6 +343,10 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    # imported here: the oracles' quadrature loads scipy.integrate, which no
+    # other command needs
+    from . import verify
+
     results = verify.run_checks(seed=args.seed)
     for res in results:
         print(f"{'PASS' if res.passed else 'FAIL'} {res.name}: {res.detail}")

@@ -27,7 +27,6 @@ from typing import Iterable, Sequence, TextIO
 
 import numpy as np
 from scipy.special import ndtr
-from scipy.stats import rankdata
 
 from . import adf_engine, bnn, ep_prior
 from .errors import UndefinedMetricError
@@ -100,6 +99,25 @@ def rmse(predictions: Sequence[float], truths: Sequence[float]) -> float:
     return float(np.sqrt(np.mean((predictions - truths) ** 2)))
 
 
+def _average_ranks(x: np.ndarray) -> np.ndarray:
+    """Ranks 1..n of the 1-D float array x, tied values sharing their
+    average rank; every rank is NaN when x holds a NaN. These are the bytes
+    of `scipy.stats.rankdata(x)`: each rank is a half-integer, exact in a
+    float. Ties share a rank whatever their order, so the sort need not be
+    stable, and -0.0 ties with 0.0."""
+    order = np.argsort(x)
+    ordered = x[order]
+    if np.isnan(ordered[-1:]).any():  # argsort puts NaN last
+        return np.full(x.shape, np.nan)
+    starts = np.concatenate(([True], ordered[1:] != ordered[:-1]))
+    dense = np.empty(x.size, dtype=np.intp)
+    dense[order] = np.cumsum(starts)
+    # tie groups are numbered from 1 (dense); count[d] is how many values
+    # sort before group d + 1, so group d holds ranks count[d - 1] + 1 .. count[d]
+    count = np.append(np.flatnonzero(starts), x.size)
+    return 0.5 * (count[dense] + count[dense - 1] + 1)
+
+
 def auc(scores: Sequence[float], labels: Sequence[float]) -> float:
     """Mann-Whitney AUC; tied scores count one half."""
     scores = np.asarray(scores, dtype=float)
@@ -113,7 +131,7 @@ def auc(scores: Sequence[float], labels: Sequence[float]) -> float:
         raise ValueError("labels must be 0/1")
     if n_pos == 0 or n_neg == 0:
         raise UndefinedMetricError("AUC needs both classes present")
-    ranks = rankdata(scores)  # average ranks implement the half-tie convention
+    ranks = _average_ranks(scores)  # average ranks implement the half-tie convention
     return float((ranks[positive].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
 
 

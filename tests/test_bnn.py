@@ -313,6 +313,38 @@ def test_the_output_layer_dh_is_the_product_form_to_the_byte(widths, activation)
             assert runs[0] == runs[1]
 
 
+def _beta_by_products(spec, weight_vars, tape, x_var):
+    """beta with every layer's term, the output layer's too, summed as
+    (delta_m^2 var_m) . hb_{m-1}^2 from the (n, V_m) by (V_m, V_{m-1} + 1)
+    product."""
+    deltas, dx = bnn._backward(tape)
+    beta = np.zeros(dx.shape[0])
+    for m in range(spec.layer_count, 0, -1):
+        delta, hb = deltas[m - 1], tape.hb[m - 1]
+        beta += np.einsum("nt,nt->n", np.matmul(delta * delta, weight_vars[m - 1]), hb * hb)
+    return beta + np.einsum("nt,nt->n", dx * dx, x_var)
+
+
+@pytest.mark.parametrize("activation", ["relu", "tanh"])
+@pytest.mark.parametrize("widths", [(6, 9, 4, 1), (8, 101, 1), (5, 1)])
+def test_the_output_layer_beta_term_is_the_product_form_to_the_byte(widths, activation):
+    # delta_M = 1 on every row, so the output layer's term of beta sums
+    # hb_{M-1}^2 against var_M's one row: beta must keep the bytes of the
+    # product form on buffered and unbuffered tapes, from 1 row to 2,000
+    spec = NetworkSpec(widths, activation)
+    rng = np.random.default_rng(16)
+    w_means = [rng.standard_normal(s) for s in spec.weight_shapes]
+    w_vars = [rng.uniform(0.01, 1.0, s) for s in spec.weight_shapes]
+    for n in (1, 60, 2000):
+        x = rng.standard_normal((n, spec.input_dim))
+        x_var = rng.uniform(0.01, 1.0, x.shape)
+        _, tape = forward_mean_batch(spec, w_means, x)
+        want = _beta_by_products(spec, w_vars, tape, x_var)
+        for tape in (None, ForwardTape.allocate(spec, (n,))):
+            _, beta = output_moments_batch(spec, w_means, w_vars, x, x_var, tape)
+            assert beta.tobytes() == want.tobytes()
+
+
 def test_a_minus_zero_output_weight_keeps_its_sign_in_dh():
     # the one difference from the product form: a -0.0 weight of W_M gives
     # dh = -0.0 where the product gave 0 + 1 * -0.0 = +0.0

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import streamdtf
 from streamdtf import (Hyperparams, NetworkSpec, TensorShape, ValueKind,
                        checkpoint_bytes, cli, init_state, load_checkpoint)
 from streamdtf.tensor_core import GroundTruth
@@ -369,3 +374,57 @@ def test_verify_command_passes_every_check(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 7
     assert all(line.startswith("PASS ") for line in lines)
+
+
+_FOOTPRINT_SCRIPT = """
+import sys
+from pathlib import Path
+
+import streamdtf
+from streamdtf import cli
+
+UNUSED = ("scipy.stats", "scipy.integrate")
+
+
+def check(step):
+    loaded = [name for name in UNUSED if name in sys.modules]
+    assert not loaded, f"{step} loaded {loaded}"
+
+
+def run(*argv):
+    assert cli.main([str(a) for a in argv]) == 0, argv
+    check(argv[0])
+
+
+check("import")
+for kind in ("continuous", "binary"):
+    work = Path(sys.argv[1]) / kind
+    work.mkdir()
+    train, test, model = work / "train.coo", work / "test.coo", work / "model.json"
+    run("synth", "--dims", "20,12", "--kind", kind, "--generator", "cp", "--rank", "2",
+        "--entries", "160", "--noise-sd", "0.1", "--seed", "4", "--test-fraction", "0.25",
+        "--train-out", train, "--test-out", test, "--truth", work / "truth.json")
+    run("train", "--train", train, "--test", test, "--dims", "20,12", "--kind", kind,
+        "--rank", "2", "--hidden", "4", "--batch-size", "40", "--seed", "4",
+        "--checkpoint", model, "--metrics", work / "metrics.csv")
+    (work / "idx.txt").write_text("0 0\\n11 9\\n")
+    run("predict", "--checkpoint", model, "--indices", work / "idx.txt",
+        "--out", work / "preds.csv")
+    run("eval", "--checkpoint", model, "--data", test)
+assert cli.main(["verify", "--seed", "0"]) == 0
+assert "scipy.integrate" in sys.modules
+"""
+
+
+def test_train_predict_and_eval_load_neither_scipy_stats_nor_integrate(tmp_path):
+    # a fresh interpreter: the test process itself has imported both. Only
+    # `verify`, whose oracles integrate, may load scipy.integrate
+    src = str(Path(streamdtf.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    warnings = ["-W", "error::RuntimeWarning", "-W", "error::DeprecationWarning",
+                "-W", "error::FutureWarning"]
+    done = subprocess.run([sys.executable, *warnings, "-c", _FOOTPRINT_SCRIPT,
+                           str(tmp_path)], env=env, capture_output=True, text=True,
+                          timeout=300)
+    assert done.returncode == 0, done.stderr

@@ -110,6 +110,30 @@ def test_auc_takes_negative_zero_as_a_0_label():
     assert auc([0.9, 0.1, 0.5], [1.0, -0.0, 0.0]) == auc([0.9, 0.1, 0.5], [1.0, 0.0, 0.0])
 
 
+def test_average_ranks_are_the_bytes_of_scipy_rankdata():
+    # the AUC ranks its scores without scipy.stats; they must be rankdata's
+    # average ranks to the byte, with ties, signed zeros, infinities and NaN
+    # (any NaN makes every rank NaN)
+    from scipy.stats import rankdata
+
+    rng = np.random.default_rng(18)
+    specials = np.array([0.0, -0.0, np.inf, -np.inf, np.nan])
+    for case in range(600):
+        x = rng.standard_normal(int(rng.integers(1, 80)))
+        if case % 2:
+            x = np.round(x, 1)  # many ties
+        hit = rng.random(x.size) < 0.25
+        x[hit] = rng.choice(specials[:4] if case % 3 else specials, hit.sum())
+        ranks = predict_eval._average_ranks(x)
+        want = rankdata(x)
+        assert ranks.dtype == want.dtype
+        assert ranks.tobytes() == want.tobytes(), x
+
+
+def test_auc_of_a_nan_score_is_nan():
+    assert math.isnan(auc([0.9, math.nan, 0.5], [1.0, 0.0, 0.0]))
+
+
 def test_auc_single_class_is_undefined():
     with pytest.raises(UndefinedMetricError):
         auc([0.3, 0.7], [1.0, 1.0])
