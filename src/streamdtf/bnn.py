@@ -30,19 +30,18 @@ per call, which the passes fill with new arrays, as an allocating
 implementation would.
 
 Binding: what the passes read that does not change between passes is
-built once, not per pass. A tape keeps one `TapeLayer` record per layer,
-fixed when the tape is built: the fan-in scale, the activation and its
-gradient, and on a buffered tape the view of hb_{m-1} without its bias
-column and h_m's buffer (unbuffered tapes share their spec's records,
-`NetworkSpec.unbuffered_layers`). Next to them it keeps the weight views
-W_m.T and W_m[:, :V_{m-1}], bound to the weights sequence the forward
-pass is given (`ForwardTape.bind`) and rebuilt only when it is given a
-different sequence object. The views alias the arrays, so a write into
-their memory reaches the next pass, while replacing an item of a bound
-list in place is not seen. `ModelState.weight_means()` returns the same
-list on every call, so the state's one-row tape binds once per state,
-copy or load, and `running_eval`'s n-row tape once per call; a fresh list
-binds on each pass.
+built once, not per pass. The fan-in scales are the spec's
+(`NetworkSpec.fan_in_scales`). A tape fixes, when it is built, the hidden
+activation, its gradient form for the tape's row count, and on a buffered
+tape the view of each hb_{m-1} without its bias column. It also keeps the
+weight views W_m.T and W_m[:, :V_{m-1}], bound to the weights sequence the
+forward pass is given (`ForwardTape.bind`) and rebuilt only when it is
+given a different sequence object. The views alias the arrays, so a write
+into their memory reaches the next pass, while replacing an item of a
+bound list in place is not seen. `ModelState.weight_means()` returns the
+same list on every call, so the state's one-row tape binds once per
+state, copy or load, and `running_eval`'s n-row tape once per call; a
+fresh list binds on each pass.
 
 Products: on one row every call costs more than its arithmetic, so the
 passes call BLAS through np.dot, numpy's cheapest entry: z_m =
@@ -59,11 +58,11 @@ the bytes the products gave, except that a -0.0 weight or hb value stays
 -0.0 in dh_{M-1} and g where the product made it +0.0. The finiteness
 screens of the per-entry update (`all_finite`) are one dot each.
 
-Activation derivatives: a tape's records fix the gradient form for its row
-count. relu's act'(z) dh is np.heaviside(z, 0.0) then the multiply on one
-row, where np.greater into the float delta buffer pays a bool-to-float
-cast, and np.greater on n rows, where heaviside is 2-10x slower on inputs
-of mixed sign. Both give H(0) = 0 and the same bytes for every z but NaN,
+Activation derivatives: a tape fixes the gradient form for its row count.
+relu's act'(z) dh is np.heaviside(z, 0.0) then the multiply on one row,
+where np.greater into the float delta buffer pays a bool-to-float cast,
+and np.greater on n rows, where heaviside is 2-10x slower on inputs of
+mixed sign. Both give H(0) = 0 and the same bytes for every z but NaN,
 which heaviside keeps and greater maps to 0; the one-row pass screens z
 before the backward pass.
 
@@ -206,41 +205,6 @@ class NetworkSpec:
         """sqrt(V_{m-1} + 1) for m = 1..M: layer m divides its input by it."""
         return tuple(math.sqrt(v + 1.0) for v in self.widths[:-1])
 
-    @cached_property
-    def unbuffered_layers(self) -> tuple["TapeLayer", ...]:
-        """The layer records of an unbuffered tape, which name no buffer:
-        built once per spec and shared by its unbuffered tapes, since a
-        batch consumer without a tape makes one per call. Records are never
-        written."""
-        m_total = self.layer_count
-        return _tape_layers(self, [None] * m_total, [None] * (m_total - 1), False)
-
-
-@dataclass(frozen=True, slots=True, eq=False)
-class TapeLayer:
-    """Layer m's record on a tape: what its steps of the two passes read
-    besides the weights, fixed when the tape is built."""
-
-    scale: float  # sqrt(V_{m-1} + 1), the fan-in divisor of hb_{m-1}
-    act: Callable | None  # the hidden activation; None on the linear output layer
-    grad: Callable | None  # act'(z_m) * dh, into out; None on the output layer
-    hb_body: np.ndarray | None  # hb_{m-1} without its bias column, on a buffered tape
-    h: np.ndarray | None  # h_m, a view into scratch, on a buffered tape
-
-
-def _tape_layers(spec: NetworkSpec, hb: Sequence, hidden: Sequence,
-                 one_row: bool) -> tuple[TapeLayer, ...]:
-    """The layer records over the buffers hb and hidden (h_1..h_{M-1}),
-    None where a tape has no such buffer, with the gradient form of the
-    tape's row count."""
-    act, grad = ACTIVATIONS[spec.activation]
-    if one_row:
-        grad = _ONE_ROW_GRADS.get(spec.activation, grad)
-    steps = [(act, grad)] * (spec.layer_count - 1) + [(None, None)]
-    return tuple(TapeLayer(scale, act, grad, None if buf is None else buf[..., :-1], h)
-                 for scale, (act, grad), buf, h
-                 in zip(spec.fan_in_scales, steps, hb, [*hidden, None]))
-
 
 @dataclass
 class ForwardTape:
@@ -256,13 +220,18 @@ class ForwardTape:
     output moments sum all take turns in one flat `scratch`. On one row,
     `outer` holds each hidden layer's block of g next to the (V_m, 1) and
     (1, V_{m-1} + 1) views of delta_m and hb_{m-1} whose np.dot fills it;
-    the output layer's block is hb_{M-1}'s buffer.
-    `layers` holds one `TapeLayer` per layer, and `w_t` and `w_in` each
-    layer's views of the weights the tape is bound to."""
+    the output layer's block is hb_{M-1}'s buffer. The forward pass writes
+    h_m into dh[m], which the backward pass then overwrites with
+    d alpha / d h_m.
+    `act` and `grad` are the hidden activation and its gradient form for
+    the tape's row count, and `w_t` and `w_in` each layer's views of the
+    weights the tape is bound to."""
 
     spec: NetworkSpec
-    layers: Sequence[TapeLayer]
+    act: Callable  # act(z, out)
+    grad: Callable  # act'(z) * dh, into out
     hb: list  # hb_0 .. hb_{M-1}, each [h; 1]/sqrt(V+1)
+    hb_body: list  # each hb without its bias column; None entries when unbuffered
     preacts: np.ndarray | None  # z_1 .. z_M, one block
     preact: list  # z_1 .. z_M, views into preacts
     deltas: list  # delta_1 .. delta_M = d alpha / d z_m: preact[:-1], then `ones`
@@ -310,6 +279,7 @@ class ForwardTape:
         deltas = preact[:-1] + [ones]
         scratch = np.empty(rows * (max(widths[:-1]) + 1))
         hidden = [scratch[:rows * v].reshape(lead + (v,)) for v in widths[1:-1]]
+        act, grad = ACTIVATIONS[spec.activation]
         outer, inputs, input_vars, products = [], None, None, None
         if lead:
             inputs, input_vars = (np.empty(lead + (spec.input_dim,)) for _ in range(2))
@@ -320,10 +290,12 @@ class ForwardTape:
                      for sl, shape, d, b
                      in zip(spec.weight_slices[:-1], spec.weight_shapes, deltas, hb)]
             dx = g[spec.n_weights:]
-        return cls(spec=spec, layers=_tape_layers(spec, hb, hidden, not lead), hb=hb,
-                   preacts=preacts, preact=preact, deltas=deltas, ones=ones,
-                   dh=[dx] + hidden, scratch=scratch, g=g, outer=outer,
-                   inputs=inputs, input_vars=input_vars, products=products)
+            grad = _ONE_ROW_GRADS.get(spec.activation, grad)
+        return cls(spec=spec, act=act, grad=grad, hb=hb,
+                   hb_body=[buf[..., :-1] for buf in hb], preacts=preacts,
+                   preact=preact, deltas=deltas, ones=ones, dh=[dx] + hidden,
+                   scratch=scratch, g=g, outer=outer, inputs=inputs,
+                   input_vars=input_vars, products=products)
 
     @classmethod
     def unbuffered(cls, spec: NetworkSpec, lead: tuple[int, ...]) -> "ForwardTape":
@@ -331,8 +303,9 @@ class ForwardTape:
         as they go, as an allocating implementation would."""
         ones = np.ones(lead + (1,))
         none = [None] * spec.layer_count
-        return cls(spec=spec, layers=spec.unbuffered_layers,
-                   hb=none.copy(), preacts=None, preact=none.copy(),
+        act, grad = ACTIVATIONS[spec.activation]
+        return cls(spec=spec, act=act, grad=grad, hb=none.copy(), hb_body=none,
+                   preacts=None, preact=none.copy(),
                    deltas=none[1:] + [ones], ones=ones, dh=none.copy(), scratch=None,
                    g=None, outer=[], inputs=None, input_vars=None, products=None)
 
@@ -386,22 +359,24 @@ def forward_mean_batch(spec: NetworkSpec, weight_means: Sequence[np.ndarray],
         lead = x.shape[:-1]
         tape = ForwardTape.unbuffered(spec, lead) if lead else ForwardTape.allocate(spec)
     tape.bind(weight_means)
-    hb, preact, w_t = tape.hb, tape.preact, tape.w_t
+    hb, hb_body, preact, dh, w_t = tape.hb, tape.hb_body, tape.preact, tape.dh, tape.w_t
+    last = spec.layer_count - 1
     h = x
-    for m, layer in enumerate(tape.layers):
+    for m, scale in enumerate(spec.fan_in_scales):
         # hb_{m-1} = [h; 1] / scale: into the buffer, whose bias column
         # already holds 1/scale, or as a new array, since on a few rows a
         # strided write into a preset buffer is slower than dividing the
         # concatenation in place
-        if layer.hb_body is None:
+        if hb_body[m] is None:
             hb[m] = np.concatenate((h, tape.ones), axis=-1)
-            hb[m] /= layer.scale
+            hb[m] /= scale
         else:
-            np.divide(h, layer.scale, out=layer.hb_body)
+            np.divide(h, scale, out=hb_body[m])
         preact[m] = np.dot(hb[m], w_t[m], out=preact[m])
-        if layer.act is not None:
-            # an unbuffered tape keeps no h: the next layer's hb holds it
-            h = layer.act(preact[m], out=layer.h)
+        if m < last:
+            # h_m goes into dh[m], which the backward pass overwrites; an
+            # unbuffered tape keeps no h: the next layer's hb holds it
+            h = tape.act(preact[m], out=dh[m + 1])
     z_out = preact[-1]
     # n rows: a copy, since the tape's next pass overwrites z_M; one row: a
     # numpy scalar, which holds none of the tape's memory
@@ -413,19 +388,19 @@ def _backward(tape: ForwardTape) -> tuple[list[np.ndarray], np.ndarray]:
     delta_m = d alpha / d z_m, so layer m's weight gradient is the outer
     product delta_m (x) hb_{m-1}, row by row. Both are the tape's buffers;
     on a buffered tape delta_m (m < M) overwrites z_m."""
-    layers, w_in, deltas, dh, preact = (tape.layers, tape.w_in, tape.deltas, tape.dh,
-                                        tape.preact)
+    scales, grad, w_in, deltas, dh, preact = (tape.spec.fan_in_scales, tape.grad, tape.w_in,
+                                              tape.deltas, tape.dh, tape.preact)
     # the output layer is linear with delta_M = 1, so on every row dh_{M-1}
     # is W_M's weight row over its fan-in scale: no product
-    m = len(layers) - 1
+    m = len(scales) - 1
     out = dh[m]
     if out is None:
         out = np.empty(tape.ones.shape[:-1] + w_in[m].shape[1:])
-    grad_h = np.divide(w_in[m][0], layers[m].scale, out=out)
+    grad_h = np.divide(w_in[m][0], scales[m], out=out)
     for m in range(m, 0, -1):
-        deltas[m - 1] = layers[m - 1].grad(preact[m - 1], grad_h, out=deltas[m - 1])
+        deltas[m - 1] = grad(preact[m - 1], grad_h, out=deltas[m - 1])
         grad_h = np.matmul(deltas[m - 1], w_in[m - 1], out=dh[m - 1])
-        grad_h /= layers[m - 1].scale
+        grad_h /= scales[m - 1]
     return deltas, grad_h
 
 

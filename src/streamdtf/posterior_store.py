@@ -397,17 +397,16 @@ def save_checkpoint(state: ModelState, fp: TextIO) -> None:
 
 
 def _count(value) -> int:
-    """A checkpoint's dim, width, rank or entries_seen: an int >= 0 and no
-    bool (an int subclass), as the --config reader requires."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+    """A checkpoint's dim, width, rank or entries_seen: an int >= 0."""
+    if type(value) is not int or value < 0:
         raise ValueError(f"a count must be an integer >= 0, got {value!r}")
     return value
 
 
 def _real(value) -> float:
     """A checkpoint's hyperparameter or Gamma a or b: an int or a float, as
-    read, and no bool or string."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    read."""
+    if type(value) not in (int, float):
         raise TypeError(f"a real must be a JSON number, got {value!r}")
     return value
 
@@ -428,14 +427,13 @@ def _holds_bool_literal(text: str) -> bool:
     return False
 
 
-def _table(rows, bools: bool) -> np.ndarray:
+def _table(rows) -> np.ndarray:
     """A checkpoint's weight or embedding table: equal-length rows of JSON
-    numbers, as a float array. A string, a null or a bool cell raises
-    TypeError, where a cast with dtype=float reads "0.25" as 0.25 and true
-    as 1.0. struct packs the cells as doubles, which refuses every non-number
-    but a bool. A bool packs as 0.0 or 1.0, so where the document may hold
-    one (`bools`), the rows holding a 0 or a 1 have their cells' types
-    looked up."""
+    numbers, as a float array. A string or a null cell raises TypeError,
+    where a cast with dtype=float reads "0.25" as 0.25. struct packs the
+    cells as doubles, which refuses every non-number but a bool, and the
+    loader has refused a document holding a bool before any table is
+    read."""
     n = len(rows)
     k = len(rows[0]) if n else 0
     if set(map(len, rows)) - {k}:
@@ -445,10 +443,6 @@ def _table(rows, bools: bool) -> np.ndarray:
         struct.pack_into(f"{n * k}d", table, 0, *itertools.chain.from_iterable(rows))
     except struct.error:
         raise TypeError("a table's cells must be JSON numbers") from None
-    if bools:
-        for i in np.flatnonzero(((table == 0) | (table == 1)).any(axis=1)):
-            if bool in set(map(type, rows[i])):
-                raise TypeError(f"a table's cells must be JSON numbers, row {i} holds a bool")
     return table
 
 
@@ -458,7 +452,6 @@ def load_checkpoint(fp: TextIO) -> ModelState:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise CheckpointError(f"invalid or truncated checkpoint: {exc}") from None
-    bools = _holds_bool_literal(text)
     if not isinstance(doc, dict) or doc.get("format") != CHECKPOINT_FORMAT:
         raise CheckpointError("not a model checkpoint document")
     # a version-1 document also holds a generator-state block, which no
@@ -470,6 +463,11 @@ def load_checkpoint(fp: TextIO) -> ModelState:
             f"unsupported checkpoint version {version!r} "
             f"(expected 1 or {CHECKPOINT_VERSION})"
         )
+    # no field of a checkpoint is a bool, and a bool is an int to Python, a
+    # double to struct: refusing the literals here spares every reader below
+    if _holds_bool_literal(text):
+        raise CheckpointError("checkpoint schema violation: a checkpoint holds no true "
+                              "or false literal")
     try:
         shape = TensorShape(tuple(map(_count, doc["dims"])))
         kind = ValueKind.from_string(doc["kind"])
@@ -479,11 +477,11 @@ def load_checkpoint(fp: TextIO) -> ModelState:
                             **{name: _real(doc["hyper"][name])
                                for name in ("rho0", "sigma0_sq", "a0", "b0")})
         embeddings = [
-            ModeEmbeddings(mean=_table(e["mean"], bools), var=_table(e["var"], bools))
+            ModeEmbeddings(mean=_table(e["mean"]), var=_table(e["var"]))
             for e in doc["embeddings"]
         ]
         tables = {
-            name: [_table(w[name], bools) for w in doc["weights"]]
+            name: [_table(w[name]) for w in doc["weights"]]
             for name in WEIGHT_FIELDS
         }
         # built with the invariant checks below: a bad (a, b) is an

@@ -8,6 +8,7 @@ tolerances are fixed in those checks. The other criteria fix theirs here.
 Nothing is tuned at runtime.
 """
 
+import functools
 import io
 import math
 import time
@@ -127,12 +128,11 @@ def test_criterion_7_end_to_end_continuous_recovery():
     assert final < first
 
 
-def test_criterion_8_end_to_end_binary():
-    """Binary data from a random one-hidden-layer generator, 20000 train /
-    2000 test distinct entries (smallest feasible two-mode shape, 300x75,
-    chosen so every node is observed often enough for a one-pass fit),
-    default model configuration: final AUC at least 0.8x the true-generator
-    AUC and above the 3-sigma label-permutation null."""
+@functools.cache
+def _criterion_8_model():
+    """Criterion 8's training, run once for the tests that read it: returns
+    (test probabilities, test labels, true-generator AUC), the arrays
+    read-only since every caller shares them."""
     shape = TensorShape((300, 75))
     gen = MlpGenerator(hidden=(10,), activation="tanh", sparsity=0.0)
     entries, truth = synth_generate(shape, 4, ValueKind.BINARY, gen, 0.0,
@@ -149,6 +149,18 @@ def test_criterion_8_end_to_end_binary():
     for batch in partition_stream(split.train, 256, seed=shuffle_seed):
         process_batch(state, batch)
     scores = predict_batch(state, test_idx)
+    scores.setflags(write=False)
+    test_val.setflags(write=False)
+    return scores, test_val, oracle_auc
+
+
+def test_criterion_8_end_to_end_binary():
+    """Binary data from a random one-hidden-layer generator, 20000 train /
+    2000 test distinct entries (smallest feasible two-mode shape, 300x75,
+    chosen so every node is observed often enough for a one-pass fit),
+    default model configuration: final AUC at least 0.8x the true-generator
+    AUC and above the 3-sigma label-permutation null."""
+    scores, test_val, oracle_auc = _criterion_8_model()
     model_auc = auc(scores, test_val)
 
     perm_rng = make_rng(808)
@@ -159,6 +171,21 @@ def test_criterion_8_end_to_end_binary():
                        f"(oracle {oracle_auc:.4f}); permutation threshold {threshold:.4f}")
     assert model_auc >= 0.8 * oracle_auc
     assert model_auc > threshold
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="known limitation: binary training learns a near-constant predictor, "
+           "test-probability sd about 0.0006 (ROADMAP open item 1)",
+)
+def test_criterion_8_test_probabilities_spread():
+    """Criterion 8's model tells its test entries apart: the standard
+    deviation of its 2000 test probabilities exceeds 0.05, where a
+    near-constant predictor can still pass the AUC checks."""
+    scores, _, _ = _criterion_8_model()
+    sd = float(np.std(scores))
+    _report(8, sd > 0.05, f"test-probability sd {sd:.5f} vs 0.05")
+    assert sd > 0.05
 
 
 def test_criterion_9_sparsity_recovery():

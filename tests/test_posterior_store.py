@@ -5,10 +5,11 @@ import json
 import numpy as np
 import pytest
 
-from streamdtf import (CheckpointError, GammaPosterior, Hyperparams,
+from streamdtf import (CheckpointError, CpGenerator, GammaPosterior, Hyperparams,
                        NetworkSpec, TensorShape, ValueKind, check_invariants,
                        checkpoint_bytes, init_state, load_checkpoint,
-                       posterior_store, save_checkpoint)
+                       posterior_store, process_batch, save_checkpoint,
+                       synth_generate)
 
 
 def _small_state(seed=0, kind=ValueKind.CONTINUOUS, rho0=0.5, sigma0_sq=1.0):
@@ -221,16 +222,39 @@ def test_checkpoint_bad_values_raise_checkpoint_error(edit):
     _set(("gamma", "a"), 10 ** 400),
     _set(("hyper", "sigma0_sq"), 10 ** 400),
     _set(("hyper", "a0"), 10 ** 400),
+    _set(("unread",), False),
+    _set(("unread",), "not true"),
 ], ids=["negative-entries-seen", "bool-entries-seen", "bool-sigma0-sq", "string-gamma-a",
-        "bool-width", "huge-int-gamma-a", "huge-int-sigma0-sq", "huge-int-a0"])
+        "bool-width", "huge-int-gamma-a", "huge-int-sigma0-sq", "huge-int-a0",
+        "bool-under-an-unread-key", "bool-literal-in-a-string"])
 def test_checkpoint_counts_must_be_ints_and_reals_numbers(edit):
     # bool is an int subclass and float() reads a string: each of these
     # documents loaded, and a bool sigma0_sq was written back as true; an
-    # int too large for a float loaded too, or raised a bare OverflowError
+    # int too large for a float loaded too, or raised a bare OverflowError.
+    # The loader refuses a true or false literal anywhere in the text, even
+    # where no step reads it
     doc = json.loads(checkpoint_bytes(_small_state()))
     edit(doc)
     with pytest.raises(CheckpointError, match="schema violation"):
         load_checkpoint(io.StringIO(json.dumps(doc)))
+
+
+@pytest.mark.parametrize("activation", ["relu", "tanh", "identity"])
+@pytest.mark.parametrize("kind", [ValueKind.CONTINUOUS, ValueKind.BINARY])
+def test_a_saved_checkpoint_holds_no_bool_literal(kind, activation):
+    # load_checkpoint refuses any document holding true or false, anywhere:
+    # a save, of an initialised or a trained posterior, must hold neither
+    shape = TensorShape((6, 5))
+    net = NetworkSpec.for_factorization(4, [3], activation)
+    state = init_state(shape, kind, net, Hyperparams(ranks=(2, 2)), seed=2)
+    entries, _ = synth_generate(shape, 2, kind, CpGenerator(), 0.1, 20, seed=2)
+    initialised = checkpoint_bytes(state)
+    process_batch(state, entries)
+    assert state.entries_seen == len(entries)
+    for blob in (initialised, checkpoint_bytes(state)):
+        text = blob.decode()
+        assert "true" not in text and "false" not in text
+        assert checkpoint_bytes(load_checkpoint(io.StringIO(text))) == blob
 
 
 @pytest.mark.parametrize("edit", [
