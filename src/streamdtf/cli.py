@@ -261,7 +261,8 @@ def _cmd_train(args) -> int:
     shape = TensorShape(cfg.dims)
     kind = ValueKind.from_string(cfg.kind)
     ranks = cfg.effective_ranks
-    with open(cfg.train, encoding="utf-8") as fp:
+    # COO and index files may start with a UTF-8 byte-order mark
+    with open(cfg.train, encoding="utf-8-sig") as fp:
         train_entries = tensor_core.parse_coo(fp, shape, kind)
     init_seed, shuffle_seed = derive_seeds(cfg.seed, 2)
     if args.resume_from:
@@ -282,7 +283,7 @@ def _cmd_train(args) -> int:
 
     series = None
     if cfg.test is not None:
-        with open(cfg.test, encoding="utf-8") as fp:
+        with open(cfg.test, encoding="utf-8-sig") as fp:
             test_entries = tensor_core.parse_coo(fp, shape, kind)
         series = predict_eval.running_eval(state, batches, test_entries,
                                            damping=cfg.damping)
@@ -305,7 +306,7 @@ def _cmd_train(args) -> int:
 def _cmd_predict(args) -> int:
     with open(args.checkpoint, encoding="utf-8") as fp:
         state = load_checkpoint(fp)
-    with open(args.indices, encoding="utf-8") as fp:
+    with open(args.indices, encoding="utf-8-sig") as fp:
         indices = tensor_core.parse_index_lines(fp, state.shape)
     if not indices:
         raise UsageError("index file holds no indices")
@@ -332,7 +333,7 @@ def _cmd_predict(args) -> int:
 def _cmd_eval(args) -> int:
     with open(args.checkpoint, encoding="utf-8") as fp:
         state = load_checkpoint(fp)
-    with open(args.data, encoding="utf-8") as fp:
+    with open(args.data, encoding="utf-8-sig") as fp:
         entries = tensor_core.parse_coo(fp, state.shape, state.kind)
     if not entries:
         raise UsageError("evaluation file holds no entries")

@@ -21,6 +21,8 @@ call's, not the state's, so copies and checkpoints never carry it.
 `predict_batch` and `score` called without a tape allocate per call.
 """
 
+import itertools
+import operator
 import time
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence, TextIO
@@ -183,10 +185,11 @@ def running_eval(state: ModelState, stream: Iterable[Sequence[ObservedEntry]],
         raise ValueError("test set must be nonempty")
     batches = list(stream)
     test_tuples = {e.index for e in test_entries}
-    for batch in batches:
-        for e in batch:
-            if e.index in test_tuples:
-                raise ValueError(f"test entry {e.index} also appears in the stream")
+    stream_entries = itertools.chain.from_iterable(batches)
+    if not test_tuples.isdisjoint(map(operator.attrgetter("index"), stream_entries)):
+        # the test above runs in C; this scan only names the first offender
+        first = next(e for batch in batches for e in batch if e.index in test_tuples)
+        raise ValueError(f"test entry {first.index} also appears in the stream")
     test_indices = state.shape.check_indices([e.index for e in test_entries])
     test_values = state.kind.check_values([e.value for e in test_entries])
     tape = bnn.ForwardTape.allocate(state.net, (len(test_indices),))

@@ -9,8 +9,14 @@ safe to call concurrently on distinct inputs.
 
 COO text format: optional '#' comment lines, blank lines skipped; each data
 line holds K 0-based integer node indices followed by one value, whitespace
-separated, UTF-8, LF or CRLF. Values are rendered with full-precision
-decimal `repr` so parse -> write -> parse is the identity.
+separated, UTF-8, LF or CRLF. Tokens are read by `int()` and `float()`.
+Values are rendered with full-precision decimal `repr` so parse -> write ->
+parse is the identity.
+
+COO and index lines are read `_CHUNK_LINES` at a time, each chunk a column
+at a time (`_parse_columns`). A chunk where that raises is read again line
+by line (`_parse_lines`), the one reader that words a parse error, so what
+is raised and the line it names do not depend on the chunk size.
 """
 
 import itertools
@@ -161,18 +167,27 @@ class DatasetSplit:
     test: tuple[ObservedEntry, ...]
 
 
-def _read_index_lines(lines: Iterable[str], shape: TensorShape, n_values: int):
-    """Yield (line_no, index, value_fields) for each data line of a COO or
-    index file: K indices checked against `shape`, then `n_values` fields.
-    Blank and '#' lines are skipped; errors name the 1-based line number."""
+# lines per chunk of the column reader: large enough that the per-chunk
+# costs vanish per line, small enough that a chunk with a bad line is cheap
+# to read again line by line
+_CHUNK_LINES = 4096
+
+
+def _parse_lines(lines: Iterable[str], shape: TensorShape, kind: ValueKind | None,
+                 first_line_no: int) -> list:
+    """The per-line reader, the one that words every parse error: one
+    ObservedEntry per data line of a COO file, or one index tuple per line
+    of an index file where `kind` is None. Blank and '#' lines are skipped;
+    errors name the line number, counted from `first_line_no`."""
     k = shape.mode_count
-    n_fields = k + n_values
-    for line_no, raw in enumerate(lines, start=1):
+    n_fields = k + (kind is not None)
+    out = []
+    for line_no, raw in enumerate(lines, start=first_line_no):
         fields = raw.split()
         if not fields or fields[0].startswith("#"):
             continue
         if len(fields) != n_fields:
-            what = "fields" if n_values else "index fields"
+            what = "fields" if kind is not None else "index fields"
             raise ParseError(f"line {line_no}: expected {n_fields} {what}, got {len(fields)}")
         try:
             index = shape.check_index(map(int, fields[:k]))
@@ -180,18 +195,10 @@ def _read_index_lines(lines: Iterable[str], shape: TensorShape, n_values: int):
             raise ParseError(f"line {line_no}: non-integer index field") from None
         except BoundsError as exc:
             raise BoundsError(f"line {line_no}: {exc}") from None
-        yield line_no, index, fields[k:]
-
-
-def parse_coo(lines: Iterable[str], shape: TensorShape, kind: ValueKind) -> list[ObservedEntry]:
-    """Parse a line-oriented COO source into observed entries, order preserved.
-
-    Malformed lines raise ParseError with the 1-based line number; indices
-    outside the shape raise BoundsError; values that `kind.check_value`
-    rejects raise ValueError. Duplicate index tuples are kept as-is.
-    """
-    out: list[ObservedEntry] = []
-    for line_no, index, (field,) in _read_index_lines(lines, shape, 1):
+        if kind is None:
+            out.append(index)
+            continue
+        field = fields[k]
         try:
             value = float(field)
         except ValueError:
@@ -204,6 +211,57 @@ def parse_coo(lines: Iterable[str], shape: TensorShape, kind: ValueKind) -> list
     return out
 
 
+def _parse_columns(chunk: list, shape: TensorShape, kind: ValueKind | None) -> list:
+    """What `_parse_lines` gives for a chunk without an error, built a
+    column at a time: every conversion and check runs in C. Raises on any
+    doubt (ValueError, OverflowError, BoundsError, TypeError) without
+    wording it; the caller then reads the chunk line by line."""
+    rows = map(str.split, chunk)
+    # blank lines split to [], dropped in C; a '#' anywhere in the chunk
+    # sends it through the comment test of the first field
+    if "#" in "".join(chunk):
+        rows = [f for f in rows if f and f[0][0] != "#"]
+    cols = list(zip(*filter(None, rows), strict=True))
+    k = shape.mode_count
+    if len(cols) != k + (kind is not None):
+        raise ValueError("wrong field count")
+    index_cols = [list(map(int, col)) for col in cols[:k]]
+    shape.check_indices(np.array(index_cols, dtype=np.int64).T)
+    if kind is None:
+        return list(zip(*index_cols))
+    values = list(map(float, cols[k]))
+    kind.check_values(values)
+    # tuple.__new__ builds what ObservedEntry(index, value) builds (as the
+    # namedtuple's own _make does), without a Python-level __new__ per entry
+    return list(map(tuple.__new__, itertools.repeat(ObservedEntry),
+                    zip(zip(*index_cols), values)))
+
+
+def _parse(lines: Iterable[str], shape: TensorShape, kind: ValueKind | None) -> list:
+    """Read `lines` once, `_CHUNK_LINES` at a time, each chunk by columns,
+    or line by line where the column reader raises."""
+    out = []
+    lines = iter(lines)
+    line_no = 1
+    while chunk := list(itertools.islice(lines, _CHUNK_LINES)):
+        try:
+            out += _parse_columns(chunk, shape, kind)
+        except (ValueError, OverflowError, BoundsError, TypeError):
+            out += _parse_lines(chunk, shape, kind, line_no)
+        line_no += len(chunk)
+    return out
+
+
+def parse_coo(lines: Iterable[str], shape: TensorShape, kind: ValueKind) -> list[ObservedEntry]:
+    """Parse a line-oriented COO source into observed entries, order preserved.
+
+    Malformed lines raise ParseError with the 1-based line number; indices
+    outside the shape raise BoundsError; values that `kind.check_value`
+    rejects raise ValueError. Duplicate index tuples are kept as-is.
+    """
+    return _parse(lines, shape, kind)
+
+
 def write_coo(entries: Iterable[ObservedEntry], fp: TextIO, kind: ValueKind) -> None:
     """Write entries in the COO text format (counterpart of parse_coo)."""
     for e in entries:
@@ -213,7 +271,7 @@ def write_coo(entries: Iterable[ObservedEntry], fp: TextIO, kind: ValueKind) -> 
 
 def parse_index_lines(lines: Iterable[str], shape: TensorShape) -> list[tuple[int, ...]]:
     """Parse lines of K node indices (no value column); used by prediction."""
-    return [index for _, index, _ in _read_index_lines(lines, shape, 0)]
+    return _parse(lines, shape, None)
 
 
 def split_sizes(n_entries: int, test_fraction: float) -> tuple[int, int]:
@@ -237,7 +295,7 @@ def split_train_test(entries: Sequence[ObservedEntry], test_fraction: float,
         raise ValueError(f"test_fraction must be in (0, 1), got {test_fraction}")
     _, n_test = split_sizes(len(entries), test_fraction)
     perm = make_rng(seed).permutation(len(entries))
-    test_idx = set(int(i) for i in perm[:n_test])
+    test_idx = set(perm[:n_test].tolist())
     train = tuple(e for i, e in enumerate(entries) if i not in test_idx)
     test = tuple(e for i, e in enumerate(entries) if i in test_idx)
     return DatasetSplit(train=train, test=test)
@@ -253,7 +311,7 @@ def partition_stream(entries: Sequence[ObservedEntry], batch_size: int,
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
     perm = make_rng(seed).permutation(len(entries))
-    shuffled = [entries[int(i)] for i in perm]
+    shuffled = [entries[i] for i in perm.tolist()]
     return [tuple(shuffled[lo:lo + batch_size])
             for lo in range(0, len(shuffled), batch_size)]
 

@@ -224,6 +224,31 @@ def test_parse_error_reported_with_code(tmp_path, capsys):
     assert "line 1" in err
 
 
+def test_files_with_a_byte_order_mark_read_as_without(tmp_path, capsys):
+    train, test, _ = _synth_split(tmp_path)
+    indices = tmp_path / "idx.txt"
+    indices.write_text("0 0\n3 7\n19 19\n")
+    capsys.readouterr()
+    outputs = []
+    for tag in ("plain", "bom"):
+        run = tmp_path / tag
+        run.mkdir()
+        files = []
+        for path in (train, test, indices):
+            copy = run / path.name
+            copy.write_bytes(b"\xef\xbb\xbf" * (tag == "bom") + path.read_bytes())
+            files.append(copy)
+        assert cli.main(_train_args(run, *files[:2])) == 0
+        model = str(run / "model.json")
+        assert cli.main(["eval", "--checkpoint", model, "--data", str(files[1])]) == 0
+        assert cli.main(["predict", "--checkpoint", model, "--indices", str(files[2]),
+                         "--out", str(run / "preds.csv")]) == 0
+        stdout = capsys.readouterr().out.replace(str(run), "<run>")
+        outputs.append([stdout] + [(run / name).read_bytes() for name in
+                                   ("model.json", "metrics.csv", "preds.csv")])
+    assert outputs[0] == outputs[1]
+
+
 def test_synth_requires_an_output(tmp_path, capsys):
     rc = cli.main(["synth", "--dims", "5,5", "--entries", "10"])
     assert rc == 2

@@ -1,6 +1,7 @@
 import copy
 import io
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -229,6 +230,18 @@ def test_running_eval_rejects_empty_or_overlapping_test():
         running_eval(state, batches, [])
     with pytest.raises(ValueError):
         running_eval(state, batches, list(split.test) + [split.train[0]])
+
+
+def test_the_overlap_error_names_the_first_offending_stream_entry():
+    state, split = _learnable_setup(seed=3)
+    batches = partition_stream(split.train, 64, seed=0)
+    before = checkpoint_bytes(state)
+    # offenders in batches 2, 0 and 1: the error names the one in batch 0
+    offenders = [batches[2][0], batches[0][5], batches[1][3]]
+    with pytest.raises(ValueError, match=rf"^test entry {re.escape(str(batches[0][5].index))} "
+                                         "also appears in the stream$"):
+        running_eval(state, batches, list(split.test) + offenders)
+    assert checkpoint_bytes(state) == before
 
 
 def test_running_eval_rejects_a_nan_test_value():

@@ -1,5 +1,7 @@
 import io
 import json
+import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from streamdtf import (CpGenerator, MlpGenerator, ObservedEntry, ParseError,
                        TensorShape, ValueKind, parse_coo, partition_stream,
                        split_sizes, split_train_test, synth_generate,
                        write_coo)
+from streamdtf import tensor_core
 from streamdtf.errors import BoundsError
 from streamdtf.tensor_core import GroundTruth, parse_index_lines
 
@@ -145,6 +148,136 @@ def test_parse_write_parse_is_identity(raw):
     assert again == entries  # bit-exact values via repr rendering
 
 
+def _reference_parse(lines, dims, kind):
+    """A naive per-line reader written from the README's file format, apart
+    from tensor_core: a list of (index, value) for a COO file, or of index
+    tuples where `kind` is None; errors worded as the package words them."""
+    k = len(dims)
+    n_fields = k + (kind is not None)
+    out = []
+    for line_no, raw in enumerate(lines, start=1):
+        fields = raw.split()
+        if not fields or fields[0][0] == "#":
+            continue
+        if len(fields) != n_fields:
+            what = "index fields" if kind is None else "fields"
+            raise ParseError(f"line {line_no}: expected {n_fields} {what}, got {len(fields)}")
+        try:
+            index = tuple(int(f) for f in fields[:k])
+        except ValueError:
+            raise ParseError(f"line {line_no}: non-integer index field") from None
+        for mode, (i, d) in enumerate(zip(index, dims), start=1):
+            if not 0 <= i < d:
+                raise BoundsError(f"line {line_no}: index {i} out of range [0, {d}) "
+                                  f"in mode {mode}")
+        if kind is None:
+            out.append(index)
+            continue
+        try:
+            value = float(fields[k])
+        except ValueError:
+            raise ParseError(f"line {line_no}: non-numeric value field {fields[k]!r}") from None
+        if not math.isfinite(value):
+            raise ValueError(f"line {line_no}: value must be finite, got {value}")
+        if kind == "binary" and value not in (0.0, 1.0):
+            raise ValueError(f"line {line_no}: binary value must be 0 or 1, got {value}")
+        out.append((index, value))
+    return out
+
+
+def _outcome(parse, *args):
+    """What a reader returns, down to the types and bits of every number
+    (repr tells -0.0 from 0.0), or the type and message of what it raises."""
+    try:
+        got = parse(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return [(type(e), [(type(x), repr(x)) for x in e]) for e in got]
+
+
+_SEPARATORS = st.sampled_from([" ", "  ", "\t", "\x0c", "\x85", "\xa0", "\u3000"])
+_INDEX_TOKENS = st.sampled_from(["0", "1", "4", "11", "+3", "-0", "1_0", "\u0661"])
+_VALUE_TOKENS = st.sampled_from(["0", "1", "0.5", "-0.0", "1.0", "2.5e-3", "-7"])
+_ODD_TOKENS = st.sampled_from(["12", "-1", str(2 ** 70), "nan", "inf", "-inf", "1e400",
+                               "0x10", "#2", "x", "1.5", "0.1_0"])
+
+
+@st.composite
+def _coo_lines(draw, n_fields):
+    """Lines of a COO (n_fields = K + 1) or index (n_fields = K) file:
+    mostly well-formed data lines, with comments, blank lines, odd tokens,
+    wrong field counts, Unicode whitespace and LF, CRLF or no line end."""
+    lines = []
+    for _ in range(draw(st.integers(0, 12))):
+        shape = draw(st.sampled_from(["data", "data", "data", "mixed", "comment", "blank"]))
+        if shape == "data":
+            tokens = [draw(_INDEX_TOKENS) for _ in range(n_fields - 1)]
+            tokens.append(draw(_VALUE_TOKENS if n_fields == 3 else _INDEX_TOKENS))
+        elif shape == "mixed":
+            tokens = draw(st.lists(st.one_of(_INDEX_TOKENS, _VALUE_TOKENS, _ODD_TOKENS),
+                                   min_size=1, max_size=4))
+        elif shape == "comment":
+            tokens = [draw(st.sampled_from(["#", "# a comment", "#1 2 0.5", "1 #2 0.5"]))]
+        else:
+            tokens = []
+        lead = draw(st.sampled_from(["", " ", "\t"]))
+        sep = draw(_SEPARATORS)
+        end = draw(st.sampled_from(["\n", "\r\n", ""]))
+        lines.append(lead + sep.join(tokens) + end)
+    return lines
+
+
+_DIMS = (5, 12)
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3, tensor_core._CHUNK_LINES])
+@pytest.mark.parametrize("kind", ["continuous", "binary", None])
+@settings(max_examples=120, deadline=None)
+@given(data=st.data())
+def test_the_chunked_reader_matches_a_per_line_reference(kind, chunk, data):
+    lines = data.draw(_coo_lines(len(_DIMS) + (kind is not None)))
+    shape = TensorShape(_DIMS)
+    want = _outcome(_reference_parse, lines, _DIMS, kind)
+    with mock.patch.object(tensor_core, "_CHUNK_LINES", chunk):
+        if kind is None:
+            got = _outcome(parse_index_lines, lines, shape)
+        else:
+            got = _outcome(parse_coo, lines, shape, ValueKind(kind))
+    entry_type = tuple if kind is None else ObservedEntry
+    if isinstance(want, list):
+        want = [(entry_type, fields) for _, fields in want]
+    assert got == want
+
+
+@pytest.mark.parametrize("bad, error, message", [
+    ("1 2 x", ParseError, "non-numeric value field 'x'"),
+    ("1 77 0.5", BoundsError, r"index 77 out of range \[0, 50\) in mode 2"),
+    ("1 2 inf", ValueError, "value must be finite, got inf"),
+])
+def test_a_bad_line_two_chunks_in_names_its_line(bad, error, message):
+    bad_line_no = tensor_core._CHUNK_LINES * 2 + 5
+    lines = ["# header", ""] + ["# comment" if i % 97 == 0 else "1 2 0.5"
+                                for i in range(bad_line_no - 3)] + [bad, "3 4 0.5"]
+    with pytest.raises(error, match=rf"^line {bad_line_no}: {message}$"):
+        parse_coo(lines, TensorShape((50, 50)), ValueKind.CONTINUOUS)
+
+
+def test_a_one_shot_stream_and_a_crlf_file_read_as_a_list(tmp_path):
+    shape = TensorShape((50, 50))
+    entries = _entries(tensor_core._CHUNK_LINES * 2 + 100)
+    buf = io.StringIO()
+    write_coo(entries, buf, ValueKind.CONTINUOUS)
+    lines = ["# a header\n"] + buf.getvalue().splitlines(keepends=True)
+    assert parse_coo(lines, shape, ValueKind.CONTINUOUS) == entries
+    assert parse_coo((line for line in lines), shape, ValueKind.CONTINUOUS) == entries
+    crlf = tmp_path / "crlf.coo"
+    crlf.write_bytes("".join(lines).replace("\n", "\r\n").encode())
+    with open(crlf, encoding="utf-8", newline="") as fp:  # lines keep their "\r\n"
+        assert parse_coo(fp, shape, ValueKind.CONTINUOUS) == entries
+    index_lines = (" ".join(map(str, e.index)) for e in entries)
+    assert parse_index_lines(index_lines, shape) == [e.index for e in entries]
+
+
 def _entries(n, seed=0):
     rng = np.random.default_rng(seed)
     return [ObservedEntry((int(rng.integers(0, 50)), int(rng.integers(0, 50))),
@@ -184,6 +317,29 @@ def test_split_disjoint_for_distinct_tuples(n, fraction, seed):
     assert not train_set & test_set
     assert len(split.train) + len(split.test) == n
     assert abs(len(split.test) - n * fraction) <= 1
+
+
+@pytest.mark.parametrize("n", [2, 3, 10, 101, 1000])
+@pytest.mark.parametrize("seed", [0, 1, 7, 2024])
+def test_split_matches_its_per_element_form(n, seed):
+    entries = _entries(n, seed=n)
+    for fraction in (0.1, 0.5, 0.9):
+        _, n_test = split_sizes(n, fraction)
+        perm = np.random.Generator(np.random.PCG64(seed)).permutation(n)
+        test_idx = set(int(i) for i in perm[:n_test])
+        split = split_train_test(entries, fraction, seed=seed)
+        assert split.train == tuple(e for i, e in enumerate(entries) if i not in test_idx)
+        assert split.test == tuple(e for i, e in enumerate(entries) if i in test_idx)
+
+
+@pytest.mark.parametrize("n, batch_size, seed", [(1, 1, 0), (5, 10, 3), (1000, 256, 1),
+                                                 (1300, 64, 9)])
+def test_partition_matches_its_per_element_form(n, batch_size, seed):
+    entries = _entries(n, seed=seed)
+    perm = np.random.Generator(np.random.PCG64(seed)).permutation(n)
+    shuffled = [entries[int(i)] for i in perm]
+    want = [tuple(shuffled[lo:lo + batch_size]) for lo in range(0, n, batch_size)]
+    assert partition_stream(entries, batch_size, seed=seed) == want
 
 
 def test_partition_chunk_arithmetic():
