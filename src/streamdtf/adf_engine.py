@@ -34,11 +34,11 @@ from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
-from scipy.special import erfcx, log_ndtr, ndtr
 
 from . import bnn, ep_prior
 from .errors import NumericError
 from .posterior_store import DEFAULT_V_FLOOR, GammaPosterior, ModelState
+from .special import erfcx, log_ndtr, ndtr
 from .tensor_core import ObservedEntry, ValueKind
 
 logger = logging.getLogger(__name__)
@@ -56,11 +56,12 @@ class EvidenceResult(NamedTuple):
 
 
 def _phi_over_cdf(z: float) -> float:
-    """phi(z)/Phi(z), stable over the whole real line."""
+    """phi(z)/Phi(z), stable over the whole real line, from the scalar
+    `math` forms of `special`: Phi itself for z >= 0, erfcx below."""
     if z >= 0:
-        return math.exp(-0.5 * z * z) / _SQRT_2PI / float(ndtr(z))
+        return math.exp(-0.5 * z * z) / _SQRT_2PI / ndtr(z)
     # Phi(z) = exp(-z^2/2) * erfcx(-z/sqrt(2)) / 2, so the exponentials cancel
-    return _SQRT_2_OVER_PI / float(erfcx(-z / math.sqrt(2.0)))
+    return _SQRT_2_OVER_PI / erfcx(-z / math.sqrt(2.0))
 
 
 def evidence_binary(alpha: float, beta: float, y: float) -> EvidenceResult:
@@ -74,7 +75,7 @@ def evidence_binary(alpha: float, beta: float, y: float) -> EvidenceResult:
     sign = 2.0 * y - 1.0
     denom = math.sqrt(1.0 + beta)
     z = sign * alpha / denom
-    log_z = float(log_ndtr(z))
+    log_z = log_ndtr(z)
     r = _phi_over_cdf(z)
     dalpha = sign * r / denom
     dbeta = -r * z / (2.0 * (1.0 + beta))

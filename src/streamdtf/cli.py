@@ -344,8 +344,8 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    # imported here: the oracles' quadrature loads scipy.integrate, which no
-    # other command needs
+    # imported here: the checks load scipy.special and scipy.integrate as
+    # their references, which no other command needs
     from . import verify
 
     results = verify.run_checks(seed=args.seed)

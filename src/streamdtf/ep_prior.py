@@ -28,9 +28,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit, log_expit, logit
 
 from .posterior_store import DEFAULT_V_FLOOR, WEIGHT_FIELDS, ModelState
+from .special import expit, log_expit, logit
 
 DEFAULT_DAMPING = 0.5
 

@@ -65,11 +65,11 @@ from dataclasses import dataclass, field
 from typing import Sequence, TextIO
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 from .bnn import ForwardTape, NetworkSpec
 from .errors import CheckpointError
 from .seeding import make_rng
+from .special import ndtr, ndtri
 from .tensor_core import TensorShape, ValueKind
 
 CHECKPOINT_FORMAT = "streamdtf-checkpoint"

@@ -3,7 +3,8 @@
 Continuous entries predict (mean, variance) with the posterior-mean noise
 variance added; binary entries predict the marginalized probit probability
 Phi(alpha / sqrt(1 + beta)), i.e. the model's own uncertainty-aware
-probability rather than the plug-in Phi(alpha).
+probability rather than the plug-in Phi(alpha). Phi is
+`special.ndtr_array`, a numpy form that makes no Python call per row.
 
 Metrics: RMSE for continuous data; AUC for binary data as the Mann-Whitney
 statistic with ties counted one half.
@@ -28,11 +29,11 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence, TextIO
 
 import numpy as np
-from scipy.special import ndtr
 
 from . import adf_engine, bnn, ep_prior
 from .errors import UndefinedMetricError
 from .posterior_store import ModelState
+from .special import ndtr_array
 from .tensor_core import ObservedEntry, ValueKind
 
 
@@ -80,7 +81,7 @@ def predict_batch(state: ModelState, indices: Sequence[tuple[int, ...]],
         return alpha
     if state.kind is ValueKind.CONTINUOUS:
         return alpha, beta + state.gamma.b / state.gamma.a
-    return ndtr(alpha / np.sqrt(1.0 + beta))
+    return ndtr_array(alpha / np.sqrt(1.0 + beta))
 
 
 def predict_entry(state: ModelState, index: Sequence[int]):

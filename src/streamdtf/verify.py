@@ -1,20 +1,22 @@
 """Self-verification: runs the independent oracles against the engine.
 
 Each check here is the only code that compares an engine function with its
-oracle. `streamdtf verify` runs all seven at small case counts, so a
+oracle. `streamdtf verify` runs all eight at small case counts, so a
 deployment can be sanity-checked in the field; acceptance criteria 1-6 in
 the test suite call the same checks with their own seeds and larger counts.
 The tolerances and the case ranges are fixed here, so both callers hold the
-engine to the same standard.
+engine to the same standard. The engine's special functions
+(`streamdtf.special`) are numpy and `math` forms; their oracle is
+`scipy.special`, which only this module loads.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erfc, expit, logit
+from scipy import special as sp
 
-from . import adf_engine, bnn, ep_prior, oracles, posterior_store, tensor_core
+from . import adf_engine, bnn, ep_prior, oracles, posterior_store, special, tensor_core
 from .posterior_store import GammaPosterior, Hyperparams
 from .seeding import make_rng
 from .tensor_core import TensorShape, ValueKind
@@ -96,7 +98,7 @@ def check_evidence_binary(seed: int = 2, n_cases: int = 200) -> CheckResult:
         sign = 2.0 * y - 1.0
         alpha = sign * z_target * math.sqrt(1.0 + beta)
         ev = adf_engine.evidence_binary(alpha, beta, y)
-        ref = 0.5 * erfc(-z_target / math.sqrt(2.0))
+        ref = 0.5 * sp.erfc(-z_target / math.sqrt(2.0))
         if not (0.0 < math.exp(ev.log_z) <= 1.0) or not math.isfinite(ev.log_z):
             return CheckResult("evidence-binary-vs-reference-cdf", False,
                                f"unstable at z={z_target}")
@@ -212,7 +214,7 @@ def check_ep_tilted(seed: int = 5, n_cases: int = 200) -> CheckResult:
         logit0 = float(rng.normal(0, 1))
         v = 1.0 / (1.0 / v_cav + 1.0 / v0)
         res = _refine_one(v * (m_cav / v_cav + mu0 / v0), v,
-                          float(expit(logit(p_cav) + logit0)), mu0, v0, logit0, s0sq)
+                          float(sp.expit(sp.logit(p_cav) + logit0)), mu0, v0, logit0, s0sq)
         slab_norm = 1.0 / math.sqrt(2.0 * math.pi * s0sq)
         z_q, e1_q, e2_q = oracles.quad_tilted_moments(
             m_cav, v_cav,
@@ -269,6 +271,70 @@ def check_tau_recursion(seed: int = 6, n_entries: int = 30) -> CheckResult:
                        f"{n_entries} entries (tol 1e-6)")
 
 
+def _relative_error(got, want) -> float:
+    """Largest |got - want| / |want|. Below the smallest normal float
+    neither side keeps relative precision: where |want| is there, the error
+    is 0 if |got| is there too, and inf otherwise."""
+    got = np.asarray(got, dtype=float)
+    want = np.asarray(want, dtype=float)
+    tiny = np.finfo(float).tiny
+    small = np.abs(want) < tiny
+    if np.any(small & ~(np.abs(got) < tiny)):
+        return math.inf
+    return float((np.abs(got - want)[~small] / np.abs(want)[~small]).max(initial=0.0))
+
+
+def _phi_over_cdf_reference(z: np.ndarray) -> np.ndarray:
+    """phi(z) / Phi(z) from scipy.special: phi(z) / ndtr(z) for z >= 0 and
+    sqrt(2 / pi) / erfcx(-z / sqrt(2)) below, where both underflow."""
+    out = np.empty_like(z)
+    upper = z >= 0
+    with np.errstate(under="ignore"):
+        out[upper] = (np.exp(-0.5 * z[upper] ** 2) / math.sqrt(2.0 * math.pi)
+                      / sp.ndtr(z[upper]))
+    out[~upper] = math.sqrt(2.0 / math.pi) / sp.erfcx(-z[~upper] / math.sqrt(2.0))
+    return out
+
+
+def check_special_functions(seed: int = 7, n_cases: int = 200) -> CheckResult:
+    """Every form in `streamdtf.special`, and the engine's phi/Phi, against
+    `scipy.special` within a relative error of 1e-13, on fixed grids that
+    reach the tails plus `n_cases` random arguments each: z in [-40, 40] for
+    Phi (scalar and array), log Phi and phi/Phi; x in [-800, 800] for expit
+    and log_expit, past the +-745 where exp over- or underflows; p from
+    1e-300 to 1 - 2^-53 for logit and ndtri; x from 0 to 1e300 for erfcx.
+    The tolerance leaves room for the lower tail of Phi, whose relative
+    error grows as 2 t^2 * 2^-53 in any form that rounds t = -z / sqrt(2):
+    scipy's and these alike are about 1.9e-13 from the exact value at
+    z = -37, and 6e-14 from each other."""
+    rng = make_rng(seed)
+    z = np.concatenate([np.linspace(-40.0, 40.0, 8001), rng.normal(0.0, 10.0, n_cases)])
+    x = np.concatenate([np.linspace(-800.0, 800.0, 3201), rng.normal(0.0, 50.0, n_cases)])
+    p = np.concatenate([np.geomspace(1e-300, 0.5, 2000),
+                        1.0 - np.geomspace(2.0 ** -53, 0.5, 2000),
+                        rng.uniform(0.0, 1.0, n_cases)])
+    xc = np.concatenate([np.linspace(0.0, 30.0, 3001), np.geomspace(30.0, 1e300, 100),
+                         rng.exponential(5.0, n_cases)])
+    zs, xcs = z.tolist(), xc.tolist()
+    errors = {
+        "ndtr": _relative_error([special.ndtr(v) for v in zs], sp.ndtr(z)),
+        "ndtr_array": _relative_error(special.ndtr_array(z), sp.ndtr(z)),
+        "log_ndtr": _relative_error([special.log_ndtr(v) for v in zs], sp.log_ndtr(z)),
+        "phi_over_cdf": _relative_error([adf_engine._phi_over_cdf(v) for v in zs],
+                                        _phi_over_cdf_reference(z)),
+        "erfcx": _relative_error([special.erfcx(v) for v in xcs], sp.erfcx(xc)),
+        "expit": _relative_error(special.expit(x), sp.expit(x)),
+        "log_expit": _relative_error(special.log_expit(x), sp.log_expit(x)),
+        "logit": _relative_error(special.logit(p), sp.logit(p)),
+        "ndtri": _relative_error(special.ndtri(p), sp.ndtri(p)),
+    }
+    worst = max(errors.values())
+    return CheckResult("special-functions-vs-scipy", worst <= 1e-13,
+                       "max relative error " + ", ".join(f"{name} {err:.1e}"
+                                                         for name, err in errors.items())
+                       + " (tol 1e-13)")
+
+
 ALL_CHECKS = (
     check_gradient_fd,
     check_output_moments_mc,
@@ -277,6 +343,7 @@ ALL_CHECKS = (
     check_adf_conjugate,
     check_ep_tilted,
     check_tau_recursion,
+    check_special_functions,
 )
 
 

@@ -397,31 +397,33 @@ def test_a_failed_output_write_keeps_the_previous_file(tmp_path, capsys, monkeyp
 def test_verify_command_passes_every_check(capsys):
     assert cli.main(["verify", "--seed", "0"]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert len(lines) == 7
+    assert len(lines) == 8
     assert all(line.startswith("PASS ") for line in lines)
 
 
 _FOOTPRINT_SCRIPT = """
+import importlib.abc
 import sys
 from pathlib import Path
 
+
+class RefuseScipy(importlib.abc.MetaPathFinder):
+    def find_spec(self, name, path=None, target=None):
+        if name.partition(".")[0] == "scipy":
+            raise ImportError(f"{name} imported on the numpy-only path")
+        return None
+
+
+refuse = RefuseScipy()
+sys.meta_path.insert(0, refuse)
 import streamdtf
 from streamdtf import cli
-
-UNUSED = ("scipy.stats", "scipy.integrate")
-
-
-def check(step):
-    loaded = [name for name in UNUSED if name in sys.modules]
-    assert not loaded, f"{step} loaded {loaded}"
 
 
 def run(*argv):
     assert cli.main([str(a) for a in argv]) == 0, argv
-    check(argv[0])
 
 
-check("import")
 for kind in ("continuous", "binary"):
     work = Path(sys.argv[1]) / kind
     work.mkdir()
@@ -436,14 +438,17 @@ for kind in ("continuous", "binary"):
     run("predict", "--checkpoint", model, "--indices", work / "idx.txt",
         "--out", work / "preds.csv")
     run("eval", "--checkpoint", model, "--data", test)
+assert not [name for name in sys.modules if name.partition(".")[0] == "scipy"]
+sys.meta_path.remove(refuse)
 assert cli.main(["verify", "--seed", "0"]) == 0
-assert "scipy.integrate" in sys.modules
+assert "scipy.special" in sys.modules and "scipy.integrate" in sys.modules
 """
 
 
-def test_train_predict_and_eval_load_neither_scipy_stats_nor_integrate(tmp_path):
-    # a fresh interpreter: the test process itself has imported both. Only
-    # `verify`, whose oracles integrate, may load scipy.integrate
+def test_synth_train_predict_and_eval_import_numpy_alone(tmp_path):
+    # a fresh interpreter: the test process itself has imported scipy. A
+    # finder refuses every scipy import until `verify`, whose oracles are
+    # scipy.special and scipy.integrate
     src = str(Path(streamdtf.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, (src, os.environ.get("PYTHONPATH"))))}

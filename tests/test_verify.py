@@ -9,7 +9,7 @@ import dataclasses
 
 import pytest
 
-from streamdtf import adf_engine, bnn, ep_prior, verify
+from streamdtf import adf_engine, bnn, ep_prior, special, verify
 
 
 def _bump_first(g):
@@ -26,6 +26,19 @@ def _shift_tilted_mean(out):
     return out
 
 
+def _scale(value):
+    return value * (1.0 + 1e-12)
+
+
+# every form check_special_functions compares with scipy.special, scaled by
+# 1 + 1e-12: ten times the check's relative tolerance
+SPECIAL_FORMS = (
+    [(special, name) for name in ("ndtr", "ndtr_array", "log_ndtr", "erfcx", "expit",
+                                  "log_expit", "logit", "ndtri")]
+    + [(adf_engine, "_phi_over_cdf")]
+)
+
+
 CORRUPTIONS = {
     # check: (module, function, change to its return value)
     "check_gradient_fd": (bnn, "backprop_gradient", _bump_first),
@@ -38,6 +51,7 @@ CORRUPTIONS = {
     "check_ep_tilted": (ep_prior, "refine_arrays", _shift_tilted_mean),
     "check_tau_recursion": (adf_engine, "update_tau",
                             lambda gp: dataclasses.replace(gp, b=gp.b + 1e-3)),
+    "check_special_functions": (special, "log_ndtr", _scale),
 }
 
 
@@ -53,4 +67,12 @@ def test_check_fails_on_a_corrupted_engine(monkeypatch, check_name):
     original = getattr(module, name)
     monkeypatch.setattr(module, name, lambda *a, **k: change(original(*a, **k)))
     result = check()
+    assert not result.passed, result.detail
+
+
+@pytest.mark.parametrize("module, name", SPECIAL_FORMS, ids=[n for _, n in SPECIAL_FORMS])
+def test_special_function_check_fails_on_each_corrupted_form(monkeypatch, module, name):
+    original = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *a, **k: _scale(original(*a, **k)))
+    result = verify.check_special_functions()
     assert not result.passed, result.detail
