@@ -28,6 +28,7 @@ dependent); the engine owns the state exclusively during process_batch,
 which checks the whole batch before its first entry.
 """
 
+import itertools
 import logging
 import math
 from dataclasses import dataclass
@@ -43,12 +44,16 @@ from .tensor_core import ObservedEntry, ValueKind
 
 logger = logging.getLogger(__name__)
 
+_SQRT1_2 = math.sqrt(0.5)
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 
 
 class EvidenceResult(NamedTuple):
-    """log Z and its partials with respect to the output moments."""
+    """log Z and its partials with respect to the output moments. The
+    evidence functions build it, as `adf_update_entry` builds an applied
+    entry's `EntryResult`, with tuple.__new__: the tuple the namedtuple's
+    own __new__ builds, without that Python-level call per entry."""
 
     log_z: float
     dalpha: float
@@ -75,13 +80,22 @@ def evidence_binary(alpha: float, beta: float, y: float) -> EvidenceResult:
     sign = 2.0 * y - 1.0
     denom = math.sqrt(1.0 + beta)
     z = sign * alpha / denom
-    log_z = log_ndtr(z)
-    r = _phi_over_cdf(z)
+    if z < -1.0:
+        # log Phi(z) (`log_ndtr`'s lower branch, with its t = z / sqrt(2))
+        # and phi/Phi (`_phi_over_cdf`'s) from one erfcx, at phi/Phi's
+        # argument: r keeps its bits, log Z may move in its last two
+        e = erfcx(-z / math.sqrt(2.0))
+        t = z * _SQRT1_2
+        log_z = math.log(0.5 * e) - t * t
+        r = _SQRT_2_OVER_PI / e
+    else:
+        log_z = log_ndtr(z)
+        r = _phi_over_cdf(z)
     dalpha = sign * r / denom
     dbeta = -r * z / (2.0 * (1.0 + beta))
     if not (math.isfinite(log_z) and math.isfinite(dalpha) and math.isfinite(dbeta)):
         raise NumericError(f"non-finite probit evidence at z = {z}")
-    return EvidenceResult(log_z, dalpha, dbeta)
+    return tuple.__new__(EvidenceResult, (log_z, dalpha, dbeta))
 
 
 def evidence_continuous(alpha: float, beta: float, y: float,
@@ -99,20 +113,29 @@ def evidence_continuous(alpha: float, beta: float, y: float,
     dbeta = -0.5 / s + resid * resid / (2.0 * s * s)
     if not (math.isfinite(log_z) and math.isfinite(dalpha) and math.isfinite(dbeta)):
         raise NumericError("non-finite evidence computation")
-    return EvidenceResult(log_z, dalpha, dbeta)
+    return tuple.__new__(EvidenceResult, (log_z, dalpha, dbeta))
 
 
 def update_tau(gamma_post: GammaPosterior, y: float, alpha: float,
                beta: float) -> GammaPosterior:
     """Closed-form noise-precision update: shape + 1/2, rate + ((y-alpha)^2 + beta)/2.
-    Raises NumericError when the new rate is not finite."""
+    Raises NumericError when the new rate is not finite, and ValueError as
+    `GammaPosterior` does when a parameter is not > 0."""
     try:
         b = gamma_post.b + 0.5 * ((y - alpha) ** 2 + beta)
     except OverflowError:  # float ** raises where float * gives inf
         b = math.inf
     if not math.isfinite(b):
         raise NumericError(f"non-finite noise rate {b}")
-    return GammaPosterior(a=gamma_post.a + 0.5, b=b)
+    a = gamma_post.a + 0.5
+    if not (0.0 < a < math.inf and 0.0 < b):
+        raise ValueError(f"Gamma parameters must be finite and > 0, got ({a}, {b})")
+    # checked above, so built without the dataclass __init__, which would
+    # check them again
+    new = object.__new__(GammaPosterior)
+    new.a = a
+    new.b = b
+    return new
 
 
 def entry_errstate() -> np.errstate:
@@ -169,7 +192,7 @@ def adf_update_entry(state: ModelState, entry: ObservedEntry,
     g = bnn.backprop_gradient(tape)
     u, mu_new = state.work
     np.multiply(gamma_vec, g, out=u)
-    beta = float(np.dot(g, u))
+    beta = float(g.dot(u))
     # alpha is finite: forward_mean raised on any non-finite
     # pre-activation. Every gamma_j is finite and > 0, so a non-finite
     # g_j makes beta NaN or +inf: this check also covers g.
@@ -201,8 +224,11 @@ def adf_update_entry(state: ModelState, entry: ObservedEntry,
     v_new = np.subtract(gamma_vec, u, out=gamma_vec)
     clamped = 0
     # min is NaN if any entry is; with c >= 0 no entry exceeds its old
-    # variance, so only c < 0 (or NaN) can make one +inf
-    if not (v_new.min() >= v_floor and (c >= 0.0 or v_new.max() < math.inf)):
+    # variance, so only c < 0 (or NaN) can make one +inf. The ufunc
+    # reductions are what v_new.min() and .max() call, without their
+    # Python-level wrappers
+    if not (np.minimum.reduce(v_new) >= v_floor
+            and (c >= 0.0 or np.maximum.reduce(v_new) < math.inf)):
         ok = v_new >= v_floor
         ok &= v_new < math.inf
         clamped = v_new.shape[0] - int(np.count_nonzero(ok))
@@ -212,25 +238,17 @@ def adf_update_entry(state: ModelState, entry: ObservedEntry,
     state.scatter_entry(entry.index)
     state.gamma = gamma_post
     state.entries_seen += 1
-    return EntryResult(ev.log_z, alpha, beta, clamped)
+    return tuple.__new__(EntryResult, (ev.log_z, alpha, beta, clamped, False))
 
 
 @dataclass
 class BatchDiagnostics:
-    entry_results: list[EntryResult]
+    """What one batch did: the variances its entries clamped to the floor,
+    the entries it skipped, and the EP sweep's diagnostics."""
+
+    clamp_count: int
+    skip_count: int
     ep: ep_prior.EpDiagnostics
-
-    @property
-    def log_z_trace(self) -> list[float]:
-        return [r.log_z for r in self.entry_results]
-
-    @property
-    def clamp_count(self) -> int:
-        return sum(r.clamped for r in self.entry_results)
-
-    @property
-    def skip_count(self) -> int:
-        return sum(1 for r in self.entry_results if r.skipped)
 
 
 def process_batch(state: ModelState, batch: Sequence[ObservedEntry],
@@ -244,12 +262,18 @@ def process_batch(state: ModelState, batch: Sequence[ObservedEntry],
     if not batch:
         raise ValueError("a batch cannot be empty")
     indices = state.shape.check_indices([e.index for e in batch]).tolist()
-    state.kind.check_values([e.value for e in batch])
+    values = [e.value for e in batch]
+    state.kind.check_values(values)
     ep_prior.check_damping(damping)
-    # each entry is indexed with the integers check_indices read from it
+    # each entry is indexed with the integers check_indices read from it,
+    # in an ObservedEntry built as `tensor_core` builds it (tuple.__new__)
+    entries = map(tuple.__new__, itertools.repeat(ObservedEntry),
+                  zip(map(tuple, indices), values))
+    clamped = skipped = 0
     with entry_errstate():
-        results = [adf_update_entry(state, ObservedEntry(tuple(index), entry.value),
-                                    v_floor=v_floor)
-                   for entry, index in zip(batch, indices)]
-    return BatchDiagnostics(results, ep_prior.refine_all(state, damping=damping,
-                                                         v_floor=v_floor))
+        for entry in entries:
+            result = adf_update_entry(state, entry, v_floor=v_floor)
+            clamped += result.clamped
+            skipped += result.skipped
+    return BatchDiagnostics(clamped, skipped,
+                            ep_prior.refine_all(state, damping=damping, v_floor=v_floor))

@@ -44,19 +44,25 @@ state, copy or load, and `running_eval`'s n-row tape once per call; a
 fresh list binds on each pass.
 
 Products: on one row every call costs more than its arithmetic, so the
-passes call BLAS through np.dot, numpy's cheapest entry: z_m =
-np.dot(hb_{m-1}, W_m.T) on any row count, and on one row each hidden
-layer's block of g is a k = 1 np.dot of delta_m as a column and hb_{m-1} as
-a row, whose bits are np.multiply's except that a zero product is +0.0. The
-backward product stays np.matmul(delta_m, W_m[:, :V_{m-1}]): np.dot copies
-that strided view, and a full-width np.dot(delta_m, W_m) rounds differently
-from it for some widths. The linear output layer has no product on any
-row count: dh_{M-1} is W_M[0, :V_{M-1}] / sqrt(V_{M-1} + 1), written into
-each row, its block of g is hb_{M-1} (above), and its term of the n-row
-output variance is hb_{M-1}^2 summed against var_M's one row. These are
-the bytes the products gave, except that a -0.0 weight or hb value stays
--0.0 in dh_{M-1} and g where the product made it +0.0. The finiteness
-screens of the per-entry update (`all_finite`) are one dot each.
+passes call BLAS through the method `ndarray.dot`, numpy's cheapest entry
+to it. The function np.dot computes the same product, but first enters a
+Python-level `__array_function__` dispatcher, about 0.5 us a call (numpy
+2.4, a 50-vector dot: 1.17 us against 0.71), which on one row is most of
+the product's cost. z_m = hb_{m-1}.dot(W_m.T) on any row count, and on one
+row each hidden layer's block of g is a k = 1 dot of delta_m as a column
+and hb_{m-1} as a row, whose bits are np.multiply's except that a zero
+product is +0.0. The backward product stays np.matmul(delta_m,
+W_m[:, :V_{m-1}]): dot copies that strided view, and a full-width
+delta_m.dot(W_m) rounds differently from it for some widths. The linear
+output layer has no product on any row count: dh_{M-1} is
+W_M[0, :V_{M-1}] / sqrt(V_{M-1} + 1), computed once as one row, which the
+hidden layer's gradient broadcasts over n rows and which is written into
+each row only where it is d alpha / dx (no hidden layer) or on one row;
+its block of g is hb_{M-1} (above), and its term of the n-row output
+variance is hb_{M-1}^2 summed against var_M's one row. These are the bytes
+the products gave, except that a -0.0 weight or hb value stays -0.0 in
+dh_{M-1} and g where the product made it +0.0. The finiteness screens of
+the per-entry update (`all_finite`) are one dot each.
 
 Activation derivatives: a tape fixes the gradient form for its row count.
 relu's act'(z) dh is np.heaviside(z, 0.0) then the multiply on one row,
@@ -107,7 +113,7 @@ def _relu(z, out):
 
 def _relu_grad(z, dh, out):
     if out is None:
-        out = np.empty_like(dh)
+        out = np.empty_like(z)
     np.greater(z, 0.0, out=out)  # the derivative at exactly 0 is defined as 0
     out *= dh
     return out
@@ -128,11 +134,14 @@ def _tanh_grad(z, dh, out):
 
 
 def _identity_grad(z, dh, out):
+    if out is None:
+        out = np.empty_like(z)
     return np.positive(dh, out=out)
 
 
 # name -> (act(z, out), grad(z, dh, out) = act'(z) * dh); each writes into
-# `out`, or into a new array when `out` is None, and returns it
+# `out`, or into a new array of z's shape when `out` is None, and returns
+# it. On n rows dh may be one row, which broadcasts over z's rows
 ACTIVATIONS: dict[str, tuple[Callable, Callable]] = {
     "relu": (_relu, _relu_grad),
     "tanh": (np.tanh, _tanh_grad),
@@ -219,10 +228,11 @@ class ForwardTape:
     and the hidden activations, the backward products and the squares the
     output moments sum all take turns in one flat `scratch`. On one row,
     `outer` holds each hidden layer's block of g next to the (V_m, 1) and
-    (1, V_{m-1} + 1) views of delta_m and hb_{m-1} whose np.dot fills it;
+    (1, V_{m-1} + 1) views of delta_m and hb_{m-1} whose dot fills it;
     the output layer's block is hb_{M-1}'s buffer. The forward pass writes
     h_m into dh[m], which the backward pass then overwrites with
-    d alpha / d h_m.
+    d alpha / d h_m, except on n rows for m = M - 1: that gradient is one
+    row, which the backward pass keeps apart.
     `act` and `grad` are the hidden activation and its gradient form for
     the tape's row count, and `w_t` and `w_in` each layer's views of the
     weights the tape is bound to."""
@@ -337,7 +347,7 @@ def all_finite(x: np.ndarray) -> bool:
     decides for almost every x: x . x is finite only if each x_j is. A
     NaN, an infinity or an overflow of large finite values makes the dot
     non-finite, and only then are the values scanned one by one."""
-    return math.isfinite(np.dot(x, x)) or bool(np.isfinite(x).all())
+    return math.isfinite(x.dot(x)) or bool(np.isfinite(x).all())
 
 
 def forward_mean_batch(spec: NetworkSpec, weight_means: Sequence[np.ndarray],
@@ -372,9 +382,9 @@ def forward_mean_batch(spec: NetworkSpec, weight_means: Sequence[np.ndarray],
             hb[m] /= scale
         else:
             np.divide(h, scale, out=hb_body[m])
-        preact[m] = np.dot(hb[m], w_t[m], out=preact[m])
+        preact[m] = hb[m].dot(w_t[m], preact[m])
         if m < last:
-            # h_m goes into dh[m], which the backward pass overwrites; an
+            # h_m goes into dh[m], a buffer of the backward pass; an
             # unbuffered tape keeps no h: the next layer's hb holds it
             h = tape.act(preact[m], out=dh[m + 1])
     z_out = preact[-1]
@@ -391,11 +401,17 @@ def _backward(tape: ForwardTape) -> tuple[list[np.ndarray], np.ndarray]:
     scales, grad, w_in, deltas, dh, preact = (tape.spec.fan_in_scales, tape.grad, tape.w_in,
                                               tape.deltas, tape.dh, tape.preact)
     # the output layer is linear with delta_M = 1, so on every row dh_{M-1}
-    # is W_M's weight row over its fan-in scale: no product
+    # is W_M's weight row over its fan-in scale: no product. On n rows with
+    # a hidden layer below, that row is divided once and the layer's
+    # gradient broadcasts it over the rows; with none it is d alpha / dx,
+    # written into each row
     m = len(scales) - 1
+    lead = tape.ones.shape[:-1]
     out = dh[m]
-    if out is None:
-        out = np.empty(tape.ones.shape[:-1] + w_in[m].shape[1:])
+    if m and lead:
+        out = None
+    elif out is None:
+        out = np.empty(lead + w_in[m].shape[1:])
     grad_h = np.divide(w_in[m][0], scales[m], out=out)
     for m in range(m, 0, -1):
         deltas[m - 1] = grad(preact[m - 1], grad_h, out=deltas[m - 1])
@@ -437,7 +453,7 @@ def backprop_gradient(tape: ForwardTape) -> np.ndarray:
     # output layer's block, hb_{M-1}
     _backward(tape)
     for g_m, delta, hb in tape.outer:
-        np.dot(delta, hb, out=g_m)
+        delta.dot(hb, g_m)
     return tape.g
 
 

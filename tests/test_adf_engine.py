@@ -1,7 +1,9 @@
 import copy
 import io
 import math
+import os
 import pickle
+import sys
 from collections import Counter
 
 import numpy as np
@@ -339,13 +341,58 @@ def test_process_batch_rejects_a_bad_damping_before_any_entry():
 
 def test_process_batch_clean_diagnostics_on_well_conditioned_data():
     state, batch = _synth_state_and_batch()
+    replay = copy.deepcopy(state)
     diag = process_batch(state, batch)
     assert diag.clamp_count == 0
     assert diag.skip_count == 0
-    assert len(diag.log_z_trace) == len(batch)
-    assert all(math.isfinite(v) for v in diag.log_z_trace)
     assert diag.ep is not None
     assert state.entries_seen == len(batch)
+    # the counts agree with the entries' own results: each has a finite
+    # log Z, and none clamped or was skipped
+    with entry_errstate():
+        results = [adf_update_entry(replay, entry) for entry in batch]
+    assert all(math.isfinite(r.log_z) for r in results)
+    assert sum(r.clamped for r in results) == diag.clamp_count
+    assert sum(r.skipped for r in results) == diag.skip_count
+
+
+def _numpy_python_calls(fn) -> int:
+    """The number of Python-level calls into functions defined in numpy's
+    package while fn() runs."""
+    root = os.path.dirname(np.__file__) + os.sep
+    count = 0
+
+    def profile(frame, event, arg):
+        nonlocal count
+        if event == "call" and frame.f_code.co_filename.startswith(root):
+            count += 1
+
+    sys.setprofile(profile)
+    try:
+        fn()
+    finally:
+        sys.setprofile(None)
+    return count
+
+
+@pytest.mark.parametrize("kind", list(ValueKind))
+def test_process_batch_makes_no_python_level_numpy_call_per_entry(kind):
+    # the per-entry step reaches numpy through its C entry points
+    # (ndarray.dot, the ufuncs and their reductions), so only the per-batch
+    # steps (np.errstate, the EP sweep) enter numpy's Python code: a batch
+    # of 64 entries makes as many such calls as a batch of 8
+    shape = TensorShape((12, 12))
+    entries, _ = synth_generate(shape, 2, kind, CpGenerator(), 0.1, 80, seed=0)
+    net = NetworkSpec.for_factorization(4, [6, 5], "relu")
+    state = init_state(shape, kind, net, Hyperparams(ranks=(2, 2)), seed=0)
+    process_batch(state, entries[:8])  # the first batch binds the tape
+    calls, diags = {}, []
+    for batch in (entries[8:16], entries[16:]):
+        calls[len(batch)] = _numpy_python_calls(
+            lambda: diags.append(process_batch(state, batch)))
+    # no entry took the rare paths (a clamp or a skip), which may scan
+    assert [(d.clamp_count, d.skip_count) for d in diags] == [(0, 0), (0, 0)]
+    assert calls[64] == calls[8], calls
 
 
 def test_process_batch_order_dependent_but_always_valid():
@@ -382,8 +429,11 @@ def test_process_batch_keeps_the_invariants_on_good_batches(state_and_batch):
     skipped = 0
     # the batch doubled, so every index repeats in it, then batches of one
     for chunk in [batch + batch] + [[entry] for entry in batch]:
+        seen = state.entries_seen
         diag = process_batch(state, chunk)
-        assert len(diag.entry_results) == len(chunk)
+        # every entry of the chunk is either applied or counted as skipped
+        assert 0 <= diag.skip_count <= len(chunk)
+        assert state.entries_seen - seen == len(chunk) - diag.skip_count
         skipped += diag.skip_count
         check_invariants(state)
     assert state.entries_seen == 3 * len(batch) - skipped
