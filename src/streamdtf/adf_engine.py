@@ -39,14 +39,10 @@ import numpy as np
 from . import bnn, ep_prior
 from .errors import NumericError
 from .posterior_store import DEFAULT_V_FLOOR, GammaPosterior, ModelState
-from .special import erfcx, log_ndtr, ndtr
+from .special import log_ndtr_and_ratio
 from .tensor_core import ObservedEntry, ValueKind
 
 logger = logging.getLogger(__name__)
-
-_SQRT1_2 = math.sqrt(0.5)
-_SQRT_2PI = math.sqrt(2.0 * math.pi)
-_SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 
 
 class EvidenceResult(NamedTuple):
@@ -60,15 +56,6 @@ class EvidenceResult(NamedTuple):
     dbeta: float
 
 
-def _phi_over_cdf(z: float) -> float:
-    """phi(z)/Phi(z), stable over the whole real line, from the scalar
-    `math` forms of `special`: Phi itself for z >= 0, erfcx below."""
-    if z >= 0:
-        return math.exp(-0.5 * z * z) / _SQRT_2PI / ndtr(z)
-    # Phi(z) = exp(-z^2/2) * erfcx(-z/sqrt(2)) / 2, so the exponentials cancel
-    return _SQRT_2_OVER_PI / erfcx(-z / math.sqrt(2.0))
-
-
 def evidence_binary(alpha: float, beta: float, y: float) -> EvidenceResult:
     """Evidence of one probit observation against N(alpha, beta):
     Z = Phi((2y-1) * alpha / sqrt(1 + beta)). Raises NumericError when log Z
@@ -80,17 +67,7 @@ def evidence_binary(alpha: float, beta: float, y: float) -> EvidenceResult:
     sign = 2.0 * y - 1.0
     denom = math.sqrt(1.0 + beta)
     z = sign * alpha / denom
-    if z < -1.0:
-        # log Phi(z) (`log_ndtr`'s lower branch, with its t = z / sqrt(2))
-        # and phi/Phi (`_phi_over_cdf`'s) from one erfcx, at phi/Phi's
-        # argument: r keeps its bits, log Z may move in its last two
-        e = erfcx(-z / math.sqrt(2.0))
-        t = z * _SQRT1_2
-        log_z = math.log(0.5 * e) - t * t
-        r = _SQRT_2_OVER_PI / e
-    else:
-        log_z = log_ndtr(z)
-        r = _phi_over_cdf(z)
+    log_z, r = log_ndtr_and_ratio(z)
     dalpha = sign * r / denom
     dbeta = -r * z / (2.0 * (1.0 + beta))
     if not (math.isfinite(log_z) and math.isfinite(dalpha) and math.isfinite(dbeta)):

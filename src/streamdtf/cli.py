@@ -322,8 +322,7 @@ def _cmd_predict(args) -> int:
 
     def write(fp):
         fp.write(header + "\n")
-        for idx, cell in zip(indices, cells):
-            fp.write(",".join(str(i) for i in idx) + cell + "\n")
+        fp.writelines(f"{','.join(map(str, idx))}{cell}\n" for idx, cell in zip(indices, cells))
 
     _write_atomically(args.out, write)
     print(f"wrote {len(indices)} predictions to {args.out}")

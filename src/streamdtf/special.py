@@ -8,13 +8,13 @@ command but `verify` runs on numpy and the standard library alone;
 `verify.check_special_functions` compares each with `scipy.special` out
 into the tails.
 
-The scalar forms (`ndtr`, `log_ndtr`, `erfcx`) take and return floats and
-cost a few `math` calls each, because the evidence calls them for every
-entry. The array forms (`expit`, `log_expit`, `logit`, `ndtri`,
+The scalar forms (`ndtr`, `log_ndtr_and_ratio`, `erfcx`) take and return
+floats and cost a few `math` calls each, because the evidence calls them
+for every entry. The array forms (`expit`, `log_expit`, `logit`, `ndtri`,
 `ndtr_array`) take float arrays and make no Python call per element.
-`expit`, `log_expit`, `logit` and `log_ndtr` follow the formulas of
-`scipy.special`, so they differ from it only where numpy's or the C
-library's exp and log round differently.
+`expit`, `log_expit`, `logit` and the log Phi of `log_ndtr_and_ratio`
+follow the formulas of `scipy.special`, so they differ from it only in
+how their exp, log and erfcx round.
 """
 
 import math
@@ -22,7 +22,10 @@ import math
 import numpy as np
 
 _SQRT1_2 = math.sqrt(0.5)
+_SQRT2 = math.sqrt(2.0)
 _SQRT_PI = math.sqrt(math.pi)
+_SQRT_2PI = math.sqrt(2.0 * math.pi)
+_SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 
 
 def expit(x: np.ndarray) -> np.ndarray:
@@ -137,15 +140,20 @@ def ndtr(z: float) -> float:
     return 0.5 * math.erfc(-z * _SQRT1_2)
 
 
-def log_ndtr(z: float) -> float:
-    """log Phi(z) to full relative precision on the whole line, with
-    t = z / sqrt(2): below z = -1 as log(erfcx(-t) / 2) - t^2, which holds
-    where Phi itself underflows (from z = -38.5 on), and above as
-    log1p(-erfc(t) / 2), which holds where Phi is near 1."""
+def log_ndtr_and_ratio(z: float) -> tuple[float, float]:
+    """(log Phi(z), phi(z) / Phi(z)) to full relative precision on the whole
+    line, with t = z / sqrt(2). Below z = -1 both come from one erfcx(-t):
+    log(erfcx(-t) / 2) - t^2, which holds where Phi underflows (z < -38.5),
+    and sqrt(2 / pi) / erfcx(-t). Above, log Phi is log1p(-erfc(t) / 2), and
+    phi/Phi is sqrt(2 / pi) / erfcx(-t) up to z = 0, phi(z) / Phi(z) on."""
     t = z * _SQRT1_2
     if z < -1.0:
-        return math.log(0.5 * erfcx(-t)) - t * t
-    return math.log1p(-0.5 * math.erfc(t))
+        e = erfcx(-z / _SQRT2)
+        return math.log(0.5 * e) - t * t, _SQRT_2_OVER_PI / e
+    log_cdf = math.log1p(-0.5 * math.erfc(t))
+    if z >= 0:
+        return log_cdf, math.exp(-0.5 * z * z) / _SQRT_2PI / ndtr(z)
+    return log_cdf, _SQRT_2_OVER_PI / erfcx(-z / _SQRT2)
 
 
 # The array erfcx on [0, inf]: (1 + 2x) * erfcx(x) is smooth in

@@ -264,9 +264,8 @@ def parse_coo(lines: Iterable[str], shape: TensorShape, kind: ValueKind) -> list
 
 def write_coo(entries: Iterable[ObservedEntry], fp: TextIO, kind: ValueKind) -> None:
     """Write entries in the COO text format (counterpart of parse_coo)."""
-    for e in entries:
-        value = str(int(e.value)) if kind is ValueKind.BINARY else repr(float(e.value))
-        fp.write(" ".join(str(i) for i in e.index) + f" {value}\n")
+    value = int if kind is ValueKind.BINARY else float
+    fp.writelines(f"{' '.join(map(str, e.index))} {value(e.value)!r}\n" for e in entries)
 
 
 def parse_index_lines(lines: Iterable[str], shape: TensorShape) -> list[tuple[int, ...]]:

@@ -87,9 +87,11 @@ def check_output_moments_mc(seed: int = 1, n_nets: int = 3,
 def check_evidence_binary(seed: int = 2, n_cases: int = 200) -> CheckResult:
     """Probit evidence against the normal CDF on a grid of 61 z values in
     [-30, 30] x beta in {0, 2, 10} x both labels, then `n_cases` random
-    cases."""
+    cases; and its partials against central finite differences of its log Z,
+    one-sided at beta = 0: (-3 f(0) + 4 f(h) - f(2h)) / 2h."""
     rng = make_rng(seed)
-    worst = 0.0
+    worst = worst_partial = 0.0
+    h = 1e-6
     cases = [(z, b, y) for z in np.linspace(-30, 30, 61) for b in (0.0, 2.0, 10.0)
              for y in (0.0, 1.0)]
     cases += [(float(rng.uniform(-8, 8)), float(rng.uniform(0, 10)),
@@ -104,10 +106,23 @@ def check_evidence_binary(seed: int = 2, n_cases: int = 200) -> CheckResult:
                                f"unstable at z={z_target}")
         if ref >= 1e-12:
             worst = max(worst, abs(math.exp(ev.log_z) - ref) / ref)
-        worst = max(worst, abs(ev.log_z - math.log(ref)) /
-                    max(1.0, abs(math.log(ref))))
-    return CheckResult("evidence-binary-vs-reference-cdf", worst <= 1e-10,
-                       f"max relative error {worst:.3e} over {len(cases)} cases (tol 1e-10)")
+        worst = max(worst, abs(ev.log_z - math.log(ref)) / max(1.0, abs(math.log(ref))))
+
+        def log_z(a, b):
+            return adf_engine.evidence_binary(a, b, y).log_z
+
+        fd_a = (log_z(alpha + h, beta) - log_z(alpha - h, beta)) / (2 * h)
+        if beta >= h:
+            fd_b = (log_z(alpha, beta + h) - log_z(alpha, beta - h)) / (2 * h)
+        else:
+            fd_b = (-3.0 * ev.log_z + 4.0 * log_z(alpha, beta + h)
+                    - log_z(alpha, beta + 2 * h)) / (2 * h)
+        for got, want in ((ev.dalpha, fd_a), (ev.dbeta, fd_b)):
+            worst_partial = max(worst_partial, abs(got - want) / max(abs(want), 1e-3))
+    return CheckResult("evidence-binary-vs-reference-cdf",
+                       worst <= 1e-10 and worst_partial <= 1e-6,
+                       f"max relative error {worst:.3e} over {len(cases)} cases (tol 1e-10); "
+                       f"partials vs fd {worst_partial:.3e} (tol 1e-6)")
 
 
 def check_evidence_continuous(seed: int = 3, n_cases: int = 200) -> CheckResult:
@@ -297,16 +312,16 @@ def _phi_over_cdf_reference(z: np.ndarray) -> np.ndarray:
 
 
 def check_special_functions(seed: int = 7, n_cases: int = 200) -> CheckResult:
-    """Every form in `streamdtf.special`, and the engine's phi/Phi, against
-    `scipy.special` within a relative error of 1e-13, on fixed grids that
-    reach the tails plus `n_cases` random arguments each: z in [-40, 40] for
-    Phi (scalar and array), log Phi and phi/Phi; x in [-800, 800] for expit
-    and log_expit, past the +-745 where exp over- or underflows; p from
-    1e-300 to 1 - 2^-53 for logit and ndtri; x from 0 to 1e300 for erfcx.
-    The tolerance leaves room for the lower tail of Phi, whose relative
-    error grows as 2 t^2 * 2^-53 in any form that rounds t = -z / sqrt(2):
-    scipy's and these alike are about 1.9e-13 from the exact value at
-    z = -37, and 6e-14 from each other."""
+    """Every form in `streamdtf.special` against `scipy.special` within a
+    relative error of 1e-13, on fixed grids that reach the tails plus
+    `n_cases` random arguments each: z in [-40, 40] for Phi (scalar and
+    array) and both outputs of `log_ndtr_and_ratio`, log Phi and phi/Phi;
+    x in [-800, 800] for expit and log_expit, past the +-745 where exp over-
+    or underflows; p from 1e-300 to 1 - 2^-53 for logit and ndtri; x from 0
+    to 1e300 for erfcx. The tolerance leaves room for the lower tail of Phi,
+    whose relative error grows as 2 t^2 * 2^-53 in any form that rounds
+    t = -z / sqrt(2): scipy's and these alike are about 1.9e-13 from the
+    exact value at z = -37, and 6e-14 from each other."""
     rng = make_rng(seed)
     z = np.concatenate([np.linspace(-40.0, 40.0, 8001), rng.normal(0.0, 10.0, n_cases)])
     x = np.concatenate([np.linspace(-800.0, 800.0, 3201), rng.normal(0.0, 50.0, n_cases)])
@@ -316,12 +331,12 @@ def check_special_functions(seed: int = 7, n_cases: int = 200) -> CheckResult:
     xc = np.concatenate([np.linspace(0.0, 30.0, 3001), np.geomspace(30.0, 1e300, 100),
                          rng.exponential(5.0, n_cases)])
     zs, xcs = z.tolist(), xc.tolist()
+    log_cdf, ratio = zip(*[special.log_ndtr_and_ratio(v) for v in zs])
     errors = {
         "ndtr": _relative_error([special.ndtr(v) for v in zs], sp.ndtr(z)),
         "ndtr_array": _relative_error(special.ndtr_array(z), sp.ndtr(z)),
-        "log_ndtr": _relative_error([special.log_ndtr(v) for v in zs], sp.log_ndtr(z)),
-        "phi_over_cdf": _relative_error([adf_engine._phi_over_cdf(v) for v in zs],
-                                        _phi_over_cdf_reference(z)),
+        "log_ndtr": _relative_error(log_cdf, sp.log_ndtr(z)),
+        "phi_over_cdf": _relative_error(ratio, _phi_over_cdf_reference(z)),
         "erfcx": _relative_error([special.erfcx(v) for v in xcs], sp.erfcx(xc)),
         "expit": _relative_error(special.expit(x), sp.expit(x)),
         "log_expit": _relative_error(special.log_expit(x), sp.log_expit(x)),

@@ -17,7 +17,7 @@ from streamdtf import (CpGenerator, GammaPosterior, Hyperparams,
                        adf_update_entry, check_invariants, checkpoint_bytes,
                        evidence_binary, evidence_continuous, init_state,
                        process_batch, synth_generate, update_tau)
-from streamdtf import adf_engine, bnn
+from streamdtf import adf_engine, bnn, special
 from streamdtf.adf_engine import entry_errstate
 from streamdtf.errors import BoundsError, NumericError
 from streamdtf.oracles import pack, quad_tilted_moments, unpack
@@ -54,6 +54,61 @@ def test_evidence_binary_stable_in_deep_tail():
         assert math.isfinite(ev.log_z)
         assert 0.0 < math.exp(ev.log_z) <= 1.0
         assert math.isfinite(ev.dalpha) and math.isfinite(ev.dbeta)
+
+
+def _frozen_probit_evidence(alpha, beta, y):
+    """evidence_binary's (log Z, dalpha, dbeta), written out once with the
+    engine's `math` calls in the engine's order of operations."""
+    sign = 2.0 * y - 1.0
+    denom = math.sqrt(1.0 + beta)
+    z = sign * alpha / denom
+    t = z * math.sqrt(0.5)
+    if z < -1.0:
+        e = special.erfcx(-z / math.sqrt(2.0))
+        log_z = math.log(0.5 * e) - t * t
+    else:
+        log_z = math.log1p(-0.5 * math.erfc(t))
+    if z >= 0:
+        r = (math.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
+             / (0.5 * math.erfc(-z * math.sqrt(0.5))))
+    else:
+        r = math.sqrt(2.0 / math.pi) / special.erfcx(-z / math.sqrt(2.0))
+    return log_z, sign * r / denom, -r * z / (2.0 * (1.0 + beta))
+
+
+def _alpha_at(z, beta, y):
+    """An alpha at which evidence_binary's z = (2y - 1) alpha / sqrt(1 + beta)
+    rounds to exactly `z`."""
+    sign = 2.0 * y - 1.0
+    denom = math.sqrt(1.0 + beta)
+    alpha = sign * z * denom
+    for _ in range(8):
+        got = sign * alpha / denom
+        if got == z:
+            return float(alpha)
+        alpha = np.nextafter(alpha, math.inf if sign * (z - got) > 0 else -math.inf)
+    raise AssertionError(f"no alpha reaches z = {z!r} at beta = {beta}")
+
+
+def test_evidence_binary_keeps_its_bits():
+    # a frozen copy of the probit formulas: any change to how log Phi or
+    # phi/Phi round shows here, at the branch edges z = -1 and z = 0, their
+    # float neighbours, the range of trained models and the far tails
+    edges = [float(np.nextafter(edge, to)) for edge in (-1.0, 0.0)
+             for to in (-math.inf, math.inf)] + [-1.0, 0.0]
+    draws = make_rng(23).uniform(-40.0, 40.0, 2000).tolist() + [-1e150, 1e150]
+    mismatches = []
+    for beta in (0.0, 2.0, 10.0):
+        for y in (0.0, 1.0):
+            sign = 2.0 * y - 1.0
+            alphas = ([_alpha_at(z, beta, y) for z in edges]
+                      + [sign * z * math.sqrt(1.0 + beta) for z in draws])
+            for alpha in alphas:
+                got = [v.hex() for v in evidence_binary(alpha, beta, y)]
+                want = [v.hex() for v in _frozen_probit_evidence(alpha, beta, y)]
+                if got != want:
+                    mismatches.append((alpha, beta, y, got, want))
+    assert not mismatches, mismatches[:5]
 
 
 def test_evidence_binary_rejects_a_non_finite_result():

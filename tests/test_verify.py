@@ -6,6 +6,7 @@ so a check that cannot fail would silence both.
 """
 
 import dataclasses
+import math
 
 import pytest
 
@@ -30,12 +31,18 @@ def _scale(value):
     return value * (1.0 + 1e-12)
 
 
-# every form check_special_functions compares with scipy.special, scaled by
-# 1 + 1e-12: ten times the check's relative tolerance
+def _scale_output(i):
+    return lambda out: tuple(_scale(v) if j == i else v for j, v in enumerate(out))
+
+
+# every form check_special_functions compares with scipy.special, and each
+# output of log_ndtr_and_ratio, scaled by 1 + 1e-12: ten times the check's
+# relative tolerance
 SPECIAL_FORMS = (
-    [(special, name) for name in ("ndtr", "ndtr_array", "log_ndtr", "erfcx", "expit",
-                                  "log_expit", "logit", "ndtri")]
-    + [(adf_engine, "_phi_over_cdf")]
+    [(name, name, _scale) for name in ("ndtr", "ndtr_array", "erfcx", "expit",
+                                       "log_expit", "logit", "ndtri")]
+    + [("log_ndtr", "log_ndtr_and_ratio", _scale_output(0)),
+       ("phi_over_cdf", "log_ndtr_and_ratio", _scale_output(1))]
 )
 
 
@@ -51,7 +58,7 @@ CORRUPTIONS = {
     "check_ep_tilted": (ep_prior, "refine_arrays", _shift_tilted_mean),
     "check_tau_recursion": (adf_engine, "update_tau",
                             lambda gp: dataclasses.replace(gp, b=gp.b + 1e-3)),
-    "check_special_functions": (special, "log_ndtr", _scale),
+    "check_special_functions": (special, "log_ndtr_and_ratio", _scale_output(0)),
 }
 
 
@@ -70,9 +77,30 @@ def test_check_fails_on_a_corrupted_engine(monkeypatch, check_name):
     assert not result.passed, result.detail
 
 
-@pytest.mark.parametrize("module, name", SPECIAL_FORMS, ids=[n for _, n in SPECIAL_FORMS])
-def test_special_function_check_fails_on_each_corrupted_form(monkeypatch, module, name):
-    original = getattr(module, name)
-    monkeypatch.setattr(module, name, lambda *a, **k: _scale(original(*a, **k)))
+@pytest.mark.parametrize("name, change", [(name, change) for _, name, change in SPECIAL_FORMS],
+                         ids=[label for label, _, _ in SPECIAL_FORMS])
+def test_special_function_check_fails_on_each_corrupted_form(monkeypatch, name, change):
+    original = getattr(special, name)
+    monkeypatch.setattr(special, name, lambda *a, **k: change(original(*a, **k)))
     result = verify.check_special_functions()
+    assert not result.passed, result.detail
+
+
+# probit partials off by a factor that is 1 at beta = 0 and grows with beta,
+# as a misplaced (1 + beta) would make them: log Z is unchanged, so only the
+# finite-difference comparison sees them
+PROBIT_PARTIAL_MUTANTS = {
+    "dbeta_over_1_plus_0.9beta": lambda ev, beta: ev._replace(
+        dbeta=ev.dbeta * (1.0 + beta) / (1.0 + 0.9 * beta)),
+    "dalpha_over_1_plus_beta": lambda ev, beta: ev._replace(
+        dalpha=ev.dalpha / math.sqrt(1.0 + beta)),
+}
+
+
+@pytest.mark.parametrize("mutant", sorted(PROBIT_PARTIAL_MUTANTS))
+def test_probit_evidence_check_fails_on_each_wrong_partial(monkeypatch, mutant):
+    original, change = adf_engine.evidence_binary, PROBIT_PARTIAL_MUTANTS[mutant]
+    monkeypatch.setattr(adf_engine, "evidence_binary",
+                        lambda alpha, beta, y: change(original(alpha, beta, y), beta))
+    result = verify.check_evidence_binary()
     assert not result.passed, result.detail
