@@ -49,14 +49,18 @@ scatter_entry writes what the engine built (finite means, variances
 clamped to at least v_floor) without re-checking either.
 
 Checkpoints are versioned JSON with every posterior field named, one table
-per layer (format version 2, independent of the in-memory layout); floats
-are rendered with shortest round-trip decimals so load(save(s)) reproduces
-s exactly. A checkpoint holds the posterior alone: given it and the next
-batch, the update and the EP sweep are deterministic, so a resumed run
-needs no random generator. Version 1 differs only by a generator-state
-block, which load_checkpoint ignores.
+per layer (format version 3, independent of the in-memory layout). Each
+table is one string, the lowercase hex of its row-major little-endian
+float64 bytes, so load(save(s)) reproduces s exactly; its shape follows
+from dims, ranks and widths. A checkpoint holds the posterior alone: given
+it and the next batch, the update and the EP sweep are deterministic, so a
+resumed run needs no random generator. Versions 1 and 2 still load: their
+tables are lists of rows of shortest round-trip decimals, and version 1
+also holds a generator-state block, which load_checkpoint ignores.
 """
 
+import binascii
+import io
 import itertools
 import json
 import operator
@@ -73,7 +77,7 @@ from .special import ndtr, ndtri
 from .tensor_core import TensorShape, ValueKind
 
 CHECKPOINT_FORMAT = "streamdtf-checkpoint"
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 # variance guard floor used by the update engine
 DEFAULT_V_FLOOR = 1e-10
@@ -343,28 +347,10 @@ def _with_input_slot(weights: np.ndarray, input_dim: int) -> np.ndarray:
 # checkpoint IO
 
 
-def _write_json(obj, fp: TextIO) -> None:
-    """Write the text of json.dump(obj, fp, sort_keys=True,
-    separators=(",", ":")) for a document whose dict keys are strings,
-    encoding each value that holds no dict (a list
-    of numbers, a scalar) with one json.dumps. json.dump runs its
-    pure-Python encoder item by item, at twice the time; one json.dumps of
-    the whole document holds every float's text at once, about 2 MB on the
-    README configuration, where one array's text is at most 0.2 MB."""
-    if isinstance(obj, dict):
-        fp.write("{")
-        for i, key in enumerate(sorted(obj)):
-            fp.write(("," if i else "") + json.dumps(key) + ":")
-            _write_json(obj[key], fp)
-        fp.write("}")
-    elif isinstance(obj, list) and any(isinstance(item, dict) for item in obj):
-        fp.write("[")
-        for i, item in enumerate(obj):
-            fp.write("," if i else "")
-            _write_json(item, fp)
-        fp.write("]")
-    else:
-        fp.write(json.dumps(obj, separators=(",", ":")))
+def _hex(table: np.ndarray) -> str:
+    """A version-3 table: the lowercase hex of its row-major little-endian
+    float64 bytes."""
+    return np.asarray(table, "<f8").tobytes().hex()
 
 
 def save_checkpoint(state: ModelState, fp: TextIO) -> None:
@@ -383,17 +369,16 @@ def save_checkpoint(state: ModelState, fp: TextIO) -> None:
         },
         "entries_seen": state.entries_seen,
         "embeddings": [
-            {"mean": emb.mean.tolist(), "var": emb.var.tolist()}
+            {"mean": _hex(emb.mean), "var": _hex(emb.var)}
             for emb in state.embeddings
         ],
         "weights": [
-            {name: getattr(lay, name).tolist() for name in WEIGHT_FIELDS}
+            {name: _hex(getattr(lay, name)) for name in WEIGHT_FIELDS}
             for lay in state.weights
         ],
         "gamma": None if state.gamma is None else {"a": state.gamma.a, "b": state.gamma.b},
     }
-    _write_json(doc, fp)
-    fp.write("\n")
+    fp.write(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
 
 
 def _count(value) -> int:
@@ -413,11 +398,13 @@ def _real(value) -> float:
 
 def _holds_bool_literal(text: str) -> bool:
     """Whether a JSON text holds a true or false literal, which a saved
-    checkpoint does not. The u of true and the l of false sit at index 2
-    of the literal, and a saved checkpoint holds a handful of either
-    character, in its keys and names, so a one-character find skips from
-    one to the next: on the README checkpoint about 20 us against 0.7 ms
-    for a search for both literals (timeit, one core)."""
+    checkpoint of any version does not. The u of true and the l of false
+    sit at index 2 of the literal, and a saved checkpoint holds a handful
+    of either character, in its keys and names (the hex digits of its
+    tables are neither), so a one-character find skips from one to the
+    next: on the README checkpoint, 326,752 characters with 3 u's and 4
+    l's, about 13 us against 0.7 ms for a search for both literals
+    (timeit, one core)."""
     for char, literal in (("u", "true"), ("l", "false")):
         at = text.find(char, 2)
         while at >= 0:
@@ -427,23 +414,36 @@ def _holds_bool_literal(text: str) -> bool:
     return False
 
 
-def _table(rows) -> np.ndarray:
-    """A checkpoint's weight or embedding table: equal-length rows of JSON
-    numbers, as a float array. A string or a null cell raises TypeError,
-    where a cast with dtype=float reads "0.25" as 0.25. struct packs the
-    cells as doubles, which refuses every non-number but a bool, and the
-    loader has refused a document holding a bool before any table is
-    read."""
+def _decimal_table(rows, shape: tuple[int, int]) -> np.ndarray:
+    """A version-1 or -2 table of the given shape: equal-length rows of
+    JSON numbers, as a float array. A string or a null cell raises
+    TypeError, where a cast with dtype=float reads "0.25" as 0.25. struct
+    packs the cells as doubles, which refuses every non-number but a bool,
+    and the loader has refused a document holding a bool before any table
+    is read. A hex string, read as rows of one character, fails the shape
+    check."""
     n = len(rows)
     k = len(rows[0]) if n else 0
     if set(map(len, rows)) - {k}:
         raise ValueError("a table's rows must have equal lengths")
-    table = np.empty((n, k))
+    if (n, k) != shape:
+        raise ValueError(f"a table of shape {(n, k)} where {shape} is due")
+    table = np.empty(shape)
     try:
         struct.pack_into(f"{n * k}d", table, 0, *itertools.chain.from_iterable(rows))
     except struct.error:
         raise TypeError("a table's cells must be JSON numbers") from None
     return table
+
+
+def _hex_table(text, shape: tuple[int, int]) -> np.ndarray:
+    """A version-3 table of the given shape: a string of exactly 16 hex
+    digits per cell, decoded as little-endian float64 into a new writable
+    array. binascii.unhexlify refuses anything but a string or bytes, an
+    odd length and any non-hex character, whitespace included (which
+    bytes.fromhex would skip), at half bytes.fromhex's time; frombuffer
+    refuses a part of a cell, and the reshape any other cell count."""
+    return np.frombuffer(binascii.unhexlify(text), "<f8").astype(np.float64).reshape(shape)
 
 
 def load_checkpoint(fp: TextIO) -> ModelState:
@@ -454,20 +454,21 @@ def load_checkpoint(fp: TextIO) -> ModelState:
         raise CheckpointError(f"invalid or truncated checkpoint: {exc}") from None
     if not isinstance(doc, dict) or doc.get("format") != CHECKPOINT_FORMAT:
         raise CheckpointError("not a model checkpoint document")
-    # a version-1 document also holds a generator-state block, which no
-    # step reads: it loads as version 2 does. A version is a JSON int, so
-    # true and 1.0, which equal 1, are no version
+    # versions 1 and 2 write their tables as decimals, and version 1 also
+    # holds a generator-state block, which no step reads. A version is a
+    # JSON int, so true and 1.0, which equal 1, are no version
     version = doc.get("version")
-    if type(version) is not int or version not in (1, CHECKPOINT_VERSION):
+    if type(version) is not int or version not in (1, 2, CHECKPOINT_VERSION):
         raise CheckpointError(
             f"unsupported checkpoint version {version!r} "
-            f"(expected 1 or {CHECKPOINT_VERSION})"
+            f"(expected 1, 2 or {CHECKPOINT_VERSION})"
         )
     # no field of a checkpoint is a bool, and a bool is an int to Python, a
     # double to struct: refusing the literals here spares every reader below
     if _holds_bool_literal(text):
         raise CheckpointError("checkpoint schema violation: a checkpoint holds no true "
                               "or false literal")
+    table = _hex_table if version == CHECKPOINT_VERSION else _decimal_table
     try:
         shape = TensorShape(tuple(map(_count, doc["dims"])))
         kind = ValueKind.from_string(doc["kind"])
@@ -476,12 +477,18 @@ def load_checkpoint(fp: TextIO) -> ModelState:
         hyper = Hyperparams(ranks=tuple(map(_count, doc["hyper"]["ranks"])),
                             **{name: _real(doc["hyper"][name])
                                for name in ("rho0", "sigma0_sq", "a0", "b0")})
+        if len(doc["embeddings"]) != shape.mode_count \
+                or len(hyper.ranks) != shape.mode_count or hyper.input_dim != net.input_dim:
+            raise CheckpointError("embedding tables do not match dims, ranks and network")
+        if len(doc["weights"]) != len(net.weight_shapes):
+            raise CheckpointError("weight tables do not match the network")
         embeddings = [
-            ModeEmbeddings(mean=_table(e["mean"]), var=_table(e["var"]))
-            for e in doc["embeddings"]
+            ModeEmbeddings(mean=table(e["mean"], (d, r)), var=table(e["var"], (d, r)))
+            for e, d, r in zip(doc["embeddings"], shape.dims, hyper.ranks)
         ]
-        tables = {
-            name: [_table(w[name]) for w in doc["weights"]]
+        flat = {
+            name: np.concatenate([table(w[name], w_shape).ravel()
+                                  for w, w_shape in zip(doc["weights"], net.weight_shapes)])
             for name in WEIGHT_FIELDS
         }
         # built with the invariant checks below: a bad (a, b) is an
@@ -489,17 +496,6 @@ def load_checkpoint(fp: TextIO) -> ModelState:
         gamma_ab = None if doc["gamma"] is None else (
             float(_real(doc["gamma"]["a"])), float(_real(doc["gamma"]["b"])))
         entries_seen = _count(doc["entries_seen"])
-        if len(embeddings) != shape.mode_count or len(hyper.ranks) != shape.mode_count \
-                or hyper.input_dim != net.input_dim:
-            raise CheckpointError("embedding tables do not match dims, ranks and network")
-        for emb, d, r in zip(embeddings, shape.dims, hyper.ranks):
-            if emb.mean.shape != (d, r) or emb.var.shape != (d, r):
-                raise CheckpointError("embedding table shape mismatch")
-        for arrs in tables.values():
-            if [a.shape for a in arrs] != list(net.weight_shapes):
-                raise CheckpointError("weight table shape mismatch")
-        flat = {name: np.concatenate([a.ravel() for a in arrs])
-                for name, arrs in tables.items()}
         state = ModelState(
             shape=shape, kind=kind, net=net, hyper=hyper, embeddings=embeddings,
             gamma=None, entries_seen=entries_seen,
@@ -523,8 +519,6 @@ def load_checkpoint(fp: TextIO) -> ModelState:
 
 def checkpoint_bytes(state: ModelState) -> bytes:
     """Canonical serialized form; handy for equality checks."""
-    import io
-
     buf = io.StringIO()
     save_checkpoint(state, buf)
     return buf.getvalue().encode("utf-8")

@@ -79,7 +79,8 @@ def check_output_moments_mc(seed: int = 1, n_nets: int = 3,
         mc = oracles.mc_output_moments(spec, weights, w_vars, x, x_vars,
                                        n_samples, seed=int(rng.integers(2 ** 31)))
         worst = max(worst, abs(beta - mc.var) / max(3.0 * mc.se_var, 0.15 * mc.var))
-    return CheckResult("output-moments-vs-monte-carlo", worst <= 1.0,
+    # beta and the Monte Carlo moments are numpy floats: passed is a bool
+    return CheckResult("output-moments-vs-monte-carlo", bool(worst <= 1.0),
                        f"worst |beta-mc|/tol {worst:.3f} over {n_nets} nets of "
                        f"{n_samples} samples (tol max(3 se, 0.15 var))")
 
@@ -119,8 +120,9 @@ def check_evidence_binary(seed: int = 2, n_cases: int = 200) -> CheckResult:
                     - log_z(alpha, beta + 2 * h)) / (2 * h)
         for got, want in ((ev.dalpha, fd_a), (ev.dbeta, fd_b)):
             worst_partial = max(worst_partial, abs(got - want) / max(abs(want), 1e-3))
+    # the grid's z values are numpy floats: passed is a bool
     return CheckResult("evidence-binary-vs-reference-cdf",
-                       worst <= 1e-10 and worst_partial <= 1e-6,
+                       bool(worst <= 1e-10 and worst_partial <= 1e-6),
                        f"max relative error {worst:.3e} over {len(cases)} cases (tol 1e-10); "
                        f"partials vs fd {worst_partial:.3e} (tol 1e-6)")
 
@@ -199,7 +201,8 @@ def check_adf_conjugate(seed: int = 4, n_cases: int = 200) -> CheckResult:
             want_m, want_v = oracles.conjugate_linear_update(
                 mu[j], var[j], g[j], y - (alpha - g[j] * mu[j]), noise_eff)
             worst = max(worst, abs(post_mu[j] - want_m), abs(post_var[j] - want_v))
-    return CheckResult("adf-update-vs-conjugate-oracle", worst <= 1e-8,
+    # the posterior's cells are numpy floats: passed is a bool
+    return CheckResult("adf-update-vs-conjugate-oracle", bool(worst <= 1e-8),
                        f"max abs error {worst:.3e} over {n_cases} + {n_isolated} "
                        f"isolated-weight cases (tol 1e-8)")
 

@@ -1,15 +1,18 @@
 import copy
 import io
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from streamdtf import (CheckpointError, CpGenerator, GammaPosterior, Hyperparams,
                        NetworkSpec, TensorShape, ValueKind, check_invariants,
-                       checkpoint_bytes, init_state, load_checkpoint,
+                       checkpoint_bytes, cli, init_state, load_checkpoint,
                        posterior_store, process_batch, save_checkpoint,
                        synth_generate)
+
+DATA = Path(__file__).parent / "data"
 
 
 def _small_state(seed=0, kind=ValueKind.CONTINUOUS, rho0=0.5, sigma0_sq=1.0):
@@ -141,13 +144,6 @@ def test_checkpoint_text_is_json_dump_text(kind):
     want = io.StringIO()
     json.dump(json.loads(buf.getvalue()), want, sort_keys=True, separators=(",", ":"))
     assert buf.getvalue() == want.getvalue() + "\n"
-    # the writer's own cases beyond a checkpoint: empty containers, a list
-    # mixing dicts with other values, nesting, non-ASCII keys
-    doc = {"b": {}, "a": [], "é": [{"z": [1.5, None], "y": {"x": []}}, 2, "s", [3]],
-           "c": [[0.1, -0.0], [1e300]], "d": {"f": {"g": True}}}
-    got = io.StringIO()
-    posterior_store._write_json(doc, got)
-    assert got.getvalue() == json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
 def test_checkpoint_of_fresh_init_equals_fresh_init():
@@ -183,33 +179,125 @@ def _set(path, value):
     return edit
 
 
+def _v2_doc(state):
+    """The document a version-2 save of `state` wrote: the version-3 one
+    with each table as a list of rows of decimals."""
+    doc = json.loads(checkpoint_bytes(state))
+    doc["version"] = 2
+    doc["embeddings"] = [{"mean": emb.mean.tolist(), "var": emb.var.tolist()}
+                         for emb in state.embeddings]
+    doc["weights"] = [{name: getattr(lay, name).tolist()
+                       for name in posterior_store.WEIGHT_FIELDS}
+                      for lay in state.weights]
+    return doc
+
+
+def _v2_text(state):
+    """The text a version-2 save of `state` wrote."""
+    return json.dumps(_v2_doc(state), sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def _cell(group, k, name, cell, value):
+    """An edit setting one cell of a version-3 table of `_small_state()`,
+    `doc[group][k][name]`, to the float64 `value`, bits and all."""
+    def edit(doc):
+        shape = getattr(getattr(_small_state(), group)[k], name).shape
+        table = np.frombuffer(bytes.fromhex(doc[group][k][name]), "<f8").reshape(shape).copy()
+        table[cell] = value
+        doc[group][k][name] = table.tobytes().hex()
+    return edit
+
+
 @pytest.mark.parametrize("edit", [
     _set(("hyper", "rho0"), 3.0),
     _set(("gamma", "a"), -1),
     _set(("network", "widths", -1), 2),
     _set(("dims",), [-5, 6]),
-    _set(("weights", 0, "var"), lambda rows: rows[:-1]),
-    _set(("embeddings", 1, "mean"), lambda rows: rows[:-1]),
     _set(("embeddings",), lambda tables: tables[:1]),
+    _set(("weights",), lambda tables: tables[:1]),
     _set(("dims",), [5.5, 6]),
     _set(("hyper", "ranks"), [2.5, 2]),
     _set(("network", "widths", 0), 4.5),
     _set(("entries_seen",), 0.5),
+], ids=["rho0", "gamma-a", "output-width", "negative-dims", "embedding-table-missing",
+        "weight-layer-missing", "fractional-dims", "fractional-ranks", "fractional-width",
+        "fractional-entries-seen"])
+def test_checkpoint_bad_values_raise_checkpoint_error(edit):
+    doc = json.loads(checkpoint_bytes(_small_state()))
+    edit(doc)
+    with pytest.raises(CheckpointError):
+        load_checkpoint(io.StringIO(json.dumps(doc)))
+
+
+@pytest.mark.parametrize("edit", [
+    _set(("weights", 0, "var"), lambda rows: rows[:-1]),
+    _set(("embeddings", 1, "mean"), lambda rows: rows[:-1]),
+    _set(("weights", 1, "mean", 0), lambda row: row[:-1]),
     _set(("weights", 0, "mean", 0, 0), "0.25"),
     _set(("weights", 1, "var", 0, 1), True),
     _set(("weights", 0, "term_mean", 1, 0), False),
     _set(("embeddings", 0, "mean", 2, 1), "0.25"),
     _set(("embeddings", 1, "var", 0, 0), True),
     _set(("weights", 0, "var", 0), lambda row: [True] * len(row)),
-], ids=["rho0", "gamma-a", "output-width", "negative-dims",
-        "weight-table-short", "embedding-table-short", "embedding-table-missing",
-        "fractional-dims", "fractional-ranks", "fractional-width",
-        "fractional-entries-seen", "string-weight-cell", "true-weight-cell", "false-weight-cell",
-        "string-embedding-cell", "true-embedding-cell", "bool-weight-row"])
-def test_checkpoint_bad_values_raise_checkpoint_error(edit):
+    _set(("weights", 0, "term_logit", 1, 2), 10 ** 400),
+    _set(("embeddings", 0, "var", 1, 0), None),
+    _set(("weights", 0, "rho_post"), lambda rows: np.array(rows).tobytes().hex()),
+], ids=["weight-table-short", "embedding-table-short", "ragged-rows", "string-weight-cell",
+        "true-weight-cell", "false-weight-cell", "string-embedding-cell",
+        "true-embedding-cell", "bool-weight-row", "huge-int-cell", "null-cell",
+        "hex-table-under-version-2"])
+def test_decimal_table_bad_values_raise_schema_violation(edit):
+    # versions 1 and 2 write each table as rows of decimals, which the
+    # loader still reads: a cell that is not a JSON number, or a table of
+    # the wrong shape or type, is refused
+    doc = _v2_doc(_small_state())
+    edit(doc)
+    with pytest.raises(CheckpointError, match="schema violation"):
+        load_checkpoint(io.StringIO(json.dumps(doc)))
+
+
+def test_saved_tables_are_hex_float64_of_the_posterior():
+    state = _small_state(seed=3)
+    doc = json.loads(checkpoint_bytes(state))
+    assert doc["embeddings"][1]["var"] == np.asarray(state.embeddings[1].var, "<f8").tobytes().hex()
+    for lay, saved in zip(state.weights, doc["weights"]):
+        for name in posterior_store.WEIGHT_FIELDS:
+            want = getattr(lay, name)
+            got = np.frombuffer(bytes.fromhex(saved[name]), "<f8").reshape(want.shape)
+            assert np.array_equal(got, want) and saved[name] == saved[name].lower()
+
+
+@pytest.mark.parametrize("edit", [
+    _set(("weights", 0, "mean"), lambda t: t[:-1]),
+    _set(("embeddings", 0, "mean"), lambda t: t + "0"),
+    _set(("weights", 1, "var"), lambda t: t[:-2]),
+    _set(("embeddings", 1, "var"), lambda t: t + "00"),
+    _set(("weights", 0, "rho_post"), lambda t: t[:-16]),
+    _set(("weights", 0, "term_var"), lambda t: "g" + t[1:]),
+    _set(("weights", 1, "rho_post"), lambda t: t[:8] + "x" + t[9:]),
+    _set(("weights", 0, "term_logit"), lambda t: t[:16] + " " + t[16:-1]),
+    _set(("embeddings", 0, "var"), lambda t: t[:16] + "  " + t[18:]),
+    _set(("weights", 0, "term_mean"), lambda t: t[:16] + "\n" + t[17:]),
+    _set(("weights", 0, "mean"), lambda t: np.frombuffer(bytes.fromhex(t)).reshape(3, 5).tolist()),
+    _set(("embeddings", 1, "mean"), lambda t: []),
+    _set(("weights", 1, "var"), 0.5),
+    _set(("weights", 1, "var"), None),
+    _set(("weights",), lambda layers: layers[::-1]),
+    _set(("embeddings",), lambda modes: modes[::-1]),
+], ids=["one-char-short-odd-length", "one-char-too-many-odd-length", "one-byte-short",
+        "one-byte-too-many", "one-cell-short",
+        "non-hex-char", "non-hex-letter", "space-inside", "whitespace-for-a-byte",
+        "newline-inside", "list-table-under-version-3", "empty-list-table", "number-table",
+        "null-table", "layers-swapped", "modes-swapped"])
+def test_hex_table_corruption_raises_schema_violation(edit):
+    # a version-3 table is a string of exactly 16 hex digits per cell of
+    # the shape dims, ranks and widths give; bytes.fromhex skips whitespace,
+    # so a string of the right length holding some must be refused too.
+    # The small state's layers (3, 5) and (1, 4) and modes (5, 2) and
+    # (6, 2) differ in length, so swapped tables fit the other's shape only
     doc = json.loads(checkpoint_bytes(_small_state()))
     edit(doc)
-    with pytest.raises(CheckpointError):
+    with pytest.raises(CheckpointError, match="schema violation"):
         load_checkpoint(io.StringIO(json.dumps(doc)))
 
 
@@ -258,22 +346,42 @@ def test_a_saved_checkpoint_holds_no_bool_literal(kind, activation):
 
 
 @pytest.mark.parametrize("edit", [
-    _set(("weights", 0, "var", 0, 0), -1.0),
-    _set(("weights", 1, "mean", 0, 1), float("nan")),
-    _set(("weights", 0, "term_var", 1, 0), 0.0),
-    _set(("weights", 1, "term_mean", 0, 0), float("inf")),
-    _set(("weights", 0, "term_logit", 0, 2), float("nan")),
-    _set(("weights", 1, "rho_post", 0, 0), 3.0),
-    _set(("weights", 0, "rho_post", 0, 0), 0.0),
-    _set(("embeddings", 1, "var", 2, 0), -2.0),
-    _set(("embeddings", 0, "mean", 4, 1), float("inf")),
+    _cell("weights", 0, "var", (0, 0), -1.0),
+    _cell("weights", 1, "var", (0, 3), float("nan")),
+    _cell("weights", 0, "var", (2, 4), float("inf")),
+    _cell("weights", 1, "mean", (0, 1), float("nan")),
+    _cell("weights", 0, "term_var", (1, 0), 0.0),
+    _cell("weights", 1, "term_var", (0, 0), -np.inf),
+    _cell("weights", 1, "term_mean", (0, 0), float("inf")),
+    _cell("weights", 0, "term_logit", (0, 2), float("nan")),
+    _cell("weights", 1, "rho_post", (0, 0), 3.0),
+    _cell("weights", 0, "rho_post", (0, 0), 0.0),
+    _cell("embeddings", 1, "var", (2, 0), -2.0),
+    _cell("embeddings", 0, "var", (3, 1), float("nan")),
+    _cell("embeddings", 1, "var", (5, 1), float("inf")),
+    _cell("embeddings", 0, "mean", (4, 1), float("inf")),
     _set(("gamma", "b"), float("inf")),
     _set(("gamma",), None),
-], ids=["weight-var", "weight-mean", "term-var", "term-mean", "term-logit",
-        "rho-above-one", "rho-zero", "embedding-var", "embedding-mean", "gamma-b",
-        "gamma-missing"])
+], ids=["weight-var", "weight-var-nan", "weight-var-inf", "weight-mean", "term-var",
+        "term-var-minus-inf", "term-mean", "term-logit", "rho-above-one", "rho-zero",
+        "embedding-var", "embedding-var-nan", "embedding-var-inf", "embedding-mean",
+        "gamma-b", "gamma-missing"])
 def test_checkpoint_impossible_posterior_raises_checkpoint_error(edit):
+    # hex carries every float64 bit pattern, NaN and the infinities too:
+    # check_invariants refuses them as it refused their decimal forms
     doc = json.loads(checkpoint_bytes(_small_state()))
+    edit(doc)
+    with pytest.raises(CheckpointError, match="impossible posterior"):
+        load_checkpoint(io.StringIO(json.dumps(doc)))
+
+
+@pytest.mark.parametrize("edit", [
+    _set(("weights", 0, "var", 0, 0), -1.0),
+    _set(("embeddings", 0, "mean", 4, 1), float("inf")),
+    _set(("weights", 1, "rho_post", 0, 0), 3.0),
+], ids=["weight-var", "embedding-mean", "rho-above-one"])
+def test_version_2_impossible_posterior_raises_checkpoint_error(edit):
+    doc = _v2_doc(_small_state())
     edit(doc)
     with pytest.raises(CheckpointError, match="impossible posterior"):
         load_checkpoint(io.StringIO(json.dumps(doc)))
@@ -281,15 +389,29 @@ def test_checkpoint_impossible_posterior_raises_checkpoint_error(edit):
 
 def test_checkpoint_holds_no_generator_state():
     doc = json.loads(checkpoint_bytes(_small_state()))
-    assert doc["version"] == posterior_store.CHECKPOINT_VERSION == 2
+    assert doc["version"] == posterior_store.CHECKPOINT_VERSION == 3
     assert "rng" not in doc
+
+
+@pytest.mark.parametrize("kind", [ValueKind.CONTINUOUS, ValueKind.BINARY])
+def test_loaded_tables_are_writable(kind):
+    # the embedding tables are the store scatter_entry writes: a resumed
+    # run updates them in place
+    state = _small_state(seed=6, kind=kind)
+    loaded = load_checkpoint(io.StringIO(checkpoint_bytes(state).decode()))
+    for emb in loaded.embeddings:
+        assert emb.mean.flags.writeable and emb.var.flags.writeable
+    entries, _ = synth_generate(state.shape, 2, kind, CpGenerator(), 0.1, 20, seed=6)
+    process_batch(state, entries)
+    process_batch(loaded, entries)
+    assert checkpoint_bytes(loaded) == checkpoint_bytes(state)
 
 
 @pytest.mark.parametrize("kind", [ValueKind.CONTINUOUS, ValueKind.BINARY])
 def test_version_1_checkpoint_loads_and_its_generator_block_is_ignored(kind):
     state = _small_state(seed=4, kind=kind)
     state.entries_seen = 9
-    doc = json.loads(checkpoint_bytes(state))
+    doc = _v2_doc(state)
     # the generator-state block a version-1 save of this state wrote
     doc["version"] = 1
     doc["rng"] = {"bit_generator": "PCG64",
@@ -300,13 +422,38 @@ def test_version_1_checkpoint_loads_and_its_generator_block_is_ignored(kind):
     assert checkpoint_bytes(loaded) == checkpoint_bytes(state)
 
 
+@pytest.mark.parametrize("kind", ["continuous", "binary"])
+def test_version_2_files_load_to_the_posterior_training_gives_today(tmp_path, kind):
+    # tests/data holds the two models the numpy-only CI job trains, saved
+    # as version-2 files: retrained here, each must give the same
+    # posterior, and a version-2 save of it the file's bytes
+    train, test, model = (tmp_path / name for name in ("train.coo", "test.coo", "model.json"))
+    assert cli.main(["synth", "--dims", "30,20", "--kind", kind, "--generator", "mlp",
+                     "--rank", "2", "--entries", "400", "--noise-sd", "0.1", "--seed", "4",
+                     "--test-fraction", "0.2", "--train-out", str(train),
+                     "--test-out", str(test)]) == 0
+    assert cli.main(["train", "--train", str(train), "--test", str(test), "--dims", "30,20",
+                     "--kind", kind, "--rank", "2", "--hidden", "8", "--batch-size", "100",
+                     "--seed", "4", "--checkpoint", str(model)]) == 0
+    with open(model, encoding="utf-8") as fp:
+        retrained = load_checkpoint(fp)
+    fixture = DATA / f"checkpoint-v2-{kind}.json"
+    with open(fixture, encoding="utf-8") as fp:
+        loaded = load_checkpoint(fp)
+    assert json.loads(fixture.read_text())["version"] == 2
+    assert checkpoint_bytes(loaded) == checkpoint_bytes(retrained)
+    assert _v2_text(retrained) == fixture.read_text(encoding="utf-8")
+
+
 _NO_VERSION = object()
 
 
-# true and 1.0 equal 1, and 2.0 equals 2, but none is a JSON int
-@pytest.mark.parametrize("version", [0, 3, 99, -1, True, 1.0, 2.0, "2", None, _NO_VERSION],
-                         ids=["zero", "three", "ninety-nine", "negative", "true",
-                              "float-one", "float-two", "string-two", "null", "missing"])
+# true and 1.0 equal 1, and 3.0 equals 3, but none is a JSON int
+@pytest.mark.parametrize("version", [0, 4, 99, -1, True, 1.0, 2.0, 3.0, "2", "3", None,
+                                     _NO_VERSION],
+                         ids=["zero", "four", "ninety-nine", "negative", "true", "float-one",
+                              "float-two", "float-three", "string-two", "string-three", "null",
+                              "missing"])
 def test_unsupported_checkpoint_version_raises(version):
     doc = json.loads(checkpoint_bytes(_small_state()))
     if version is _NO_VERSION:

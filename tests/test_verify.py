@@ -104,3 +104,11 @@ def test_probit_evidence_check_fails_on_each_wrong_partial(monkeypatch, mutant):
                         lambda alpha, beta, y: change(original(alpha, beta, y), beta))
     result = verify.check_evidence_binary()
     assert not result.passed, result.detail
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_every_check_reports_passed_as_a_python_bool(seed):
+    # CheckResult.passed is declared bool; a numpy bool prints the same but
+    # is no bool to `is True`, json or an isinstance check
+    for check in verify.ALL_CHECKS:
+        assert type(check(seed=seed).passed) is bool, check.__name__
