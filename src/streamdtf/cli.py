@@ -345,7 +345,10 @@ def _cmd_eval(args) -> int:
 def _cmd_verify(args) -> int:
     # imported here: the checks load scipy.special and scipy.integrate as
     # their references, which no other command needs
-    from . import verify
+    try:
+        from . import verify
+    except ImportError as exc:
+        raise UsageError(f"verify needs scipy, which could not be imported: {exc}") from None
 
     results = verify.run_checks(seed=args.seed)
     for res in results:

@@ -15,13 +15,13 @@ keeps the old term and moves only the posterior, to the tilted moments.
 Damping interpolates the term in natural parameters.
 
 All integrals are closed-form: the spike is an exact point mass, so the
-tilted normalizer mixes the two Gaussian heights N(0 | m_cav, v_cav +
-sigma0_sq) and N(0 | m_cav, v_cav).
+slab's share of the tilted mass compares the two Gaussian heights
+N(0 | m_cav, v_cav + sigma0_sq) and N(0 | m_cav, v_cav).
 
 Embedding posteriors are never touched here. Weight updates within a sweep
 are independent (cavity/tilt uses pre-sweep values only), so the sweep is
-deterministic, and it runs as one vectorized pass over the flat weight
-vectors of the store.
+deterministic, and it runs as one vectorized pass that writes the flat
+weight vectors of the store in place.
 """
 
 import math
@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .posterior_store import DEFAULT_V_FLOOR, WEIGHT_FIELDS, ModelState
+from .posterior_store import DEFAULT_V_FLOOR, ModelState
 from .special import expit, log_expit, logit
 
 DEFAULT_DAMPING = 0.5
@@ -44,13 +44,13 @@ def _log_normal_at_zero(mean, var):
 
 
 def refine_arrays(mean, var, rho_post, term_mean, term_var, term_logit,
-                  slab_var: float, damping: float, v_floor: float) -> dict:
-    """Vectorized EP sweep over parallel arrays of weight sites; `damping`
-    must be in (0, 1], which `refine_all` checks.
+                  slab_var: float, damping: float, v_floor: float) -> tuple[int, int]:
+    """Vectorized EP sweep over parallel arrays of weight sites, written in
+    place; `damping` must be in (0, 1], which `refine_all` checks. Every new
+    value is computed from the old fields before the first write.
 
-    Returns the six new fields under their WEIGHT_FIELDS names and, per
-    site, `tilted_norm`, `tilted_mean`, `tilted_second`, `slab_prob`, `ok`
-    (False where the cavity guard skipped the site) and `term_kept`.
+    Returns the sweep's two counts: the sites the cavity guard skipped (left
+    as they were) and the sites that kept their old term.
 
     The posterior is recomputed as cavity times the damped term, so repeated
     sweeps on a fixed cavity contract geometrically instead of re-applying
@@ -62,8 +62,8 @@ def refine_arrays(mean, var, rho_post, term_mean, term_var, term_logit,
     prec0 = 1.0 / term_var
     prec_cav = prec - prec0
     ok = np.isfinite(prec_cav) & (prec_cav > 0)
-    # neutralize invalid sites so the vector math stays finite; results for
-    # those sites are discarded below
+    # neutralize invalid sites so the vector math stays finite; they are
+    # not written below
     safe_prec_cav = np.where(ok, prec_cav, 1.0)
     v_cav = 1.0 / safe_prec_cav
     m_cav = v_cav * (mean * prec - term_mean * prec0)
@@ -72,14 +72,12 @@ def refine_arrays(mean, var, rho_post, term_mean, term_var, term_logit,
     log_slab = log_expit(logit_cav) + _log_normal_at_zero(m_cav, v_cav + slab_var)
     log_spike = log_expit(-logit_cav) + _log_normal_at_zero(m_cav, v_cav)
     delta = log_slab - log_spike
-    log_norm = np.logaddexp(log_slab, log_spike)
     r1 = expit(delta)
 
     v_slab = 1.0 / (safe_prec_cav + 1.0 / slab_var)
     m_slab = v_slab * m_cav * safe_prec_cav
     e1 = r1 * m_slab
-    e2 = r1 * (v_slab + m_slab * m_slab)
-    # e2 - e1^2 in a cancellation-free form
+    # the tilted variance E[w^2] - E[w]^2 in a cancellation-free form
     v_tilted = np.maximum(r1 * v_slab + r1 * (1.0 - r1) * m_slab * m_slab, v_floor)
 
     # term replacement by division, damped in natural parameters
@@ -96,27 +94,19 @@ def refine_arrays(mean, var, rho_post, term_mean, term_var, term_logit,
     # posterior = cavity * damped term; tilted moments directly when the
     # term had to be kept
     prec_post = safe_prec_cav + prec0_new
-    post_var = np.where(keep_term, v_tilted, 1.0 / prec_post)
-    post_mean = np.where(keep_term, e1,
-                         (m_cav * safe_prec_cav + eta0_new) / prec_post)
-    post_rho = expit(logit_cav + np.where(keep_term, term_logit, logit_term_new))
+    post_var = np.maximum(np.where(keep_term, v_tilted, 1.0 / prec_post), v_floor)
+    post_mean = np.where(keep_term, e1, (m_cav * safe_prec_cav + eta0_new) / prec_post)
+    post_rho = np.clip(expit(logit_cav + np.where(keep_term, term_logit, logit_term_new)),
+                       _RHO_LO, _RHO_HI)
 
-    new_mean = np.where(ok, post_mean, mean)
-    new_var = np.where(ok, np.maximum(post_var, v_floor), var)
-    new_rho = np.where(ok, np.clip(post_rho, _RHO_LO, _RHO_HI), rho_post)
-
-    untouched = ~ok | keep_term
-    new_term_var = np.where(untouched, term_var, 1.0 / prec0_new)
-    new_term_mean = np.where(untouched, term_mean, eta0_new / prec0_new)
-    new_term_logit = np.where(untouched, term_logit, logit_term_new)
-
-    return {
-        "mean": new_mean, "var": new_var, "rho_post": new_rho,
-        "term_mean": new_term_mean, "term_var": new_term_var,
-        "term_logit": new_term_logit,
-        "tilted_norm": np.exp(log_norm), "tilted_mean": e1, "tilted_second": e2,
-        "slab_prob": r1, "ok": ok, "term_kept": keep_term & ok,
-    }
+    replaced = ok & ~keep_term
+    np.copyto(mean, post_mean, where=ok)
+    np.copyto(var, post_var, where=ok)
+    np.copyto(rho_post, post_rho, where=ok)
+    np.copyto(term_mean, eta0_new / prec0_new, where=replaced)
+    np.copyto(term_var, 1.0 / prec0_new, where=replaced)
+    np.copyto(term_logit, logit_term_new, where=replaced)
+    return int(np.count_nonzero(~ok)), int(np.count_nonzero(ok & keep_term))
 
 
 @dataclass(frozen=True)
@@ -136,11 +126,6 @@ def refine_all(state: ModelState, damping: float = DEFAULT_DAMPING,
                v_floor: float = DEFAULT_V_FLOOR) -> EpDiagnostics:
     """Refine every network weight exactly once; embeddings are untouched."""
     check_damping(damping)
-    fields = state.weight_fields()
-    out = refine_arrays(*fields, slab_var=state.hyper.sigma0_sq, damping=damping,
-                         v_floor=v_floor)
-    for flat, name in zip(fields, WEIGHT_FIELDS):
-        flat[...] = out[name]
-    return EpDiagnostics(guard_skips=int((~out["ok"]).sum()),
-                         term_kept=int(out["term_kept"].sum()),
-                         inhibited=int((state.rho_post < 0.5).sum()))
+    counts = refine_arrays(*state.weight_fields(), slab_var=state.hyper.sigma0_sq,
+                           damping=damping, v_floor=v_floor)
+    return EpDiagnostics(*counts, inhibited=int((state.rho_post < 0.5).sum()))

@@ -44,7 +44,7 @@ class ValueKind(Enum):
     def from_string(cls, name: str) -> "ValueKind":
         try:
             return cls(name.lower())
-        except ValueError:
+        except (AttributeError, ValueError):  # AttributeError: not a string
             raise ValueError(f"unknown value kind {name!r}") from None
 
     def check_value(self, value: float) -> None:

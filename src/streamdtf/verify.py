@@ -207,21 +207,24 @@ def check_adf_conjugate(seed: int = 4, n_cases: int = 200) -> CheckResult:
                        f"isolated-weight cases (tol 1e-8)")
 
 
-def _refine_one(mean, var, rho_post, term_mean, term_var, term_logit,
-                slab_var) -> dict:
-    """The EP sweep on one weight site at damping 0.5; each output is a float."""
-    out = ep_prior.refine_arrays(
-        *(np.array([v]) for v in (mean, var, rho_post, term_mean, term_var, term_logit)),
-        slab_var=slab_var, damping=0.5, v_floor=posterior_store.DEFAULT_V_FLOOR)
-    return {name: float(v[0]) for name, v in out.items()}
+def _refine_one(slab_var, *site) -> tuple[list[float], bool]:
+    """The EP sweep at damping 1 on one site's six fields (WEIGHT_FIELDS
+    order): the fields it writes, as floats, and whether it kept its term."""
+    fields = [np.array([float(v)]) for v in site]
+    _, kept = ep_prior.refine_arrays(*fields, slab_var=slab_var, damping=1.0,
+                                     v_floor=posterior_store.DEFAULT_V_FLOOR)
+    return [float(f[0]) for f in fields], kept == 1
 
 
 def check_ep_tilted(seed: int = 5, n_cases: int = 200) -> CheckResult:
-    """The EP sweep's tilted normalizer and first two moments against
-    quadrature on random cavities, and the symmetric case's slab
-    responsibility against sqrt(2) - 1."""
+    """The fields the EP sweep writes at damping 1 against quadrature of
+    cavity times the exact spike-and-slab prior, on random cavities: mean and
+    variance are the tilted E1 and E2 - E1^2; rho, as a probability (its
+    logit saturates), is the slab share Z_slab / Z, or the input rho where
+    the old term was kept. The symmetric case's rho must be sqrt(2) - 1."""
     rng = make_rng(seed)
     worst = 0.0
+    n_kept = 0
     for _ in range(n_cases):
         m_cav = float(rng.uniform(-3, 3))
         v_cav = float(rng.uniform(0.05, 3))
@@ -231,22 +234,26 @@ def check_ep_tilted(seed: int = 5, n_cases: int = 200) -> CheckResult:
         mu0 = float(rng.normal(0, 1))
         logit0 = float(rng.normal(0, 1))
         v = 1.0 / (1.0 / v_cav + 1.0 / v0)
-        res = _refine_one(v * (m_cav / v_cav + mu0 / v0), v,
-                          float(sp.expit(sp.logit(p_cav) + logit0)), mu0, v0, logit0, s0sq)
+        rho = float(sp.expit(sp.logit(p_cav) + logit0))
+        (mean, var, rho_post, *_), kept = _refine_one(
+            s0sq, v * (m_cav / v_cav + mu0 / v0), v, rho, mu0, v0, logit0)
         slab_norm = 1.0 / math.sqrt(2.0 * math.pi * s0sq)
         z_q, e1_q, e2_q = oracles.quad_tilted_moments(
             m_cav, v_cav,
             factor=lambda w: p_cav * slab_norm * math.exp(-0.5 * w * w / s0sq),
             atom_weight=1.0 - p_cav,
         )
-        for got, want in ((res["tilted_norm"], z_q), (res["tilted_mean"], e1_q),
-                          (res["tilted_second"], e2_q)):
+        z_spike, _, _ = oracles.quad_tilted_moments(m_cav, v_cav, atom_weight=1.0 - p_cav)
+        n_kept += kept
+        for got, want in ((mean, e1_q), (var, e2_q - e1_q * e1_q),
+                          (rho_post, rho if kept else (z_q - z_spike) / z_q)):
             worst = max(worst, abs(got - want) / max(1.0, abs(want)))
-    sym_prob = _refine_one(0.0, 0.5, 0.5, 0.0, 1.0, 0.0, 1.0)["slab_prob"]
-    sym_ok = abs(sym_prob - (math.sqrt(2.0) - 1.0)) <= 1e-5
+    sym_rho = _refine_one(1.0, 0.0, 0.5, 0.5, 0.0, 1.0, 0.0)[0][2]
+    sym_ok = abs(sym_rho - (math.sqrt(2.0) - 1.0)) <= 1e-5
     return CheckResult("ep-tilted-vs-quadrature", worst <= 1e-8 and sym_ok,
-                       f"max error {worst:.3e} over {n_cases} cases (tol 1e-8); "
-                       f"symmetric slab prob {sym_prob:.5f} (want 0.41421)")
+                       f"max error {worst:.3e} over {n_cases} cases, {n_kept} of them "
+                       f"kept their term (tol 1e-8); symmetric rho {sym_rho:.5f} "
+                       f"(want 0.41421)")
 
 
 def check_tau_recursion(seed: int = 6, n_entries: int = 30) -> CheckResult:

@@ -101,9 +101,7 @@ def reference_batch(state, entries, damping=0.5, v_floor=DEFAULT_V_FLOOR,
             state.gamma = update_tau(state.gamma, entry.value, alpha, beta)
         state.entries_seen += 1
     for lay in state.weights:
-        out = ep_prior.refine_arrays(
+        ep_prior.refine_arrays(
             lay.mean, lay.var, lay.rho_post, lay.term_mean, lay.term_var,
             lay.term_logit, slab_var=state.hyper.sigma0_sq, damping=damping,
             v_floor=v_floor)
-        for name in ("mean", "var", "rho_post", "term_mean", "term_var", "term_logit"):
-            getattr(lay, name)[...] = out[name]

@@ -66,3 +66,31 @@ def test_a_zero_parent_median_has_no_percent_change():
     assert entry["parent"] == {"median": 0.0, "q1": 0.0, "q3": 0.0, "n": 1}
     assert entry["parent_iqr"] == 0.0
     assert entry["change_wins"] == "0/1"
+
+
+
+def test_a_lower_is_better_metric_is_beyond_its_bound_when_it_rises_past_it():
+    # parent median 10; a bound of 0.25 lets the change's median reach 12.5
+    runs = _runs("s", parent={"wall_s": [10.0] * 3, "setup_s": [10.0] * 3,
+                              "peak": [10.0] * 3, "layer": [10.0] * 3},
+                 change={"wall_s": [12.5] * 3, "setup_s": [12.6] * 3,
+                         "peak": [4.0] * 3, "layer": [20.0] * 3})
+    summary = bench_pairs.summarise(runs, {}, {"wall_s": 0.25, "setup_s": 0.25, "peak": 0.1})
+    assert summary["wall_s"]["bound"] == 0.25
+    assert summary["wall_s"]["beyond_bound"] is False
+    assert summary["setup_s"]["beyond_bound"] is True
+    # lower is better: a fall is never beyond the bound
+    assert summary["peak"]["beyond_bound"] is False
+    # a metric without a bound (a per-layer one) gets neither field
+    assert "bound" not in summary["layer"] and "beyond_bound" not in summary["layer"]
+
+
+def test_a_higher_is_better_metric_is_beyond_its_bound_when_it_falls_past_it():
+    # parent median 0.8; a bound of 0.1 lets the change's median fall to 0.72
+    runs = _runs("auc", parent={"auc": [0.8, 0.8], "kept": [0.8, 0.8], "rise": [0.8, 0.8]},
+                 change={"auc": [0.7, 0.7], "kept": [0.75, 0.75], "rise": [2.0, 2.0]})
+    summary = bench_pairs.summarise(runs, {"auc": "higher", "kept": "higher", "rise": "higher"},
+                                    {"auc": 0.1, "kept": 0.1, "rise": 0.1})
+    assert summary["auc"]["beyond_bound"] is True
+    assert summary["kept"]["beyond_bound"] is False
+    assert summary["rise"]["beyond_bound"] is False

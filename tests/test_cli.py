@@ -212,6 +212,22 @@ def test_error_lines_are_single_and_coded(tmp_path, capsys):
         assert named in err
 
 
+def test_eval_of_a_checkpoint_whose_kind_is_no_string_is_a_checkpoint_error(
+        tmp_path, capsys):
+    state = init_state(TensorShape((4, 4)), ValueKind.CONTINUOUS,
+                       NetworkSpec.for_factorization(4, [3], "tanh"),
+                       Hyperparams(ranks=(2, 2)), seed=0)
+    doc = json.loads(checkpoint_bytes(state))
+    model, data = tmp_path / "model.json", tmp_path / "test.coo"
+    data.write_text("0 0 0.5\n")
+    for kind in (5, None, ["continuous"], {"kind": "continuous"}):
+        model.write_text(json.dumps({**doc, "kind": kind}))
+        assert cli.main(["eval", "--checkpoint", str(model), "--data", str(data)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error CHECKPOINT:"), kind
+        assert err.count("\n") == 1
+
+
 def test_parse_error_reported_with_code(tmp_path, capsys):
     bad = tmp_path / "bad.coo"
     bad.write_text("1 2 notanumber\n")
@@ -402,7 +418,9 @@ def test_verify_command_passes_every_check(capsys):
 
 
 _FOOTPRINT_SCRIPT = """
+import contextlib
 import importlib.abc
+import io
 import sys
 from pathlib import Path
 
@@ -438,6 +456,12 @@ for kind in ("continuous", "binary"):
     run("predict", "--checkpoint", model, "--indices", work / "idx.txt",
         "--out", work / "preds.csv")
     run("eval", "--checkpoint", model, "--data", test)
+# without scipy, verify is a usage error on one line, not a traceback
+stderr = io.StringIO()
+with contextlib.redirect_stderr(stderr):
+    assert cli.main(["verify", "--seed", "0"]) == 2
+assert stderr.getvalue().startswith("error ARG: verify needs scipy"), stderr.getvalue()
+assert stderr.getvalue().count("\\n") == 1
 assert not [name for name in sys.modules if name.partition(".")[0] == "scipy"]
 sys.meta_path.remove(refuse)
 assert cli.main(["verify", "--seed", "0"]) == 0
@@ -447,7 +471,8 @@ assert "scipy.special" in sys.modules and "scipy.integrate" in sys.modules
 
 def test_synth_train_predict_and_eval_import_numpy_alone(tmp_path):
     # a fresh interpreter: the test process itself has imported scipy. A
-    # finder refuses every scipy import until `verify`, whose oracles are
+    # finder refuses every scipy import, under which `verify` must fail with
+    # one `error ARG` line; it is then removed for `verify`, whose oracles are
     # scipy.special and scipy.integrate
     src = str(Path(streamdtf.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(

@@ -26,26 +26,34 @@ def site_from_cavity(m_cav, v_cav, p_cav, term_mean=0.0, term_var=1.0,
 
 
 def refine(site, slab_var, damping=0.5):
-    """The EP sweep on one weight site; every output as a Python scalar."""
-    out = refine_arrays(*(np.array([site[name]]) for name in WEIGHT_FIELDS),
-                        slab_var=slab_var, damping=damping, v_floor=DEFAULT_V_FLOOR)
-    return {name: v[0].item() for name, v in out.items()}
+    """The EP sweep on one weight site: the six fields it writes, as Python
+    scalars, with `guard_skipped` and `term_kept` from its two counts."""
+    fields = {name: np.array([site[name]]) for name in WEIGHT_FIELDS}
+    skips, kept = refine_arrays(*fields.values(), slab_var=slab_var, damping=damping,
+                                v_floor=DEFAULT_V_FLOOR)
+    return {**{name: v[0].item() for name, v in fields.items()},
+            "guard_skipped": skips == 1, "term_kept": kept == 1}
 
 
-def slab_factor(p_cav, slab_var):
+def tilted(m_cav, v_cav, p_cav, slab_var):
+    """Quadrature of cavity times the exact spike-and-slab prior: the tilted
+    mean, variance and slab share Z_slab / Z."""
     norm = 1.0 / math.sqrt(2.0 * math.pi * slab_var)
-    return lambda w: p_cav * norm * math.exp(-0.5 * w * w / slab_var)
+    z, e1, e2 = quad_tilted_moments(
+        m_cav, v_cav, factor=lambda w: p_cav * norm * math.exp(-0.5 * w * w / slab_var),
+        atom_weight=1.0 - p_cav)
+    z_spike, _, _ = quad_tilted_moments(m_cav, v_cav, atom_weight=1.0 - p_cav)
+    return e1, e2 - e1 * e1, (z - z_spike) / z
 
 
 def test_symmetric_case_slab_responsibility():
     site = site_from_cavity(0.0, 1.0, 0.5)
     res = refine(site, 1.0, damping=1.0)
-    assert res["slab_prob"] == pytest.approx(math.sqrt(2.0) - 1.0, abs=1e-10)
-    assert res["tilted_mean"] == pytest.approx(0.0, abs=1e-15)
-    z, e1, e2 = quad_tilted_moments(0.0, 1.0, factor=slab_factor(0.5, 1.0),
-                                    atom_weight=0.5)
-    assert res["tilted_norm"] == pytest.approx(z, abs=1e-8)
-    assert res["tilted_second"] == pytest.approx(e2, abs=1e-8)
+    assert not res["term_kept"]
+    assert res["rho_post"] == pytest.approx(math.sqrt(2.0) - 1.0, abs=1e-10)
+    assert res["mean"] == pytest.approx(0.0, abs=1e-15)
+    _, var, _ = tilted(0.0, 1.0, 0.5, 1.0)
+    assert res["var"] == pytest.approx(var, abs=1e-8)
 
 
 def test_slab_responsibility_monotone_in_slab_variance():
@@ -57,18 +65,18 @@ def test_slab_responsibility_monotone_in_slab_variance():
     previous = -1.0
     for s0sq in hyper_grid:
         site = site_from_cavity(m_cav, v_cav, 0.5)
-        res = refine(site, s0sq)
-        z, _, _ = quad_tilted_moments(m_cav, v_cav, factor=slab_factor(0.5, s0sq),
-                                      atom_weight=0.5)
-        assert res["tilted_norm"] == pytest.approx(z, abs=1e-8)
-        assert res["slab_prob"] > previous
-        previous = res["slab_prob"]
+        res = refine(site, s0sq, damping=1.0)
+        assert not res["term_kept"]
+        _, _, slab_share = tilted(m_cav, v_cav, 0.5, s0sq)
+        assert res["rho_post"] == pytest.approx(slab_share, abs=1e-8)
+        assert res["rho_post"] > previous
+        previous = res["rho_post"]
 
 
 def test_well_determined_nonzero_weight_gets_slab():
     site = site_from_cavity(5.0, 0.01, 0.5)
-    res = refine(site, 1.0)
-    assert res["slab_prob"] > 0.999999
+    res = refine(site, 1.0, damping=1.0)
+    assert res["rho_post"] > 0.999999
 
 
 def test_tiny_posterior_at_zero_goes_to_spike():
@@ -82,7 +90,8 @@ def test_invalid_cavity_is_skipped_without_change():
     site = dict(mean=0.3, var=1.0, rho_post=0.5, term_mean=0.3, term_var=1.0,
                 term_logit=0.0)
     res = refine(site, 1.0)
-    assert not res["ok"]
+    assert res["guard_skipped"]
+    assert not res["term_kept"]
     assert {name: res[name] for name in WEIGHT_FIELDS} == site
 
 
@@ -91,14 +100,16 @@ def test_nonpositive_divided_term_keeps_old_term_updates_posterior():
     # precision negative: wide slab, bimodal-ish tilt
     site = site_from_cavity(2.0, 1.0, 0.58, term_mean=0.1, term_var=2.0)
     res = refine(site, 100.0, damping=1.0)
-    assert res["ok"]
+    assert not res["guard_skipped"]
     assert res["term_kept"]
     assert res["term_mean"] == site["term_mean"]
     assert res["term_var"] == site["term_var"]
     assert res["term_logit"] == site["term_logit"]
-    assert res["mean"] == pytest.approx(res["tilted_mean"], abs=1e-12)
-    expected_var = res["tilted_second"] - res["tilted_mean"] ** 2
-    assert res["var"] == pytest.approx(expected_var, rel=1e-10)
+    # the selector stays at cavity times the old term
+    assert res["rho_post"] == pytest.approx(site["rho_post"], rel=1e-12)
+    mean, var, _ = tilted(2.0, 1.0, 0.58, 100.0)
+    assert res["mean"] == pytest.approx(mean, rel=1e-8)
+    assert res["var"] == pytest.approx(var, rel=1e-8)
 
 
 def test_undamped_posterior_equals_tilted_moments_and_division_is_exact():
@@ -106,10 +117,10 @@ def test_undamped_posterior_equals_tilted_moments_and_division_is_exact():
                             term_logit=0.3)
     res = refine(site, 1.0, damping=1.0)
     assert not res["term_kept"]
-    e_var = res["tilted_second"] - res["tilted_mean"] ** 2
-    assert res["mean"] == pytest.approx(res["tilted_mean"], rel=1e-10)
-    assert res["var"] == pytest.approx(e_var, rel=1e-10)
-    assert res["rho_post"] == pytest.approx(res["slab_prob"], rel=1e-10)
+    mean, var, slab_share = tilted(0.8, 0.5, 0.4, 1.0)
+    assert res["mean"] == pytest.approx(mean, rel=1e-8)
+    assert res["var"] == pytest.approx(var, rel=1e-8)
+    assert res["rho_post"] == pytest.approx(slab_share, rel=1e-8)
     # cavity times new term reproduces the new posterior in natural parameters
     prec_cav = 1.0 / site["var"] - 1.0 / site["term_var"]
     m_cav_eta = site["mean"] / site["var"] - site["term_mean"] / site["term_var"]

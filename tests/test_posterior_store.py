@@ -219,9 +219,12 @@ def _cell(group, k, name, cell, value):
     _set(("hyper", "ranks"), [2.5, 2]),
     _set(("network", "widths", 0), 4.5),
     _set(("entries_seen",), 0.5),
+    _set(("kind",), 5),
+    _set(("kind",), None),
+    _set(("kind",), ["continuous"]),
 ], ids=["rho0", "gamma-a", "output-width", "negative-dims", "embedding-table-missing",
         "weight-layer-missing", "fractional-dims", "fractional-ranks", "fractional-width",
-        "fractional-entries-seen"])
+        "fractional-entries-seen", "kind-int", "kind-null", "kind-list"])
 def test_checkpoint_bad_values_raise_checkpoint_error(edit):
     doc = json.loads(checkpoint_bytes(_small_state()))
     edit(doc)

@@ -6,6 +6,7 @@ so a check that cannot fail would silence both.
 """
 
 import dataclasses
+import inspect
 import math
 
 import pytest
@@ -22,9 +23,18 @@ def _shift(name, by):
     return lambda ev: ev._replace(**{name: getattr(ev, name) + by})
 
 
-def _shift_tilted_mean(out):
-    out["tilted_mean"] = out["tilted_mean"] + 1e-6
-    return out
+def _on_result(change):
+    """Wrap a function so that `change` edits its return value."""
+    return lambda original: lambda *a, **k: change(original(*a, **k))
+
+
+def _shift_written_mean(refine_arrays):
+    """Wrap the EP sweep so that it writes every posterior mean 1e-6 off."""
+    def shifted(mean, *rest, **kw):
+        counts = refine_arrays(mean, *rest, **kw)
+        mean += 1e-6
+        return counts
+    return shifted
 
 
 def _scale(value):
@@ -47,18 +57,21 @@ SPECIAL_FORMS = (
 
 
 CORRUPTIONS = {
-    # check: (module, function, change to its return value)
-    "check_gradient_fd": (bnn, "backprop_gradient", _bump_first),
+    # check: (module, function, wrapper that makes the function slightly wrong)
+    "check_gradient_fd": (bnn, "backprop_gradient", _on_result(_bump_first)),
     "check_output_moments_mc": (bnn, "output_moments_batch",
-                                lambda ab: (ab[0], 1.5 * ab[1])),
-    "check_evidence_binary": (adf_engine, "evidence_binary", _shift("log_z", 1e-6)),
+                                _on_result(lambda ab: (ab[0], 1.5 * ab[1]))),
+    "check_evidence_binary": (adf_engine, "evidence_binary",
+                              _on_result(_shift("log_z", 1e-6))),
     "check_evidence_continuous": (adf_engine, "evidence_continuous",
-                                  _shift("dbeta", 1e-3)),
-    "check_adf_conjugate": (adf_engine, "evidence_continuous", _shift("dalpha", 1e-3)),
-    "check_ep_tilted": (ep_prior, "refine_arrays", _shift_tilted_mean),
+                                  _on_result(_shift("dbeta", 1e-3))),
+    "check_adf_conjugate": (adf_engine, "evidence_continuous",
+                            _on_result(_shift("dalpha", 1e-3))),
+    "check_ep_tilted": (ep_prior, "refine_arrays", _shift_written_mean),
     "check_tau_recursion": (adf_engine, "update_tau",
-                            lambda gp: dataclasses.replace(gp, b=gp.b + 1e-3)),
-    "check_special_functions": (special, "log_ndtr_and_ratio", _scale_output(0)),
+                            _on_result(lambda gp: dataclasses.replace(gp, b=gp.b + 1e-3))),
+    "check_special_functions": (special, "log_ndtr_and_ratio",
+                                _on_result(_scale_output(0))),
 }
 
 
@@ -70,9 +83,8 @@ def test_every_check_has_a_corruption():
 def test_check_fails_on_a_corrupted_engine(monkeypatch, check_name):
     check = getattr(verify, check_name)
     assert check().passed
-    module, name, change = CORRUPTIONS[check_name]
-    original = getattr(module, name)
-    monkeypatch.setattr(module, name, lambda *a, **k: change(original(*a, **k)))
+    module, name, wrap = CORRUPTIONS[check_name]
+    monkeypatch.setattr(module, name, wrap(getattr(module, name)))
     result = check()
     assert not result.passed, result.detail
 
@@ -104,6 +116,61 @@ def test_probit_evidence_check_fails_on_each_wrong_partial(monkeypatch, mutant):
                         lambda alpha, beta, y: change(original(alpha, beta, y), beta))
     result = verify.check_evidence_binary()
     assert not result.passed, result.detail
+
+
+# source mutants of the EP sweep, as (text, replacement) pairs; each text
+# occurs exactly once in `refine_arrays`. At the default damping of 0.5 the
+# swapped damping weights are the same sweep, so the check runs at damping 1
+EP_MUTANTS = {
+    "selector_logit_without_cavity": [
+        ("logit_term_full = delta - logit_cav", "logit_term_full = delta")],
+    "halved_tilted_variance_term": [
+        ("r1 * (1.0 - r1) * m_slab * m_slab", "0.5 * r1 * (1.0 - r1) * m_slab * m_slab")],
+    "kept_term_variance_left_old": [
+        ("np.where(keep_term, v_tilted, 1.0 / prec_post)",
+         "np.where(keep_term, var, 1.0 / prec_post)")],
+    "damping_weights_swapped": [
+        ("(1.0 - damping) * prec0 + damping * safe_prec0_full",
+         "damping * prec0 + (1.0 - damping) * safe_prec0_full"),
+        ("(1.0 - damping) * term_mean * prec0 + damping * eta0_full",
+         "damping * term_mean * prec0 + (1.0 - damping) * eta0_full"),
+        ("(1.0 - damping) * term_logit + damping * logit_term_full",
+         "damping * term_logit + (1.0 - damping) * logit_term_full")],
+}
+
+
+@pytest.mark.parametrize("mutant", sorted(EP_MUTANTS))
+def test_ep_check_fails_on_each_source_mutant(monkeypatch, mutant):
+    source = inspect.getsource(ep_prior.refine_arrays)
+    for text, replacement in EP_MUTANTS[mutant]:
+        assert source.count(text) == 1, text
+        source = source.replace(text, replacement)
+    namespace = dict(vars(ep_prior))
+    exec(compile(source, ep_prior.__file__, "exec"), namespace)
+    monkeypatch.setattr(ep_prior, "refine_arrays", namespace["refine_arrays"])
+    result = verify.check_ep_tilted()
+    assert not result.passed, result.detail
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_ep_check_reaches_the_kept_term_branch(monkeypatch, seed):
+    # the kept-term branch writes the posterior alone; a check that never
+    # reaches it could not see that branch go wrong. `streamdtf verify
+    # --seed S` runs the check at S plus its place in ALL_CHECKS
+    seed += verify.ALL_CHECKS.index(verify.check_ep_tilted)
+    kept = []
+    original = ep_prior.refine_arrays
+
+    def counting(*a, **k):
+        counts = original(*a, **k)
+        kept.append(counts[1])
+        return counts
+
+    monkeypatch.setattr(ep_prior, "refine_arrays", counting)
+    result = verify.check_ep_tilted(seed=seed)
+    assert result.passed, result.detail
+    assert sum(kept) > 0
+    assert f", {sum(kept)} of them kept their term" in result.detail
 
 
 @pytest.mark.parametrize("seed", range(4))

@@ -17,7 +17,10 @@ holds each side's median, inclusive-method quartiles and run count, the
 change against the parent's median in percent, the parent's interquartile
 range, and `change_wins`: the pairs where the change reads better, by the
 direction `BENCHMARK.json` gives the metric (lower where it names none),
-ties counting for neither side. The machine lines the runs print and the
+ties counting for neither side. Each end-to-end metric also gets its
+`BENCHMARK.json` `bound` and `beyond_bound`: whether the change's median is
+worse than the parent's by more than bound x the parent's median, in the
+metric's direction. The machine lines the runs print and the
 checkpoint digests the train workloads print are kept. Where `--out`
 already holds a summary of the same two commits, the new workloads are
 added to it, so a held-out seed can be run separately. Only the standard
@@ -76,9 +79,11 @@ def quartiles(values: list) -> tuple:
     return q1, q3
 
 
-def summarise(runs: dict, better: dict) -> dict:
+def summarise(runs: dict, better: dict, bounds: dict | None = None) -> dict:
     """Per metric: each side's median and quartiles, the change's shift and
-    its wins over the pairs."""
+    its wins over the pairs; for a metric `bounds` names, its bound and
+    whether the change's median is beyond it."""
+    bounds = bounds or {}
     out = {}
     for name in runs["parent"][0]["metrics"]:
         values = {side: [r["metrics"][name]["value"] for r in runs[side]] for side in SIDES}
@@ -94,6 +99,9 @@ def summarise(runs: dict, better: dict) -> dict:
         sign = -1.0 if better.get(name, "lower") == "lower" else 1.0
         wins = sum(sign * (c - p) > 0 for p, c in zip(values["parent"], values["change"]))
         entry["change_wins"] = f"{wins}/{len(values['change'])}"
+        if name in bounds:
+            entry["bound"] = bounds[name]
+            entry["beyond_bound"] = sign * (parent - change) > bounds[name] * abs(parent)
         entry["unit"] = runs["parent"][0]["metrics"][name]["unit"]
         out[name] = entry
     return out
@@ -122,6 +130,7 @@ def main(argv=None) -> int:
         declared = json.loads((trees["change"] / "BENCHMARK.json").read_text(encoding="utf-8"))
         better = {m["name"]: m["better"]
                   for m in declared.get("end_to_end", []) + declared.get("per_layer", [])}
+        bounds = {m["name"]: m["bound"] for m in declared.get("end_to_end", [])}
         runs = {w: {side: [] for side in SIDES} for w in args.workload}
         for i in range(args.pairs):
             order = SIDES if i % 2 == 0 else SIDES[::-1]
@@ -148,7 +157,7 @@ def main(argv=None) -> int:
             "failed_total": {s: sum(r["failed"] for r in sides[s]) for s in SIDES},
             "digests": {s: sorted({r["digest"] for r in sides[s]} - {None}) for s in SIDES},
             "machines": sorted({r["machine"] for s in SIDES for r in sides[s]}),
-            "summary": summarise(sides, better),
+            "summary": summarise(sides, better, bounds),
         }
     args.out.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
     return 0
