@@ -40,7 +40,7 @@ from . import bnn, ep_prior
 from .errors import NumericError
 from .posterior_store import DEFAULT_V_FLOOR, GammaPosterior, ModelState
 from .special import log_ndtr_and_ratio
-from .tensor_core import ObservedEntry, ValueKind
+from .tensor_core import ObservedEntry
 
 logger = logging.getLogger(__name__)
 
@@ -147,10 +147,12 @@ def adf_update_entry(state: ModelState, entry: ObservedEntry,
     holds integers inside the shape and its value is valid for the model's
     kind.
 
-    The update runs in the state's per-entry scratch: `gather_entry` fills
-    the input slot `state.mu[n:]`/`state.var[n:]`, the passes run in
-    `state.tape`, u = var * g and the new means go to the two rows of
-    `state.work`, and the new variances are written straight into
+    The update runs in the state's per-entry scratch, which it reads from
+    one tuple (`state.entry_scratch`): `gather_entry` fills the input slot
+    `state.mu[n:]`/`state.var[n:]`, the passes run in `state.tape`,
+    u = var * g and the new means go to the two work vectors, dalpha and c
+    reach their ufuncs as the tuple's two 0-d arrays (see "Scalar
+    operands" in `bnn`), and the new variances are written straight into
     `state.var`. Nothing in the state is written before the last check that
     can skip the entry (the input slot is scratch, not state).
 
@@ -158,46 +160,48 @@ def adf_update_entry(state: ModelState, entry: ObservedEntry,
     per batch: an overflow or invalid operation here ends in a skip or a
     clamp, never in a numpy warning.
     """
-    x_mean, _ = state.gather_entry(entry.index)
-    mu_vec, gamma_vec = state.mu, state.var
+    (net, means, tape, mu_vec, gamma_vec, u, mu_new, dalpha_op, c_op,
+     binary) = state.entry_scratch
+    index, y = entry
+    x_mean, _ = state.gather_entry(index)
     try:
-        alpha, tape = bnn.forward_mean(state.net, state.weight_means(), x_mean,
-                                       state.tape)
+        alpha, tape = bnn.forward_mean(net, means, x_mean, tape)
     except NumericError as exc:
-        logger.warning("skipping entry %s: %s", entry.index, exc)
+        logger.warning("skipping entry %s: %s", index, exc)
         return EntryResult(math.nan, math.nan, math.nan, 0, True)
     g = bnn.backprop_gradient(tape)
-    u, mu_new = state.work
     np.multiply(gamma_vec, g, out=u)
     beta = float(g.dot(u))
     # alpha is finite: forward_mean raised on any non-finite
     # pre-activation. Every gamma_j is finite and > 0, so a non-finite
     # g_j makes beta NaN or +inf: this check also covers g.
     if not math.isfinite(beta):
-        logger.warning("skipping entry %s: non-finite output moments", entry.index)
+        logger.warning("skipping entry %s: non-finite output moments", index)
         return EntryResult(math.nan, alpha, beta, 0, True)
     gamma_post = state.gamma
     try:
-        if state.kind is ValueKind.BINARY:
-            ev = evidence_binary(alpha, beta, entry.value)
+        if binary:
+            ev = evidence_binary(alpha, beta, y)
         else:
-            ev = evidence_continuous(alpha, beta, entry.value, gamma_post)
+            ev = evidence_continuous(alpha, beta, y, gamma_post)
             # pre-update alpha/beta of this entry feed the noise update
-            gamma_post = update_tau(gamma_post, entry.value, alpha, beta)
+            gamma_post = update_tau(gamma_post, y, alpha, beta)
     except NumericError as exc:
-        logger.warning("skipping entry %s: %s", entry.index, exc)
+        logger.warning("skipping entry %s: %s", index, exc)
         return EntryResult(math.nan, alpha, beta, 0, True)
 
-    dalpha = ev.dalpha
-    np.multiply(u, dalpha, out=mu_new)
+    log_z, dalpha, dbeta = ev
+    dalpha_op[()] = dalpha
+    np.multiply(u, dalpha_op, out=mu_new)
     mu_new += mu_vec
     if not bnn.all_finite(mu_new):
-        logger.warning("skipping entry %s: non-finite mean update", entry.index)
-        return EntryResult(ev.log_z, alpha, beta, 0, True)
+        logger.warning("skipping entry %s: non-finite mean update", index)
+        return EntryResult(log_z, alpha, beta, 0, True)
     # var' = var - c * u^2, in the buffer of u
-    c = dalpha * dalpha - 2.0 * ev.dbeta
+    c = dalpha * dalpha - 2.0 * dbeta
+    c_op[()] = c
     u *= u
-    u *= c
+    u *= c_op
     v_new = np.subtract(gamma_vec, u, out=gamma_vec)
     clamped = 0
     # min is NaN if any entry is; with c >= 0 no entry exceeds its old
@@ -212,10 +216,10 @@ def adf_update_entry(state: ModelState, entry: ObservedEntry,
         v_new[~ok] = v_floor
 
     mu_vec[...] = mu_new
-    state.scatter_entry(entry.index)
+    state.scatter_entry(index)
     state.gamma = gamma_post
     state.entries_seen += 1
-    return tuple.__new__(EntryResult, (ev.log_z, alpha, beta, clamped, False))
+    return tuple.__new__(EntryResult, (log_z, alpha, beta, clamped, False))
 
 
 @dataclass

@@ -6,9 +6,9 @@ is appended to carry the bias, and the whole product is rescaled by the fan
 in), each hidden layer computes h_m = act(W_m @ hb_{m-1}) and the output
 layer is linear with the same rescaling.
 
-`forward_mean_batch` is the only forward loop: it runs one input row or n
-rows at the parameter means and records hb_{m-1} and z_m per layer on a
-`ForwardTape`.
+`_forward` is the only forward loop: it runs one input row or n rows at the
+parameter means and records hb_{m-1} and z_m per layer on a `ForwardTape`,
+for `forward_mean_batch` and `forward_mean`.
 `_backward` is the only backward loop: from the tape alone (it holds the
 spec and the weights the forward pass ran with) it returns
 delta_m = d alpha / d z_m per layer and d alpha / dx. Layer m's weight
@@ -30,18 +30,25 @@ per call, which the passes fill with new arrays, as an allocating
 implementation would.
 
 Binding: what the passes read that does not change between passes is
-built once, not per pass. The fan-in scales are the spec's
-(`NetworkSpec.fan_in_scales`). A tape fixes, when it is built, the hidden
+built once, not per pass. A tape fixes, when it is built, the hidden
 activation, its gradient form for the tape's row count, and on a buffered
-tape the view of each hb_{m-1} without its bias column. It also keeps the
-weight views W_m.T and W_m[:, :V_{m-1}], bound to the weights sequence the
-forward pass is given (`ForwardTape.bind`) and rebuilt only when it is
+tape the view of each hb_{m-1} without its bias column. `ForwardTape.bind`
+builds the weight views W_m.T and W_m[:, :V_{m-1}] over the weights
+sequence the forward pass is given, and from them, the tape's buffers and
+the spec's fan-in scales (`NetworkSpec.scale_operands`) the pass records:
+per layer, one tuple of what a step of the pass reads. `_forward` and
+`_backward` iterate the records, so a step unpacks one tuple instead of
+indexing a list per operand. An unbuffered tape's records hold None where
+hb, z and the buffers would be: its passes allocate those arrays and keep
+them in the tape's lists. The records are rebuilt only when the tape is
 given a different sequence object. The views alias the arrays, so a write
 into their memory reaches the next pass, while replacing an item of a
 bound list in place is not seen. `ModelState.weight_means()` returns the
 same list on every call, so the state's one-row tape binds once per
 state, copy or load, and `running_eval`'s n-row tape once per call; a
-fresh list binds on each pass.
+fresh list binds on each pass. Given a tape already bound to the weights
+it is given, as the state's is, `forward_mean` runs `_forward` on the
+input as it is: no conversion and no bind check.
 
 Products: on one row every call costs more than its arithmetic, so the
 passes call BLAS through the method `ndarray.dot`, numpy's cheapest entry
@@ -63,6 +70,20 @@ variance is hb_{M-1}^2 summed against var_M's one row. These are the bytes
 the products gave, except that a -0.0 weight or hb value stays -0.0 in
 dh_{M-1} and g where the product made it +0.0. The finiteness screens of
 the per-entry update (`all_finite`) are one dot each.
+
+Scalar operands: under numpy 2's rule for Python scalars (NEP 50), a
+Python float given to a ufunc costs more than a 0-d float64 array of the
+same value, about 0.2-0.4 us a call, which on one row is a large share
+of the call (numpy 2.4, Intel Xeon, timeit: np.divide of a 50-vector
+0.54 against 0.36 us, np.maximum 0.56 against 0.39, np.heaviside 0.62
+against 0.49, an in-place multiply of a 3,059-vector 1.04 against 0.83).
+So every scalar operand of the passes is a read-only 0-d float64 array:
+the fan-in scales (`NetworkSpec.scale_operands`) and the 0 and 1 of the
+activation forms; the per-entry update writes its dalpha and c into two
+0-d arrays its state owns. The ufunc runs the same float64 loop either
+way, so the bits are the same, signed zeros, NaN, infinities and
+subnormals included. `out=` stays a keyword: np.maximum given `out`
+positionally is deprecated and about twice as slow.
 
 Activation derivatives: a tape fixes the gradient form for its row count.
 relu's act'(z) dh is np.heaviside(z, 0.0) then the multiply on one row,
@@ -107,28 +128,40 @@ import numpy as np
 from .errors import NumericError
 
 
+def _operand(value: float) -> np.ndarray:
+    """`value` as a read-only 0-d float64 array, the form of every scalar
+    operand the passes give a ufunc (see "Scalar operands" above)."""
+    operand = np.array(value, dtype=np.float64)
+    operand.flags.writeable = False
+    return operand
+
+
+_ZERO = _operand(0.0)
+_ONE = _operand(1.0)
+
+
 def _relu(z, out):
-    return np.maximum(z, 0.0, out=out)
+    return np.maximum(z, _ZERO, out=out)
 
 
 def _relu_grad(z, dh, out):
     if out is None:
         out = np.empty_like(z)
-    np.greater(z, 0.0, out=out)  # the derivative at exactly 0 is defined as 0
+    np.greater(z, _ZERO, out=out)  # the derivative at exactly 0 is defined as 0
     out *= dh
     return out
 
 
 def _relu_grad_one_row(z, dh, out):
     # H(z) with H(0) = 0, written as floats: no bool-to-float cast
-    out = np.heaviside(z, 0.0, out=out)
+    out = np.heaviside(z, _ZERO, out=out)
     out *= dh
     return out
 
 
 def _tanh_grad(z, dh, out):
     t = np.tanh(z, out=out)
-    np.subtract(1.0, np.multiply(t, t, out=t), out=t)
+    np.subtract(_ONE, np.multiply(t, t, out=t), out=t)
     t *= dh
     return t
 
@@ -172,6 +205,11 @@ class NetworkSpec:
         if self.activation not in ACTIVATIONS:
             raise ValueError(f"unknown activation {self.activation!r}")
 
+    # copies (copy.deepcopy, pickle) carry the fields alone: a copy computes
+    # its cached properties anew, so its scale operands are read-only too
+    def __getstate__(self) -> dict:
+        return {"widths": self.widths, "activation": self.activation}
+
     @classmethod
     def for_factorization(cls, input_dim: int, hidden: Sequence[int],
                           activation: str = "relu") -> "NetworkSpec":
@@ -214,6 +252,12 @@ class NetworkSpec:
         """sqrt(V_{m-1} + 1) for m = 1..M: layer m divides its input by it."""
         return tuple(math.sqrt(v + 1.0) for v in self.widths[:-1])
 
+    @cached_property
+    def scale_operands(self) -> tuple[np.ndarray, ...]:
+        """`fan_in_scales` as read-only 0-d float64 arrays, the operands the
+        passes divide by."""
+        return tuple(map(_operand, self.fan_in_scales))
+
 
 @dataclass
 class ForwardTape:
@@ -234,8 +278,22 @@ class ForwardTape:
     d alpha / d h_m, except on n rows for m = M - 1: that gradient is one
     row, which the backward pass keeps apart.
     `act` and `grad` are the hidden activation and its gradient form for
-    the tape's row count, and `w_t` and `w_in` each layer's views of the
-    weights the tape is bound to."""
+    the tape's row count.
+
+    `forward`, `head` and `backward` are the pass records `bind` builds
+    over the weights the tape is bound to: per layer, what one step of a
+    pass reads, so a pass unpacks one tuple per layer instead of indexing
+    a list per operand. The weight views alias `weights`.
+    - `forward`, one per layer m = 1..M: (fan-in scale, hb_{m-1} without
+      its bias column, hb_{m-1}, W_m.T, z_m, the hidden activation or None
+      for the output layer, the buffer of h_m);
+    - `head`: (W_M[0, :V_{M-1}], its fan-in scale, the buffer dh_{M-1} is
+      written into, or None, and the shape to allocate it in, or None);
+    - `backward`, one per hidden layer m = M-1..1: (m - 1, z_m, which
+      delta_m overwrites, W_m[:, :V_{m-1}], the buffer of dh_{m-1}, the
+      fan-in scale).
+    On an unbuffered tape the hb, z and buffer items are None: the passes
+    allocate those arrays and keep them in the lists above."""
 
     spec: NetworkSpec
     act: Callable  # act(z, out)
@@ -255,11 +313,11 @@ class ForwardTape:
     inputs: np.ndarray | None  # n rows: (n, V_0) input means, then dh[0]
     input_vars: np.ndarray | None  # n rows: (n, V_0) input variances
     products: np.ndarray | None  # n rows: flat, each layer's (delta^2) var
-    # set by bind: the weights the views below alias, W_m.T for the forward
-    # products and W_m[:, :V_{m-1}] for the backward ones
-    weights: Sequence[np.ndarray] = ()
-    w_t: Sequence[np.ndarray] = ()
-    w_in: Sequence[np.ndarray] = ()
+    # set by bind: the weights the records' views alias, and the records
+    weights: Sequence[np.ndarray] | None = None
+    forward: tuple[tuple, ...] = ()
+    head: tuple = ()
+    backward: tuple[tuple, ...] = ()
 
     @classmethod
     def allocate(cls, spec: NetworkSpec, lead: tuple[int, ...] = ()) -> "ForwardTape":
@@ -320,15 +378,35 @@ class ForwardTape:
                    g=None, outer=[], inputs=None, input_vars=None, products=None)
 
     def bind(self, weights: Sequence[np.ndarray]) -> None:
-        """Build the weight views `w_t` and `w_in` over `weights`, one array
-        per layer, unless they already view this very sequence: a caller
-        that passes the same list on every pass (`ModelState.weight_means()`)
-        binds once, and writes into the arrays' memory reach every later
-        pass."""
+        """Build the pass records over `weights`, one array per layer, and
+        the tape's buffers, with the weight views W_m.T and W_m[:, :V_{m-1}],
+        unless they already view this very sequence: a caller that passes
+        the same list on every pass (`ModelState.weight_means()`) binds
+        once, and writes into the arrays' memory reach every later pass."""
         if weights is self.weights:
             return
-        self.w_t = [w.T for w in weights]
-        self.w_in = [w[:, :v] for w, v in zip(weights, self.spec.widths)]
+        spec, act, dh = self.spec, self.act, self.dh
+        last = spec.layer_count - 1
+        # an unbuffered tape's hb and z are each pass's new arrays
+        hb, z = ((self.hb, self.preact) if self.preacts is not None
+                 else ((None,) * (last + 1),) * 2)
+        forward, backward = [], []
+        for m, (w, v, scale) in enumerate(zip(weights, spec.widths, spec.scale_operands)):
+            if m < last:
+                forward.append((scale, self.hb_body[m], hb[m], w.T, z[m], act, dh[m + 1]))
+                backward.append((m, z[m], w[:, :v], dh[m], scale))
+            else:
+                forward.append((scale, self.hb_body[m], hb[m], w.T, z[m], None, None))
+        self.forward = tuple(forward)
+        self.backward = tuple(reversed(backward))
+        # dh_{M-1} is one row. On n rows with a hidden layer below, that
+        # layer's gradient broadcasts it; otherwise it goes into dh's
+        # buffer or, on an unbuffered tape, into a new array of each pass
+        lead = self.ones.shape[:-1]
+        broadcast = bool(last and lead)
+        out = None if broadcast else dh[last]
+        shape = lead + (v,) if out is None and not broadcast else None
+        self.head = (w[0, :v], scale, out, shape)
         self.weights = weights
 
     def rows_view(self, flat: np.ndarray | None, width: int,
@@ -369,28 +447,31 @@ def forward_mean_batch(spec: NetworkSpec, weight_means: Sequence[np.ndarray],
         lead = x.shape[:-1]
         tape = ForwardTape.unbuffered(spec, lead) if lead else ForwardTape.allocate(spec)
     tape.bind(weight_means)
-    hb, hb_body, preact, dh, w_t = tape.hb, tape.hb_body, tape.preact, tape.dh, tape.w_t
-    last = spec.layer_count - 1
-    h = x
-    for m, scale in enumerate(spec.fan_in_scales):
+    return _forward(tape, x), tape
+
+
+def _forward(tape: ForwardTape, h: np.ndarray):
+    """The forward pass over the records of a bound tape, from the input
+    rows h; returns alpha as `forward_mean_batch` does."""
+    for m, (scale, body, hb, w_t, z, act, h_out) in enumerate(tape.forward):
         # hb_{m-1} = [h; 1] / scale: into the buffer, whose bias column
         # already holds 1/scale, or as a new array, since on a few rows a
         # strided write into a preset buffer is slower than dividing the
         # concatenation in place
-        if hb_body[m] is None:
-            hb[m] = np.concatenate((h, tape.ones), axis=-1)
-            hb[m] /= scale
+        if body is None:
+            hb = tape.hb[m] = np.concatenate((h, tape.ones), axis=-1)
+            hb /= scale
+            z = tape.preact[m] = hb.dot(w_t)
         else:
-            np.divide(h, scale, out=hb_body[m])
-        preact[m] = hb[m].dot(w_t[m], preact[m])
-        if m < last:
-            # h_m goes into dh[m], a buffer of the backward pass; an
-            # unbuffered tape keeps no h: the next layer's hb holds it
-            h = tape.act(preact[m], out=dh[m + 1])
-    z_out = preact[-1]
+            np.divide(h, scale, out=body)
+            hb.dot(w_t, z)
+        if act is not None:
+            # h_m goes into a buffer of the backward pass; an unbuffered
+            # tape keeps no h: the next layer's hb holds it
+            h = act(z, out=h_out)
     # n rows: a copy, since the tape's next pass overwrites z_M; one row: a
     # numpy scalar, which holds none of the tape's memory
-    return (z_out[..., 0].copy() if z_out.ndim > 1 else z_out[0]), tape
+    return z[..., 0].copy() if z.ndim > 1 else z[0]
 
 
 def _backward(tape: ForwardTape) -> tuple[list[np.ndarray], np.ndarray]:
@@ -398,26 +479,19 @@ def _backward(tape: ForwardTape) -> tuple[list[np.ndarray], np.ndarray]:
     delta_m = d alpha / d z_m, so layer m's weight gradient is the outer
     product delta_m (x) hb_{m-1}, row by row. Both are the tape's buffers;
     on a buffered tape delta_m (m < M) overwrites z_m."""
-    scales, grad, w_in, deltas, dh, preact = (tape.spec.fan_in_scales, tape.grad, tape.w_in,
-                                              tape.deltas, tape.dh, tape.preact)
     # the output layer is linear with delta_M = 1, so on every row dh_{M-1}
-    # is W_M's weight row over its fan-in scale: no product. On n rows with
-    # a hidden layer below, that row is divided once and the layer's
-    # gradient broadcasts it over the rows; with none it is d alpha / dx,
-    # written into each row
-    m = len(scales) - 1
-    lead = tape.ones.shape[:-1]
-    out = dh[m]
-    if m and lead:
-        out = None
-    elif out is None:
-        out = np.empty(lead + w_in[m].shape[1:])
-    grad_h = np.divide(w_in[m][0], scales[m], out=out)
-    for m in range(m, 0, -1):
-        deltas[m - 1] = grad(preact[m - 1], grad_h, out=deltas[m - 1])
-        grad_h = np.matmul(deltas[m - 1], w_in[m - 1], out=dh[m - 1])
-        grad_h /= scales[m - 1]
-    return deltas, grad_h
+    # is W_M's weight row over its fan-in scale: no product
+    w_row, scale, out, shape = tape.head
+    grad_h = np.divide(w_row, scale, out=out if shape is None else np.empty(shape))
+    grad = tape.grad
+    for i, z, w_in, dh, scale in tape.backward:
+        if z is None:  # an unbuffered tape: z_m is its forward pass's array
+            delta = tape.deltas[i] = grad(tape.preact[i], grad_h, out=None)
+        else:
+            delta = grad(z, grad_h, out=z)
+        grad_h = np.matmul(delta, w_in, out=dh)
+        grad_h /= scale
+    return tape.deltas, grad_h
 
 
 def forward_mean(spec: NetworkSpec, weight_means: Sequence[np.ndarray],
@@ -428,8 +502,14 @@ def forward_mean(spec: NetworkSpec, weight_means: Sequence[np.ndarray],
     NumericError on a non-finite pre-activation. The screen is
     `all_finite`: pre-activations past about 1e154 overflow its dot, which
     numpy reports unless the caller ignores overflow, as the per-entry
-    update does under `adf_engine.entry_errstate()`."""
-    alpha, tape = forward_mean_batch(spec, weight_means, input_mean, tape)
+    update does under `adf_engine.entry_errstate()`. On a tape already
+    bound to `weight_means` the input must be a float array of shape
+    (V_0,): it is read as it is, where `forward_mean_batch` converts it."""
+    if tape is None or weight_means is not tape.weights:
+        alpha, tape = forward_mean_batch(spec, weight_means, input_mean, tape)
+    else:
+        # a tape already bound to these weights, as the state's own is
+        alpha = _forward(tape, input_mean)
     if not all_finite(tape.preacts):
         for m, z in enumerate(tape.preact, start=1):
             if not np.isfinite(z).all():

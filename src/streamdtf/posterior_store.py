@@ -26,14 +26,19 @@ its numpy calls: the list of the layers' mean views that weight_means()
 returns on every call; a one-row bnn.ForwardTape bound to that list once
 (layer inputs with their bias slot set once, one contiguous pre-activation
 block, the backward vectors, g with per-layer views, and per layer the
-weight views the two products read); two work vectors as long as mu; the
-input slot's (mean, var) views that gather_entry returns; and per mode a
+weight views and pass records the two passes read); the tuple
+adf_update_entry unpacks in place of a dozen attribute loads
+(entry_scratch: the network spec, that list, the tape, mu and var, two
+work vectors as long as mu, and two 0-d arrays for the step's scalars
+dalpha and c, then whether the data are binary); the input slot's
+(mean, var) views that gather_entry returns; and per mode a
 (table mean, table var, slot mean, slot var) tuple that gather_entry and
 scatter_entry copy between. Like the layer views, these alias the store
 and the embedding tables, so writes through `[...] =` reach them and
-rebinding an attribute (`lay.mean`, `emb.mean`, `state.embeddings`)
-detaches it. The scratch belongs to the state: it is rebuilt, not copied,
-by deepcopy, pickle and load_checkpoint, and is never checkpointed.
+rebinding an attribute (`lay.mean`, `emb.mean`, `state.embeddings`,
+`state.mu`) detaches it. The scratch belongs to the state: it is rebuilt,
+not copied, by deepcopy, pickle and load_checkpoint, and is never
+checkpointed.
 
 A ModelState is single-writer: the per-entry update and gather_entry write
 its scratch. Read-only snapshots (deep copies) may be shared across threads
@@ -86,7 +91,7 @@ DEFAULT_V_FLOOR = 1e-10
 WEIGHT_FIELDS = ("mean", "var", "rho_post", "term_mean", "term_var", "term_logit")
 
 # ModelState attributes _bind_layers builds over the flat vectors
-_BOUND = ("weights", "means", "tape", "work", "slot", "slot_modes")
+_BOUND = ("weights", "means", "tape", "entry_scratch", "slot", "slot_modes")
 
 
 @dataclass(frozen=True)
@@ -155,8 +160,8 @@ class WeightLayer:
 class ModelState:
     """The whole posterior. mu and var have length n_weights + V_0 (input slot
     last); rho_post and the three term fields have length n_weights. The
-    per-entry scratch (means, tape, work, slot, slot_modes) is the state's
-    own, rebuilt with the layer views and never part of a copy or a
+    per-entry scratch (means, tape, entry_scratch, slot, slot_modes) is the
+    state's own, rebuilt with the layer views and never part of a copy or a
     checkpoint."""
 
     shape: TensorShape
@@ -176,7 +181,7 @@ class ModelState:
     means: list[np.ndarray] = field(init=False, repr=False, compare=False)
     # per-entry scratch, built by _bind_layers: never checkpointed or copied
     tape: ForwardTape = field(init=False, repr=False, compare=False)
-    work: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
+    entry_scratch: tuple = field(init=False, repr=False, compare=False)
     slot: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
     slot_modes: list[tuple[np.ndarray, ...]] = field(init=False, repr=False,
                                                      compare=False)
@@ -193,9 +198,9 @@ class ModelState:
     def _bind_layers(self) -> None:
         """Bind the layer views over the flat vectors and the list of their
         means, and build the per-entry scratch next to them: a one-row
-        ForwardTape bound to that list, two work vectors as long as mu, the
-        input slot's (mean, var) views, and per mode its embedding tables
-        next to its (mean, var) views into the slot."""
+        ForwardTape bound to that list, `entry_scratch` (see the module
+        docstring), the input slot's (mean, var) views, and per mode its
+        embedding tables next to its (mean, var) views into the slot."""
         flats = self.weight_fields()
         self.weights = [
             WeightLayer(*(flat[sl].reshape(w_shape) for flat in flats))
@@ -204,7 +209,9 @@ class ModelState:
         self.means = [lay.mean for lay in self.weights]
         self.tape = ForwardTape.allocate(self.net)
         self.tape.bind(self.means)
-        self.work = tuple(np.empty((2, self.mu.shape[0])))
+        u, mu_new = np.empty((2, self.mu.shape[0]))
+        self.entry_scratch = (self.net, self.means, self.tape, self.mu, self.var, u, mu_new,
+                              np.zeros(()), np.zeros(()), self.kind is ValueKind.BINARY)
         offset = self.net.n_weights
         self.slot = (self.mu[offset:], self.var[offset:])
         self.slot_modes = []
@@ -353,8 +360,9 @@ def _hex(table: np.ndarray) -> str:
     return np.asarray(table, "<f8").tobytes().hex()
 
 
-def save_checkpoint(state: ModelState, fp: TextIO) -> None:
-    doc = {
+def _checkpoint_doc(state: ModelState, table) -> dict:
+    """The checkpoint document of `state`, each table given as table(array)."""
+    return {
         "format": CHECKPOINT_FORMAT,
         "version": CHECKPOINT_VERSION,
         "dims": list(state.shape.dims),
@@ -369,16 +377,40 @@ def save_checkpoint(state: ModelState, fp: TextIO) -> None:
         },
         "entries_seen": state.entries_seen,
         "embeddings": [
-            {"mean": _hex(emb.mean), "var": _hex(emb.var)}
+            {"mean": table(emb.mean), "var": table(emb.var)}
             for emb in state.embeddings
         ],
         "weights": [
-            {name: _hex(getattr(lay, name)) for name in WEIGHT_FIELDS}
+            {name: table(getattr(lay, name)) for name in WEIGHT_FIELDS}
             for lay in state.weights
         ],
         "gamma": None if state.gamma is None else {"a": state.gamma.a, "b": state.gamma.b},
     }
-    fp.write(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
+
+
+def save_checkpoint(state: ModelState, fp: TextIO) -> None:
+    """Write the document `json.dumps(doc, sort_keys=True,
+    separators=(",", ":"))` writes, then a newline. The tables, most of its
+    characters, are hex digits, which JSON writes as they are, so json
+    writes the document with a placeholder string for each table, a NUL
+    and the table's number (its escape, \\u0000, can stand in no other
+    string of a checkpoint), and each placeholder is then replaced by its
+    table: json does not scan the digits."""
+    tables = []
+
+    def placeholder(array: np.ndarray) -> str:
+        tables.append(_hex(array))
+        return f"\0{len(tables) - 1}"
+
+    text = json.dumps(_checkpoint_doc(state, placeholder), sort_keys=True,
+                      separators=(",", ":"))
+    head, *pieces = text.split('"\\u0000')
+    parts = [head]
+    for piece in pieces:
+        number, rest = piece.split('"', 1)
+        parts += ['"', tables[int(number)], '"', rest]
+    parts.append("\n")
+    fp.write("".join(parts))
 
 
 def _count(value) -> int:

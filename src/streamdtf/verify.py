@@ -216,12 +216,29 @@ def _refine_one(slab_var, *site) -> tuple[list[float], bool]:
     return [float(f[0]) for f in fields], kept == 1
 
 
+def _division_error(posterior, cavity, term) -> float:
+    """How far a replaced term is from posterior / cavity: the largest error
+    of its precision and precision-weighted mean, each relative to the
+    largest natural parameter it is made of, and of its selector
+    probability."""
+    (mean, var, rho), (m_cav, v_cav, logit_cav), (t_mean, t_var, t_logit) = (
+        posterior, cavity, term)
+    worst = 0.0
+    for got, post, cav in ((1.0 / t_var, 1.0 / var, 1.0 / v_cav),
+                           (t_mean / t_var, mean / var, m_cav / v_cav)):
+        worst = max(worst, abs(got - (post - cav)) / max(1.0, abs(post), abs(cav)))
+    # the selector's logits saturate: compare cavity times term as a probability
+    return max(worst, abs(float(sp.expit(logit_cav + t_logit)) - rho))
+
+
 def check_ep_tilted(seed: int = 5, n_cases: int = 200) -> CheckResult:
     """The fields the EP sweep writes at damping 1 against quadrature of
     cavity times the exact spike-and-slab prior, on random cavities: mean and
     variance are the tilted E1 and E2 - E1^2; rho, as a probability (its
     logit saturates), is the slab share Z_slab / Z, or the input rho where
-    the old term was kept. The symmetric case's rho must be sqrt(2) - 1."""
+    the old term was kept. A replaced term must be posterior / cavity in
+    natural parameters (the division identity). The symmetric case's rho
+    must be sqrt(2) - 1."""
     rng = make_rng(seed)
     worst = 0.0
     n_kept = 0
@@ -235,7 +252,7 @@ def check_ep_tilted(seed: int = 5, n_cases: int = 200) -> CheckResult:
         logit0 = float(rng.normal(0, 1))
         v = 1.0 / (1.0 / v_cav + 1.0 / v0)
         rho = float(sp.expit(sp.logit(p_cav) + logit0))
-        (mean, var, rho_post, *_), kept = _refine_one(
+        (mean, var, rho_post, *term), kept = _refine_one(
             s0sq, v * (m_cav / v_cav + mu0 / v0), v, rho, mu0, v0, logit0)
         slab_norm = 1.0 / math.sqrt(2.0 * math.pi * s0sq)
         z_q, e1_q, e2_q = oracles.quad_tilted_moments(
@@ -245,6 +262,9 @@ def check_ep_tilted(seed: int = 5, n_cases: int = 200) -> CheckResult:
         )
         z_spike, _, _ = oracles.quad_tilted_moments(m_cav, v_cav, atom_weight=1.0 - p_cav)
         n_kept += kept
+        if not kept:
+            worst = max(worst, _division_error((mean, var, rho_post),
+                                               (m_cav, v_cav, float(sp.logit(p_cav))), term))
         for got, want in ((mean, e1_q), (var, e2_q - e1_q * e1_q),
                           (rho_post, rho if kept else (z_q - z_spike) / z_q)):
             worst = max(worst, abs(got - want) / max(1.0, abs(want)))

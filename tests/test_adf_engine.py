@@ -17,7 +17,7 @@ from streamdtf import (CpGenerator, GammaPosterior, Hyperparams,
                        adf_update_entry, check_invariants, checkpoint_bytes,
                        evidence_binary, evidence_continuous, init_state,
                        process_batch, synth_generate, update_tau)
-from streamdtf import adf_engine, bnn, special
+from streamdtf import adf_engine, bnn, ep_prior, special
 from streamdtf.adf_engine import entry_errstate
 from streamdtf.errors import BoundsError, NumericError
 from streamdtf.oracles import pack, quad_tilted_moments, unpack
@@ -26,6 +26,7 @@ from streamdtf.posterior_store import (DEFAULT_V_FLOOR, WEIGHT_FIELDS, ModelStat
 from streamdtf.seeding import make_rng
 
 from reference_engine import reference_batch, unfactored_step
+from test_bnn import _record_views
 
 
 def test_evidence_binary_symmetry_at_zero():
@@ -545,12 +546,11 @@ def test_deepcopy_views_alias_the_copy_only():
                 assert np.shares_memory(getattr(lay, name), own)
                 assert not np.shares_memory(getattr(lay, name), original)
         assert clone.tape.weights is clone.weight_means()
+        assert not any(op.flags.writeable for op in clone.net.scale_operands)
         assert clone.weight_means() is clone.weight_means()
-        for w_t, w_in, mean in zip(clone.tape.w_t, clone.tape.w_in, clone.weight_means(),
-                                   strict=True):
-            for view in (w_t, w_in):
-                assert np.shares_memory(view, mean)
-                assert not np.shares_memory(view, state.mu)
+        for view, mean in zip(*_record_views(clone.tape, clone.weight_means()), strict=True):
+            assert np.shares_memory(view, mean)
+            assert not np.shares_memory(view, state.mu)
         for views, emb, original in zip(clone.slot_modes, clone.embeddings,
                                          state.embeddings):
             table_mean, table_var, slot_mean, slot_var = views
@@ -586,12 +586,12 @@ def test_a_write_through_the_layer_views_reaches_the_next_entry():
     assert np.float64(result.alpha).tobytes() == np.float64(want).tobytes()
 
 
-def _engine_and_reference(kind, activation, v_floor, **reference_options):
+def _engine_and_reference(kind, activation, v_floor, hidden=(8, 5), **reference_options):
     """Three batches through the engine and through the repacking reference;
     returns both states and the engine's clamp count."""
     shape = TensorShape((30, 20))
     entries, _ = synth_generate(shape, 2, kind, CpGenerator(), 0.1, 240, seed=11)
-    net = NetworkSpec.for_factorization(6, [8, 5], activation)
+    net = NetworkSpec.for_factorization(6, hidden, activation)
     engine = init_state(shape, kind, net, Hyperparams(ranks=(3, 3)), seed=12)
     reference = copy.deepcopy(engine)
     clamped = 0
@@ -604,19 +604,29 @@ def _engine_and_reference(kind, activation, v_floor, **reference_options):
     return engine, reference, clamped
 
 
+# no hidden layer, where the output layer's row is d alpha / dx; one hidden
+# layer, where it is broadcast into the only backward record; two and three,
+# where records chain through the scratch buffers
+DEPTHS = pytest.mark.parametrize("hidden", [(), (8,), (8, 5), (8, 5, 4)],
+                                 ids=["hidden0", "hidden1", "hidden2", "hidden3"])
+
+
+@DEPTHS
 @pytest.mark.parametrize("kind", [ValueKind.CONTINUOUS, ValueKind.BINARY])
 @pytest.mark.parametrize("activation", ["relu", "tanh", "identity"])
-def test_engine_matches_repacking_reference_to_the_byte(kind, activation):
-    # the engine reuses one one-row tape entry after entry
-    engine, reference, _ = _engine_and_reference(kind, activation, DEFAULT_V_FLOOR)
+def test_engine_matches_repacking_reference_to_the_byte(kind, activation, hidden):
+    # the engine reuses one one-row tape, bound once, entry after entry
+    engine, reference, _ = _engine_and_reference(kind, activation, DEFAULT_V_FLOOR, hidden)
     assert checkpoint_bytes(engine) == checkpoint_bytes(reference)
 
 
+@DEPTHS
 @pytest.mark.parametrize("kind", [ValueKind.CONTINUOUS, ValueKind.BINARY])
 @pytest.mark.parametrize("activation", ["relu", "tanh", "identity"])
-def test_engine_matches_repacking_reference_to_the_byte_through_clamps(kind, activation):
+def test_engine_matches_repacking_reference_to_the_byte_through_clamps(kind, activation,
+                                                                        hidden):
     v_floor = 0.1  # well above the data's variances: every batch clamps
-    engine, reference, clamped = _engine_and_reference(kind, activation, v_floor)
+    engine, reference, clamped = _engine_and_reference(kind, activation, v_floor, hidden)
     assert clamped > 0
     assert checkpoint_bytes(engine) == checkpoint_bytes(reference)
     # the EP sweep keeps the same floor as the per-entry update
@@ -697,6 +707,37 @@ def test_warm_and_cold_buffers_agree_to_the_byte(k, activation, restart):
     for batch in batches[2:]:
         process_batch(restarted, batch)
     assert checkpoint_bytes(restarted) == checkpoint_bytes(uninterrupted)
+
+
+def test_interleaved_states_and_a_mid_batch_copy_keep_their_bytes():
+    # a continuous and a binary state that share one NetworkSpec take turns
+    # entry by entry, and the continuous one is deep-copied mid-batch, after
+    # which both it and its copy run on: each must end on the bytes it ends
+    # on alone, so no per-entry scratch or pass record is shared
+    shape = TensorShape((12, 12))
+    net = NetworkSpec.for_factorization(4, [6, 5], "relu")
+    kinds = (ValueKind.CONTINUOUS, ValueKind.BINARY)
+
+    def fresh(kind):
+        return init_state(shape, kind, net, Hyperparams(ranks=(2, 2)), seed=7)
+
+    batches = [tuple(synth_generate(shape, 2, kind, CpGenerator(), 0.1, 60, seed=8)[0])
+               for kind in kinds]
+    alone = []
+    for kind, batch in zip(kinds, batches):
+        state = fresh(kind)
+        process_batch(state, batch)
+        alone.append(checkpoint_bytes(state))
+    states = [fresh(kind) for kind in kinds]
+    with entry_errstate():
+        for i, entries in enumerate(zip(*batches)):
+            if i == 30:
+                states.append(copy.deepcopy(states[0]))
+            for state, entry in zip(states, entries + entries[:1]):
+                adf_update_entry(state, entry)
+    for state in states:
+        ep_prior.refine_all(state)
+    assert [checkpoint_bytes(state) for state in states] == alone + alone[:1]
 
 
 @pytest.mark.parametrize("kind", [ValueKind.CONTINUOUS, ValueKind.BINARY])

@@ -2,6 +2,7 @@
 numbers a `BENCH_*.json` file reports, without running git or a benchmark."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -94,3 +95,52 @@ def test_a_higher_is_better_metric_is_beyond_its_bound_when_it_falls_past_it():
     assert summary["auc"]["beyond_bound"] is True
     assert summary["kept"]["beyond_bound"] is False
     assert summary["rise"]["beyond_bound"] is False
+
+
+def _digest_runs(parent, change):
+    return {"parent": [{"digest": d} for d in parent], "change": [{"digest": d} for d in change]}
+
+
+def test_digests_match_only_where_every_run_wrote_the_same_checkpoint():
+    assert bench_pairs.compare_digests(_digest_runs(["a", "a"], ["a", "a"])) == (
+        {"parent": ["a"], "change": ["a"]}, True)
+    assert bench_pairs.compare_digests(_digest_runs(["a", "a"], ["b", "b"]))[1] is False
+    # a side that wrote two checkpoints over its runs matches nothing
+    assert bench_pairs.compare_digests(_digest_runs(["a", "b"], ["a", "b"]))[1] is False
+    # serve-predict prints no digest: there is nothing to match
+    assert bench_pairs.compare_digests(_digest_runs([None], [None])) == (
+        {"parent": [], "change": []}, None)
+
+
+@pytest.mark.parametrize("change_digest", ["d0", "d1"])
+def test_main_records_whether_the_digests_match_and_says_where_not(
+        tmp_path, monkeypatch, capsys, change_digest):
+    # main on stand-ins for git and the benchmark: two sides whose train
+    # runs print a digest each, and a serve workload that prints none
+    def export(rev, dest):
+        dest.mkdir(parents=True)
+        (dest / "BENCHMARK.json").write_text('{"end_to_end": [{"name": "wall_s", '
+                                             '"better": "lower", "bound": 0.25}]}')
+        return f"commit-{rev}"
+
+    def run_once(tree, workload, seed, seconds, trace):
+        digest = None if workload == "serve-predict" else (
+            "d0" if tree.name == "parent" else change_digest)
+        return {"metrics": {"wall_s": {"value": 1.0, "unit": "s"}}, "correct": True,
+                "attempted": 1, "failed": 0, "digest": digest, "machine": "machine x"}
+
+    monkeypatch.setattr(bench_pairs, "export", export)
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    out = tmp_path / "bench.json"
+    assert bench_pairs.main(["--parent", "p", "--change", "c", "--workload",
+                             "train-binary", "serve-predict", "--seed", "1", "--pairs", "2",
+                             "--seconds", "1", "--out", str(out)]) == 0
+    workloads = json.loads(out.read_text())["workloads"]
+    train, serve = workloads["train-binary seed 1 trace 0"], workloads["serve-predict seed 1 trace 0"]
+    assert train["digests_match"] is (change_digest == "d0")
+    assert "digests_match" not in serve
+    differ = [line for line in capsys.readouterr().out.splitlines() if "differ" in line]
+    if change_digest == "d0":
+        assert differ == []
+    else:
+        assert differ == ["train-binary seed 1: checkpoint digests differ: parent d0; change d1"]

@@ -204,14 +204,23 @@ def test_a_reused_batch_tape_gives_the_bytes_of_a_fresh_one(widths, activation):
         for moments in (got, fresh):
             assert [a.tobytes() for a in moments] == [a.tobytes() for a in want]
         assert tape.weights is w_means
-        for w_t, w_in, w in zip(tape.w_t, tape.w_in, w_means, strict=True):
-            assert np.shares_memory(w_t, w) and np.shares_memory(w_in, w)
+        for view, w in zip(*_record_views(tape, w_means), strict=True):
+            assert np.shares_memory(view, w)
         alpha, _ = forward_mean(spec, w_means, x[0], one_row)
         alpha_fresh, fresh_tape = forward_mean(spec, w_means, x[0])
         assert one_row.weights is w_means
         assert np.float64(alpha).tobytes() == np.float64(alpha_fresh).tobytes()
         assert backprop_gradient(one_row).tobytes() == \
             backprop_gradient(fresh_tape).tobytes()
+
+
+def _record_views(tape, weights):
+    """The weight views of a bound tape's pass records, and for each the
+    layer's weights it must view: W_m.T per layer, W_m[:, :V_{m-1}] per
+    hidden layer from the top down, and W_M's row."""
+    views = ([r[3] for r in tape.forward] + [r[2] for r in tape.backward]
+             + [tape.head[0]])
+    return views, list(weights) + list(weights[-2::-1]) + [weights[-1]]
 
 
 @pytest.mark.parametrize("activation", ["relu", "tanh", "identity"])
@@ -265,6 +274,29 @@ def test_the_relu_derivative_forms_agree_to_the_byte():
     assert bnn._relu_grad(nan, np.ones(1), np.empty(1))[0] == 0.0
 
 
+def test_scalar_operands_give_the_bits_of_python_floats():
+    # the passes and the update give their ufuncs 0-d float64 arrays where
+    # they gave Python floats: the same float64 loop runs, so every bit is
+    # the same, on signed zeros, NaN, infinities and subnormals too
+    tiny = np.nextafter(0.0, 1.0)
+    x = np.array([0.0, -0.0, tiny, -tiny, 2.2e-308, -2.2e-308, np.inf, -np.inf, np.nan,
+                  1.5, -3.25, 1e300, -1e-300])
+    with np.errstate(all="ignore"):
+        for value in (0.0, -0.0, 1.0, math.sqrt(51.0), tiny, -tiny, np.inf, -np.inf,
+                      np.nan, 1e300):
+            operand = bnn._operand(value)
+            assert operand.shape == () and not operand.flags.writeable
+            for ufunc in (np.divide, np.maximum, np.heaviside, np.multiply, np.subtract,
+                          np.greater):
+                assert ufunc(x, operand).tobytes() == ufunc(x, value).tobytes()
+                assert ufunc(operand, x).tobytes() == ufunc(value, x).tobytes()
+            for inplace in (np.divide, np.multiply):
+                got, want = x.copy(), x.copy()
+                inplace(got, operand, out=got)
+                inplace(want, value, out=want)
+                assert got.tobytes() == want.tobytes()
+
+
 def test_each_tape_takes_the_relu_derivative_of_its_row_count():
     spec = NetworkSpec((3, 4, 2, 1), "relu")
     for tape, grad in ((ForwardTape.allocate(spec), bnn._relu_grad_one_row),
@@ -277,8 +309,9 @@ def _backward_by_products(tape):
     """The backward pass with the output layer's dh_{M-1} taken as the
     product np.matmul(delta_M, W_M[:, :V_{M-1}]) / s_M, like every other
     layer's."""
-    scales, grad, w_in, deltas, dh, preact = (tape.spec.fan_in_scales, tape.grad, tape.w_in,
-                                              tape.deltas, tape.dh, tape.preact)
+    scales, grad, deltas, dh, preact = (tape.spec.fan_in_scales, tape.grad, tape.deltas,
+                                        tape.dh, tape.preact)
+    w_in = [w[:, :v] for w, v in zip(tape.weights, tape.spec.widths)]
     for m in range(len(scales) - 1, -1, -1):
         grad_h = np.matmul(deltas[m], w_in[m], out=dh[m])
         grad_h /= scales[m]

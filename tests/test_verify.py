@@ -136,6 +136,17 @@ EP_MUTANTS = {
          "damping * term_mean * prec0 + (1.0 - damping) * eta0_full"),
         ("(1.0 - damping) * term_logit + damping * logit_term_full",
          "damping * term_logit + (1.0 - damping) * logit_term_full")],
+    # at damping 1 the posterior does not read the term it writes: only the
+    # division identity sees a wrong write
+    "term_precision_written_as_variance": [
+        ("np.copyto(term_var, 1.0 / prec0_new, where=replaced)",
+         "np.copyto(term_var, prec0_new, where=replaced)")],
+    "term_mean_written_natural": [
+        ("np.copyto(term_mean, eta0_new / prec0_new, where=replaced)",
+         "np.copyto(term_mean, eta0_new, where=replaced)")],
+    "term_logit_written_with_cavity": [
+        ("np.copyto(term_logit, logit_term_new, where=replaced)",
+         "np.copyto(term_logit, logit_term_new + logit_cav, where=replaced)")],
 }
 
 

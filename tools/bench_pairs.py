@@ -21,7 +21,9 @@ ties counting for neither side. Each end-to-end metric also gets its
 `BENCHMARK.json` `bound` and `beyond_bound`: whether the change's median is
 worse than the parent's by more than bound x the parent's median, in the
 metric's direction. The machine lines the runs print and the
-checkpoint digests the train workloads print are kept. Where `--out`
+checkpoint digests the train workloads print are kept, and each train
+workload gets `digests_match`: whether every run of both sides wrote the
+same checkpoint; where they did not, a line says so. Where `--out`
 already holds a summary of the same two commits, the new workloads are
 added to it, so a held-out seed can be run separately. Only the standard
 library is used; the runs need what the benchmark needs.
@@ -107,6 +109,16 @@ def summarise(runs: dict, better: dict, bounds: dict | None = None) -> dict:
     return out
 
 
+def compare_digests(sides: dict) -> tuple[dict, bool | None]:
+    """Each side's distinct checkpoint digests, sorted, and whether all runs
+    of both sides printed one and the same; None where no run printed a
+    digest (serve-predict)."""
+    digests = {side: sorted({r["digest"] for r in sides[side]} - {None}) for side in SIDES}
+    if not any(digests.values()):
+        return digests, None
+    return digests, len(digests["parent"]) == 1 and digests["parent"] == digests["change"]
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", required=True, help="the baseline revision")
@@ -146,7 +158,12 @@ def main(argv=None) -> int:
         shutil.rmtree(work, ignore_errors=True)
 
     for workload, sides in runs.items():
-        doc["workloads"][f"{workload} seed {args.seed} trace {args.trace}"] = {
+        digests, match = compare_digests(sides)
+        if match is False:
+            print(f"{workload} seed {args.seed}: checkpoint digests differ: "
+                  + "; ".join(f"{side} {' '.join(digests[side])}" for side in SIDES))
+        key = f"{workload} seed {args.seed} trace {args.trace}"
+        doc["workloads"][key] = {
             "seed": args.seed,
             "seconds": args.seconds,
             "trace": args.trace,
@@ -155,10 +172,12 @@ def main(argv=None) -> int:
             "all_correct": all(r["correct"] for s in SIDES for r in sides[s]),
             "attempted_total": {s: sum(r["attempted"] for r in sides[s]) for s in SIDES},
             "failed_total": {s: sum(r["failed"] for r in sides[s]) for s in SIDES},
-            "digests": {s: sorted({r["digest"] for r in sides[s]} - {None}) for s in SIDES},
+            "digests": digests,
             "machines": sorted({r["machine"] for s in SIDES for r in sides[s]}),
             "summary": summarise(sides, better, bounds),
         }
+        if match is not None:
+            doc["workloads"][key]["digests_match"] = match
     args.out.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
     return 0
 
