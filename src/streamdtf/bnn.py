@@ -16,36 +16,34 @@ gradient is the outer product delta_m (x) hb_{m-1}, so every consumer reads
 what it needs from these factors.
 
 Buffers: both passes write into the buffers of the tape they run on (with
-`out=`), and where it has none they allocate as they go. A tape belongs
-to whoever allocated it. The per-entry update passes the one-row tape its
-`ModelState` owns, which has every buffer, so one entry after another
-allocates nothing, and `backprop_gradient` fills that tape's g. On that
-tape g's output-layer block is the hb_{M-1} buffer: the output layer's
-gradient delta_M hb_{M-1} is hb_{M-1} itself (delta_M = 1), so the forward
-pass writes that block of g and the backward pass leaves it alone.
-`predict_eval.running_eval` allocates one n-row tape per call, as large as
-the test set, and scores every batch in it, so the re-scoring allocates
-only its results. Batch consumers that pass no tape get an unbuffered one
-per call, which the passes fill with new arrays, as an allocating
-implementation would.
+`out=`), so a pass allocates only its results. A tape belongs to whoever
+allocated it. The per-entry update passes the one-row tape its
+`ModelState` owns, so one entry after another allocates nothing, and
+`backprop_gradient` fills that tape's g. On that tape g's output-layer
+block is the hb_{M-1} buffer: the output layer's gradient delta_M hb_{M-1}
+is hb_{M-1} itself (delta_M = 1), so the forward pass writes that block of
+g and the backward pass leaves it alone. Batch prediction and the running
+evaluation run in the n-row tape the state keeps for the calling thread
+(`ModelState.batch_tape`), so a request or a re-score allocates only its
+results. A consumer that passes no tape gets a new one from
+`ForwardTape.allocate` for its inputs' rows.
 
 Binding: what the passes read that does not change between passes is
 built once, not per pass. A tape fixes, when it is built, the hidden
-activation, its gradient form for the tape's row count, and on a buffered
-tape the view of each hb_{m-1} without its bias column. `ForwardTape.bind`
-builds the weight views W_m.T and W_m[:, :V_{m-1}] over the weights
-sequence the forward pass is given, and from them, the tape's buffers and
-the spec's fan-in scales (`NetworkSpec.scale_operands`) the pass records:
-per layer, one tuple of what a step of the pass reads. `_forward` and
-`_backward` iterate the records, so a step unpacks one tuple instead of
-indexing a list per operand. An unbuffered tape's records hold None where
-hb, z and the buffers would be: its passes allocate those arrays and keep
-them in the tape's lists. The records are rebuilt only when the tape is
-given a different sequence object. The views alias the arrays, so a write
+activation, its gradient form for the tape's row count, the view of each
+hb_{m-1} without its bias column and, on n rows, every row view the
+output moments and the gather write into. `ForwardTape.bind` builds the
+weight views W_m.T and W_m[:, :V_{m-1}] over the weights sequence the
+forward pass is given, and from them, the tape's buffers and the spec's
+fan-in scales (`NetworkSpec.scale_operands`) the pass records: per layer,
+one tuple of what a step of the pass reads. `_forward` and `_backward`
+iterate the records, so a step unpacks one tuple instead of indexing a
+list per operand. The records are rebuilt only when the tape is given a
+different sequence object. The views alias the arrays, so a write
 into their memory reaches the next pass, while replacing an item of a
 bound list in place is not seen. `ModelState.weight_means()` returns the
 same list on every call, so the state's one-row tape binds once per
-state, copy or load, and `running_eval`'s n-row tape once per call; a
+state, copy or load, and each of its n-row tapes once when it is built; a
 fresh list binds on each pass. Given a tape already bound to the weights
 it is given, as the state's is, `forward_mean` runs `_forward` on the
 input as it is: no conversion and no bind check.
@@ -145,8 +143,6 @@ def _relu(z, out):
 
 
 def _relu_grad(z, dh, out):
-    if out is None:
-        out = np.empty_like(z)
     np.greater(z, _ZERO, out=out)  # the derivative at exactly 0 is defined as 0
     out *= dh
     return out
@@ -167,14 +163,12 @@ def _tanh_grad(z, dh, out):
 
 
 def _identity_grad(z, dh, out):
-    if out is None:
-        out = np.empty_like(z)
     return np.positive(dh, out=out)
 
 
 # name -> (act(z, out), grad(z, dh, out) = act'(z) * dh); each writes into
-# `out`, or into a new array of z's shape when `out` is None, and returns
-# it. On n rows dh may be one row, which broadcasts over z's rows
+# `out`, an array of z's shape, and returns it. On n rows dh may be one
+# row, which broadcasts over z's rows
 ACTIVATIONS: dict[str, tuple[Callable, Callable]] = {
     "relu": (_relu, _relu_grad),
     "tanh": (np.tanh, _tanh_grad),
@@ -262,17 +256,15 @@ class NetworkSpec:
 @dataclass
 class ForwardTape:
     """The buffers one forward pass and one backward pass write, for n rows
-    (leading shape (n,)) or one row (no leading shape). A pass writes into
-    each buffer the tape has; where the tape has None it keeps the new
-    arrays later steps read (hb, the pre-activations and the deltas) and
-    drops the rest. A tape holds the last pass run on it and belongs to one
-    caller at a time.
+    (leading shape (n,)) or one row (no leading shape). A tape holds the
+    last pass run on it and belongs to one caller at a time.
 
-    On a buffered tape the backward pass writes delta_m over z_m (m < M),
-    and the hidden activations, the backward products and the squares the
-    output moments sum all take turns in one flat `scratch`. On one row,
-    `outer` holds each hidden layer's block of g next to the (V_m, 1) and
-    (1, V_{m-1} + 1) views of delta_m and hb_{m-1} whose dot fills it;
+    The backward pass writes delta_m over z_m (m < M), and the hidden
+    activations, the backward products, the squares the output moments sum
+    and the gathered rows of each input block all take turns in one flat
+    `scratch`. On one row, `outer` holds each hidden layer's block of g
+    next to the (V_m, 1) and (1, V_{m-1} + 1) views of delta_m and hb_{m-1}
+    whose dot fills it;
     the output layer's block is hb_{M-1}'s buffer. The forward pass writes
     h_m into dh[m], which the backward pass then overwrites with
     d alpha / d h_m, except on n rows for m = M - 1: that gradient is one
@@ -288,24 +280,31 @@ class ForwardTape:
       its bias column, hb_{m-1}, W_m.T, z_m, the hidden activation or None
       for the output layer, the buffer of h_m);
     - `head`: (W_M[0, :V_{M-1}], its fan-in scale, the buffer dh_{M-1} is
-      written into, or None, and the shape to allocate it in, or None);
-    - `backward`, one per hidden layer m = M-1..1: (m - 1, z_m, which
-      delta_m overwrites, W_m[:, :V_{m-1}], the buffer of dh_{m-1}, the
-      fan-in scale).
-    On an unbuffered tape the hb, z and buffer items are None: the passes
-    allocate those arrays and keep them in the lists above."""
+      written into, or None where a hidden layer's gradient broadcasts it
+      over n rows);
+    - `backward`, one per hidden layer m = M-1..1: (z_m, which delta_m
+      overwrites, W_m[:, :V_{m-1}], the buffer of dh_{m-1}, the fan-in
+      scale).
+    `moments` and `gather` are built with the buffers, on n rows only:
+    - `moments`, what `output_moments_batch` reads besides the variances:
+      (hb_{M-1}, the view its square goes into, one record per hidden layer
+      m = M-1..1 of (m - 1, delta_m, the view its square goes into, the
+      view the product (delta_m^2) var_m goes into, hb_{m-1}, the view its
+      square goes into), d alpha / dx, the view its square goes into);
+    - `gather`, per block of the input rows (`allocate`'s `ranks`), the
+      C-contiguous view of scratch its rows are gathered into."""
 
     spec: NetworkSpec
     act: Callable  # act(z, out)
     grad: Callable  # act'(z) * dh, into out
     hb: list  # hb_0 .. hb_{M-1}, each [h; 1]/sqrt(V+1)
-    hb_body: list  # each hb without its bias column; None entries when unbuffered
-    preacts: np.ndarray | None  # z_1 .. z_M, one block
+    hb_body: list  # each hb without its bias column
+    preacts: np.ndarray  # z_1 .. z_M, one block
     preact: list  # z_1 .. z_M, views into preacts
     deltas: list  # delta_1 .. delta_M = d alpha / d z_m: preact[:-1], then `ones`
     ones: np.ndarray  # 1 per row: delta_M, and the bias feature of hb
     dh: list  # d alpha / d h_{m-1}, m = 1..M; dh[0] is d alpha / dx
-    scratch: np.ndarray | None  # flat, room for (rows, max V + 1)
+    scratch: np.ndarray  # flat, room for (rows, max V + 1)
     g: np.ndarray | None  # one row: the dense gradient, dh[0] its input block
     # one row, per layer m < M: (its (V_m, V_{m-1}+1) view into g, delta_m
     # as a column, hb_{m-1} as a row)
@@ -313,6 +312,8 @@ class ForwardTape:
     inputs: np.ndarray | None  # n rows: (n, V_0) input means, then dh[0]
     input_vars: np.ndarray | None  # n rows: (n, V_0) input variances
     products: np.ndarray | None  # n rows: flat, each layer's (delta^2) var
+    moments: tuple  # n rows: the output moments' views, as above
+    gather: tuple[np.ndarray, ...]  # n rows: each input block's rows in scratch
     # set by bind: the weights the records' views alias, and the records
     weights: Sequence[np.ndarray] | None = None
     forward: tuple[tuple, ...] = ()
@@ -320,15 +321,18 @@ class ForwardTape:
     backward: tuple[tuple, ...] = ()
 
     @classmethod
-    def allocate(cls, spec: NetworkSpec, lead: tuple[int, ...] = ()) -> "ForwardTape":
+    def allocate(cls, spec: NetworkSpec, lead: tuple[int, ...] = (),
+                 ranks: Sequence[int] = ()) -> "ForwardTape":
         """A tape with every buffer, for inputs of leading shape `lead`: the
         hb arrays with their bias column set to 1/sqrt(V+1), the
         pre-activations as one block (one finite check covers them),
         delta_M = 1 and the flat scratch. One row (lead ()) adds g with its
         layer blocks and the outer-product factors, hb_{M-1} being g's
         output-layer block and dh[0] its input block; n rows add the input
-        buffers `predict_eval` gathers into, dh[0] being `inputs`, and the
-        flat `products` the output moments use."""
+        buffers `predict_eval` gathers into, dh[0] being `inputs`, the flat
+        `products` and the `moments` views the output moments write, and
+        one `gather` view per width in `ranks`, the input's blocks from
+        the left (the embedding ranks of the tensor's modes)."""
         rows = math.prod(lead)
         widths, outs = spec.widths, spec.widths[1:]
         # one row: g, whose output-layer block delta_M hb_{M-1} is hb_{M-1}
@@ -346,13 +350,27 @@ class ForwardTape:
         ones = np.ones(lead + (1,))
         deltas = preact[:-1] + [ones]
         scratch = np.empty(rows * (max(widths[:-1]) + 1))
-        hidden = [scratch[:rows * v].reshape(lead + (v,)) for v in widths[1:-1]]
+
+        def rows_of(flat, width, start=0):
+            # a C-contiguous view of `width` columns, `start` columns' worth in
+            return flat[rows * start:rows * (start + width)].reshape(lead + (width,))
+
+        hidden = [rows_of(scratch, v) for v in widths[1:-1]]
         act, grad = ACTIVATIONS[spec.activation]
-        outer, inputs, input_vars, products = [], None, None, None
+        outer, inputs, input_vars, products, moments, gather = [], None, None, None, (), ()
         if lead:
             inputs, input_vars = (np.empty(lead + (spec.input_dim,)) for _ in range(2))
             products = np.empty(scratch.shape)
             dx = inputs
+            layers = tuple(
+                (m - 1, deltas[m - 1], rows_of(scratch, widths[m]),
+                 rows_of(products, widths[m - 1] + 1), hb[m - 1],
+                 rows_of(scratch, widths[m - 1] + 1))
+                for m in range(spec.layer_count - 1, 0, -1))
+            moments = (hb[-1], rows_of(scratch, widths[-2] + 1), layers,
+                       dx, rows_of(scratch, spec.input_dim))
+            starts = np.cumsum((0,) + tuple(ranks))
+            gather = tuple(rows_of(scratch, r, start) for r, start in zip(ranks, starts))
         else:
             outer = [(g[sl].reshape(shape), d.reshape(-1, 1), b.reshape(1, -1))
                      for sl, shape, d, b
@@ -363,19 +381,8 @@ class ForwardTape:
                    hb_body=[buf[..., :-1] for buf in hb], preacts=preacts,
                    preact=preact, deltas=deltas, ones=ones, dh=[dx] + hidden,
                    scratch=scratch, g=g, outer=outer, inputs=inputs,
-                   input_vars=input_vars, products=products)
-
-    @classmethod
-    def unbuffered(cls, spec: NetworkSpec, lead: tuple[int, ...]) -> "ForwardTape":
-        """An n-row tape with no buffers but delta_M = 1: the passes allocate
-        as they go, as an allocating implementation would."""
-        ones = np.ones(lead + (1,))
-        none = [None] * spec.layer_count
-        act, grad = ACTIVATIONS[spec.activation]
-        return cls(spec=spec, act=act, grad=grad, hb=none.copy(), hb_body=none,
-                   preacts=None, preact=none.copy(),
-                   deltas=none[1:] + [ones], ones=ones, dh=none.copy(), scratch=None,
-                   g=None, outer=[], inputs=None, input_vars=None, products=None)
+                   input_vars=input_vars, products=products, moments=moments,
+                   gather=gather)
 
     def bind(self, weights: Sequence[np.ndarray]) -> None:
         """Build the pass records over `weights`, one array per layer, and
@@ -385,39 +392,23 @@ class ForwardTape:
         once, and writes into the arrays' memory reach every later pass."""
         if weights is self.weights:
             return
-        spec, act, dh = self.spec, self.act, self.dh
+        spec, act, dh, hb, z = self.spec, self.act, self.dh, self.hb, self.preact
         last = spec.layer_count - 1
-        # an unbuffered tape's hb and z are each pass's new arrays
-        hb, z = ((self.hb, self.preact) if self.preacts is not None
-                 else ((None,) * (last + 1),) * 2)
         forward, backward = [], []
         for m, (w, v, scale) in enumerate(zip(weights, spec.widths, spec.scale_operands)):
             if m < last:
                 forward.append((scale, self.hb_body[m], hb[m], w.T, z[m], act, dh[m + 1]))
-                backward.append((m, z[m], w[:, :v], dh[m], scale))
+                backward.append((z[m], w[:, :v], dh[m], scale))
             else:
                 forward.append((scale, self.hb_body[m], hb[m], w.T, z[m], None, None))
         self.forward = tuple(forward)
         self.backward = tuple(reversed(backward))
         # dh_{M-1} is one row. On n rows with a hidden layer below, that
-        # layer's gradient broadcasts it; otherwise it goes into dh's
-        # buffer or, on an unbuffered tape, into a new array of each pass
-        lead = self.ones.shape[:-1]
-        broadcast = bool(last and lead)
-        out = None if broadcast else dh[last]
-        shape = lead + (v,) if out is None and not broadcast else None
-        self.head = (w[0, :v], scale, out, shape)
+        # layer's gradient broadcasts it, and each pass makes it anew;
+        # otherwise it goes into dh's buffer
+        broadcast = last and self.ones.ndim > 1
+        self.head = (w[0, :v], scale, None if broadcast else dh[last])
         self.weights = weights
-
-    def rows_view(self, flat: np.ndarray | None, width: int,
-                  start: int = 0) -> np.ndarray | None:
-        """A C-contiguous (n, width) view of a flat buffer of this n-row
-        tape, `start` columns' worth in; None where the tape has no such
-        buffer, so an `out=` given it allocates."""
-        if flat is None:
-            return None
-        n = self.ones.shape[0]
-        return flat[n * start:n * (start + width)].reshape(n, width)
 
 
 def all_finite(x: np.ndarray) -> bool:
@@ -438,14 +429,13 @@ def forward_mean_batch(spec: NetworkSpec, weight_means: Sequence[np.ndarray],
     `spec.weight_shapes`, checked where they enter (`load_checkpoint`) or
     drawn to their shapes (`synth_generate`).
     The pass writes into `tape`, which must have been allocated for the
-    inputs' leading shape, or into a fresh tape when none is given: a
-    buffered one for one row, an unbuffered one for n rows. The tape is
-    bound to `weight_means` first (`ForwardTape.bind`).
+    inputs' leading shape, or into a new `ForwardTape.allocate(spec, lead)`
+    when none is given. The tape is bound to `weight_means` first
+    (`ForwardTape.bind`).
     """
     x = np.asarray(inputs, dtype=float)
     if tape is None:
-        lead = x.shape[:-1]
-        tape = ForwardTape.unbuffered(spec, lead) if lead else ForwardTape.allocate(spec)
+        tape = ForwardTape.allocate(spec, x.shape[:-1])
     tape.bind(weight_means)
     return _forward(tape, x), tape
 
@@ -453,22 +443,13 @@ def forward_mean_batch(spec: NetworkSpec, weight_means: Sequence[np.ndarray],
 def _forward(tape: ForwardTape, h: np.ndarray):
     """The forward pass over the records of a bound tape, from the input
     rows h; returns alpha as `forward_mean_batch` does."""
-    for m, (scale, body, hb, w_t, z, act, h_out) in enumerate(tape.forward):
-        # hb_{m-1} = [h; 1] / scale: into the buffer, whose bias column
-        # already holds 1/scale, or as a new array, since on a few rows a
-        # strided write into a preset buffer is slower than dividing the
-        # concatenation in place
-        if body is None:
-            hb = tape.hb[m] = np.concatenate((h, tape.ones), axis=-1)
-            hb /= scale
-            z = tape.preact[m] = hb.dot(w_t)
-        else:
-            np.divide(h, scale, out=body)
-            hb.dot(w_t, z)
+    for scale, body, hb, w_t, z, act, h_out in tape.forward:
+        # hb_{m-1} = [h; 1] / scale, into the buffer whose bias column
+        # already holds 1/scale
+        np.divide(h, scale, out=body)
+        hb.dot(w_t, z)
         if act is not None:
-            # h_m goes into a buffer of the backward pass; an unbuffered
-            # tape keeps no h: the next layer's hb holds it
-            h = act(z, out=h_out)
+            h = act(z, out=h_out)  # h_m goes into a buffer of the backward pass
     # n rows: a copy, since the tape's next pass overwrites z_M; one row: a
     # numpy scalar, which holds none of the tape's memory
     return z[..., 0].copy() if z.ndim > 1 else z[0]
@@ -478,17 +459,14 @@ def _backward(tape: ForwardTape) -> tuple[list[np.ndarray], np.ndarray]:
     """The backward pass: returns (delta_1..delta_M, d alpha / dx), where
     delta_m = d alpha / d z_m, so layer m's weight gradient is the outer
     product delta_m (x) hb_{m-1}, row by row. Both are the tape's buffers;
-    on a buffered tape delta_m (m < M) overwrites z_m."""
+    delta_m (m < M) overwrites z_m."""
     # the output layer is linear with delta_M = 1, so on every row dh_{M-1}
     # is W_M's weight row over its fan-in scale: no product
-    w_row, scale, out, shape = tape.head
-    grad_h = np.divide(w_row, scale, out=out if shape is None else np.empty(shape))
+    w_row, scale, out = tape.head
+    grad_h = np.divide(w_row, scale, out=out)
     grad = tape.grad
-    for i, z, w_in, dh, scale in tape.backward:
-        if z is None:  # an unbuffered tape: z_m is its forward pass's array
-            delta = tape.deltas[i] = grad(tape.preact[i], grad_h, out=None)
-        else:
-            delta = grad(z, grad_h, out=z)
+    for z, w_in, dh, scale in tape.backward:
+        delta = grad(z, grad_h, out=z)
         grad_h = np.matmul(delta, w_in, out=dh)
         grad_h /= scale
     return tape.deltas, grad_h
@@ -550,11 +528,11 @@ def output_moments_batch(spec: NetworkSpec, weight_means: Sequence[np.ndarray],
     sum_t var_M[0,t] hb[n,t]^2, with no (delta^2) var product: the same
     bytes as the product form, which gave var_M's row on every row.
 
-    With `tape`, an n-row tape from `ForwardTape.allocate` for the inputs'
-    row count, every intermediate lives in its buffers and only alpha and
-    beta are new; the input means may be the tape's own `inputs`, which the
-    backward pass overwrites with d alpha / dx. Without one, the passes
-    allocate.
+    Every intermediate lives in the buffers of `tape`, an n-row tape from
+    `ForwardTape.allocate` for the inputs' row count, or of a new one when
+    none is given, and only alpha and beta are new; the input means may be
+    the tape's own `inputs`, which the backward pass overwrites with
+    d alpha / dx.
 
     With `input_vars` None only the forward pass runs and beta is None:
     alpha is the same bytes, and neither the weight variances nor the
@@ -564,21 +542,14 @@ def output_moments_batch(spec: NetworkSpec, weight_means: Sequence[np.ndarray],
     if input_vars is None:
         return alpha, None
     x_var = np.atleast_2d(np.asarray(input_vars, dtype=float))
-    deltas, dx = _backward(tape)
-    # delta^2, hb^2 and dx^2 take turns in scratch; on an unbuffered tape
-    # rows() is None and each is a new array, unnamed so that it is freed
-    # as soon as einsum has read it
-    scratch, rows = tape.scratch, tape.rows_view
-    hb = tape.hb[-1]
-    beta = np.einsum("nt,t->n", np.multiply(hb, hb, out=rows(scratch, hb.shape[-1])),
-                     weight_vars[-1][0])
-    for m in range(spec.layer_count - 1, 0, -1):
-        delta, hb = deltas[m - 1], tape.hb[m - 1]
+    _backward(tape)
+    # delta^2, hb^2 and dx^2 take turns in scratch
+    hb, hb_sq, layers, dx, dx_sq = tape.moments
+    beta = np.einsum("nt,t->n", np.multiply(hb, hb, out=hb_sq), weight_vars[-1][0])
+    for m, delta, delta_sq, product, hb, hb_sq in layers:
         beta += np.einsum(
             "nt,nt->n",
-            np.matmul(np.multiply(delta, delta, out=rows(scratch, delta.shape[-1])),
-                      weight_vars[m - 1], out=rows(tape.products, hb.shape[-1])),
-            np.multiply(hb, hb, out=rows(scratch, hb.shape[-1])))
-    beta += np.einsum("nt,nt->n", np.multiply(dx, dx, out=rows(scratch, dx.shape[-1])),
-                      x_var)
+            np.matmul(np.multiply(delta, delta, out=delta_sq), weight_vars[m], out=product),
+            np.multiply(hb, hb, out=hb_sq))
+    beta += np.einsum("nt,nt->n", np.multiply(dx, dx, out=dx_sq), x_var)
     return alpha, beta

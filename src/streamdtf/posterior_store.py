@@ -36,14 +36,19 @@ dalpha and c, then whether the data are binary); the input slot's
 scatter_entry copy between. Like the layer views, these alias the store
 and the embedding tables, so writes through `[...] =` reach them and
 rebinding an attribute (`lay.mean`, `emb.mean`, `state.embeddings`,
-`state.mu`) detaches it. The scratch belongs to the state: it is rebuilt,
-not copied, by deepcopy, pickle and load_checkpoint, and is never
-checkpointed.
+`state.mu`) detaches it. Next to them, an empty slot per thread for the
+n-row tape batch prediction runs in (batch_tapes, a threading.local):
+batch_tape(n) allocates a thread's tape, bound to the same list, on the
+thread's first prediction and again whenever the row count changes, and
+the state keeps each thread's last one for as long as it lives. The
+scratch belongs to the state: it is rebuilt, not copied, by deepcopy,
+pickle and load_checkpoint, and is never checkpointed; a rebuilt state
+has no batch tape until it predicts.
 
 A ModelState is single-writer: the per-entry update and gather_entry write
-its scratch. Read-only snapshots (deep copies) may be shared across threads
-for prediction, which allocates its own buffers. Embeddings are mutated
-only through scatter_entry.
+its scratch. Any number of threads may predict from one state while no
+thread writes it: each predicts in its own batch tape. Embeddings are
+mutated only through scatter_entry.
 
 Invariants (finite means, positive variances, selector probabilities
 inside (0, 1), a valid Gamma posterior; see check_invariants) are checked
@@ -70,6 +75,7 @@ import itertools
 import json
 import operator
 import struct
+import threading
 from dataclasses import dataclass, field
 from typing import Sequence, TextIO
 
@@ -91,7 +97,8 @@ DEFAULT_V_FLOOR = 1e-10
 WEIGHT_FIELDS = ("mean", "var", "rho_post", "term_mean", "term_var", "term_logit")
 
 # ModelState attributes _bind_layers builds over the flat vectors
-_BOUND = ("weights", "means", "tape", "entry_scratch", "slot", "slot_modes")
+_BOUND = ("weights", "means", "tape", "entry_scratch", "slot", "slot_modes",
+          "batch_tapes")
 
 
 @dataclass(frozen=True)
@@ -160,9 +167,9 @@ class WeightLayer:
 class ModelState:
     """The whole posterior. mu and var have length n_weights + V_0 (input slot
     last); rho_post and the three term fields have length n_weights. The
-    per-entry scratch (means, tape, entry_scratch, slot, slot_modes) is the
-    state's own, rebuilt with the layer views and never part of a copy or a
-    checkpoint."""
+    per-entry scratch (means, tape, entry_scratch, slot, slot_modes) and the
+    per-thread batch tapes (batch_tapes) are the state's own, rebuilt with
+    the layer views and never part of a copy or a checkpoint."""
 
     shape: TensorShape
     kind: ValueKind
@@ -185,6 +192,7 @@ class ModelState:
     slot: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
     slot_modes: list[tuple[np.ndarray, ...]] = field(init=False, repr=False,
                                                      compare=False)
+    batch_tapes: threading.local = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self._bind_layers()
@@ -199,8 +207,9 @@ class ModelState:
         """Bind the layer views over the flat vectors and the list of their
         means, and build the per-entry scratch next to them: a one-row
         ForwardTape bound to that list, `entry_scratch` (see the module
-        docstring), the input slot's (mean, var) views, and per mode its
-        embedding tables next to its (mean, var) views into the slot."""
+        docstring), the input slot's (mean, var) views, per mode its
+        embedding tables next to its (mean, var) views into the slot, and
+        the empty per-thread slot of `batch_tape`."""
         flats = self.weight_fields()
         self.weights = [
             WeightLayer(*(flat[sl].reshape(w_shape) for flat in flats))
@@ -219,6 +228,7 @@ class ModelState:
             self.slot_modes.append((emb.mean, emb.var, self.mu[offset:offset + r],
                                     self.var[offset:offset + r]))
             offset += r
+        self.batch_tapes = threading.local()
 
     # copies carry the flat vectors only and rebuild the views and the
     # scratch over their own
@@ -231,6 +241,18 @@ class ModelState:
     def __setstate__(self, fields: dict) -> None:
         self.__dict__.update(fields)
         self._bind_layers()
+
+    def batch_tape(self, rows: int) -> ForwardTape:
+        """The calling thread's n-row tape for `rows` rows, bound to
+        weight_means() and with a gather view per mode. A thread keeps one
+        tape: it is allocated on the thread's first call and again when
+        `rows` differs from its row count."""
+        tape = getattr(self.batch_tapes, "tape", None)
+        if tape is None or tape.ones.shape[0] != rows:
+            tape = self.batch_tapes.tape = ForwardTape.allocate(self.net, (rows,),
+                                                                self.hyper.ranks)
+            tape.bind(self.means)
+        return tape
 
     def weight_means(self) -> list[np.ndarray]:
         """Each layer's mean view, as the same list on every call, so a tape

@@ -9,17 +9,19 @@ probability rather than the plug-in Phi(alpha). Phi is
 Metrics: RMSE for continuous data; AUC for binary data as the Mann-Whitney
 statistic with ties counted one half.
 
-Prediction is read-only. The running evaluation re-scores the full test
-set after every processed batch and records per-batch wallclock. It
-allocates one n-row `bnn.ForwardTape` per call and scores every batch in
-it. A binary score gathers the test rows' embedding means and variances
-into the tape and both network passes write into its buffers, since the
-probit probability needs beta. A continuous score is the RMSE of the
-means alone: it gathers only the embedding means and runs only the
-forward pass, so the variance gather, the backward pass and beta are
-skipped and the tape's backward buffers stay unused. The workspace is the
-call's, not the state's, so copies and checkpoints never carry it.
-`predict_batch` and `score` called without a tape allocate per call.
+Prediction is read-only. Every prediction of n rows runs in the n-row
+`bnn.ForwardTape` the state keeps for the calling thread
+(`ModelState.batch_tape`): the gather writes the rows' embedding moments
+into its buffers and both network passes write into the rest, so a
+request allocates only its results, which hold none of the tape's
+memory. The running evaluation re-scores the full test set after every
+processed batch, in that same tape, and records per-batch wallclock. A
+binary score needs beta for the probit probability, so it runs both
+passes. A continuous score is the RMSE of the means alone: it gathers
+only the embedding means and runs only the forward pass, so the variance
+gather, the backward pass and beta are skipped and the tape's backward
+buffers stay unused. Copies and checkpoints of the state never carry its
+tapes.
 """
 
 import itertools
@@ -37,40 +39,29 @@ from .special import ndtr_array
 from .tensor_core import ObservedEntry, ValueKind
 
 
-def _gather(tables: Sequence[np.ndarray], idx: np.ndarray, out: np.ndarray | None,
+def _gather(tables: Sequence[np.ndarray], idx: np.ndarray, out: np.ndarray,
             tape: bnn.ForwardTape) -> np.ndarray:
     """Rows idx[:, k] of tables[k], modes side by side (n, sum_k r_k), into
-    `out`, or a new array where it is None. np.take writes straight only
-    into a C-contiguous array, so each mode's rows land in the tape's
-    scratch first, where it has one. The indices are checked, so
-    mode="clip" never clips."""
-    parts, start = [], 0
-    for k, table in enumerate(tables):
-        r = table.shape[1]
-        parts.append(np.take(table, idx[:, k], axis=0, mode="clip",
-                             out=tape.rows_view(tape.scratch, r, start)))
-        start += r
+    `out`. take writes straight only into a C-contiguous array, so each
+    mode's rows land in its view of the tape's scratch (`tape.gather`)
+    first. The indices are checked, so mode="clip" never clips."""
+    parts = [table.take(idx[:, k], 0, rows, "clip")
+             for k, (table, rows) in enumerate(zip(tables, tape.gather))]
     return np.concatenate(parts, axis=1, out=out)
 
 
-def predict_batch(state: ModelState, indices: Sequence[tuple[int, ...]],
-                  tape: bnn.ForwardTape | None = None, means_only: bool = False):
+def predict_batch(state: ModelState, indices: Sequence[tuple[int, ...]], *,
+                  means_only: bool = False):
     """Vectorized prediction. Continuous: (means, variances) arrays, or the
     means alone with `means_only`, which gathers no variances and runs only
     the forward pass (the same means, byte for byte); binary: probability
     array, and `means_only` raises ValueError. `TensorShape.check_indices`
-    checks indices. With `tape`, an n-row `bnn.ForwardTape` from
-    `bnn.ForwardTape.allocate` for the network and as many rows as
-    `indices`, the gather and the passes run in its buffers; without one
-    they allocate."""
+    checks indices. The gather and the passes run in the state's batch
+    tape for this thread and row count (`ModelState.batch_tape`)."""
     if means_only and state.kind is not ValueKind.CONTINUOUS:
         raise ValueError("means_only needs continuous data: a probability needs beta")
     idx = state.shape.check_indices(indices)
-    if tape is None:
-        tape = bnn.ForwardTape.unbuffered(state.net, idx.shape[:1])
-    elif tape.ones.shape != (idx.shape[0], 1):
-        raise ValueError(f"a tape of leading shape {tape.ones.shape[:-1]} cannot "
-                         f"score {idx.shape[0]} indices")
+    tape = state.batch_tape(idx.shape[0])
     x_mean = _gather([emb.mean for emb in state.embeddings], idx, tape.inputs, tape)
     x_var = None
     if not means_only:
@@ -160,15 +151,13 @@ class MetricSeries:
             fp.write(f"{row.batch},{row.seen},{row.metric!r},{ms!r}\n")
 
 
-def score(state: ModelState, indices, values,
-          tape: bnn.ForwardTape | None = None) -> tuple[str, float]:
+def score(state: ModelState, indices, values) -> tuple[str, float]:
     """The state's test metric on the given cells as (name, value): "rmse"
     of the predicted means for continuous data, from the forward pass alone
-    (`means_only`), "auc" of the predicted probabilities for binary data;
-    `tape` as for `predict_batch`."""
+    (`means_only`), "auc" of the predicted probabilities for binary data."""
     if state.kind is ValueKind.CONTINUOUS:
-        return "rmse", rmse(predict_batch(state, indices, tape, means_only=True), values)
-    return "auc", auc(predict_batch(state, indices, tape), values)
+        return "rmse", rmse(predict_batch(state, indices, means_only=True), values)
+    return "auc", auc(predict_batch(state, indices), values)
 
 
 def running_eval(state: ModelState, stream: Iterable[Sequence[ObservedEntry]],
@@ -180,7 +169,7 @@ def running_eval(state: ModelState, stream: Iterable[Sequence[ObservedEntry]],
     batch is, and disjoint (by index tuple) from the stream. The state is
     mutated in place; per-batch wallclock covers the posterior update only,
     not the evaluation. `metric_name` is None when the stream is empty.
-    Every batch is scored in one n-row tape allocated here.
+    Every batch is scored in the state's batch tape for the test set.
     """
     if len(test_entries) == 0:
         raise ValueError("test set must be nonempty")
@@ -193,13 +182,12 @@ def running_eval(state: ModelState, stream: Iterable[Sequence[ObservedEntry]],
         raise ValueError(f"test entry {first.index} also appears in the stream")
     test_indices = state.shape.check_indices([e.index for e in test_entries])
     test_values = state.kind.check_values([e.value for e in test_entries])
-    tape = bnn.ForwardTape.allocate(state.net, (len(test_indices),))
     series = MetricSeries(metric_name=None)
     for ordinal, batch in enumerate(batches):
         start = time.perf_counter()
         adf_engine.process_batch(state, batch, damping=damping)
         elapsed_ms = (time.perf_counter() - start) * 1000.0
-        series.metric_name, value = score(state, test_indices, test_values, tape)
+        series.metric_name, value = score(state, test_indices, test_values)
         series.rows.append(MetricRow(batch=ordinal, seen=state.entries_seen,
                                      metric=value, ms=elapsed_ms))
     return series

@@ -178,9 +178,9 @@ def test_non_integral_widths_raise_type_error():
 def test_a_reused_batch_tape_gives_the_bytes_of_a_fresh_one(widths, activation):
     # one n-row tape across calls with new weights and inputs: no buffer may
     # carry anything from the last call (the bias columns, set once, must
-    # survive, and delta_m overwrites z_m), so the bytes equal a fresh
-    # tape's and the allocating path's. Each call passes a new weights
-    # list, so the tape, and a reused one-row tape, must rebind to it
+    # survive, and delta_m overwrites z_m), so the bytes equal those of the
+    # new tape a call given none makes. Each call passes a new
+    # weights list, so the tape, and a reused one-row tape, must rebind to it
     spec = NetworkSpec(widths, activation)
     rng = np.random.default_rng(11)
     n = 7
@@ -199,10 +199,7 @@ def test_a_reused_batch_tape_gives_the_bytes_of_a_fresh_one(widths, activation):
                                        tape.input_vars, tape)
         else:
             got = output_moments_batch(spec, w_means, w_vars, x, x_var, tape)
-        fresh = output_moments_batch(spec, w_means, w_vars, x, x_var,
-                                     ForwardTape.allocate(spec, (n,)))
-        for moments in (got, fresh):
-            assert [a.tobytes() for a in moments] == [a.tobytes() for a in want]
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
         assert tape.weights is w_means
         for view, w in zip(*_record_views(tape, w_means), strict=True):
             assert np.shares_memory(view, w)
@@ -218,7 +215,7 @@ def _record_views(tape, weights):
     """The weight views of a bound tape's pass records, and for each the
     layer's weights it must view: W_m.T per layer, W_m[:, :V_{m-1}] per
     hidden layer from the top down, and W_M's row."""
-    views = ([r[3] for r in tape.forward] + [r[2] for r in tape.backward]
+    views = ([r[3] for r in tape.forward] + [r[1] for r in tape.backward]
              + [tape.head[0]])
     return views, list(weights) + list(weights[-2::-1]) + [weights[-1]]
 
@@ -228,8 +225,8 @@ def _record_views(tape, weights):
 def test_output_moments_without_input_variances_give_the_same_alpha_bytes(widths,
                                                                           activation):
     # the continuous score reads only alpha: without input variances the
-    # forward pass alone runs, and alpha must keep its bytes, on an
-    # allocating tape and on one n-row tape that alternates both kinds of call
+    # forward pass alone runs, and alpha must keep its bytes, on a new
+    # tape and on one n-row tape that alternates both kinds of call
     spec = NetworkSpec(widths, activation)
     rng = np.random.default_rng(12)
     n = 7
@@ -300,8 +297,7 @@ def test_scalar_operands_give_the_bits_of_python_floats():
 def test_each_tape_takes_the_relu_derivative_of_its_row_count():
     spec = NetworkSpec((3, 4, 2, 1), "relu")
     for tape, grad in ((ForwardTape.allocate(spec), bnn._relu_grad_one_row),
-                       (ForwardTape.allocate(spec, (5,)), bnn._relu_grad),
-                       (ForwardTape.unbuffered(spec, (5,)), bnn._relu_grad)):
+                       (ForwardTape.allocate(spec, (5,)), bnn._relu_grad)):
         assert tape.grad is grad
 
 
@@ -325,18 +321,17 @@ def _backward_by_products(tape):
 def test_the_output_layer_dh_is_the_product_form_to_the_byte(widths, activation):
     # delta_M = 1, so dh_{M-1} is W_M's weight row over s_M: the deltas and
     # d alpha / dx must keep the bytes of the product form on one row and on
-    # buffered and unbuffered n-row tapes. With identity delta_{M-1} is
-    # dh_{M-1} itself, and with no hidden layer so is d alpha / dx
+    # n rows. With identity delta_{M-1} is dh_{M-1} itself, and with no
+    # hidden layer so is d alpha / dx
     spec = NetworkSpec(widths, activation)
     rng = np.random.default_rng(14)
     for _ in range(3):
         weights = [rng.standard_normal(s) for s in spec.weight_shapes]
-        for lead, make in (((), ForwardTape.allocate), ((6,), ForwardTape.allocate),
-                           ((6,), ForwardTape.unbuffered)):
+        for lead in ((), (6,)):
             x = rng.standard_normal(lead + (spec.input_dim,))
             runs = []
             for backward in (bnn._backward, _backward_by_products):
-                tape = make(spec, lead)
+                tape = ForwardTape.allocate(spec, lead)
                 forward_mean_batch(spec, weights, x, tape)
                 deltas, dx = backward(tape)
                 runs.append([d.tobytes() for d in deltas] + [dx.tobytes()])
@@ -361,7 +356,8 @@ def _beta_by_products(spec, weight_vars, tape, x_var):
 def test_the_output_layer_beta_term_is_the_product_form_to_the_byte(widths, activation):
     # delta_M = 1 on every row, so the output layer's term of beta sums
     # hb_{M-1}^2 against var_M's one row: beta must keep the bytes of the
-    # product form on buffered and unbuffered tapes, from 1 row to 2,000
+    # product form on a tape made by the call and on one given to it, from
+    # 1 row to 2,000
     spec = NetworkSpec(widths, activation)
     rng = np.random.default_rng(16)
     w_means = [rng.standard_normal(s) for s in spec.weight_shapes]

@@ -465,6 +465,21 @@ def test_version_2_files_load_to_the_posterior_training_gives_today(tmp_path, ki
     assert _v2_text(retrained) == fixture.read_text(encoding="utf-8")
 
 
+@pytest.mark.parametrize("kind", ["continuous", "binary"])
+def test_version_2_files_decode_to_their_version_3_twins(kind):
+    # each version-2 file has a version-3 twin in tests/data, written by
+    # save_checkpoint from the loaded file: the reader alone, with no
+    # training run, must decode the decimals to the twin's posterior, bit
+    # for bit, and the twin must load and save to its own bytes
+    with open(DATA / f"checkpoint-v2-{kind}.json", encoding="utf-8") as fp:
+        decoded = load_checkpoint(fp)
+    twin = DATA / f"checkpoint-v3-{kind}.json"
+    with open(twin, encoding="utf-8") as fp:
+        loaded = load_checkpoint(fp)
+    assert json.loads(twin.read_text(encoding="utf-8"))["version"] == 3
+    assert checkpoint_bytes(decoded) == checkpoint_bytes(loaded) == twin.read_bytes()
+
+
 _NO_VERSION = object()
 
 

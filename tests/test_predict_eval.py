@@ -1,7 +1,10 @@
 import copy
 import io
 import math
+import pickle
 import re
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -11,10 +14,10 @@ from hypothesis import strategies as st
 
 from streamdtf import (Hyperparams, MetricRow, MetricSeries, MlpGenerator,
                        NetworkSpec, ObservedEntry, TensorShape, UndefinedMetricError,
-                       ValueKind, auc, checkpoint_bytes, init_state,
+                       ValueKind, auc, checkpoint_bytes, init_state, load_checkpoint,
                        partition_stream, predict_batch, predict_entry,
-                       process_batch, rmse, running_eval, split_train_test,
-                       synth_generate)
+                       process_batch, rmse, running_eval, save_checkpoint,
+                       split_train_test, synth_generate)
 from streamdtf import adf_engine, bnn, predict_eval
 from streamdtf.errors import BoundsError
 from streamdtf.predict_eval import score
@@ -306,10 +309,10 @@ def _stream_setup(kind, k=2, activation="tanh", hidden=(5, 4), seed=1):
 def test_each_running_row_is_a_fresh_score_of_that_batch_state(k, activation, kind,
                                                                 monkeypatch):
     # running_eval scores every batch in one tape: each row must be the
-    # bytes the full read path (tapeless predict_batch, both passes) gives
-    # on a copy of the state taken after that batch, so nothing a buffer
-    # held from the last batch leaks in, and the continuous score's
-    # forward-only pass loses no bit of the means
+    # bytes the full read path (predict_batch, both passes) gives on a copy
+    # of the state taken after that batch, in the copy's own new tape, so
+    # nothing a buffer held from the last batch leaks in, and the
+    # continuous score's forward-only pass loses no bit of the means
     state, batches, test = _stream_setup(kind, k, activation)
     snapshots = []
     process = adf_engine.process_batch
@@ -338,22 +341,25 @@ def test_each_running_row_is_a_fresh_score_of_that_batch_state(k, activation, ki
 def test_running_eval_reaches_each_traced_layer_once_per_batch(kind, monkeypatch):
     # the benchmark times scoring by replacing these module attributes, and
     # counts the rows in predict_batch's 2nd and output_moments_batch's 4th
-    # positional argument; every batch is scored in the same tape, and a
-    # continuous score's forward-only pass goes through both functions too
+    # positional argument; every batch is scored in the state's one tape
+    # for the test set, and a continuous score's forward-only pass goes
+    # through both functions too
     state, batches, test = _stream_setup(kind)
-    calls, tapes = [], set()
+    calls, tapes = [], []
     for owner, name, rows_at in [(predict_eval, "predict_batch", 1),
                                  (bnn, "output_moments_batch", 3)]:
         def counted(*args, _name=name, _original=owner.__dict__[name], _at=rows_at,
                     **kwargs):
             calls.append((_name, len(args[_at])))
-            tapes.add(id(args[-1]))
+            if _name == "output_moments_batch":
+                tapes.append(args[-1])
             return _original(*args, **kwargs)
         monkeypatch.setattr(owner, name, counted)
     running_eval(state, batches, test)
     assert calls == [("predict_batch", len(test)),
                      ("output_moments_batch", len(test))] * len(batches)
-    assert len(tapes) == 1
+    tape = state.batch_tape(len(test))
+    assert all(t is tape for t in tapes)
 
 
 def test_continuous_scoring_never_runs_the_backward_pass(monkeypatch):
@@ -386,9 +392,10 @@ def test_means_only_is_for_continuous_data():
 
 @pytest.mark.parametrize("kind", [ValueKind.CONTINUOUS, ValueKind.BINARY])
 def test_a_warm_scoring_pass_allocates_under_16_doubles_per_row(kind):
-    # in running_eval's tape only the results are new: alpha, beta (binary
-    # data only), the prediction and the metric's own arrays (the tapeless
-    # pass allocates about 440 doubles per row on this network)
+    # in the state's batch tape only the results are new: alpha, beta
+    # (binary data only), the prediction and the metric's own arrays (a
+    # pass that allocates its tape takes about 440 doubles per row on this
+    # network)
     n = 2000
     shape = TensorShape((60, 50))
     state = init_state(shape, kind, NetworkSpec.for_factorization(16, [50, 50], "relu"),
@@ -397,27 +404,128 @@ def test_a_warm_scoring_pass_allocates_under_16_doubles_per_row(kind):
     flat = rng.choice(shape.n_cells, size=n, replace=False)
     indices = state.shape.check_indices(np.stack(np.unravel_index(flat, shape.dims), 1))
     values = state.kind.check_values(rng.integers(0, 2, n).astype(float))
-    tape = bnn.ForwardTape.allocate(state.net, (n,))
-    score(state, indices, values, tape)
+    score(state, indices, values)
     tracemalloc.start()
     try:
-        score(state, indices, values, tape)
+        score(state, indices, values)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 16 * 8 * n
 
 
-def test_a_tape_for_other_rows_is_refused():
-    # a tape's buffers fix its row count: one index on an n-row tape would
-    # otherwise broadcast into n predictions
+def test_the_batch_tape_follows_the_row_count():
+    # a tape's buffers fix its row count, and one index on an n-row tape
+    # would broadcast into n predictions: the state's tape is rebuilt for
+    # each new row count, and each prediction has the bytes of a copy of
+    # the state predicting the same rows in its first tape
     state, _, test = _stream_setup(ValueKind.CONTINUOUS)
     indices = [e.index for e in test]
-    tape = bnn.ForwardTape.allocate(state.net, (len(indices),))
-    for wrong in (indices[:1], indices[1:], indices + indices[:1]):
-        with pytest.raises(ValueError, match="cannot score"):
-            predict_batch(state, wrong, tape)
-    with pytest.raises(ValueError, match="cannot score"):
-        predict_batch(state, indices[:1], bnn.ForwardTape.allocate(state.net))
-    assert [a.tobytes() for a in predict_batch(state, indices, tape)] == \
-        [a.tobytes() for a in predict_batch(state, indices)]
+    for rows in (indices, indices[:1], indices[1:], indices + indices[:1], indices):
+        got = predict_batch(state, rows)
+        assert state.batch_tape(len(rows)).ones.shape == (len(rows), 1)
+        want = predict_batch(copy.deepcopy(state), rows)
+        assert [a.shape for a in got] == [(len(rows),)] * 2
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+
+
+def _served_state(kind=ValueKind.CONTINUOUS):
+    """A state trained on 300 entries of a (30, 60) tensor, and four
+    requests of 60 rows: mode-1 nodes 4, 17, 9 and 23, each with every
+    mode-2 node, as the serving benchmark asks."""
+    shape = TensorShape((30, 60))
+    entries, _ = synth_generate(shape, 2, kind, MlpGenerator(hidden=(4,)), 0.1, 300,
+                                seed=6)
+    state = init_state(shape, kind, NetworkSpec.for_factorization(4, [8, 6], "relu"),
+                       Hyperparams(ranks=(2, 2)), seed=6)
+    for batch in partition_stream(entries, 100, seed=6):
+        process_batch(state, batch)
+    return state, [[(u, j) for j in range(60)] for u in (4, 17, 9, 23)]
+
+
+def _response_bytes(response):
+    return [a.tobytes() for a in (response if isinstance(response, tuple) else (response,))]
+
+
+def test_threads_predicting_from_one_state_get_the_serial_bytes():
+    # any number of threads may predict from one state while none writes
+    # it: each runs in its own batch tape, so four threads answering
+    # different requests of the same row count, interleaved many times,
+    # each get exactly the bytes of their request predicted alone
+    state, requests = _served_state()
+    serial = [_response_bytes(predict_batch(state, req)) for req in requests]
+    start = threading.Barrier(len(requests), timeout=60)
+    mismatches, tapes = [None] * len(requests), [None] * len(requests)
+
+    def serve(i):
+        start.wait()
+        mismatches[i] = sum(_response_bytes(predict_batch(state, requests[i])) != serial[i]
+                            for _ in range(500))
+        tapes[i] = state.batch_tape(60)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # a thread switch every few bytecodes
+    try:
+        threads = [threading.Thread(target=serve, args=(i,)) for i in range(len(requests))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert mismatches == [0] * len(requests)
+    assert len({id(tape) for tape in tapes + [state.batch_tape(60)]}) == len(requests) + 1
+
+
+@pytest.mark.parametrize("kind", [ValueKind.CONTINUOUS, ValueKind.BINARY])
+def test_a_response_keeps_its_bytes_after_later_requests(kind):
+    # serving keeps every response: none may be a view into the tape the
+    # next request writes
+    state, requests = _served_state(kind)
+    responses = [predict_batch(state, requests[0])]
+    if kind is ValueKind.CONTINUOUS:
+        responses.append(predict_batch(state, requests[0], means_only=True))
+    kept = [_response_bytes(r) for r in responses]
+    tape = state.batch_tape(60)
+    buffers = [tape.preacts, tape.scratch, tape.products, tape.inputs, tape.input_vars]
+    for response in responses:
+        for array in (response if isinstance(response, tuple) else (response,)):
+            assert not any(np.shares_memory(array, buf) for buf in buffers)
+    for req in (requests[1], requests[1][:7], requests[0][::-1]):
+        predict_batch(state, req)
+    assert [_response_bytes(r) for r in responses] == kept
+
+
+def test_sixty_rows_then_one_then_sixty_give_the_same_bytes():
+    # one slot per thread: a 1-row prediction replaces the 60-row tape,
+    # and the next 60 rows build a new one, with the same bytes each time
+    state, requests = _served_state()
+    entry = requests[1][5]
+    runs = []
+    for _ in range(3):
+        runs.append(_response_bytes(predict_batch(state, requests[0])))
+        runs.append(np.float64(predict_entry(state, entry)).tobytes())
+    assert runs[0::2] == [runs[0]] * 3 and runs[1::2] == [runs[1]] * 3
+    assert runs[1] == np.float64(predict_entry(copy.deepcopy(state), entry)).tobytes()
+
+
+def _checkpoint_copy(state):
+    buf = io.StringIO()
+    save_checkpoint(state, buf)
+    buf.seek(0)
+    return load_checkpoint(buf)
+
+
+@pytest.mark.parametrize("make", [copy.deepcopy, lambda s: pickle.loads(pickle.dumps(s)),
+                                  _checkpoint_copy],
+                         ids=["deepcopy", "pickle", "load_checkpoint"])
+def test_a_copy_has_no_batch_tape_until_it_predicts_the_same_bytes(make):
+    state, requests = _served_state()
+    want = _response_bytes(predict_batch(state, requests[0]))
+    clone = make(state)
+    assert not hasattr(clone.batch_tapes, "tape")
+    assert _response_bytes(predict_batch(clone, requests[0])) == want
+    mine, theirs = clone.batch_tape(60), state.batch_tape(60)
+    assert mine is not theirs and not np.shares_memory(mine.scratch, theirs.scratch)
+    assert mine.weights is clone.weight_means()
