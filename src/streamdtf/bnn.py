@@ -32,7 +32,7 @@ Binding: what the passes read that does not change between passes is
 built once, not per pass. A tape fixes, when it is built, the hidden
 activation, its gradient form for the tape's row count, the view of each
 hb_{m-1} without its bias column and, on n rows, every row view the
-output moments and the gather write into. `ForwardTape.bind` builds the
+output moments write into. `ForwardTape.bind` builds the
 weight views W_m.T and W_m[:, :V_{m-1}] over the weights sequence the
 forward pass is given, and from them, the tape's buffers and the spec's
 fan-in scales (`NetworkSpec.scale_operands`) the pass records: per layer,
@@ -115,6 +115,7 @@ The 'identity' activation exists so tests can build exactly linear networks;
 user-facing configuration restricts activations to relu/tanh.
 """
 
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -253,7 +254,7 @@ class NetworkSpec:
         return tuple(map(_operand, self.fan_in_scales))
 
 
-@dataclass
+@dataclass(eq=False)
 class ForwardTape:
     """The buffers one forward pass and one backward pass write, for n rows
     (leading shape (n,)) or one row (no leading shape). A tape holds the
@@ -261,10 +262,10 @@ class ForwardTape:
 
     The backward pass writes delta_m over z_m (m < M), and the hidden
     activations, the backward products, the squares the output moments sum
-    and the gathered rows of each input block all take turns in one flat
-    `scratch`. On one row, `outer` holds each hidden layer's block of g
-    next to the (V_m, 1) and (1, V_{m-1} + 1) views of delta_m and hb_{m-1}
-    whose dot fills it;
+    and the gathered rows of each input block (`ModelState.batch_tape`)
+    all take turns in one flat `scratch`. On one row, `outer` holds each
+    hidden layer's block of g next to the (V_m, 1) and (1, V_{m-1} + 1)
+    views of delta_m and hb_{m-1} whose dot fills it;
     the output layer's block is hb_{M-1}'s buffer. The forward pass writes
     h_m into dh[m], which the backward pass then overwrites with
     d alpha / d h_m, except on n rows for m = M - 1: that gradient is one
@@ -285,14 +286,12 @@ class ForwardTape:
     - `backward`, one per hidden layer m = M-1..1: (z_m, which delta_m
       overwrites, W_m[:, :V_{m-1}], the buffer of dh_{m-1}, the fan-in
       scale).
-    `moments` and `gather` are built with the buffers, on n rows only:
-    - `moments`, what `output_moments_batch` reads besides the variances:
-      (hb_{M-1}, the view its square goes into, one record per hidden layer
-      m = M-1..1 of (m - 1, delta_m, the view its square goes into, the
-      view the product (delta_m^2) var_m goes into, hb_{m-1}, the view its
-      square goes into), d alpha / dx, the view its square goes into);
-    - `gather`, per block of the input rows (`allocate`'s `ranks`), the
-      C-contiguous view of scratch its rows are gathered into."""
+    `moments` is built with the buffers, on n rows only: what
+    `output_moments_batch` reads besides the variances, (hb_{M-1}, the view
+    its square goes into, one record per hidden layer m = M-1..1 of
+    (m - 1, delta_m, the view its square goes into, the view the product
+    (delta_m^2) var_m goes into, hb_{m-1}, the view its square goes into),
+    d alpha / dx, the view its square goes into)."""
 
     spec: NetworkSpec
     act: Callable  # act(z, out)
@@ -313,7 +312,6 @@ class ForwardTape:
     input_vars: np.ndarray | None  # n rows: (n, V_0) input variances
     products: np.ndarray | None  # n rows: flat, each layer's (delta^2) var
     moments: tuple  # n rows: the output moments' views, as above
-    gather: tuple[np.ndarray, ...]  # n rows: each input block's rows in scratch
     # set by bind: the weights the records' views alias, and the records
     weights: Sequence[np.ndarray] | None = None
     forward: tuple[tuple, ...] = ()
@@ -321,8 +319,7 @@ class ForwardTape:
     backward: tuple[tuple, ...] = ()
 
     @classmethod
-    def allocate(cls, spec: NetworkSpec, lead: tuple[int, ...] = (),
-                 ranks: Sequence[int] = ()) -> "ForwardTape":
+    def allocate(cls, spec: NetworkSpec, lead: tuple[int, ...] = ()) -> "ForwardTape":
         """A tape with every buffer, for inputs of leading shape `lead`: the
         hb arrays with their bias column set to 1/sqrt(V+1), the
         pre-activations as one block (one finite check covers them),
@@ -330,9 +327,7 @@ class ForwardTape:
         layer blocks and the outer-product factors, hb_{M-1} being g's
         output-layer block and dh[0] its input block; n rows add the input
         buffers `predict_eval` gathers into, dh[0] being `inputs`, the flat
-        `products` and the `moments` views the output moments write, and
-        one `gather` view per width in `ranks`, the input's blocks from
-        the left (the embedding ranks of the tensor's modes)."""
+        `products` and the `moments` views the output moments write."""
         rows = math.prod(lead)
         widths, outs = spec.widths, spec.widths[1:]
         # one row: g, whose output-layer block delta_M hb_{M-1} is hb_{M-1}
@@ -344,33 +339,31 @@ class ForwardTape:
         for buf, scale in zip(hb, spec.fan_in_scales):
             buf[..., -1] = 1.0 / scale
         preacts = np.empty(rows * sum(outs))
-        bounds = rows * np.cumsum((0,) + outs)
+        bounds = [rows * b for b in itertools.accumulate(outs, initial=0)]
         preact = [preacts[lo:hi].reshape(lead + (v,))
                   for lo, hi, v in zip(bounds[:-1], bounds[1:], outs)]
         ones = np.ones(lead + (1,))
         deltas = preact[:-1] + [ones]
         scratch = np.empty(rows * (max(widths[:-1]) + 1))
-
-        def rows_of(flat, width, start=0):
-            # a C-contiguous view of `width` columns, `start` columns' worth in
-            return flat[rows * start:rows * (start + width)].reshape(lead + (width,))
-
-        hidden = [rows_of(scratch, v) for v in widths[1:-1]]
-        act, grad = ACTIVATIONS[spec.activation]
-        outer, inputs, input_vars, products, moments, gather = [], None, None, None, (), ()
+        # all that takes turns in scratch starts at its front: one
+        # C-contiguous view per width, for the hidden h_m and, on n rows,
+        # for every square the output moments write
+        room = set(widths[1:-1])
         if lead:
-            inputs, input_vars = (np.empty(lead + (spec.input_dim,)) for _ in range(2))
+            room.update(widths[:-1], [v + 1 for v in widths[:-1]])
+        front = {v: scratch[:rows * v].reshape(lead + (v,)) for v in room}
+        act, grad = ACTIVATIONS[spec.activation]
+        outer, inputs, input_vars, products, moments = [], None, None, None, ()
+        if lead:
+            inputs, input_vars = np.empty((2,) + lead + (spec.input_dim,))
             products = np.empty(scratch.shape)
             dx = inputs
             layers = tuple(
-                (m - 1, deltas[m - 1], rows_of(scratch, widths[m]),
-                 rows_of(products, widths[m - 1] + 1), hb[m - 1],
-                 rows_of(scratch, widths[m - 1] + 1))
+                (m - 1, deltas[m - 1], front[widths[m]],
+                 products[:rows * (widths[m - 1] + 1)].reshape(lead + (widths[m - 1] + 1,)),
+                 hb[m - 1], front[widths[m - 1] + 1])
                 for m in range(spec.layer_count - 1, 0, -1))
-            moments = (hb[-1], rows_of(scratch, widths[-2] + 1), layers,
-                       dx, rows_of(scratch, spec.input_dim))
-            starts = np.cumsum((0,) + tuple(ranks))
-            gather = tuple(rows_of(scratch, r, start) for r, start in zip(ranks, starts))
+            moments = (hb[-1], front[widths[-2] + 1], layers, dx, front[spec.input_dim])
         else:
             outer = [(g[sl].reshape(shape), d.reshape(-1, 1), b.reshape(1, -1))
                      for sl, shape, d, b
@@ -379,10 +372,10 @@ class ForwardTape:
             grad = _ONE_ROW_GRADS.get(spec.activation, grad)
         return cls(spec=spec, act=act, grad=grad, hb=hb,
                    hb_body=[buf[..., :-1] for buf in hb], preacts=preacts,
-                   preact=preact, deltas=deltas, ones=ones, dh=[dx] + hidden,
-                   scratch=scratch, g=g, outer=outer, inputs=inputs,
-                   input_vars=input_vars, products=products, moments=moments,
-                   gather=gather)
+                   preact=preact, deltas=deltas, ones=ones,
+                   dh=[dx] + [front[v] for v in widths[1:-1]], scratch=scratch, g=g,
+                   outer=outer, inputs=inputs, input_vars=input_vars,
+                   products=products, moments=moments)
 
     def bind(self, weights: Sequence[np.ndarray]) -> None:
         """Build the pass records over `weights`, one array per layer, and

@@ -40,13 +40,13 @@ from .tensor_core import ObservedEntry, ValueKind
 
 
 def _gather(tables: Sequence[np.ndarray], idx: np.ndarray, out: np.ndarray,
-            tape: bnn.ForwardTape) -> np.ndarray:
+            parts: Sequence[np.ndarray]) -> np.ndarray:
     """Rows idx[:, k] of tables[k], modes side by side (n, sum_k r_k), into
     `out`. take writes straight only into a C-contiguous array, so each
-    mode's rows land in its view of the tape's scratch (`tape.gather`)
-    first. The indices are checked, so mode="clip" never clips."""
-    parts = [table.take(idx[:, k], 0, rows, "clip")
-             for k, (table, rows) in enumerate(zip(tables, tape.gather))]
+    mode's rows land in its part (`ModelState.batch_tape`) first. The
+    indices are checked, so mode="clip" never clips."""
+    for k, (table, rows) in enumerate(zip(tables, parts)):
+        table.take(idx[:, k], 0, rows, "clip")
     return np.concatenate(parts, axis=1, out=out)
 
 
@@ -61,11 +61,11 @@ def predict_batch(state: ModelState, indices: Sequence[tuple[int, ...]], *,
     if means_only and state.kind is not ValueKind.CONTINUOUS:
         raise ValueError("means_only needs continuous data: a probability needs beta")
     idx = state.shape.check_indices(indices)
-    tape = state.batch_tape(idx.shape[0])
-    x_mean = _gather([emb.mean for emb in state.embeddings], idx, tape.inputs, tape)
+    tape, parts = state.batch_tape(idx.shape[0])
+    x_mean = _gather([emb.mean for emb in state.embeddings], idx, tape.inputs, parts)
     x_var = None
     if not means_only:
-        x_var = _gather([emb.var for emb in state.embeddings], idx, tape.input_vars, tape)
+        x_var = _gather([emb.var for emb in state.embeddings], idx, tape.input_vars, parts)
     alpha, beta = bnn.output_moments_batch(
         state.net, state.weight_means(), state.weight_vars(), x_mean, x_var, tape)
     if means_only:
@@ -169,7 +169,8 @@ def running_eval(state: ModelState, stream: Iterable[Sequence[ObservedEntry]],
     batch is, and disjoint (by index tuple) from the stream. The state is
     mutated in place; per-batch wallclock covers the posterior update only,
     not the evaluation. `metric_name` is None when the stream is empty.
-    Every batch is scored in the state's batch tape for the test set.
+    Every batch is scored in the state's batch tape for the test set, which
+    the state drops on return.
     """
     if len(test_entries) == 0:
         raise ValueError("test set must be nonempty")
@@ -190,4 +191,5 @@ def running_eval(state: ModelState, stream: Iterable[Sequence[ObservedEntry]],
         series.metric_name, value = score(state, test_indices, test_values)
         series.rows.append(MetricRow(batch=ordinal, seen=state.entries_seen,
                                      metric=value, ms=elapsed_ms))
+    vars(state.batch_tapes).pop("last", None)  # the test set's tape goes with the scores
     return series

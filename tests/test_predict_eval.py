@@ -342,8 +342,9 @@ def test_running_eval_reaches_each_traced_layer_once_per_batch(kind, monkeypatch
     # the benchmark times scoring by replacing these module attributes, and
     # counts the rows in predict_batch's 2nd and output_moments_batch's 4th
     # positional argument; every batch is scored in the state's one tape
-    # for the test set, and a continuous score's forward-only pass goes
-    # through both functions too
+    # for the test set, which the state drops when the evaluation returns,
+    # and a continuous score's forward-only pass goes through both
+    # functions too
     state, batches, test = _stream_setup(kind)
     calls, tapes = [], []
     for owner, name, rows_at in [(predict_eval, "predict_batch", 1),
@@ -358,8 +359,8 @@ def test_running_eval_reaches_each_traced_layer_once_per_batch(kind, monkeypatch
     running_eval(state, batches, test)
     assert calls == [("predict_batch", len(test)),
                      ("output_moments_batch", len(test))] * len(batches)
-    tape = state.batch_tape(len(test))
-    assert all(t is tape for t in tapes)
+    assert len(tapes) == len(batches) and all(t is tapes[0] for t in tapes)
+    assert not hasattr(state.batch_tapes, "last")
 
 
 def test_continuous_scoring_never_runs_the_backward_pass(monkeypatch):
@@ -423,7 +424,7 @@ def test_the_batch_tape_follows_the_row_count():
     indices = [e.index for e in test]
     for rows in (indices, indices[:1], indices[1:], indices + indices[:1], indices):
         got = predict_batch(state, rows)
-        assert state.batch_tape(len(rows)).ones.shape == (len(rows), 1)
+        assert state.batch_tape(len(rows))[0].ones.shape == (len(rows), 1)
         want = predict_batch(copy.deepcopy(state), rows)
         assert [a.shape for a in got] == [(len(rows),)] * 2
         assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
@@ -461,7 +462,7 @@ def test_threads_predicting_from_one_state_get_the_serial_bytes():
         start.wait()
         mismatches[i] = sum(_response_bytes(predict_batch(state, requests[i])) != serial[i]
                             for _ in range(500))
-        tapes[i] = state.batch_tape(60)
+        tapes[i] = state.batch_tape(60)[0]
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # a thread switch every few bytecodes
@@ -475,7 +476,7 @@ def test_threads_predicting_from_one_state_get_the_serial_bytes():
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert mismatches == [0] * len(requests)
-    assert len({id(tape) for tape in tapes + [state.batch_tape(60)]}) == len(requests) + 1
+    assert len({id(tape) for tape in tapes + [state.batch_tape(60)[0]]}) == len(requests) + 1
 
 
 @pytest.mark.parametrize("kind", [ValueKind.CONTINUOUS, ValueKind.BINARY])
@@ -487,7 +488,7 @@ def test_a_response_keeps_its_bytes_after_later_requests(kind):
     if kind is ValueKind.CONTINUOUS:
         responses.append(predict_batch(state, requests[0], means_only=True))
     kept = [_response_bytes(r) for r in responses]
-    tape = state.batch_tape(60)
+    tape, _ = state.batch_tape(60)
     buffers = [tape.preacts, tape.scratch, tape.products, tape.inputs, tape.input_vars]
     for response in responses:
         for array in (response if isinstance(response, tuple) else (response,)):
@@ -524,8 +525,8 @@ def test_a_copy_has_no_batch_tape_until_it_predicts_the_same_bytes(make):
     state, requests = _served_state()
     want = _response_bytes(predict_batch(state, requests[0]))
     clone = make(state)
-    assert not hasattr(clone.batch_tapes, "tape")
+    assert not hasattr(clone.batch_tapes, "last")
     assert _response_bytes(predict_batch(clone, requests[0])) == want
-    mine, theirs = clone.batch_tape(60), state.batch_tape(60)
+    (mine, _), (theirs, _) = clone.batch_tape(60), state.batch_tape(60)
     assert mine is not theirs and not np.shares_memory(mine.scratch, theirs.scratch)
     assert mine.weights is clone.weight_means()
