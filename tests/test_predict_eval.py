@@ -418,13 +418,19 @@ def test_a_warm_scoring_pass_allocates_under_16_doubles_per_row(kind):
 def test_the_batch_tape_follows_the_row_count():
     # a tape's buffers fix its row count, and one index on an n-row tape
     # would broadcast into n predictions: the state's tape is rebuilt for
-    # each new row count, and each prediction has the bytes of a copy of
-    # the state predicting the same rows in its first tape
+    # each new row count, with each mode's gather view its own C-contiguous
+    # block of the tape's scratch, and each prediction has the bytes of a
+    # copy of the state predicting the same rows in its first tape
     state, _, test = _stream_setup(ValueKind.CONTINUOUS)
     indices = [e.index for e in test]
     for rows in (indices, indices[:1], indices[1:], indices + indices[:1], indices):
         got = predict_batch(state, rows)
-        assert state.batch_tape(len(rows))[0].ones.shape == (len(rows), 1)
+        tape, gather = state.batch_tape(len(rows))
+        assert tape.ones.shape == (len(rows), 1)
+        assert [(g.shape, g.flags.c_contiguous) for g in gather] == [
+            ((len(rows), r), True) for r in state.hyper.ranks]
+        assert all(np.shares_memory(g, tape.scratch) for g in gather)
+        assert not np.shares_memory(*gather)
         want = predict_batch(copy.deepcopy(state), rows)
         assert [a.shape for a in got] == [(len(rows),)] * 2
         assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
