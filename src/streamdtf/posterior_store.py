@@ -20,23 +20,25 @@ attribute (`lay.mean = x`) detaches it from the store and the engine will
 not see the write. Copies (copy.deepcopy, pickle) rebuild the views over
 the copy's own vectors.
 
-Per-entry scratch: next to the layer views, _bind_layers builds what the
-per-entry update reuses from one entry to the next, so an entry runs only
-its numpy calls: the list of the layers' mean views that weight_means()
-returns on every call; a one-row bnn.ForwardTape bound to that list once
-(layer inputs with their bias slot set once, one contiguous pre-activation
-block, the backward vectors, g with per-layer views, and per layer the
-weight views and pass records the two passes read); the tuple
-adf_update_entry unpacks in place of a dozen attribute loads
-(entry_scratch: the network spec, that list, the tape, mu and var, two
-work vectors as long as mu, and two 0-d arrays for the step's scalars
-dalpha and c, then whether the data are binary); the input slot's
-(mean, var) views that gather_entry returns; and per mode a
-(table mean, table var, slot mean, slot var) tuple that gather_entry and
-scatter_entry copy between. Like the layer views, these alias the store
-and the embedding tables, so writes through `[...] =` reach them and
-rebinding an attribute (`lay.mean`, `emb.mean`, `state.embeddings`,
-`state.mu`) detaches it. Next to them, an empty slot per thread for the
+Per-entry scratch: the per-entry update reuses buffers and views from one
+entry to the next, so an entry runs only its numpy calls. They are built on
+the state's first update (the first read of any of `tape`, `entry_scratch`,
+`slot` or `slot_modes`), never at load or copy, so a state that only
+predicts never holds them: a one-row bnn.ForwardTape bound to the list of
+the layers' mean views that weight_means() returns on every call (layer
+inputs with their bias slot set once, one contiguous pre-activation block,
+the backward vectors, g with per-layer views, and per layer the weight
+views and pass records the two passes read); the tuple adf_update_entry
+unpacks in place of a dozen attribute loads (entry_scratch: the network
+spec, that list, the tape, mu and var, two work vectors as long as mu, and
+two 0-d arrays for the step's scalars dalpha and c, then whether the data
+are binary); the input slot's (mean, var) views that gather_entry returns;
+and per mode a (table mean, table var, slot mean, slot var) tuple that
+gather_entry and scatter_entry copy between. Once built, each is a plain
+attribute of the state. Like the layer views, these alias the store and
+the embedding tables, so writes through `[...] =` reach them and rebinding
+an attribute (`lay.mean`, `emb.mean`, `state.embeddings`, `state.mu`)
+detaches it. Next to the layer views, an empty slot per thread for the
 n-row tape batch prediction runs in (batch_tapes, a threading.local):
 batch_tape(n) builds a thread's tape, bound to the same list, with per
 mode the view of its scratch that the mode's embedding rows are gathered
@@ -46,9 +48,9 @@ from the same thread with the same row count as that thread's last one.
 The state keeps each thread's last tape for as long as it lives (about
 2.6 kB per row on the README network), except the test set's tape of
 running_eval, which is dropped when the evaluation returns. The scratch
-belongs to the state: it is rebuilt, not copied, by deepcopy, pickle and
-load_checkpoint, and is never checkpointed; a rebuilt state has no batch
-tape until it predicts.
+and the tapes belong to the state: deepcopy, pickle and load_checkpoint
+never copy or checkpoint them, and a copy or a loaded state has neither
+until it updates or predicts.
 
 A ModelState is single-writer: the per-entry update and gather_entry write
 its scratch. Any number of threads may predict from one state while no
@@ -82,7 +84,7 @@ import operator
 import struct
 import threading
 from dataclasses import dataclass, field
-from typing import Sequence, TextIO
+from typing import BinaryIO, Sequence, TextIO
 
 import numpy as np
 
@@ -102,8 +104,9 @@ DEFAULT_V_FLOOR = 1e-10
 WEIGHT_FIELDS = ("mean", "var", "rho_post", "term_mean", "term_var", "term_logit")
 
 # ModelState attributes _bind_layers builds over the flat vectors
-_BOUND = ("weights", "means", "tape", "entry_scratch", "slot", "slot_modes",
-          "batch_tapes")
+_BOUND = ("weights", "means", "batch_tapes")
+# ModelState's per-entry scratch, built on its first read (_EntryScratch)
+_SCRATCH = ("tape", "entry_scratch", "slot", "slot_modes")
 
 
 @dataclass(frozen=True)
@@ -168,13 +171,30 @@ class WeightLayer:
     term_logit: np.ndarray
 
 
+class _EntryScratch:
+    """A per-entry scratch name of ModelState (_SCRATCH). Its first read
+    builds every scratch name into the state's __dict__
+    (ModelState._build_entry_scratch), where it shadows this non-data
+    descriptor: every later read is a plain attribute read."""
+
+    def __set_name__(self, owner, name: str) -> None:
+        self.name = name
+
+    def __get__(self, state, owner=None):
+        if state is None:
+            return self
+        state._build_entry_scratch()
+        return vars(state)[self.name]
+
+
 @dataclass
 class ModelState:
     """The whole posterior. mu and var have length n_weights + V_0 (input slot
     last); rho_post and the three term fields have length n_weights. The
-    per-entry scratch (means, tape, entry_scratch, slot, slot_modes) and the
-    per-thread batch tapes (batch_tapes) are the state's own, rebuilt with
-    the layer views and never part of a copy or a checkpoint."""
+    layer views, their means list and the per-thread batch tapes
+    (batch_tapes) are rebuilt with every copy; the per-entry scratch (tape,
+    entry_scratch, slot, slot_modes) is built on the first update. Neither
+    is ever part of a copy or a checkpoint."""
 
     shape: TensorShape
     kind: ValueKind
@@ -191,13 +211,12 @@ class ModelState:
     term_logit: np.ndarray
     weights: list[WeightLayer] = field(init=False, repr=False, compare=False)
     means: list[np.ndarray] = field(init=False, repr=False, compare=False)
-    # per-entry scratch, built by _bind_layers: never checkpointed or copied
-    tape: ForwardTape = field(init=False, repr=False, compare=False)
-    entry_scratch: tuple = field(init=False, repr=False, compare=False)
-    slot: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
-    slot_modes: list[tuple[np.ndarray, ...]] = field(init=False, repr=False,
-                                                     compare=False)
     batch_tapes: threading.local = field(init=False, repr=False, compare=False)
+    # per-entry scratch, never checkpointed or copied (see the module docstring)
+    tape = _EntryScratch()
+    entry_scratch = _EntryScratch()
+    slot = _EntryScratch()
+    slot_modes = _EntryScratch()
 
     def __post_init__(self):
         self._bind_layers()
@@ -210,38 +229,41 @@ class ModelState:
 
     def _bind_layers(self) -> None:
         """Bind the layer views over the flat vectors and the list of their
-        means, and build the per-entry scratch next to them: a one-row
-        ForwardTape bound to that list, `entry_scratch` (see the module
-        docstring), the input slot's (mean, var) views, per mode its
-        embedding tables next to its (mean, var) views into the slot, and
-        the empty per-thread slot of `batch_tape`."""
+        means, and give the state the empty per-thread slot of
+        `batch_tape`: what prediction reads."""
         flats = self.weight_fields()
         self.weights = [
             WeightLayer(*(flat[sl].reshape(w_shape) for flat in flats))
             for sl, w_shape in zip(self.net.weight_slices, self.net.weight_shapes)
         ]
         self.means = [lay.mean for lay in self.weights]
-        self.tape = ForwardTape.allocate(self.net)
-        self.tape.bind(self.means)
-        u, mu_new = np.empty((2, self.mu.shape[0]))
-        self.entry_scratch = (self.net, self.means, self.tape, self.mu, self.var, u, mu_new,
-                              np.zeros(()), np.zeros(()), self.kind is ValueKind.BINARY)
-        offset = self.net.n_weights
-        self.slot = (self.mu[offset:], self.var[offset:])
-        self.slot_modes = []
-        for r, emb in zip(self.hyper.ranks, self.embeddings):
-            self.slot_modes.append((emb.mean, emb.var, self.mu[offset:offset + r],
-                                    self.var[offset:offset + r]))
-            offset += r
         self.batch_tapes = threading.local()
 
-    # copies carry the flat vectors only and rebuild the views and the
-    # scratch over their own
+    def _build_entry_scratch(self) -> None:
+        """Build the per-entry scratch: a one-row ForwardTape bound to
+        weight_means(), `entry_scratch` (see the module docstring), the
+        input slot's (mean, var) views, and per mode its embedding tables
+        next to its (mean, var) views into the slot."""
+        tape = ForwardTape.allocate(self.net)
+        tape.bind(self.means)
+        u, w = np.empty((2, self.mu.shape[0]))
+        offset = self.net.n_weights
+        slot = (self.mu[offset:], self.var[offset:])
+        slot_modes = []
+        for r, emb in zip(self.hyper.ranks, self.embeddings):
+            slot_modes.append((emb.mean, emb.var, self.mu[offset:offset + r],
+                               self.var[offset:offset + r]))
+            offset += r
+        vars(self).update(
+            tape=tape, slot=slot, slot_modes=slot_modes,
+            entry_scratch=(self.net, self.means, tape, self.mu, self.var, u, w, np.zeros(()),
+                           np.zeros(()), self.kind is ValueKind.BINARY))
+
+    # copies carry the flat vectors only and rebuild the views over their
+    # own; the scratch a state holds is left behind
     def __getstate__(self) -> dict:
-        fields = dict(self.__dict__)
-        for name in _BOUND:
-            del fields[name]
-        return fields
+        return {name: value for name, value in vars(self).items()
+                if name not in _BOUND and name not in _SCRATCH}
 
     def __setstate__(self, fields: dict) -> None:
         self.__dict__.update(fields)
@@ -477,40 +499,49 @@ def _holds_bool_literal(text: str) -> bool:
     return False
 
 
-def _decimal_table(rows, shape: tuple[int, int]) -> np.ndarray:
-    """A version-1 or -2 table of the given shape: equal-length rows of
-    JSON numbers, as a float array. A string or a null cell raises
-    TypeError, where a cast with dtype=float reads "0.25" as 0.25. struct
-    packs the cells as doubles, which refuses every non-number but a bool,
-    and the loader has refused a document holding a bool before any table
-    is read. A hex string, read as rows of one character, fails the shape
-    check."""
+def _decimal_table(rows, out: np.ndarray) -> np.ndarray:
+    """A version-1 or -2 table written into `out`, whose shape is the
+    table's: equal-length rows of JSON numbers. A string or a null cell
+    raises TypeError, where a cast with dtype=float reads "0.25" as 0.25.
+    struct packs the cells as doubles, which refuses every non-number but
+    a bool, and the loader has refused a document holding a bool before any
+    table is read. A hex string, read as rows of one character, fails the
+    shape check."""
     n = len(rows)
     k = len(rows[0]) if n else 0
     if set(map(len, rows)) - {k}:
         raise ValueError("a table's rows must have equal lengths")
-    if (n, k) != shape:
-        raise ValueError(f"a table of shape {(n, k)} where {shape} is due")
-    table = np.empty(shape)
+    if (n, k) != out.shape:
+        raise ValueError(f"a table of shape {(n, k)} where {out.shape} is due")
     try:
-        struct.pack_into(f"{n * k}d", table, 0, *itertools.chain.from_iterable(rows))
+        struct.pack_into(f"{n * k}d", out, 0, *itertools.chain.from_iterable(rows))
     except struct.error:
         raise TypeError("a table's cells must be JSON numbers") from None
-    return table
+    return out
 
 
-def _hex_table(text, shape: tuple[int, int]) -> np.ndarray:
-    """A version-3 table of the given shape: a string of exactly 16 hex
-    digits per cell, decoded as little-endian float64 into a new writable
-    array. binascii.unhexlify refuses anything but a string or bytes, an
-    odd length and any non-hex character, whitespace included (which
+def _hex_table(text, out: np.ndarray) -> np.ndarray:
+    """A version-3 table written into `out`, whose shape is the table's: a
+    string of exactly 16 hex digits per cell, decoded as little-endian
+    float64 with one copy, from the decoded bytes into `out`.
+    binascii.unhexlify refuses anything but a string or bytes, an odd
+    length and any non-hex character, whitespace included (which
     bytes.fromhex would skip), at half bytes.fromhex's time; frombuffer
     refuses a part of a cell, and the reshape any other cell count."""
-    return np.frombuffer(binascii.unhexlify(text), "<f8").astype(np.float64).reshape(shape)
+    out[...] = np.frombuffer(binascii.unhexlify(text), "<f8").reshape(out.shape)
+    return out
 
 
-def load_checkpoint(fp: TextIO) -> ModelState:
+def load_checkpoint(fp: TextIO | BinaryIO) -> ModelState:
+    """The state a checkpoint file holds, read from a file opened in text
+    mode or in binary mode, whose bytes are read as UTF-8. Raises
+    CheckpointError on a document that is not a valid checkpoint."""
     text = fp.read()
+    if isinstance(text, bytes):
+        try:
+            text = text.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise CheckpointError(f"a checkpoint is UTF-8 text: {exc}") from None
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -546,14 +577,18 @@ def load_checkpoint(fp: TextIO) -> ModelState:
         if len(doc["weights"]) != len(net.weight_shapes):
             raise CheckpointError("weight tables do not match the network")
         embeddings = [
-            ModeEmbeddings(mean=table(e["mean"], (d, r)), var=table(e["var"], (d, r)))
+            ModeEmbeddings(mean=table(e["mean"], np.empty((d, r))),
+                           var=table(e["var"], np.empty((d, r))))
             for e, d, r in zip(doc["embeddings"], shape.dims, hyper.ranks)
         ]
-        flat = {
-            name: np.concatenate([table(w[name], w_shape).ravel()
-                                  for w, w_shape in zip(doc["weights"], net.weight_shapes)])
-            for name in WEIGHT_FIELDS
-        }
+        # each weight table is decoded into its slice of one flat vector
+        # per field; mean and var carry the zeroed input slot
+        n = net.n_weights
+        flat = {name: np.zeros(n + net.input_dim) if name in ("mean", "var") else np.empty(n)
+                for name in WEIGHT_FIELDS}
+        for name in WEIGHT_FIELDS:
+            for w, sl, w_shape in zip(doc["weights"], net.weight_slices, net.weight_shapes):
+                table(w[name], flat[name][sl].reshape(w_shape))
         # built with the invariant checks below: a bad (a, b) is an
         # impossible posterior, not a schema violation
         gamma_ab = None if doc["gamma"] is None else (
@@ -561,9 +596,7 @@ def load_checkpoint(fp: TextIO) -> ModelState:
         entries_seen = _count(doc["entries_seen"])
         state = ModelState(
             shape=shape, kind=kind, net=net, hyper=hyper, embeddings=embeddings,
-            gamma=None, entries_seen=entries_seen,
-            mu=_with_input_slot(flat["mean"], net.input_dim),
-            var=_with_input_slot(flat["var"], net.input_dim),
+            gamma=None, entries_seen=entries_seen, mu=flat["mean"], var=flat["var"],
             rho_post=flat["rho_post"], term_mean=flat["term_mean"],
             term_var=flat["term_var"], term_logit=flat["term_logit"],
         )

@@ -70,36 +70,41 @@ def unfactored_step(mu, gamma, g, evidence):
     return beta, mu + gamma * dmu, gamma - gamma * gamma * (dmu * dmu - 2.0 * dv)
 
 
+def reference_entry(state, entry, v_floor=DEFAULT_V_FLOOR, step=factored_step):
+    """One entry's update, without the EP sweep."""
+    rows = list(zip(state.embeddings, entry.index))
+    x_mean = np.concatenate([emb.mean[i] for emb, i in rows])
+    x_var = np.concatenate([emb.var[i] for emb, i in rows])
+    w_means = [lay.mean for lay in state.weights]
+    alpha, g = _alpha_and_gradient(state.net, w_means, x_mean)
+    gamma_vec = pack([lay.var for lay in state.weights], x_var)
+    if state.kind is ValueKind.BINARY:
+        evidence = lambda beta: evidence_binary(alpha, beta, entry.value)  # noqa: E731
+    else:
+        evidence = lambda beta: evidence_continuous(  # noqa: E731
+            alpha, beta, entry.value, state.gamma)
+    beta, mu_new, v_new = step(pack(w_means, x_mean), gamma_vec, g, evidence)
+    v_new = np.where(~np.isfinite(v_new) | (v_new < v_floor), v_floor, v_new)
+    new_w_means, new_x_mean = unpack(mu_new, state.net)
+    new_w_vars, new_x_var = unpack(v_new, state.net)
+    for lay, m, v in zip(state.weights, new_w_means, new_w_vars):
+        lay.mean[...] = m
+        lay.var[...] = v
+    offset = 0
+    for emb, i in rows:
+        r = emb.mean.shape[1]
+        emb.mean[i] = new_x_mean[offset:offset + r]
+        emb.var[i] = new_x_var[offset:offset + r]
+        offset += r
+    if state.kind is ValueKind.CONTINUOUS:
+        state.gamma = update_tau(state.gamma, entry.value, alpha, beta)
+    state.entries_seen += 1
+
+
 def reference_batch(state, entries, damping=0.5, v_floor=DEFAULT_V_FLOOR,
                     step=factored_step):
     for entry in entries:
-        rows = list(zip(state.embeddings, entry.index))
-        x_mean = np.concatenate([emb.mean[i] for emb, i in rows])
-        x_var = np.concatenate([emb.var[i] for emb, i in rows])
-        w_means = [lay.mean for lay in state.weights]
-        alpha, g = _alpha_and_gradient(state.net, w_means, x_mean)
-        gamma_vec = pack([lay.var for lay in state.weights], x_var)
-        if state.kind is ValueKind.BINARY:
-            evidence = lambda beta: evidence_binary(alpha, beta, entry.value)  # noqa: E731
-        else:
-            evidence = lambda beta: evidence_continuous(  # noqa: E731
-                alpha, beta, entry.value, state.gamma)
-        beta, mu_new, v_new = step(pack(w_means, x_mean), gamma_vec, g, evidence)
-        v_new = np.where(~np.isfinite(v_new) | (v_new < v_floor), v_floor, v_new)
-        new_w_means, new_x_mean = unpack(mu_new, state.net)
-        new_w_vars, new_x_var = unpack(v_new, state.net)
-        for lay, m, v in zip(state.weights, new_w_means, new_w_vars):
-            lay.mean[...] = m
-            lay.var[...] = v
-        offset = 0
-        for emb, i in rows:
-            r = emb.mean.shape[1]
-            emb.mean[i] = new_x_mean[offset:offset + r]
-            emb.var[i] = new_x_var[offset:offset + r]
-            offset += r
-        if state.kind is ValueKind.CONTINUOUS:
-            state.gamma = update_tau(state.gamma, entry.value, alpha, beta)
-        state.entries_seen += 1
+        reference_entry(state, entry, v_floor, step)
     for lay in state.weights:
         ep_prior.refine_arrays(
             lay.mean, lay.var, lay.rho_post, lay.term_mean, lay.term_var,

@@ -23,9 +23,11 @@ from streamdtf.errors import BoundsError, NumericError
 from streamdtf.oracles import pack, quad_tilted_moments, unpack
 from streamdtf.posterior_store import (DEFAULT_V_FLOOR, WEIGHT_FIELDS, ModelState,
                                        load_checkpoint, save_checkpoint)
+from streamdtf.predict_eval import predict_batch, predict_entry, running_eval
 from streamdtf.seeding import make_rng
 
-from reference_engine import reference_batch, unfactored_step
+from reference_engine import (_alpha_and_gradient, reference_batch, reference_entry,
+                              unfactored_step)
 from test_bnn import _record_views
 
 
@@ -567,6 +569,75 @@ def test_deepcopy_views_alias_the_copy_only():
         assert checkpoint_bytes(state) == before
 
 
+SCRATCH = ("tape", "entry_scratch", "slot", "slot_modes")
+
+
+def _held_scratch(state):
+    return [name for name in SCRATCH if name in vars(state)]
+
+
+@pytest.mark.parametrize("restart", [copy.deepcopy, lambda s: pickle.loads(pickle.dumps(s)),
+                                     _restart_by_checkpoint],
+                         ids=["deepcopy", "pickle", "load_checkpoint"])
+def test_a_copy_holds_no_entry_scratch_and_predicting_builds_none(restart):
+    # the per-entry scratch is built on a state's first update: a fresh
+    # state, a copy of a trained one and a loaded checkpoint hold none of
+    # it, and prediction, which never reads it, builds none
+    state, batch = _synth_state_and_batch(seed=4)
+    assert _held_scratch(state) == []
+    process_batch(state, batch[:32])
+    assert _held_scratch(state) == list(SCRATCH)
+    clone = restart(state)
+    assert _held_scratch(clone) == []
+    predict_batch(clone, [entry.index for entry in batch[32:]])
+    predict_entry(clone, batch[32].index)
+    assert _held_scratch(clone) == []
+    assert _held_scratch(state) == list(SCRATCH)
+
+
+def test_the_first_update_builds_the_entry_scratch_once(monkeypatch):
+    state, batch = _synth_state_and_batch(seed=4)
+    one_row = []
+    allocate = bnn.ForwardTape.allocate.__func__
+
+    def counted(cls, spec, lead=()):
+        if not lead:
+            one_row.append(spec)
+        return allocate(cls, spec, lead)
+
+    monkeypatch.setattr(bnn.ForwardTape, "allocate", classmethod(counted))
+    process_batch(state, batch[:32])
+    assert one_row == [state.net]
+    built = {name: vars(state)[name] for name in SCRATCH}
+    process_batch(state, batch[32:])
+    assert one_row == [state.net]
+    assert all(vars(state)[name] is built[name] for name in SCRATCH)
+    assert state.entry_scratch[2] is state.tape
+
+
+@pytest.mark.parametrize("kind", [ValueKind.CONTINUOUS, ValueKind.BINARY])
+def test_a_loaded_state_trains_to_the_bytes_of_an_uninterrupted_run(kind):
+    # a checkpoint taken mid-stream and loaded holds no per-entry scratch;
+    # its first update builds it, and the rest of the stream then writes
+    # the checkpoint and metrics bytes of the run that was never saved
+    shape = TensorShape((12, 12))
+    entries, _ = synth_generate(shape, 2, kind, CpGenerator(), 0.1, 120, seed=5)
+    test, stream = entries[:24], entries[24:]
+    batches = [tuple(stream[b:b + 24]) for b in range(0, len(stream), 24)]
+    state = init_state(shape, kind, NetworkSpec.for_factorization(4, [6, 5], "relu"),
+                       Hyperparams(ranks=(2, 2)), seed=5)
+    running_eval(state, batches[:2], test)
+    loaded = _restart_by_checkpoint(state)
+    assert _held_scratch(loaded) == []
+    outputs = []
+    for run in (state, loaded):
+        csv = io.StringIO()
+        running_eval(run, batches[2:], test).write_csv(csv, include_timing=False)
+        outputs.append((checkpoint_bytes(run), csv.getvalue()))
+    assert _held_scratch(loaded) == list(SCRATCH)
+    assert outputs[1] == outputs[0]
+
+
 def test_a_write_through_the_layer_views_reaches_the_next_entry():
     # the state's tape binds its weight views once: a write into the store
     # through state.weights between two entries must reach the next
@@ -900,6 +971,39 @@ def test_non_finite_pre_activations_still_raise(bad):
     weights = [np.array([[1.0, 0.0], [0.0, bad]]), np.array([[1.0, 1.0, 0.0]])]
     with entry_errstate(), pytest.raises(NumericError, match="layer 1"):
         bnn.forward_mean(spec, weights, np.ones(1))
+
+
+def test_a_mean_step_whose_dot_overflows_gives_the_reference_bytes():
+    # w_x has gradient 1e-3 and variance 1e6, so with a residual of 1e152
+    # its mean moves by about 3e154: w . w overflows, so the new means are
+    # formed and screened apart from mu, yet each is finite and the entry
+    # is applied, to the bytes of the repacking reference
+    state = _identity_state(ValueKind.CONTINUOUS)
+    state.weights[0].var[0, 0] = 1e6
+    state.embeddings[0].mean[0, 0] = 1e-3 * math.sqrt(2.0)
+    reference, before = copy.deepcopy(state), state.weights[0].mean[0, 0]
+    entry = ObservedEntry((0,), 1e152)
+    with entry_errstate():
+        assert not adf_update_entry(state, entry).skipped
+    reference_entry(reference, entry)
+    assert checkpoint_bytes(state) == checkpoint_bytes(reference)
+    assert 2.0 ** 513 < state.weights[0].mean[0, 0] - before < math.inf
+
+
+def test_a_mean_step_that_overflows_a_mean_is_skipped(caplog):
+    # every mu_j and every w_j = dalpha u_j is finite, but one mu_j + w_j
+    # overflows: the entry is skipped and the state is left unchanged
+    state, entry = _mean_update_overflows()
+    x_mean, x_var = state.embeddings[0].mean[0], state.embeddings[0].var[0]
+    alpha, g = _alpha_and_gradient(state.net, state.weight_means(), x_mean)
+    u = pack(state.weight_vars(), x_var) * g
+    w = evidence_binary(alpha, float(g @ u), entry.value).dalpha * u
+    mu = pack(state.weight_means(), x_mean)
+    with np.errstate(over="ignore"):
+        assert np.isfinite(w).all() and np.isfinite(mu).all()
+        assert not np.isfinite(mu + w).all()
+    _assert_skipped_without_a_write(state, entry)
+    assert f"skipping entry {entry.index}: non-finite mean update" in caplog.text
 
 
 @pytest.mark.parametrize("dalpha", [math.nan, math.inf])

@@ -97,6 +97,26 @@ def test_a_higher_is_better_metric_is_beyond_its_bound_when_it_falls_past_it():
     assert summary["rise"]["beyond_bound"] is False
 
 
+def test_a_gain_is_shown_by_nine_wins_in_ten_and_a_gap_beyond_the_parent_iqr():
+    # parent 10..19: median 14.5, inclusive quartiles 12.25 and 16.75, so an
+    # IQR of 4.5. "fast" wins 9 of 10 pairs and its median, 9.5, is 5 below
+    # the parent's; "close" wins all 10 by 1 each, a gap of 1; "mixed" is 5
+    # lower in the median but wins only 8 pairs; "higher" is "fast" read
+    # with the other direction
+    parent = [float(v) for v in range(10, 20)]
+    fast = [v - 5.0 for v in parent[:9]] + [parent[9] + 1.0]
+    mixed = [v - 5.0 for v in parent[:8]] + [parent[8] + 1.0, parent[9] + 1.0]
+    runs = _runs("ms", parent={name: parent for name in ("fast", "close", "mixed", "higher")},
+                 change={"fast": fast, "close": [v - 1.0 for v in parent], "mixed": mixed,
+                         "higher": fast})
+    summary = bench_pairs.summarise(runs, {"higher": "higher"})
+    assert summary["fast"]["parent_iqr"] == 4.5
+    assert (summary["fast"]["change_wins"], summary["fast"]["gain_shown"]) == ("9/10", True)
+    assert (summary["close"]["change_wins"], summary["close"]["gain_shown"]) == ("10/10", False)
+    assert (summary["mixed"]["change_wins"], summary["mixed"]["gain_shown"]) == ("8/10", False)
+    assert summary["higher"]["gain_shown"] is False
+
+
 def _digest_runs(parent, change):
     return {"parent": [{"digest": d} for d in parent], "change": [{"digest": d} for d in change]}
 

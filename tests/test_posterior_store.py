@@ -480,6 +480,24 @@ def test_version_2_files_decode_to_their_version_3_twins(kind):
     assert checkpoint_bytes(decoded) == checkpoint_bytes(loaded) == twin.read_bytes()
 
 
+@pytest.mark.parametrize("name", ["checkpoint-v3-continuous.json", "checkpoint-v2-binary.json"])
+def test_a_checkpoint_loads_alike_from_a_text_and_a_binary_file(name):
+    # json.loads takes bytes as it takes text; so does the reader after it
+    with open(DATA / name, encoding="utf-8") as fp:
+        from_text = load_checkpoint(fp)
+    with open(DATA / name, "rb") as fp:
+        from_bytes = load_checkpoint(fp)
+    assert checkpoint_bytes(from_bytes) == checkpoint_bytes(from_text)
+
+
+def test_a_binary_file_that_is_not_utf_8_raises_checkpoint_error():
+    # \xff is no UTF-8 byte; json.loads would read these bytes as UTF-16
+    # or UTF-32 where their first bytes looked so, but a checkpoint is UTF-8
+    text = checkpoint_bytes(_small_state()).replace(b'"tanh"', b'"ta\xffh"')
+    with pytest.raises(CheckpointError, match="UTF-8"):
+        load_checkpoint(io.BytesIO(text))
+
+
 _NO_VERSION = object()
 
 

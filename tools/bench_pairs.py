@@ -17,7 +17,10 @@ holds each side's median, inclusive-method quartiles and run count, the
 change against the parent's median in percent, the parent's interquartile
 range, and `change_wins`: the pairs where the change reads better, by the
 direction `BENCHMARK.json` gives the metric (lower where it names none),
-ties counting for neither side. Each end-to-end metric also gets its
+ties counting for neither side, and `gain_shown`: whether the change wins
+at least 9 of every 10 pairs and its median is better than the parent's
+by more than the parent's interquartile range, the rule a claimed gain
+must meet. Each end-to-end metric also gets its
 `BENCHMARK.json` `bound` and `beyond_bound`: whether the change's median is
 worse than the parent's by more than bound x the parent's median, in the
 metric's direction. The machine lines the runs print and the
@@ -82,8 +85,8 @@ def quartiles(values: list) -> tuple:
 
 
 def summarise(runs: dict, better: dict, bounds: dict | None = None) -> dict:
-    """Per metric: each side's median and quartiles, the change's shift and
-    its wins over the pairs; for a metric `bounds` names, its bound and
+    """Per metric: each side's median and quartiles, the change's shift, its
+    wins over the pairs and whether they show a gain; for a metric `bounds` names, its bound and
     whether the change's median is beyond it."""
     bounds = bounds or {}
     out = {}
@@ -101,6 +104,8 @@ def summarise(runs: dict, better: dict, bounds: dict | None = None) -> dict:
         sign = -1.0 if better.get(name, "lower") == "lower" else 1.0
         wins = sum(sign * (c - p) > 0 for p, c in zip(values["parent"], values["change"]))
         entry["change_wins"] = f"{wins}/{len(values['change'])}"
+        entry["gain_shown"] = (10 * wins >= 9 * len(values["change"])
+                               and sign * (change - parent) > entry["parent_iqr"])
         if name in bounds:
             entry["bound"] = bounds[name]
             entry["beyond_bound"] = sign * (parent - change) > bounds[name] * abs(parent)
