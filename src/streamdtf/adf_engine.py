@@ -153,11 +153,11 @@ def adf_update_entry(state: ModelState, entry: ObservedEntry,
     u = var * g and w = dalpha * u go to the two work vectors, dalpha and c
     reach their ufuncs as the tuple's two 0-d arrays (see "Scalar
     operands" in `bnn`), and the new variances are written straight into
-    `state.var`. Where w . w is finite, no new mean can overflow, and w is
-    added into `state.mu` in place; otherwise the new means are formed in
-    w, and a non-finite one skips the entry. Nothing in the state is
-    written before the last check that can skip the entry (the input slot
-    is scratch, not state).
+    `state.var`. w is added into `state.mu` in place, after the last check
+    that can skip the entry: a non-finite new mean, looked for only when
+    w . w is not finite, as no new mean can overflow otherwise. Nothing in
+    the state is written before that check (the input slot is scratch, not
+    state).
 
     Callers run it under `entry_errstate()`, as `process_batch` does once
     per batch: an overflow or invalid operation here ends in a skip or a
@@ -196,15 +196,12 @@ def adf_update_entry(state: ModelState, entry: ObservedEntry,
     log_z, dalpha, dbeta = ev
     dalpha_op[()] = dalpha
     np.multiply(u, dalpha_op, out=w)
-    # a finite w . w bounds every |w_j| below 2^512, so mu_j + w_j cannot
-    # overflow for finite mu_j and the new means are added into mu in place
-    # below; otherwise they are formed in w and screened first
-    in_place = math.isfinite(w.dot(w))
-    if not in_place:
-        w += mu_vec
-        if not bnn.all_finite(w):
-            logger.warning("skipping entry %s: non-finite mean update", index)
-            return EntryResult(log_z, alpha, beta, 0, True)
+    # a finite w . w bounds every |w_j| below 2^512, so no mu_j + w_j can
+    # overflow for finite mu_j: only where the dot is not finite are the
+    # new means formed (apart from mu) and screened
+    if not math.isfinite(w.dot(w)) and not bnn.all_finite(mu_vec + w):
+        logger.warning("skipping entry %s: non-finite mean update", index)
+        return EntryResult(log_z, alpha, beta, 0, True)
     # var' = var - c * u^2, in the buffer of u
     c = dalpha * dalpha - 2.0 * dbeta
     c_op[()] = c
@@ -223,10 +220,7 @@ def adf_update_entry(state: ModelState, entry: ObservedEntry,
         clamped = v_new.shape[0] - int(np.count_nonzero(ok))
         v_new[~ok] = v_floor
 
-    if in_place:
-        np.add(mu_vec, w, out=mu_vec)
-    else:
-        mu_vec[...] = w
+    np.add(mu_vec, w, out=mu_vec)
     state.scatter_entry(index)
     state.gamma = gamma_post
     state.entries_seen += 1
