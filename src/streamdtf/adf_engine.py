@@ -134,8 +134,16 @@ class EntryResult(NamedTuple):
     skipped: bool = False
 
 
+class _Unscreened(Exception):
+    """Raised by an unscreened `adf_update_entry` where the screened step
+    would skip the entry, or where c = dalpha^2 - 2 dbeta is not >= 0, before
+    it writes or logs anything: `process_batch` then replays the batch
+    screened."""
+
+
 def adf_update_entry(state: ModelState, entry: ObservedEntry,
-                     v_floor: float = DEFAULT_V_FLOOR) -> EntryResult:
+                     v_floor: float = DEFAULT_V_FLOOR, *,
+                     screened: bool = True) -> EntryResult:
     """One moment-matching update; mutates the state in place.
 
     Every network weight and every embedding coordinate in the entry's index
@@ -146,6 +154,15 @@ def adf_update_entry(state: ModelState, entry: ObservedEntry,
     result). The entry comes from a batch `process_batch` checked: its index
     holds integers inside the shape and its value is valid for the model's
     kind.
+
+    With `screened=False` the step runs neither the new-mean screen nor
+    the variance clamp: wherever the screened step would skip the entry
+    (a non-finite pre-activation, a non-finite or negative beta, an
+    evidence or noise-update NumericError), and wherever
+    c = dalpha^2 - 2 dbeta is not >= 0, it raises `_Unscreened` before it
+    writes or logs anything; otherwise it writes what the screened step
+    writes when that step neither skips nor clamps. Only `process_batch`
+    runs it so, and checks the whole batch afterwards.
 
     The update runs in the state's per-entry scratch, which it reads from
     one tuple (`state.entry_scratch`): `gather_entry` fills the input slot
@@ -170,6 +187,8 @@ def adf_update_entry(state: ModelState, entry: ObservedEntry,
     try:
         alpha, tape = bnn.forward_mean(net, means, x_mean, tape)
     except NumericError as exc:
+        if not screened:
+            raise _Unscreened from None
         logger.warning("skipping entry %s: %s", index, exc)
         return EntryResult(math.nan, math.nan, math.nan, 0, True)
     g = bnn.backprop_gradient(tape)
@@ -177,10 +196,15 @@ def adf_update_entry(state: ModelState, entry: ObservedEntry,
     beta = float(g.dot(u))
     # alpha is finite: forward_mean raised on any non-finite
     # pre-activation. Every gamma_j is finite and > 0, so a non-finite
-    # g_j makes beta NaN or +inf: this check also covers g.
+    # g_j makes beta NaN or +inf: this check also covers g. Unscreened, a
+    # variance an earlier entry left below 0 can make beta negative
     if not math.isfinite(beta):
+        if not screened:
+            raise _Unscreened
         logger.warning("skipping entry %s: non-finite output moments", index)
         return EntryResult(math.nan, alpha, beta, 0, True)
+    if beta < 0.0 and not screened:
+        raise _Unscreened
     gamma_post = state.gamma
     try:
         if binary:
@@ -190,20 +214,25 @@ def adf_update_entry(state: ModelState, entry: ObservedEntry,
             # pre-update alpha/beta of this entry feed the noise update
             gamma_post = update_tau(gamma_post, y, alpha, beta)
     except NumericError as exc:
+        if not screened:
+            raise _Unscreened from None
         logger.warning("skipping entry %s: %s", index, exc)
         return EntryResult(math.nan, alpha, beta, 0, True)
 
     log_z, dalpha, dbeta = ev
+    c = dalpha * dalpha - 2.0 * dbeta
     dalpha_op[()] = dalpha
     np.multiply(u, dalpha_op, out=w)
+    if not screened:
+        if not c >= 0.0:
+            raise _Unscreened
     # a finite w . w bounds every |w_j| below 2^512, so no mu_j + w_j can
     # overflow for finite mu_j: only where the dot is not finite are the
     # new means formed (apart from mu) and screened
-    if not math.isfinite(w.dot(w)) and not bnn.all_finite(mu_vec + w):
+    elif not math.isfinite(w.dot(w)) and not bnn.all_finite(mu_vec + w):
         logger.warning("skipping entry %s: non-finite mean update", index)
         return EntryResult(log_z, alpha, beta, 0, True)
     # var' = var - c * u^2, in the buffer of u
-    c = dalpha * dalpha - 2.0 * dbeta
     c_op[()] = c
     u *= u
     u *= c_op
@@ -213,8 +242,8 @@ def adf_update_entry(state: ModelState, entry: ObservedEntry,
     # variance, so only c < 0 (or NaN) can make one +inf. The ufunc
     # reductions are what v_new.min() and .max() call, without their
     # Python-level wrappers
-    if not (np.minimum.reduce(v_new) >= v_floor
-            and (c >= 0.0 or np.maximum.reduce(v_new) < math.inf)):
+    if screened and not (np.minimum.reduce(v_new) >= v_floor
+                         and (c >= 0.0 or np.maximum.reduce(v_new) < math.inf)):
         ok = v_new >= v_floor
         ok &= v_new < math.inf
         clamped = v_new.shape[0] - int(np.count_nonzero(ok))
@@ -237,6 +266,48 @@ class BatchDiagnostics:
     ep: ep_prior.EpDiagnostics
 
 
+def _screened_entries(state: ModelState, entries, v_floor: float) -> tuple[int, int]:
+    """Run the screened step on each entry in turn; returns the variances
+    clamped and the entries skipped."""
+    clamped = skipped = 0
+    for entry in entries:
+        result = adf_update_entry(state, entry, v_floor=v_floor)
+        clamped += result.clamped
+        skipped += result.skipped
+    return clamped, skipped
+
+
+def _unscreened_batch(state: ModelState, entries: Sequence[ObservedEntry],
+                      indices: np.ndarray, v_floor: float) -> bool:
+    """Run the unscreened step on every entry of the batch, then check the
+    state once. Returns True when the batch wrote the bytes the screened
+    loop writes, with no clamp and no skip; otherwise it restores what the
+    batch could have written (the weights' means and variances, the
+    batch's embedding rows, the Gamma posterior and entries_seen) and
+    returns False."""
+    n = state.net.n_weights
+    mu, var = state.mu[:n], state.var[:n]
+    rows = list(indices.T)  # per mode, the batch's row of each entry
+    saved = (mu.copy(), var.copy(), state.gamma, state.entries_seen,
+             [(emb.mean[r], emb.var[r]) for emb, r in zip(state.embeddings, rows)])
+    try:
+        for entry in entries:
+            adf_update_entry(state, entry, v_floor, screened=False)
+    except _Unscreened:
+        pass
+    else:
+        written = [(mu, var)] + [(emb.mean[r].ravel(), emb.var[r].ravel())
+                                 for emb, r in zip(state.embeddings, rows)]
+        # >= is False on NaN, so a NaN variance fails here as a -inf does
+        if all(np.minimum.reduce(v) >= v_floor and bnn.all_finite(m) for m, v in written):
+            return True
+    mu[...], var[...], state.gamma, state.entries_seen, modes = saved
+    for emb, r, (means, variances) in zip(state.embeddings, rows, modes):
+        emb.mean[r] = means
+        emb.var[r] = variances
+    return False
+
+
 def process_batch(state: ModelState, batch: Sequence[ObservedEntry],
                   damping: float = ep_prior.DEFAULT_DAMPING,
                   v_floor: float = DEFAULT_V_FLOOR) -> BatchDiagnostics:
@@ -244,22 +315,43 @@ def process_batch(state: ModelState, batch: Sequence[ObservedEntry],
     the sparsity-prior approximation term once. Per-entry numeric problems
     become diagnostics. An empty batch, an index or value that
     `check_indices` or `check_values` rejects and a damping outside (0, 1]
-    raise before the first entry is applied."""
+    raise before the first entry is applied.
+
+    The batch runs unscreened first (`adf_update_entry(screened=False)`),
+    with one check at its end in place of the two per-entry screens: every
+    weight variance and every variance of the batch's embedding rows is
+    >= v_floor, and their means are finite. Where the check fails, or an
+    entry raises where the screened step would skip it or where
+    c = dalpha^2 - 2 dbeta is not >= 0, the batch's writes are undone and
+    the batch is replayed with the screened step, which then also runs
+    the following batches until one of them clamps and skips nothing
+    (`state.screen_batches`, per-entry scratch that no copy or checkpoint
+    carries). So a stream that clamps in every batch runs one batch twice.
+
+    The check is exact. With every c >= 0 a variance can only fall within
+    a batch (fl(v - x) <= v for x >= 0), and a NaN or -inf variance, like
+    a non-finite mean, stays so (NaN - x, -inf - x and inf + w are not
+    finite again; an entry that reads a non-finite weight mean raises in
+    its forward pass). So if every variance ends >= v_floor and every
+    mean finite, no entry saw a variance below the floor or wrote a
+    non-finite mean: the screened step would have clamped and skipped
+    nothing, and both steps run the same operations in the same order,
+    so they write the same bytes.
+    """
     if not batch:
         raise ValueError("a batch cannot be empty")
-    indices = state.shape.check_indices([e.index for e in batch]).tolist()
+    indices = state.shape.check_indices([e.index for e in batch])
     values = [e.value for e in batch]
     state.kind.check_values(values)
     ep_prior.check_damping(damping)
     # each entry is indexed with the integers check_indices read from it,
     # in an ObservedEntry built as `tensor_core` builds it (tuple.__new__)
-    entries = map(tuple.__new__, itertools.repeat(ObservedEntry),
-                  zip(map(tuple, indices), values))
+    entries = list(map(tuple.__new__, itertools.repeat(ObservedEntry),
+                       zip(map(tuple, indices.tolist()), values)))
     clamped = skipped = 0
     with entry_errstate():
-        for entry in entries:
-            result = adf_update_entry(state, entry, v_floor=v_floor)
-            clamped += result.clamped
-            skipped += result.skipped
+        if state.screen_batches or not _unscreened_batch(state, entries, indices, v_floor):
+            clamped, skipped = _screened_entries(state, entries, v_floor)
+            state.screen_batches = bool(clamped or skipped)
     return BatchDiagnostics(clamped, skipped,
                             ep_prior.refine_all(state, damping=damping, v_floor=v_floor))

@@ -10,7 +10,8 @@ propagation sweep over all weights: divide the term out of the posterior
 with the selector weight taken from the cavity, replace the term by damped
 division, and recompute the posterior as cavity times the damped term (with
 damping 1 that is exactly the tilted moments). Guards: a non-positive cavity
-precision skips the weight entirely; a non-positive divided term precision
+precision, or cavity moments or a height exponent m_cav^2 / v_cav that
+are not finite, skip the weight entirely; a non-positive divided term precision
 keeps the old term and moves only the posterior, to the tilted moments.
 Damping interpolates the term in natural parameters.
 
@@ -50,7 +51,9 @@ def refine_arrays(mean, var, rho_post, term_mean, term_var, term_logit,
     value is computed from the old fields before the first write.
 
     Returns the sweep's two counts: the sites the cavity guard skipped (left
-    as they were) and the sites that kept their old term.
+    as they were: a cavity precision not > 0, or cavity moments or an
+    m_cav^2 / v_cav that are not finite) and the sites that kept their
+    old term.
 
     The posterior is recomputed as cavity times the damped term, so repeated
     sweeps on a fixed cavity contract geometrically instead of re-applying
@@ -61,12 +64,19 @@ def refine_arrays(mean, var, rho_post, term_mean, term_var, term_logit,
     prec = 1.0 / var
     prec0 = 1.0 / term_var
     prec_cav = prec - prec0
-    ok = np.isfinite(prec_cav) & (prec_cav > 0)
+    # a site is refined only where its cavity precision is > 0 and its
+    # cavity moments and m_cav^2 / v_cav, the larger of the two exponents
+    # of the Gaussian heights below, are finite
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        v_cav = 1.0 / prec_cav
+        m_cav = v_cav * (mean * prec - term_mean * prec0)
+        ok = (np.isfinite(prec_cav) & (prec_cav > 0) & np.isfinite(v_cav)
+              & np.isfinite(m_cav * m_cav / v_cav))
     # neutralize invalid sites so the vector math stays finite; they are
     # not written below
     safe_prec_cav = np.where(ok, prec_cav, 1.0)
-    v_cav = 1.0 / safe_prec_cav
-    m_cav = v_cav * (mean * prec - term_mean * prec0)
+    v_cav = np.where(ok, v_cav, 1.0)
+    m_cav = np.where(ok, m_cav, 0.0)
     logit_cav = logit(np.clip(rho_post, _RHO_LO, _RHO_HI)) - term_logit
 
     log_slab = log_expit(logit_cav) + _log_normal_at_zero(m_cav, v_cav + slab_var)

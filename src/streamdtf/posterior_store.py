@@ -23,7 +23,7 @@ the copy's own vectors.
 Per-entry scratch: the per-entry update reuses buffers and views from one
 entry to the next, so an entry runs only its numpy calls. They are built on
 the state's first update (the first read of any of `tape`, `entry_scratch`,
-`slot` or `slot_modes`), never at load or copy, so a state that only
+`slot`, `slot_modes` or `screen_batches`), never at load or copy, so a state that only
 predicts never holds them: a one-row bnn.ForwardTape bound to the list of
 the layers' mean views that weight_means() returns on every call (layer
 inputs with their bias slot set once, one contiguous pre-activation block,
@@ -33,8 +33,10 @@ unpacks in place of a dozen attribute loads (entry_scratch: the network
 spec, that list, the tape, mu and var, two work vectors as long as mu, and
 two 0-d arrays for the step's scalars dalpha and c, then whether the data
 are binary); the input slot's (mean, var) views that gather_entry returns;
-and per mode a (table mean, table var, slot mean, slot var) tuple that
-gather_entry and scatter_entry copy between. Once built, each is a plain
+per mode a (table mean, table var, slot mean, slot var) tuple that
+gather_entry and scatter_entry copy between; and screen_batches, whether
+adf_engine.process_batch runs its next batch with the screened step
+(False until a batch fails its check). Once built, each is a plain
 attribute of the state. Like the layer views, these alias the store and
 the embedding tables, so writes through `[...] =` reach them and rebinding
 an attribute (`lay.mean`, `emb.mean`, `state.embeddings`, `state.mu`)
@@ -106,7 +108,7 @@ WEIGHT_FIELDS = ("mean", "var", "rho_post", "term_mean", "term_var", "term_logit
 # ModelState attributes _bind_layers builds over the flat vectors
 _BOUND = ("weights", "means", "batch_tapes")
 # ModelState's per-entry scratch, built on its first read (_EntryScratch)
-_SCRATCH = ("tape", "entry_scratch", "slot", "slot_modes")
+_SCRATCH = ("tape", "entry_scratch", "slot", "slot_modes", "screen_batches")
 
 
 @dataclass(frozen=True)
@@ -193,7 +195,8 @@ class ModelState:
     last); rho_post and the three term fields have length n_weights. The
     layer views, their means list and the per-thread batch tapes
     (batch_tapes) are rebuilt with every copy; the per-entry scratch (tape,
-    entry_scratch, slot, slot_modes) is built on the first update. Neither
+    entry_scratch, slot, slot_modes, screen_batches) is built on the first
+    update. Neither
     is ever part of a copy or a checkpoint."""
 
     shape: TensorShape
@@ -217,6 +220,7 @@ class ModelState:
     entry_scratch = _EntryScratch()
     slot = _EntryScratch()
     slot_modes = _EntryScratch()
+    screen_batches = _EntryScratch()
 
     def __post_init__(self):
         self._bind_layers()
@@ -242,8 +246,9 @@ class ModelState:
     def _build_entry_scratch(self) -> None:
         """Build the per-entry scratch: a one-row ForwardTape bound to
         weight_means(), `entry_scratch` (see the module docstring), the
-        input slot's (mean, var) views, and per mode its embedding tables
-        next to its (mean, var) views into the slot."""
+        input slot's (mean, var) views, per mode its embedding tables
+        next to its (mean, var) views into the slot, and screen_batches
+        unset."""
         tape = ForwardTape.allocate(self.net)
         tape.bind(self.means)
         u, w = np.empty((2, self.mu.shape[0]))
@@ -257,7 +262,8 @@ class ModelState:
         vars(self).update(
             tape=tape, slot=slot, slot_modes=slot_modes,
             entry_scratch=(self.net, self.means, tape, self.mu, self.var, u, w, np.zeros(()),
-                           np.zeros(()), self.kind is ValueKind.BINARY))
+                           np.zeros(()), self.kind is ValueKind.BINARY),
+            screen_batches=False)
 
     # copies carry the flat vectors only and rebuild the views over their
     # own; the scratch a state holds is left behind

@@ -1,5 +1,7 @@
+import contextlib
 import copy
 import io
+import logging
 import math
 import os
 import pickle
@@ -347,7 +349,7 @@ def test_a_direct_update_outside_entry_errstate_warns():
         adf_update_entry(state, ObservedEntry((0,), 0.0), v_floor=0.01)
 
 
-def test_variance_grown_to_inf_by_a_negative_rounded_c_is_clamped():
+def _variance_grown_to_inf():
     # c = dalpha^2 - 2 dbeta is exactly 1/s (about 5e-152 here), but with a
     # residual of 3e153 it is the difference of two numbers near 2.4e4 and
     # rounds to -3.6e-12, so every variance grows. w_x has gradient 1e-3 and
@@ -356,9 +358,22 @@ def test_variance_grown_to_inf_by_a_negative_rounded_c_is_clamped():
     state = _identity_state(ValueKind.CONTINUOUS)
     state.weights[0].var[0, 0] = 2e157
     state.embeddings[0].mean[0, 0] = 1e-3 * math.sqrt(2.0)
-    y, gamma = 3.132e153, state.gamma
+    return state, ObservedEntry((0,), 3.132e153), 0.01
+
+
+def _embedding_variance_under_the_floor():
+    # the weights' variances of 1 stay above a floor of 0.6; the entry's
+    # embedding variance of 0.5 is under it
+    state = _identity_state(ValueKind.CONTINUOUS)
+    state.embeddings[0].var[0, 0] = 0.5
+    return state, ObservedEntry((0,), 0.5), 0.6
+
+
+def test_variance_grown_to_inf_by_a_negative_rounded_c_is_clamped():
+    state, (index, y), v_floor = _variance_grown_to_inf()
+    gamma = state.gamma
     with entry_errstate():
-        result = adf_update_entry(state, ObservedEntry((0,), y), v_floor=0.01)
+        result = adf_update_entry(state, ObservedEntry(index, y), v_floor=v_floor)
     ev = evidence_continuous(result.alpha, result.beta, y, gamma)
     assert ev.dalpha * ev.dalpha - 2.0 * ev.dbeta < 0.0
     assert result.clamped == 1
@@ -569,7 +584,7 @@ def test_deepcopy_views_alias_the_copy_only():
         assert checkpoint_bytes(state) == before
 
 
-SCRATCH = ("tape", "entry_scratch", "slot", "slot_modes")
+SCRATCH = ("tape", "entry_scratch", "slot", "slot_modes", "screen_batches")
 
 
 def _held_scratch(state):
@@ -823,7 +838,7 @@ def test_each_traced_layer_runs_once_per_applied_entry(kind, monkeypatch):
     for owner, name in [(bnn, "forward_mean"), (bnn, "backprop_gradient"),
                         (ModelState, "gather_entry"), (ModelState, "scatter_entry"),
                         (adf_engine, "evidence_continuous"),
-                        (adf_engine, "evidence_binary")]:
+                        (adf_engine, "evidence_binary"), (adf_engine, "adf_update_entry")]:
         def counted(*args, _name=name, _original=owner.__dict__[name], **kwargs):
             calls[_name] += 1
             return _original(*args, **kwargs)
@@ -833,7 +848,36 @@ def test_each_traced_layer_runs_once_per_applied_entry(kind, monkeypatch):
     evidence = f"evidence_{kind.value}"
     assert calls == {name: len(entries) for name in
                      ("forward_mean", "backprop_gradient", "gather_entry",
-                      "scatter_entry", evidence)}
+                      "scatter_entry", evidence, "adf_update_entry")}
+
+
+def test_a_batch_that_fails_its_check_is_replayed_and_the_next_runs_screened(monkeypatch):
+    # a batch runs the unscreened step on each entry; one whose check fails
+    # (a floor of 0.9, just under the initial variances of 1, clamps) runs
+    # again, screened. The batches after it run screened until one clamps
+    # and skips nothing
+    state, entries = _synth_state_and_batch(seed=9, n=96)
+    steps = []
+    original = adf_engine.adf_update_entry
+
+    def counted(*args, screened=True, **kwargs):
+        steps.append("screened" if screened else "unscreened")
+        return original(*args, screened=screened, **kwargs)
+
+    monkeypatch.setattr(adf_engine, "adf_update_entry", counted)
+    runs = []
+    for b, v_floor in enumerate([0.9, 0.9, DEFAULT_V_FLOOR, DEFAULT_V_FLOOR]):
+        steps.clear()
+        diag = process_batch(state, entries[b * 24:(b + 1) * 24], v_floor=v_floor)
+        runs.append((diag.clamp_count > 0, diag.skip_count, Counter(steps)))
+    assert runs == [
+        (True, 0, {"unscreened": 24, "screened": 24}),  # replayed
+        (True, 0, {"screened": 24}),  # screened, and it clamps
+        (False, 0, {"screened": 24}),  # screened and clean
+        (False, 0, {"unscreened": 24}),
+    ]
+    assert steps[:24] == ["unscreened"] * 24
+
 
 
 @st.composite
@@ -882,6 +926,148 @@ def test_process_batch_keeps_the_invariants_at_the_extremes(case):
     assert state.entries_seen == len(batch) - diag.skip_count
     assert state.var[:state.net.n_weights].min() >= v_floor
     assert all(emb.var.min() >= v_floor for emb in state.embeddings)
+
+
+def _screened_batch(state, batch, v_floor):
+    """process_batch as a per-entry loop of the screened step, then the EP
+    sweep: the loop the batch check stands in for."""
+    indices = state.shape.check_indices([e.index for e in batch]).tolist()
+    values = [e.value for e in batch]
+    state.kind.check_values(values)
+    clamped = skipped = 0
+    with entry_errstate():
+        for index, value in zip(indices, values):
+            result = adf_update_entry(state, ObservedEntry(tuple(index), value),
+                                      v_floor=v_floor)
+            clamped += result.clamped
+            skipped += result.skipped
+    return adf_engine.BatchDiagnostics(clamped, skipped,
+                                       ep_prior.refine_all(state, v_floor=v_floor))
+
+
+@contextlib.contextmanager
+def _logged_lines():
+    """The messages adf_engine logs inside the block, in order."""
+    lines = []
+    handler = logging.Handler()
+    handler.emit = lambda record: lines.append(record.getMessage())
+    adf_engine.logger.addHandler(handler)
+    try:
+        yield lines
+    finally:
+        adf_engine.logger.removeHandler(handler)
+
+
+def _assert_batches_match_the_screened_loop(state, batches, v_floor):
+    """Run the batches through process_batch and, on a copy, through the
+    screened loop: the same bytes, diagnostics and log lines after each.
+    Returns the batches' skip count."""
+    reference = copy.deepcopy(state)
+    skipped = 0
+    for batch in batches:
+        with _logged_lines() as lines:
+            diag = process_batch(state, batch, v_floor=v_floor)
+        with _logged_lines() as want:
+            want_diag = _screened_batch(reference, batch, v_floor)
+        assert diag == want_diag
+        # each skip is logged once, by the screened step: the unscreened
+        # step logs nothing
+        assert lines == want
+        assert sum(line.startswith("skipping entry") for line in lines) == diag.skip_count
+        assert checkpoint_bytes(state) == checkpoint_bytes(reference)
+        skipped += diag.skip_count
+    return skipped
+
+
+@settings(max_examples=60, deadline=None)
+@given(_extreme_state_and_batch())
+def test_process_batch_matches_the_screened_loop_at_the_extremes(case):
+    # clamps, rounded c < 0 and skips: the batch check and its replay write
+    # the bytes the screened loop writes. The batch runs twice, so the
+    # second run may start screened
+    state, batch, v_floor = case
+    _assert_batches_match_the_screened_loop(state, [batch, batch], v_floor)
+
+
+@pytest.mark.parametrize("build", [_beta_overflows, _evidence_overflows,
+                                   _binary_evidence_overflows, _noise_rate_overflows,
+                                   _mean_update_overflows],
+                         ids=["beta", "evidence", "binary-evidence", "noise-rate",
+                              "mean-update"])
+def test_process_batch_matches_the_screened_loop_on_a_skipped_entry(build):
+    # each skip the unscreened step raises on, and a new mean that
+    # overflows, which it writes and only the batch check finds
+    state, entry = build()
+    assert _assert_batches_match_the_screened_loop(state, [[entry]], DEFAULT_V_FLOOR) == 1
+
+
+def test_process_batch_matches_the_screened_loop_on_a_mean_that_alone_overflows(monkeypatch):
+    # forced partials with c = dalpha^2 - 2 dbeta = 0 exactly: no variance
+    # moves, but the bias mean of 1e308 moves by about 1.3e308 and
+    # overflows, which of the batch check's tests only the finite means see
+    state = _identity_state(ValueKind.BINARY)
+    state.weights[0].mean[0, 1] = 1e308
+    state.weights[0].var[0, 1] = 1.8e154
+    dalpha = 1e154
+    monkeypatch.setattr(adf_engine, "evidence_binary", lambda alpha, beta, y:
+                        adf_engine.EvidenceResult(0.0, dalpha, dalpha * dalpha / 2.0))
+    entry = ObservedEntry((0,), 1.0)
+    assert _assert_batches_match_the_screened_loop(state, [[entry]], DEFAULT_V_FLOOR) == 1
+
+
+@pytest.mark.parametrize("build", [_variance_grown_to_inf, _embedding_variance_under_the_floor],
+                         ids=["grown-to-inf", "embedding-row"])
+def test_process_batch_matches_the_screened_loop_on_a_clamp(build):
+    # a rounded c < 0, on which the unscreened step raises, and a clamp
+    # only the check of the batch's embedding rows finds
+    state, entry, v_floor = build()
+    _assert_batches_match_the_screened_loop(state, [[entry]], v_floor)
+    check_invariants(state)
+
+
+@pytest.mark.parametrize("position", [0, 9, 19], ids=["first", "mid", "last"])
+@pytest.mark.parametrize("kind", [ValueKind.CONTINUOUS, ValueKind.BINARY])
+@pytest.mark.parametrize("dalpha, dbeta", [(math.nan, 0.0), (math.inf, 0.0), (0.0, -1e6)],
+                         ids=["nan", "inf", "negative-variances"])
+def test_process_batch_matches_the_screened_loop_around_a_forced_entry(dalpha, dbeta, kind,
+                                                                        position, monkeypatch):
+    # one entry of a clean batch gets forced evidence partials. A non-finite
+    # dalpha, as in test_non_finite_new_means_are_still_skipped, skips it:
+    # with dalpha = NaN, c is NaN and the unscreened step raises at that
+    # entry; with dalpha = inf it writes non-finite means, which the next
+    # entry's forward pass or the batch check finds. c = 2e6 drives the
+    # variances far below 0, which the screened step clamps: unscreened,
+    # the next entry's beta is negative and the step raises, or the batch
+    # check finds them. Two clean batches follow: the first runs screened,
+    # the second unscreened again
+    shape = TensorShape((12, 12))
+    entries, _ = synth_generate(shape, 2, kind, CpGenerator(), 0.1, 60, seed=13)
+    state = init_state(shape, kind, NetworkSpec.for_factorization(4, [6], "relu"),
+                       Hyperparams(ranks=(2, 2)), seed=13)
+    forced = entries[position].index
+    assert [e.index for e in entries[:20]].count(forced) == 1
+    batches = [entries[:20]] + [[e for e in entries[b:b + 20] if e.index != forced]
+                                for b in (20, 40)]
+    current = []
+    gather = ModelState.gather_entry
+
+    def gather_and_note(self, index):
+        current[:] = [tuple(index)]
+        return gather(self, index)
+
+    evidence_name = f"evidence_{kind.value}"
+    evidence = getattr(adf_engine, evidence_name)
+
+    def forced_evidence(*args):
+        if current[0] == forced:
+            return adf_engine.EvidenceResult(0.0, dalpha, dbeta)
+        return evidence(*args)
+
+    monkeypatch.setattr(ModelState, "gather_entry", gather_and_note)
+    monkeypatch.setattr(adf_engine, evidence_name, forced_evidence)
+    skipped = _assert_batches_match_the_screened_loop(state, batches, DEFAULT_V_FLOOR)
+    assert skipped == (not math.isfinite(dalpha))
+    assert state.entries_seen == sum(map(len, batches)) - skipped
 
 
 def test_batch_embedding_touch_budget():
@@ -973,21 +1159,38 @@ def test_non_finite_pre_activations_still_raise(bad):
         bnn.forward_mean(spec, weights, np.ones(1))
 
 
-def test_a_mean_step_whose_dot_overflows_gives_the_reference_bytes():
+def _mean_step_whose_dot_overflows():
     # w_x has gradient 1e-3 and variance 1e6, so with a residual of 1e152
-    # its mean moves by about 3e154: w . w overflows, so the new means are
-    # formed and screened apart from mu, yet each is finite and the entry
-    # is applied, to the bytes of the repacking reference
+    # its mean moves by about 3e154
     state = _identity_state(ValueKind.CONTINUOUS)
     state.weights[0].var[0, 0] = 1e6
     state.embeddings[0].mean[0, 0] = 1e-3 * math.sqrt(2.0)
+    return state, ObservedEntry((0,), 1e152)
+
+
+def test_a_mean_step_whose_dot_overflows_gives_the_reference_bytes():
+    # w . w overflows, so the new means are formed and screened apart from
+    # mu, yet each is finite and the entry is applied, to the bytes of the
+    # repacking reference
+    state, entry = _mean_step_whose_dot_overflows()
     reference, before = copy.deepcopy(state), state.weights[0].mean[0, 0]
-    entry = ObservedEntry((0,), 1e152)
     with entry_errstate():
         assert not adf_update_entry(state, entry).skipped
     reference_entry(reference, entry)
     assert checkpoint_bytes(state) == checkpoint_bytes(reference)
     assert 2.0 ** 513 < state.weights[0].mean[0, 0] - before < math.inf
+
+
+def test_the_sweep_after_a_mean_step_whose_dot_overflows_keeps_the_invariants():
+    # the whole batch, under the suite's warning filter: the entry leaves
+    # both weight means so large, at variances on the floor, that
+    # m_cav^2 / v_cav overflows (w_x's square itself overflows). The EP
+    # sweep neither warns nor writes NaN: it leaves both sites as they are
+    state, entry = _mean_step_whose_dot_overflows()
+    diag = process_batch(state, [entry])
+    assert diag.skip_count == 0
+    assert diag.ep.guard_skips == state.net.n_weights == 2
+    check_invariants(state)
 
 
 def test_a_mean_step_that_overflows_a_mean_is_skipped(caplog):

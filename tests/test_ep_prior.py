@@ -95,6 +95,27 @@ def test_invalid_cavity_is_skipped_without_change():
     assert {name: res[name] for name in WEIGHT_FIELDS} == site
 
 
+@pytest.mark.parametrize("mean, var", [(4e154, 1e-10), (3e151, 1e-10), (1e300, 1e-300)],
+                         ids=["square-overflows", "ratio-overflows", "cavity-mean-overflows"])
+def test_a_site_whose_height_overflows_is_skipped_and_the_rest_keep_their_bytes(mean, var):
+    # m_cav^2, m_cav^2 / v_cav or m_cav itself is not finite at one site:
+    # the sweep leaves that site as it is, counts it as a guard skip, and
+    # raises no numpy warning (the suite turns one into an error); every
+    # other site gets the bytes it gets without that site
+    fields = [f.copy() for f in _trained_state().weight_fields()]
+    plain = [f.copy() for f in fields]
+    skips, kept = refine_arrays(*plain, slab_var=1.0, damping=0.5, v_floor=DEFAULT_V_FLOOR)
+    site = 3
+    assert not refine(dict(zip(WEIGHT_FIELDS, (f[site] for f in fields))), 1.0)["guard_skipped"]
+    fields[0][site], fields[1][site] = mean, var
+    before = [f[site] for f in fields]
+    big_skips, _ = refine_arrays(*fields, slab_var=1.0, damping=0.5, v_floor=DEFAULT_V_FLOOR)
+    assert big_skips == skips + 1
+    assert [f[site] for f in fields] == before
+    for got, want in zip(fields, plain):
+        assert np.delete(got, site).tobytes() == np.delete(want, site).tobytes()
+
+
 def test_nonpositive_divided_term_keeps_old_term_updates_posterior():
     # tilted variance beyond the cavity variance makes the divided term
     # precision negative: wide slab, bimodal-ish tilt
