@@ -26,6 +26,17 @@ noise precision, using that entry's pre-update (alpha, beta).
 Processing is strictly sequential over entries (the update is order
 dependent); the engine owns the state exclusively during process_batch,
 which checks the whole batch before its first entry.
+
+The per-entry step screens its own result: a non-finite new mean skips the
+entry, and a variance below the floor is clamped. process_batch runs it
+without those two screens and checks the batch once at its end instead:
+every weight variance and every variance of the batch's embedding rows is
+>= v_floor, and their means are finite. Where the check fails, or an entry
+meets what the screened step would skip or a c < 0, the batch is undone
+and replayed with the screened step. The check is exact: with every c >= 0
+no variance rises within a batch and no non-finite value turns finite
+again, so a batch that passes had nothing to clamp or skip, and the two
+steps wrote the same bytes (see process_batch).
 """
 
 import itertools
@@ -157,11 +168,11 @@ def adf_update_entry(state: ModelState, entry: ObservedEntry,
 
     With `screened=False` the step runs neither the new-mean screen nor
     the variance clamp: wherever the screened step would skip the entry
-    (a non-finite pre-activation, a non-finite or negative beta, an
-    evidence or noise-update NumericError), and wherever
-    c = dalpha^2 - 2 dbeta is not >= 0, it raises `_Unscreened` before it
-    writes or logs anything; otherwise it writes what the screened step
-    writes when that step neither skips nor clamps. Only `process_batch`
+    (a non-finite pre-activation or beta, an evidence or noise-update
+    NumericError), where beta < 0 and where c = dalpha^2 - 2 dbeta is not
+    >= 0, it raises `_Unscreened` before it writes or logs anything;
+    otherwise it writes what the screened step writes when that step
+    neither skips nor clamps. Only `process_batch`
     runs it so, and checks the whole batch afterwards.
 
     The update runs in the state's per-entry scratch, which it reads from
@@ -198,13 +209,11 @@ def adf_update_entry(state: ModelState, entry: ObservedEntry,
     # pre-activation. Every gamma_j is finite and > 0, so a non-finite
     # g_j makes beta NaN or +inf: this check also covers g. Unscreened, a
     # variance an earlier entry left below 0 can make beta negative
+    if not screened and not 0.0 <= beta < math.inf:
+        raise _Unscreened
     if not math.isfinite(beta):
-        if not screened:
-            raise _Unscreened
         logger.warning("skipping entry %s: non-finite output moments", index)
         return EntryResult(math.nan, alpha, beta, 0, True)
-    if beta < 0.0 and not screened:
-        raise _Unscreened
     gamma_post = state.gamma
     try:
         if binary:
@@ -266,17 +275,6 @@ class BatchDiagnostics:
     ep: ep_prior.EpDiagnostics
 
 
-def _screened_entries(state: ModelState, entries, v_floor: float) -> tuple[int, int]:
-    """Run the screened step on each entry in turn; returns the variances
-    clamped and the entries skipped."""
-    clamped = skipped = 0
-    for entry in entries:
-        result = adf_update_entry(state, entry, v_floor=v_floor)
-        clamped += result.clamped
-        skipped += result.skipped
-    return clamped, skipped
-
-
 def _unscreened_batch(state: ModelState, entries: Sequence[ObservedEntry],
                       indices: np.ndarray, v_floor: float) -> bool:
     """Run the unscreened step on every entry of the batch, then check the
@@ -331,12 +329,12 @@ def process_batch(state: ModelState, batch: Sequence[ObservedEntry],
     The check is exact. With every c >= 0 a variance can only fall within
     a batch (fl(v - x) <= v for x >= 0), and a NaN or -inf variance, like
     a non-finite mean, stays so (NaN - x, -inf - x and inf + w are not
-    finite again; an entry that reads a non-finite weight mean raises in
-    its forward pass). So if every variance ends >= v_floor and every
-    mean finite, no entry saw a variance below the floor or wrote a
-    non-finite mean: the screened step would have clamped and skipped
-    nothing, and both steps run the same operations in the same order,
-    so they write the same bytes.
+    finite again; an entry that reads a non-finite weight mean mostly
+    raises at once, in its forward pass). So if every variance ends
+    >= v_floor and every mean finite, no entry saw a variance below the
+    floor or wrote a non-finite mean: the screened step would have
+    clamped and skipped nothing, and both steps run the same operations
+    in the same order, so they write the same bytes.
     """
     if not batch:
         raise ValueError("a batch cannot be empty")
@@ -351,7 +349,10 @@ def process_batch(state: ModelState, batch: Sequence[ObservedEntry],
     clamped = skipped = 0
     with entry_errstate():
         if state.screen_batches or not _unscreened_batch(state, entries, indices, v_floor):
-            clamped, skipped = _screened_entries(state, entries, v_floor)
+            for entry in entries:
+                result = adf_update_entry(state, entry, v_floor=v_floor)
+                clamped += result.clamped
+                skipped += result.skipped
             state.screen_batches = bool(clamped or skipped)
     return BatchDiagnostics(clamped, skipped,
                             ep_prior.refine_all(state, damping=damping, v_floor=v_floor))
