@@ -11,8 +11,9 @@ with the selector weight taken from the cavity, replace the term by damped
 division, and recompute the posterior as cavity times the damped term (with
 damping 1 that is exactly the tilted moments). Guards: a non-positive cavity
 precision, or cavity moments or a height exponent m_cav^2 / v_cav that
-are not finite, skip the weight entirely; a non-positive divided term precision
-keeps the old term and moves only the posterior, to the tilted moments.
+are not finite, skip the weight entirely; a non-positive divided term
+precision keeps the old term and moves only the posterior, to the tilted
+moments.
 Damping interpolates the term in natural parameters.
 
 All integrals are closed-form: the spike is an exact point mass, so the

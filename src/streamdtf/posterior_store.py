@@ -23,8 +23,8 @@ the copy's own vectors.
 Per-entry scratch: the per-entry update reuses buffers and views from one
 entry to the next, so an entry runs only its numpy calls. They are built on
 the state's first update (the first read of any of `tape`, `entry_scratch`,
-`slot`, `slot_modes` or `screen_batches`), never at load or copy, so a state that only
-predicts never holds them: a one-row bnn.ForwardTape bound to the list of
+`slot`, `slot_modes` or `screen_batches`), never at load or copy, so a
+state that only predicts never holds them: a one-row bnn.ForwardTape bound to the list of
 the layers' mean views that weight_means() returns on every call (layer
 inputs with their bias slot set once, one contiguous pre-activation block,
 the backward vectors, g with per-layer views, and per layer the weight
@@ -196,8 +196,7 @@ class ModelState:
     layer views, their means list and the per-thread batch tapes
     (batch_tapes) are rebuilt with every copy; the per-entry scratch (tape,
     entry_scratch, slot, slot_modes, screen_batches) is built on the first
-    update. Neither
-    is ever part of a copy or a checkpoint."""
+    update. Neither is ever part of a copy or a checkpoint."""
 
     shape: TensorShape
     kind: ValueKind
