@@ -37,6 +37,20 @@ and replayed with the screened step. The check is exact: with every c >= 0
 no variance rises within a batch and no non-finite value turns finite
 again, so a batch that passes had nothing to clamp or skip, and the two
 steps wrote the same bytes (see process_batch).
+
+Per-entry scratch: the update reuses its buffers and views from one entry
+to the next, so an entry runs only its numpy calls. The state's first
+update builds them as an `EntryScratch` and keeps it as
+`state.entry_scratch`; a state that only predicts never holds one. Its
+one-row bnn.ForwardTape holds the layer inputs with their bias slot set
+once, one contiguous pre-activation block, the backward vectors, g with
+per-layer views, and per layer the weight views and pass records the two
+passes read, bound once to the list `weight_means()` returns on every
+call. Those views alias the store: writes through `[...] =` reach them,
+and rebinding a layer attribute or `state.mu` detaches it. Next to it
+process_batch keeps `screen_batches` (read as False until a batch fails
+its check). Neither is posterior state, so no copy or checkpoint carries
+them (`ModelState.__getstate__`).
 """
 
 import itertools
@@ -51,7 +65,7 @@ from . import bnn, ep_prior
 from .errors import NumericError
 from .posterior_store import DEFAULT_V_FLOOR, GammaPosterior, ModelState
 from .special import log_ndtr_and_ratio
-from .tensor_core import ObservedEntry
+from .tensor_core import ObservedEntry, ValueKind
 
 logger = logging.getLogger(__name__)
 
@@ -152,6 +166,29 @@ class _Unscreened(Exception):
     screened."""
 
 
+class EntryScratch(NamedTuple):
+    """A state's per-entry scratch (see "Per-entry scratch" above), one
+    tuple that `adf_update_entry` unpacks in place of a dozen attribute
+    loads."""
+
+    tape: bnn.ForwardTape  # one row, bound to state.weight_means()
+    mu: np.ndarray  # state.mu
+    var: np.ndarray  # state.var
+    u: np.ndarray  # two work vectors as long as mu
+    w: np.ndarray
+    dalpha: np.ndarray  # 0-d operands of the step's scalars
+    c: np.ndarray
+    binary: bool
+
+    @classmethod
+    def build(cls, state: ModelState) -> "EntryScratch":
+        tape = bnn.ForwardTape.allocate(state.net)
+        tape.bind(state.weight_means())
+        u, w = np.empty((2, state.mu.shape[0]))
+        return cls(tape, state.mu, state.var, u, w, np.zeros(()), np.zeros(()),
+                   state.kind is ValueKind.BINARY)
+
+
 def adf_update_entry(state: ModelState, entry: ObservedEntry,
                      v_floor: float = DEFAULT_V_FLOOR, *,
                      screened: bool = True) -> EntryResult:
@@ -175,12 +212,12 @@ def adf_update_entry(state: ModelState, entry: ObservedEntry,
     neither skips nor clamps. Only `process_batch`
     runs it so, and checks the whole batch afterwards.
 
-    The update runs in the state's per-entry scratch, which it reads from
-    one tuple (`state.entry_scratch`): `gather_entry` fills the input slot
-    `state.mu[n:]`/`state.var[n:]`, the passes run in `state.tape`,
-    u = var * g and w = dalpha * u go to the two work vectors, dalpha and c
-    reach their ufuncs as the tuple's two 0-d arrays (see "Scalar
-    operands" in `bnn`), and the new variances are written straight into
+    The update runs in the state's per-entry scratch, `state.entry_scratch`,
+    which the state's first update builds: `gather_entry` fills the input
+    slot `state.mu[n:]`/`state.var[n:]`, the passes run in the scratch's
+    tape, u = var * g and w = dalpha * u go to the two work vectors, dalpha
+    and c reach their ufuncs as the two 0-d arrays (see "Scalar operands"
+    in `bnn`), and the new variances are written straight into
     `state.var`. w is added into `state.mu` in place, after the last check
     that can skip the entry: a non-finite new mean, looked for only when
     w . w is not finite, as no new mean can overflow otherwise. Nothing in
@@ -191,12 +228,15 @@ def adf_update_entry(state: ModelState, entry: ObservedEntry,
     per batch: an overflow or invalid operation here ends in a skip or a
     clamp, never in a numpy warning.
     """
-    (net, means, tape, mu_vec, gamma_vec, u, w, dalpha_op, c_op,
-     binary) = state.entry_scratch
+    try:
+        scratch = state.entry_scratch
+    except AttributeError:  # the state's first update
+        scratch = state.entry_scratch = EntryScratch.build(state)
+    tape, mu_vec, gamma_vec, u, w, dalpha_op, c_op, binary = scratch
     index, y = entry
     x_mean, _ = state.gather_entry(index)
     try:
-        alpha, tape = bnn.forward_mean(net, means, x_mean, tape)
+        alpha, tape = bnn.forward_mean(state.net, state.means, x_mean, tape)
     except NumericError as exc:
         if not screened:
             raise _Unscreened from None
@@ -323,8 +363,8 @@ def process_batch(state: ModelState, batch: Sequence[ObservedEntry],
     c = dalpha^2 - 2 dbeta is not >= 0, the batch's writes are undone and
     the batch is replayed with the screened step, which then also runs
     the following batches until one of them clamps and skips nothing
-    (`state.screen_batches`, per-entry scratch that no copy or checkpoint
-    carries). So a stream that clamps in every batch runs one batch twice.
+    (`state.screen_batches`, which no copy or checkpoint carries). So a
+    stream that clamps in every batch runs one batch twice.
 
     The check is exact. With every c >= 0 a variance can only fall within
     a batch (fl(v - x) <= v for x >= 0), and a NaN or -inf variance, like
@@ -348,7 +388,8 @@ def process_batch(state: ModelState, batch: Sequence[ObservedEntry],
                        zip(map(tuple, indices.tolist()), values)))
     clamped = skipped = 0
     with entry_errstate():
-        if state.screen_batches or not _unscreened_batch(state, entries, indices, v_floor):
+        if (getattr(state, "screen_batches", False)
+                or not _unscreened_batch(state, entries, indices, v_floor)):
             for entry in entries:
                 result = adf_update_entry(state, entry, v_floor=v_floor)
                 clamped += result.clamped

@@ -17,16 +17,16 @@ what it needs from these factors.
 
 Buffers: both passes write into the buffers of the tape they run on (with
 `out=`), so a pass allocates only its results. A tape belongs to whoever
-allocated it. The per-entry update passes the one-row tape its
-`ModelState` owns, so one entry after another allocates nothing, and
-`backprop_gradient` fills that tape's g. On that tape g's output-layer
-block is the hb_{M-1} buffer: the output layer's gradient delta_M hb_{M-1}
-is hb_{M-1} itself (delta_M = 1), so the forward pass writes that block of
-g and the backward pass leaves it alone. Batch prediction and the running
-evaluation run in the n-row tape the state keeps for the calling thread
-(`ModelState.batch_tape`), so a request or a re-score allocates only its
-results. A consumer that passes no tape gets a new one from
-`ForwardTape.allocate` for its inputs' rows.
+allocated it. The per-entry update passes the one-row tape of the state's
+per-entry scratch (`adf_engine.EntryScratch`), so one entry after another
+allocates nothing, and `backprop_gradient` fills that tape's g. On that
+tape g's output-layer block is the hb_{M-1} buffer: the output layer's
+gradient delta_M hb_{M-1} is hb_{M-1} itself (delta_M = 1), so the forward
+pass writes that block of g and the backward pass leaves it alone. Batch
+prediction and the running evaluation run in the n-row tape the state
+keeps for the calling thread (`predict_eval.batch_tape`), so a request or
+a re-score allocates only its results. A consumer that passes no tape gets
+a new one from `ForwardTape.allocate` for its inputs' rows.
 
 Binding: what the passes read that does not change between passes is
 built once, not per pass. A tape fixes, when it is built, the hidden
@@ -42,7 +42,7 @@ list per operand. The records are rebuilt only when the tape is given a
 different sequence object. The views alias the arrays, so a write
 into their memory reaches the next pass, while replacing an item of a
 bound list in place is not seen. `ModelState.weight_means()` returns the
-same list on every call, so the state's one-row tape binds once per
+same list on every call, so a state's one-row tape binds once per
 state, copy or load, and each of its n-row tapes once when it is built; a
 fresh list binds on each pass. Given a tape already bound to the weights
 it is given, as the state's is, `forward_mean` runs `_forward` on the
@@ -77,8 +77,8 @@ of the call (numpy 2.4, Intel Xeon, timeit: np.divide of a 50-vector
 against 0.49, an in-place multiply of a 3,059-vector 1.04 against 0.83).
 So every scalar operand of the passes is a read-only 0-d float64 array:
 the fan-in scales (`NetworkSpec.scale_operands`) and the 0 and 1 of the
-activation forms; the per-entry update writes its dalpha and c into two
-0-d arrays its state owns. The ufunc runs the same float64 loop either
+activation forms; the per-entry update writes its dalpha and c into the
+two 0-d arrays of its scratch. The ufunc runs the same float64 loop either
 way, so the bits are the same, signed zeros, NaN, infinities and
 subnormals included. `out=` stays a keyword: np.maximum given `out`
 positionally is deprecated and about twice as slow.
@@ -262,7 +262,7 @@ class ForwardTape:
 
     The backward pass writes delta_m over z_m (m < M), and the hidden
     activations, the backward products, the squares the output moments sum
-    and the gathered rows of each input block (`ModelState.batch_tape`)
+    and the gathered rows of each input block (`predict_eval.batch_tape`)
     all take turns in one flat `scratch`. On one row, `outer` holds each
     hidden layer's block of g next to the (V_m, 1) and (1, V_{m-1} + 1)
     views of delta_m and hb_{m-1} whose dot fills it;

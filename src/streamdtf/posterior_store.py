@@ -13,51 +13,28 @@ term_var, term_logit). mu and var carry V_0 more coordinates after the weights, 
 input slot the update engine fills with the current entry's gathered
 embedding moments, so the per-entry update reads and writes whole vectors.
 The slot is scratch, not posterior state: it is neither checkpointed nor
-counted. Each WeightLayer in ModelState.weights is a set of reshape views
-into those vectors, so `state.weights[m].mean[...] = x` writes the store.
-Write through the views with `[...] =` (or an index); rebinding a layer
-attribute (`lay.mean = x`) detaches it from the store and the engine will
-not see the write. Copies (copy.deepcopy, pickle) rebuild the views over
-the copy's own vectors.
+counted. ModelState._bind_layers builds the views over those vectors: each
+WeightLayer in ModelState.weights is a set of reshape views into them, so
+`state.weights[m].mean[...] = x` writes the store; `means` is the list of
+the layers' mean views that weight_means() returns on every call; `slot`
+is the input slot's (mean, var) views that gather_entry returns; and
+`slot_modes` holds per mode a (table mean, table var, slot mean, slot var)
+tuple that gather_entry and scatter_entry copy between. Write through the
+views with `[...] =` (or an index); rebinding an attribute (`lay.mean = x`,
+`emb.mean`, `state.embeddings`, `state.mu`) detaches it from the store,
+and the engine will not see the write.
 
-Per-entry scratch: the per-entry update reuses buffers and views from one
-entry to the next, so an entry runs only its numpy calls. They are built on
-the state's first update (the first read of any of `tape`, `entry_scratch`,
-`slot`, `slot_modes` or `screen_batches`), never at load or copy, so a
-state that only predicts never holds them: a one-row bnn.ForwardTape bound to the list of
-the layers' mean views that weight_means() returns on every call (layer
-inputs with their bias slot set once, one contiguous pre-activation block,
-the backward vectors, g with per-layer views, and per layer the weight
-views and pass records the two passes read); the tuple adf_update_entry
-unpacks in place of a dozen attribute loads (entry_scratch: the network
-spec, that list, the tape, mu and var, two work vectors as long as mu, and
-two 0-d arrays for the step's scalars dalpha and c, then whether the data
-are binary); the input slot's (mean, var) views that gather_entry returns;
-per mode a (table mean, table var, slot mean, slot var) tuple that
-gather_entry and scatter_entry copy between; and screen_batches, whether
-adf_engine.process_batch runs its next batch with the screened step
-(False until a batch fails its check). Once built, each is a plain
-attribute of the state. Like the layer views, these alias the store and
-the embedding tables, so writes through `[...] =` reach them and rebinding
-an attribute (`lay.mean`, `emb.mean`, `state.embeddings`, `state.mu`)
-detaches it. Next to the layer views, an empty slot per thread for the
-n-row tape batch prediction runs in (batch_tapes, a threading.local):
-batch_tape(n) builds a thread's tape, bound to the same list, with per
-mode the view of its scratch that the mode's embedding rows are gathered
-into, on the thread's first prediction and again whenever the row count
-changes. So a prediction is spared building the tape only when it comes
-from the same thread with the same row count as that thread's last one.
-The state keeps each thread's last tape for as long as it lives (about
-2.6 kB per row on the README network), except the test set's tape of
-running_eval, which is dropped when the evaluation returns. The scratch
-and the tapes belong to the state: deepcopy, pickle and load_checkpoint
-never copy or checkpoint them, and a copy or a loaded state has neither
-until it updates or predicts.
+Copies carry the posterior alone: copy.deepcopy and pickle carry the
+dataclass init fields (ModelState.__getstate__), and a copy, like a loaded
+checkpoint, binds the views over its own vectors. Whatever else a state
+holds is the working memory of the module that built it, adf_engine's
+per-entry scratch and predict_eval's batch tapes, which a copy or a
+loaded state builds anew when it first updates or predicts.
 
 A ModelState is single-writer: the per-entry update and gather_entry write
-its scratch. Any number of threads may predict from one state while no
-thread writes it: each predicts in its own batch tape. Embeddings are
-mutated only through scatter_entry.
+its input slot and the update's scratch. Any number of threads may
+predict from one state while no thread writes it: each predicts in its
+own batch tape. Embeddings are mutated only through scatter_entry.
 
 Invariants (finite means, positive variances, selector probabilities
 inside (0, 1), a valid Gamma posterior; see check_invariants) are checked
@@ -84,13 +61,12 @@ import itertools
 import json
 import operator
 import struct
-import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import BinaryIO, Sequence, TextIO
 
 import numpy as np
 
-from .bnn import ForwardTape, NetworkSpec
+from .bnn import NetworkSpec
 from .errors import CheckpointError
 from .seeding import make_rng
 from .special import ndtr, ndtri
@@ -104,11 +80,6 @@ DEFAULT_V_FLOOR = 1e-10
 
 # WeightLayer fields, also the per-layer keys of a checkpoint
 WEIGHT_FIELDS = ("mean", "var", "rho_post", "term_mean", "term_var", "term_logit")
-
-# ModelState attributes _bind_layers builds over the flat vectors
-_BOUND = ("weights", "means", "batch_tapes")
-# ModelState's per-entry scratch, built on its first read (_EntryScratch)
-_SCRATCH = ("tape", "entry_scratch", "slot", "slot_modes", "screen_batches")
 
 
 @dataclass(frozen=True)
@@ -173,30 +144,12 @@ class WeightLayer:
     term_logit: np.ndarray
 
 
-class _EntryScratch:
-    """A per-entry scratch name of ModelState (_SCRATCH). Its first read
-    builds every scratch name into the state's __dict__
-    (ModelState._build_entry_scratch), where it shadows this non-data
-    descriptor: every later read is a plain attribute read."""
-
-    def __set_name__(self, owner, name: str) -> None:
-        self.name = name
-
-    def __get__(self, state, owner=None):
-        if state is None:
-            return self
-        state._build_entry_scratch()
-        return vars(state)[self.name]
-
-
 @dataclass
 class ModelState:
     """The whole posterior. mu and var have length n_weights + V_0 (input slot
     last); rho_post and the three term fields have length n_weights. The
-    layer views, their means list and the per-thread batch tapes
-    (batch_tapes) are rebuilt with every copy; the per-entry scratch (tape,
-    entry_scratch, slot, slot_modes, screen_batches) is built on the first
-    update. Neither is ever part of a copy or a checkpoint."""
+    views over them (weights, means, slot, slot_modes) are bound with the
+    state and again with every copy, and never checkpointed."""
 
     shape: TensorShape
     kind: ValueKind
@@ -213,13 +166,8 @@ class ModelState:
     term_logit: np.ndarray
     weights: list[WeightLayer] = field(init=False, repr=False, compare=False)
     means: list[np.ndarray] = field(init=False, repr=False, compare=False)
-    batch_tapes: threading.local = field(init=False, repr=False, compare=False)
-    # per-entry scratch, never checkpointed or copied (see the module docstring)
-    tape = _EntryScratch()
-    entry_scratch = _EntryScratch()
-    slot = _EntryScratch()
-    slot_modes = _EntryScratch()
-    screen_batches = _EntryScratch()
+    slot: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
+    slot_modes: list[tuple[np.ndarray, ...]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self._bind_layers()
@@ -231,64 +179,29 @@ class ModelState:
                 self.term_logit)
 
     def _bind_layers(self) -> None:
-        """Bind the layer views over the flat vectors and the list of their
-        means, and give the state the empty per-thread slot of
-        `batch_tape`: what prediction reads."""
+        """Bind the layer views over the flat vectors, the list of their
+        means, the input slot's (mean, var) views, and per mode its
+        embedding tables next to its (mean, var) views into the slot."""
         flats = self.weight_fields()
         self.weights = [
             WeightLayer(*(flat[sl].reshape(w_shape) for flat in flats))
             for sl, w_shape in zip(self.net.weight_slices, self.net.weight_shapes)
         ]
         self.means = [lay.mean for lay in self.weights]
-        self.batch_tapes = threading.local()
+        n = self.net.n_weights
+        self.slot = (self.mu[n:], self.var[n:])
+        starts = itertools.accumulate(self.hyper.ranks, initial=n)
+        self.slot_modes = [(emb.mean, emb.var, self.mu[lo:lo + r], self.var[lo:lo + r])
+                           for emb, lo, r in zip(self.embeddings, starts, self.hyper.ranks)]
 
-    def _build_entry_scratch(self) -> None:
-        """Build the per-entry scratch: a one-row ForwardTape bound to
-        weight_means(), `entry_scratch` (see the module docstring), the
-        input slot's (mean, var) views, per mode its embedding tables
-        next to its (mean, var) views into the slot, and screen_batches
-        unset."""
-        tape = ForwardTape.allocate(self.net)
-        tape.bind(self.means)
-        u, w = np.empty((2, self.mu.shape[0]))
-        offset = self.net.n_weights
-        slot = (self.mu[offset:], self.var[offset:])
-        slot_modes = []
-        for r, emb in zip(self.hyper.ranks, self.embeddings):
-            slot_modes.append((emb.mean, emb.var, self.mu[offset:offset + r],
-                               self.var[offset:offset + r]))
-            offset += r
-        vars(self).update(
-            tape=tape, slot=slot, slot_modes=slot_modes,
-            entry_scratch=(self.net, self.means, tape, self.mu, self.var, u, w, np.zeros(()),
-                           np.zeros(()), self.kind is ValueKind.BINARY),
-            screen_batches=False)
-
-    # copies carry the flat vectors only and rebuild the views over their
-    # own; the scratch a state holds is left behind
+    # copies carry the init fields alone and bind their views over their
+    # own vectors: what other modules keep on a state is left behind
     def __getstate__(self) -> dict:
-        return {name: value for name, value in vars(self).items()
-                if name not in _BOUND and name not in _SCRATCH}
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.init}
 
-    def __setstate__(self, fields: dict) -> None:
-        self.__dict__.update(fields)
+    def __setstate__(self, values: dict) -> None:
+        self.__dict__.update(values)
         self._bind_layers()
-
-    def batch_tape(self, rows: int) -> tuple[ForwardTape, tuple[np.ndarray, ...]]:
-        """The calling thread's tape for `rows` rows, bound to weight_means(),
-        and per mode the C-contiguous (rows, r_k) view of the tape's scratch
-        that the mode's embedding rows are gathered into. A thread keeps
-        one: it is built on the thread's first call and again when `rows`
-        differs from its row count."""
-        last = getattr(self.batch_tapes, "last", None)
-        if last is None or last[0].ones.shape[0] != rows:
-            tape = ForwardTape.allocate(self.net, (rows,))
-            tape.bind(self.means)
-            starts = itertools.accumulate(self.hyper.ranks, initial=0)
-            gather = tuple(tape.scratch[rows * lo:rows * (lo + r)].reshape(rows, r)
-                           for lo, r in zip(starts, self.hyper.ranks))
-            last = self.batch_tapes.last = (tape, gather)
-        return last
 
     def weight_means(self) -> list[np.ndarray]:
         """Each layer's mean view, as the same list on every call, so a tape

@@ -9,23 +9,32 @@ probability rather than the plug-in Phi(alpha). Phi is
 Metrics: RMSE for continuous data; AUC for binary data as the Mann-Whitney
 statistic with ties counted one half.
 
-Prediction is read-only. Every prediction of n rows runs in the n-row
-`bnn.ForwardTape` the state keeps for the calling thread
-(`ModelState.batch_tape`): the gather writes the rows' embedding moments
-into its buffers and both network passes write into the rest, so a
-request allocates only its results, which hold none of the tape's
-memory. The running evaluation re-scores the full test set after every
-processed batch, in that same tape, and records per-batch wallclock. A
+Prediction is read-only. Every prediction of n rows runs in an n-row
+`bnn.ForwardTape` the state keeps for the calling thread (`batch_tape`):
+the gather writes the rows' embedding moments into its buffers and both
+network passes write into the rest, so a request allocates only its
+results, which hold none of the tape's memory. A thread's tape is rebuilt
+whenever its row count changes, so a prediction is spared building one
+only when it comes from the same thread with the same row count as that
+thread's last one. The state keeps each thread's last tape as long as it
+lives (about 2.6 kB per row on the README network), in a threading.local
+its first prediction installs (`state.batch_tapes`), so any number of
+threads may predict from one state while none writes it. Copies and
+checkpoints never carry the tapes (`ModelState.__getstate__`).
+
+The running evaluation re-scores the full test set after every processed
+batch, in the calling thread's tape, which it drops on return, and
+records per-batch wallclock. A
 binary score needs beta for the probit probability, so it runs both
 passes. A continuous score is the RMSE of the means alone: it gathers
 only the embedding means and runs only the forward pass, so the variance
 gather, the backward pass and beta are skipped and the tape's backward
-buffers stay unused. Copies and checkpoints of the state never carry its
-tapes.
+buffers stay unused.
 """
 
 import itertools
 import operator
+import threading
 import time
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence, TextIO
@@ -39,11 +48,34 @@ from .special import ndtr_array
 from .tensor_core import ObservedEntry, ValueKind
 
 
+def batch_tape(state: ModelState,
+               rows: int) -> tuple[bnn.ForwardTape, tuple[np.ndarray, ...]]:
+    """The calling thread's tape for `rows` rows, bound to weight_means(),
+    and per mode the C-contiguous (rows, r_k) view of the tape's scratch
+    that the mode's embedding rows are gathered into; built when the
+    thread's last tape has another row count, or none. The state's first
+    call installs the slot with setdefault, so threads making the first
+    predictions at once share one."""
+    try:
+        tapes = state.batch_tapes
+    except AttributeError:
+        tapes = vars(state).setdefault("batch_tapes", threading.local())
+    last = getattr(tapes, "last", None)
+    if last is None or last[0].ones.shape[0] != rows:
+        tape = bnn.ForwardTape.allocate(state.net, (rows,))
+        tape.bind(state.weight_means())
+        starts = itertools.accumulate(state.hyper.ranks, initial=0)
+        gather = tuple(tape.scratch[rows * lo:rows * (lo + r)].reshape(rows, r)
+                       for lo, r in zip(starts, state.hyper.ranks))
+        last = tapes.last = (tape, gather)
+    return last
+
+
 def _gather(tables: Sequence[np.ndarray], idx: np.ndarray, out: np.ndarray,
             parts: Sequence[np.ndarray]) -> np.ndarray:
     """Rows idx[:, k] of tables[k], modes side by side (n, sum_k r_k), into
     `out`. take writes straight only into a C-contiguous array, so each
-    mode's rows land in its part (`ModelState.batch_tape`) first. The
+    mode's rows land in its part (`batch_tape`) first. The
     indices are checked, so mode="clip" never clips."""
     for k, (table, rows) in enumerate(zip(tables, parts)):
         table.take(idx[:, k], 0, rows, "clip")
@@ -57,11 +89,11 @@ def predict_batch(state: ModelState, indices: Sequence[tuple[int, ...]], *,
     the forward pass (the same means, byte for byte); binary: probability
     array, and `means_only` raises ValueError. `TensorShape.check_indices`
     checks indices. The gather and the passes run in the state's batch
-    tape for this thread and row count (`ModelState.batch_tape`)."""
+    tape for this thread and row count (`batch_tape`)."""
     if means_only and state.kind is not ValueKind.CONTINUOUS:
         raise ValueError("means_only needs continuous data: a probability needs beta")
     idx = state.shape.check_indices(indices)
-    tape, parts = state.batch_tape(idx.shape[0])
+    tape, parts = batch_tape(state, idx.shape[0])
     x_mean = _gather([emb.mean for emb in state.embeddings], idx, tape.inputs, parts)
     x_var = None
     if not means_only:
@@ -169,8 +201,8 @@ def running_eval(state: ModelState, stream: Iterable[Sequence[ObservedEntry]],
     batch is, and disjoint (by index tuple) from the stream. The state is
     mutated in place; per-batch wallclock covers the posterior update only,
     not the evaluation. `metric_name` is None when the stream is empty.
-    Every batch is scored in the state's batch tape for the test set, which
-    the state drops on return.
+    Every batch is scored in the calling thread's batch tape for the test
+    set, which the state drops on return.
     """
     if len(test_entries) == 0:
         raise ValueError("test set must be nonempty")
@@ -191,5 +223,6 @@ def running_eval(state: ModelState, stream: Iterable[Sequence[ObservedEntry]],
         series.metric_name, value = score(state, test_indices, test_values)
         series.rows.append(MetricRow(batch=ordinal, seen=state.entries_seen,
                                      metric=value, ms=elapsed_ms))
-    vars(state.batch_tapes).pop("last", None)  # the test set's tape goes with the scores
+    if batches:  # the test set's tape goes with the scores
+        del state.batch_tapes.last
     return series

@@ -110,9 +110,10 @@ class TensorShape:
         """`indices` as an (n, K) integer array, checked as `check_index`
         checks one tuple; a non-integer dtype raises TypeError, and rows of
         unequal length raise as `check_index` does for the first row with the
-        wrong mode count. Rows of K integers convert without np.asarray's
-        walk over every coordinate (`_int_rows`); any other input goes
-        through np.asarray, whose dtype decides what is an integer."""
+        wrong mode count. Rows of K integers, and an empty sequence, which
+        reads as (0, K), convert without np.asarray's walk over every
+        coordinate (`_int_rows`); any other input goes through np.asarray,
+        whose dtype decides what is an integer."""
         idx = indices
         if not isinstance(idx, np.ndarray):
             idx = _int_rows(indices, len(self.dims))
@@ -135,8 +136,8 @@ class TensorShape:
 
 
 def _int_rows(rows, k: int) -> np.ndarray | None:
-    """The n rows of k integers as an (n, k) int64 array (a transposed view
-    of a (k, n) block), or None where `rows` is anything else: struct packs
+    """The n >= 0 rows of k integers as an (n, k) int64 array (a transposed
+    view of a (k, n) block), or None where `rows` is anything else: struct packs
     each column through `__index__`, which refuses a float or a string, and
     zip(strict=True) refuses rows of unequal length. Rows whose first
     coordinate is a bool get None too, since np.asarray reads rows of bools
@@ -144,7 +145,7 @@ def _int_rows(rows, k: int) -> np.ndarray | None:
     either way."""
     try:
         n = len(rows)
-        if type(rows[0][0]) is bool:
+        if n and type(rows[0][0]) is bool:
             return None
         out = np.empty((k, n), np.int64)
         struct.pack_into(f"{n * k}q", out, 0,

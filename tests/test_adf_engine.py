@@ -1,5 +1,6 @@
 import contextlib
 import copy
+import dataclasses
 import io
 import itertools
 import logging
@@ -7,6 +8,7 @@ import math
 import os
 import pickle
 import sys
+import threading
 from collections import Counter
 
 import numpy as np
@@ -551,9 +553,11 @@ def _restart_by_checkpoint(state):
 
 def test_deepcopy_views_alias_the_copy_only():
     # a deep copy, a pickle round trip and a loaded checkpoint each bind
-    # their layer views, their tape's weight views and their slot tables
-    # to their own vectors and tables, never to the original's
+    # their layer views and their slot views to their own vectors and
+    # tables, never to the original's, and so does the one-row tape the
+    # copy's first update builds
     state, batch = _synth_state_and_batch(seed=4)
+    process_batch(state, batch[:32])
     before = checkpoint_bytes(state)
     for restart in (copy.deepcopy, lambda s: pickle.loads(pickle.dumps(s)),
                     _restart_by_checkpoint):
@@ -563,12 +567,8 @@ def test_deepcopy_views_alias_the_copy_only():
                                            state.weight_fields()):
                 assert np.shares_memory(getattr(lay, name), own)
                 assert not np.shares_memory(getattr(lay, name), original)
-        assert clone.tape.weights is clone.weight_means()
         assert not any(op.flags.writeable for op in clone.net.scale_operands)
         assert clone.weight_means() is clone.weight_means()
-        for view, mean in zip(*_record_views(clone.tape, clone.weight_means()), strict=True):
-            assert np.shares_memory(view, mean)
-            assert not np.shares_memory(view, state.mu)
         for views, emb, original in zip(clone.slot_modes, clone.embeddings,
                                          state.embeddings):
             table_mean, table_var, slot_mean, slot_var = views
@@ -580,35 +580,73 @@ def test_deepcopy_views_alias_the_copy_only():
             assert np.shares_memory(view, flat)
             assert not np.shares_memory(view, state.mu)
             assert not np.shares_memory(view, state.var)
-        process_batch(clone, batch)
+        process_batch(clone, batch[32:])
+        scratch = clone.entry_scratch
+        assert scratch.mu is clone.mu and scratch.var is clone.var
+        assert scratch.tape.weights is clone.weight_means()
+        for view, mean in zip(*_record_views(scratch.tape, clone.weight_means()),
+                              strict=True):
+            assert np.shares_memory(view, mean)
+            assert not np.shares_memory(view, state.mu)
         assert checkpoint_bytes(clone) != before
         assert checkpoint_bytes(state) == before
 
 
-SCRATCH = ("tape", "entry_scratch", "slot", "slot_modes", "screen_batches")
-
-
-def _held_scratch(state):
-    return [name for name in SCRATCH if name in vars(state)]
+def _updated_and_served_state():
+    """A state that has updated and has predicted on two threads, and its
+    stream: 32 entries it trained on, 16 whose cells it predicted and 16
+    more. Its batch clamps at the floor 0.9, so the state also holds the
+    flag that runs its next batch screened."""
+    state, batch = _synth_state_and_batch(seed=4)
+    assert process_batch(state, batch[:32], v_floor=0.9).clamp_count > 0
+    rows = [entry.index for entry in batch[32:48]]
+    threads = [threading.Thread(target=predict_batch, args=(state, rows)) for _ in range(2)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    return state, batch
 
 
 @pytest.mark.parametrize("restart", [copy.deepcopy, lambda s: pickle.loads(pickle.dumps(s)),
                                      _restart_by_checkpoint],
                          ids=["deepcopy", "pickle", "load_checkpoint"])
-def test_a_copy_holds_no_entry_scratch_and_predicting_builds_none(restart):
-    # the per-entry scratch is built on a state's first update: a fresh
-    # state, a copy of a trained one and a loaded checkpoint hold none of
-    # it, and prediction, which never reads it, builds none
-    state, batch = _synth_state_and_batch(seed=4)
-    assert _held_scratch(state) == []
-    process_batch(state, batch[:32])
-    assert _held_scratch(state) == list(SCRATCH)
+def test_a_copy_holds_the_posterior_alone(restart, monkeypatch):
+    # what the engine and prediction keep on a state (the per-entry
+    # scratch, the batch flag, the batch tapes) is theirs, not the
+    # posterior's: a copy holds the dataclass init fields and the views
+    # _bind_layers builds (the fields that are not init fields), builds no
+    # one-row tape until it updates, and trains and predicts to the bytes
+    # of the state it was copied from
+    fields = dataclasses.fields(ModelState)
+    init = {f.name for f in fields if f.init}
+    bound = {f.name for f in fields if not f.init}
+    assert set(vars(_synth_state_and_batch(seed=4)[0])) == init | bound
+    state, batch = _updated_and_served_state()
+    assert {"entry_scratch", "screen_batches", "batch_tapes"} <= set(vars(state))
+    assert state.screen_batches
+    one_row = []
+    allocate = bnn.ForwardTape.allocate.__func__
+
+    def counted(cls, spec, lead=()):
+        if not lead:
+            one_row.append(spec)
+        return allocate(cls, spec, lead)
+
+    monkeypatch.setattr(bnn.ForwardTape, "allocate", classmethod(counted))
     clone = restart(state)
-    assert _held_scratch(clone) == []
-    predict_batch(clone, [entry.index for entry in batch[32:]])
+    assert set(vars(clone)) == init | bound
+    rows = [entry.index for entry in batch[32:]]
+    predicted = predict_batch(clone, rows)
     predict_entry(clone, batch[32].index)
-    assert _held_scratch(clone) == []
-    assert _held_scratch(state) == list(SCRATCH)
+    assert one_row == []
+    for run in (state, clone):
+        process_batch(run, batch[48:])
+    assert one_row == [clone.net]
+    assert checkpoint_bytes(clone) == checkpoint_bytes(state)
+    assert [a.tobytes() for a in predict_batch(clone, rows)] == [
+        a.tobytes() for a in predict_batch(state, rows)]
+    assert [a.tobytes() for a in predicted] != [a.tobytes() for a in predict_batch(clone, rows)]
 
 
 def test_the_first_update_builds_the_entry_scratch_once(monkeypatch):
@@ -624,11 +662,11 @@ def test_the_first_update_builds_the_entry_scratch_once(monkeypatch):
     monkeypatch.setattr(bnn.ForwardTape, "allocate", classmethod(counted))
     process_batch(state, batch[:32])
     assert one_row == [state.net]
-    built = {name: vars(state)[name] for name in SCRATCH}
+    built = state.entry_scratch
     process_batch(state, batch[32:])
     assert one_row == [state.net]
-    assert all(vars(state)[name] is built[name] for name in SCRATCH)
-    assert state.entry_scratch[2] is state.tape
+    assert state.entry_scratch is built
+    assert built.tape.weights is state.weight_means()
 
 
 @pytest.mark.parametrize("kind", [ValueKind.CONTINUOUS, ValueKind.BINARY])
@@ -644,13 +682,13 @@ def test_a_loaded_state_trains_to_the_bytes_of_an_uninterrupted_run(kind):
                        Hyperparams(ranks=(2, 2)), seed=5)
     running_eval(state, batches[:2], test)
     loaded = _restart_by_checkpoint(state)
-    assert _held_scratch(loaded) == []
+    assert "entry_scratch" not in vars(loaded)
     outputs = []
     for run in (state, loaded):
         csv = io.StringIO()
         running_eval(run, batches[2:], test).write_csv(csv, include_timing=False)
         outputs.append((checkpoint_bytes(run), csv.getvalue()))
-    assert _held_scratch(loaded) == list(SCRATCH)
+    assert "entry_scratch" in vars(loaded)
     assert outputs[1] == outputs[0]
 
 
@@ -792,9 +830,10 @@ def test_warm_and_cold_buffers_agree_to_the_byte(k, activation, restart):
     for batch in batches[:2]:
         process_batch(restarted, batch)
     restarted = restart(restarted)
-    assert not np.shares_memory(restarted.tape.g, uninterrupted.tape.g)
     for batch in batches[2:]:
         process_batch(restarted, batch)
+    assert not np.shares_memory(restarted.entry_scratch.tape.g,
+                                uninterrupted.entry_scratch.tape.g)
     assert checkpoint_bytes(restarted) == checkpoint_bytes(uninterrupted)
 
 
@@ -1109,7 +1148,8 @@ def test_one_row_passes_match_the_n_row_passes_to_the_byte(k, ranks, hidden, act
     process_batch(state, tuple(entries[:40]))  # weights away from their draw
     for entry in entries[40:]:
         x_mean, _ = state.gather_entry(entry.index)
-        alpha, tape = bnn.forward_mean(net, state.weight_means(), x_mean, state.tape)
+        alpha, tape = bnn.forward_mean(net, state.weight_means(), x_mean,
+                                       state.entry_scratch.tape)
         g = bnn.backprop_gradient(tape)
         assert g.shape == (net.n_weights + net.input_dim,)
         for batch_tape in (None, bnn.ForwardTape.allocate(net, (1,))):

@@ -6,6 +6,7 @@ import re
 import sys
 import threading
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -425,7 +426,7 @@ def test_the_batch_tape_follows_the_row_count():
     indices = [e.index for e in test]
     for rows in (indices, indices[:1], indices[1:], indices + indices[:1], indices):
         got = predict_batch(state, rows)
-        tape, gather = state.batch_tape(len(rows))
+        tape, gather = predict_eval.batch_tape(state, len(rows))
         assert tape.ones.shape == (len(rows), 1)
         assert [(g.shape, g.flags.c_contiguous) for g in gather] == [
             ((len(rows), r), True) for r in state.hyper.ranks]
@@ -454,21 +455,43 @@ def _response_bytes(response):
     return [a.tobytes() for a in (response if isinstance(response, tuple) else (response,))]
 
 
-def test_threads_predicting_from_one_state_get_the_serial_bytes():
+@pytest.mark.parametrize("fresh", [False, True], ids=["warm", "fresh-copy"])
+def test_threads_predicting_from_one_state_get_the_serial_bytes(fresh, monkeypatch):
     # any number of threads may predict from one state while none writes
     # it: each runs in its own batch tape, so four threads answering
     # different requests of the same row count, interleaved many times,
-    # each get exactly the bytes of their request predicted alone
+    # each get exactly the bytes of their request predicted alone. On a
+    # fresh copy the threads' first predictions install the state's slot
+    # of tapes at once: each makes a slot before any installs one, and
+    # they share the one installed first, so each builds one tape (a slot
+    # installed by assignment would replace another thread's)
     state, requests = _served_state()
     serial = [_response_bytes(predict_batch(state, req)) for req in requests]
+    if fresh:
+        state = copy.deepcopy(state)
+        made = threading.Barrier(len(requests), timeout=60)
+
+        def local():
+            made.wait()
+            return threading.local()
+
+        monkeypatch.setattr(predict_eval, "threading", types.SimpleNamespace(local=local))
     start = threading.Barrier(len(requests), timeout=60)
     mismatches, tapes = [None] * len(requests), [None] * len(requests)
+    built = []
+    allocate = bnn.ForwardTape.allocate.__func__
+
+    def counted(cls, spec, lead=()):
+        built.append(lead)
+        return allocate(cls, spec, lead)
+
+    monkeypatch.setattr(bnn.ForwardTape, "allocate", classmethod(counted))
 
     def serve(i):
         start.wait()
         mismatches[i] = sum(_response_bytes(predict_batch(state, requests[i])) != serial[i]
                             for _ in range(500))
-        tapes[i] = state.batch_tape(60)[0]
+        tapes[i] = predict_eval.batch_tape(state, 60)[0]
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # a thread switch every few bytecodes
@@ -482,7 +505,9 @@ def test_threads_predicting_from_one_state_get_the_serial_bytes():
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert mismatches == [0] * len(requests)
-    assert len({id(tape) for tape in tapes + [state.batch_tape(60)[0]]}) == len(requests) + 1
+    assert built == [(60,)] * len(requests)
+    mine = predict_eval.batch_tape(state, 60)[0]
+    assert len({id(tape) for tape in tapes + [mine]}) == len(requests) + 1
 
 
 @pytest.mark.parametrize("kind", [ValueKind.CONTINUOUS, ValueKind.BINARY])
@@ -494,7 +519,7 @@ def test_a_response_keeps_its_bytes_after_later_requests(kind):
     if kind is ValueKind.CONTINUOUS:
         responses.append(predict_batch(state, requests[0], means_only=True))
     kept = [_response_bytes(r) for r in responses]
-    tape, _ = state.batch_tape(60)
+    tape, _ = predict_eval.batch_tape(state, 60)
     buffers = [tape.preacts, tape.scratch, tape.products, tape.inputs, tape.input_vars]
     for response in responses:
         for array in (response if isinstance(response, tuple) else (response,)):
@@ -531,8 +556,26 @@ def test_a_copy_has_no_batch_tape_until_it_predicts_the_same_bytes(make):
     state, requests = _served_state()
     want = _response_bytes(predict_batch(state, requests[0]))
     clone = make(state)
-    assert not hasattr(clone.batch_tapes, "last")
+    assert "batch_tapes" not in vars(clone)
     assert _response_bytes(predict_batch(clone, requests[0])) == want
-    (mine, _), (theirs, _) = clone.batch_tape(60), state.batch_tape(60)
+    (mine, _), (theirs, _) = (predict_eval.batch_tape(clone, 60),
+                              predict_eval.batch_tape(state, 60))
     assert mine is not theirs and not np.shares_memory(mine.scratch, theirs.scratch)
     assert mine.weights is clone.weight_means()
+
+
+@pytest.mark.parametrize("kind", [ValueKind.CONTINUOUS, ValueKind.BINARY])
+def test_an_empty_request_answers_empty_arrays(kind):
+    # an empty sequence of indices reads as (0, K) rows: means and
+    # variances, or probabilities, of no cells. A batch, a test set and
+    # the predict command's index file must still hold an entry
+    state, requests = _served_state(kind)
+    got = predict_batch(state, [])
+    arrays = got if kind is ValueKind.CONTINUOUS else (got,)
+    assert [(a.shape, a.dtype) for a in arrays] == [((0,), np.float64)] * len(arrays)
+    assert _response_bytes(predict_batch(state, requests[0])) == _response_bytes(
+        predict_batch(copy.deepcopy(state), requests[0]))
+    with pytest.raises(ValueError, match="a batch cannot be empty"):
+        process_batch(state, [])
+    with pytest.raises(ValueError, match="test set must be nonempty"):
+        running_eval(state, [], [])

@@ -74,6 +74,13 @@ def test_check_index_and_check_indices_share_one_rule():
         shape.check_indices((1, 1))  # one tuple, not rows of tuples
 
 
+def test_check_indices_reads_an_empty_sequence_as_no_rows():
+    for dims in ((5, 3), (4,), (2, 3, 4)):
+        for empty in ([], ()):
+            idx = TensorShape(dims).check_indices(empty)
+            assert (idx.shape, idx.dtype) == ((0, len(dims)), np.int64)
+
+
 def test_dims_array_is_built_once_and_read_only():
     shape = TensorShape((5, 3, 7))
     dims = shape.dims_array
