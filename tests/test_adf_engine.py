@@ -592,6 +592,21 @@ def test_deepcopy_views_alias_the_copy_only():
         assert checkpoint_bytes(state) == before
 
 
+def _one_row_tapes(monkeypatch):
+    """The list that every later one-row ForwardTape.allocate appends its
+    spec to."""
+    one_row = []
+    allocate = bnn.ForwardTape.allocate.__func__
+
+    def counted(cls, spec, lead=()):
+        if not lead:
+            one_row.append(spec)
+        return allocate(cls, spec, lead)
+
+    monkeypatch.setattr(bnn.ForwardTape, "allocate", classmethod(counted))
+    return one_row
+
+
 def _updated_and_served_state():
     """A state that has updated and has predicted on two threads, and its
     stream: 32 entries it trained on, 16 whose cells it predicted and 16
@@ -625,15 +640,7 @@ def test_a_copy_holds_the_posterior_alone(restart, monkeypatch):
     state, batch = _updated_and_served_state()
     assert {"entry_scratch", "screen_batches", "batch_tapes"} <= set(vars(state))
     assert state.screen_batches
-    one_row = []
-    allocate = bnn.ForwardTape.allocate.__func__
-
-    def counted(cls, spec, lead=()):
-        if not lead:
-            one_row.append(spec)
-        return allocate(cls, spec, lead)
-
-    monkeypatch.setattr(bnn.ForwardTape, "allocate", classmethod(counted))
+    one_row = _one_row_tapes(monkeypatch)
     clone = restart(state)
     assert set(vars(clone)) == init | bound
     rows = [entry.index for entry in batch[32:]]
@@ -651,15 +658,7 @@ def test_a_copy_holds_the_posterior_alone(restart, monkeypatch):
 
 def test_the_first_update_builds_the_entry_scratch_once(monkeypatch):
     state, batch = _synth_state_and_batch(seed=4)
-    one_row = []
-    allocate = bnn.ForwardTape.allocate.__func__
-
-    def counted(cls, spec, lead=()):
-        if not lead:
-            one_row.append(spec)
-        return allocate(cls, spec, lead)
-
-    monkeypatch.setattr(bnn.ForwardTape, "allocate", classmethod(counted))
+    one_row = _one_row_tapes(monkeypatch)
     process_batch(state, batch[:32])
     assert one_row == [state.net]
     built = state.entry_scratch
