@@ -52,9 +52,8 @@ def refine_arrays(mean, var, rho_post, term_mean, term_var, term_logit,
     value is computed from the old fields before the first write.
 
     Returns the sweep's two counts: the sites the cavity guard skipped (left
-    as they were: a cavity precision not > 0, or cavity moments or an
-    m_cav^2 / v_cav that are not finite) and the sites that kept their
-    old term.
+    as they were: a cavity precision not > 0, or an m_cav^2 / v_cav that is
+    not finite) and the sites that kept their old term.
 
     The posterior is recomputed as cavity times the damped term, so repeated
     sweeps on a fixed cavity contract geometrically instead of re-applying
@@ -65,14 +64,15 @@ def refine_arrays(mean, var, rho_post, term_mean, term_var, term_logit,
     prec = 1.0 / var
     prec0 = 1.0 / term_var
     prec_cav = prec - prec0
-    # a site is refined only where its cavity precision is > 0 and its
-    # cavity moments and m_cav^2 / v_cav, the larger of the two exponents
-    # of the Gaussian heights below, are finite
+    # a site is refined only where its cavity precision is > 0 and
+    # m_cav^2 / v_cav, the larger of the two exponents of the Gaussian
+    # heights below, is finite. That also skips an infinite cavity
+    # precision (v_cav = 0) and one so small that v_cav is infinite: there
+    # the height is NaN
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         v_cav = 1.0 / prec_cav
         m_cav = v_cav * (mean * prec - term_mean * prec0)
-        ok = (np.isfinite(prec_cav) & (prec_cav > 0) & np.isfinite(v_cav)
-              & np.isfinite(m_cav * m_cav / v_cav))
+        ok = (prec_cav > 0) & np.isfinite(m_cav * m_cav / v_cav)
     # neutralize invalid sites so the vector math stays finite; they are
     # not written below
     safe_prec_cav = np.where(ok, prec_cav, 1.0)

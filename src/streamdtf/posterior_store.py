@@ -48,15 +48,17 @@ Checkpoints are versioned JSON with every posterior field named, one table
 per layer (format version 3, independent of the in-memory layout). Each
 table is one string, the lowercase hex of its row-major little-endian
 float64 bytes, so load(save(s)) reproduces s exactly; its shape follows
-from dims, ranks and widths. A checkpoint holds the posterior alone: given
-it and the next batch, the update and the EP sweep are deterministic, so a
-resumed run needs no random generator. Versions 1 and 2 still load: their
-tables are lists of rows of shortest round-trip decimals, and version 1
-also holds a generator-state block, which load_checkpoint ignores.
+from dims, ranks and widths. The text is `json.dumps(doc, sort_keys=True,
+separators=(",", ":"))` of that document and a newline, so equal states
+write equal bytes (checkpoint_bytes). A checkpoint holds the posterior
+alone: given it and the next batch, the update and the EP sweep are
+deterministic, so a resumed run needs no random generator. Versions 1 and
+2 still load: their tables are lists of rows of shortest round-trip
+decimals, and version 1 also holds a generator-state block, which
+load_checkpoint ignores.
 """
 
 import binascii
-import io
 import itertools
 import json
 import operator
@@ -331,8 +333,8 @@ def _hex(table: np.ndarray) -> str:
     return np.asarray(table, "<f8").tobytes().hex()
 
 
-def _checkpoint_doc(state: ModelState, table) -> dict:
-    """The checkpoint document of `state`, each table given as table(array)."""
+def _checkpoint_doc(state: ModelState) -> dict:
+    """The checkpoint document of `state`, each table its hex string."""
     return {
         "format": CHECKPOINT_FORMAT,
         "version": CHECKPOINT_VERSION,
@@ -348,40 +350,27 @@ def _checkpoint_doc(state: ModelState, table) -> dict:
         },
         "entries_seen": state.entries_seen,
         "embeddings": [
-            {"mean": table(emb.mean), "var": table(emb.var)}
+            {"mean": _hex(emb.mean), "var": _hex(emb.var)}
             for emb in state.embeddings
         ],
         "weights": [
-            {name: table(getattr(lay, name)) for name in WEIGHT_FIELDS}
+            {name: _hex(getattr(lay, name)) for name in WEIGHT_FIELDS}
             for lay in state.weights
         ],
         "gamma": None if state.gamma is None else {"a": state.gamma.a, "b": state.gamma.b},
     }
 
 
+def _checkpoint_text(state: ModelState) -> str:
+    """The checkpoint text of `state`: its document as
+    `json.dumps(doc, sort_keys=True, separators=(",", ":"))`, then a newline."""
+    return json.dumps(_checkpoint_doc(state), sort_keys=True, separators=(",", ":")) + "\n"
+
+
 def save_checkpoint(state: ModelState, fp: TextIO) -> None:
-    """Write the document `json.dumps(doc, sort_keys=True,
-    separators=(",", ":"))` writes, then a newline. The tables, most of its
-    characters, are hex digits, which JSON writes as they are, so json
-    writes the document with a placeholder string for each table, a NUL
-    and the table's number (its escape, \\u0000, can stand in no other
-    string of a checkpoint), and each placeholder is then replaced by its
-    table: json does not scan the digits."""
-    tables = []
-
-    def placeholder(array: np.ndarray) -> str:
-        tables.append(_hex(array))
-        return f"\0{len(tables) - 1}"
-
-    text = json.dumps(_checkpoint_doc(state, placeholder), sort_keys=True,
-                      separators=(",", ":"))
-    head, *pieces = text.split('"\\u0000')
-    parts = [head]
-    for piece in pieces:
-        number, rest = piece.split('"', 1)
-        parts += ['"', tables[int(number)], '"', rest]
-    parts.append("\n")
-    fp.write("".join(parts))
+    """Write the checkpoint of `state` to `fp`: the JSON text
+    `json.dumps` gives of its document, then a newline."""
+    fp.write(_checkpoint_text(state))
 
 
 def _count(value) -> int:
@@ -533,6 +522,4 @@ def load_checkpoint(fp: TextIO | BinaryIO) -> ModelState:
 
 def checkpoint_bytes(state: ModelState) -> bytes:
     """Canonical serialized form; handy for equality checks."""
-    buf = io.StringIO()
-    save_checkpoint(state, buf)
-    return buf.getvalue().encode("utf-8")
+    return _checkpoint_text(state).encode("utf-8")

@@ -89,10 +89,15 @@ def predict_batch(state: ModelState, indices: Sequence[tuple[int, ...]], *,
     the forward pass (the same means, byte for byte); binary: probability
     array, and `means_only` raises ValueError. `TensorShape.check_indices`
     checks indices. The gather and the passes run in the state's batch
-    tape for this thread and row count (`batch_tape`)."""
+    tape for this thread and row count (`batch_tape`); an empty request
+    answers empty arrays and leaves the thread's tape as it is."""
     if means_only and state.kind is not ValueKind.CONTINUOUS:
         raise ValueError("means_only needs continuous data: a probability needs beta")
     idx = state.shape.check_indices(indices)
+    if not len(idx):
+        if means_only or state.kind is ValueKind.BINARY:
+            return np.empty(0)
+        return np.empty(0), np.empty(0)
     tape, parts = batch_tape(state, idx.shape[0])
     x_mean = _gather([emb.mean for emb in state.embeddings], idx, tape.inputs, parts)
     x_var = None

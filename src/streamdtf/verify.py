@@ -29,25 +29,28 @@ class CheckResult:
     detail: str
 
 
-def _random_net(rng, max_v0, max_width, max_hidden_layers):
-    """A tanh net with V0 in [2, max_v0], 1..max_hidden_layers hidden layers
-    of width [2, max_width], standard-normal weights and input."""
+def _random_net(rng, max_v0, max_width, max_hidden_layers, activation="tanh"):
+    """A net of `activation` units with V0 in [2, max_v0], 1..max_hidden_layers
+    hidden layers of width [2, max_width], standard-normal weights and input;
+    the activation draws nothing."""
     v0 = int(rng.integers(2, max_v0 + 1))
     hidden = [int(rng.integers(2, max_width + 1))
               for _ in range(int(rng.integers(1, max_hidden_layers + 1)))]
-    spec = bnn.NetworkSpec.for_factorization(v0, hidden, "tanh")
+    spec = bnn.NetworkSpec.for_factorization(v0, hidden, activation)
     weights = [rng.standard_normal(s) for s in spec.weight_shapes]
     x = rng.standard_normal(v0)
     return spec, weights, x
 
 
 def check_gradient_fd(seed: int = 0, n_nets: int = 10) -> CheckResult:
-    """Reverse-mode gradients against central finite differences; each
-    coordinate's error is scaled by max(|fd|, 1e-3)."""
+    """Reverse-mode gradients against central finite differences, on tanh
+    networks and every second one relu; each coordinate's error is scaled
+    by max(|fd|, 1e-3)."""
     rng = make_rng(seed)
     worst = 0.0
-    for _ in range(n_nets):
-        spec, weights, x = _random_net(rng, max_v0=6, max_width=10, max_hidden_layers=2)
+    for i in range(n_nets):
+        spec, weights, x = _random_net(rng, max_v0=6, max_width=10, max_hidden_layers=2,
+                                       activation=("tanh", "relu")[i % 2])
         alpha, tape = bnn.forward_mean(spec, weights, x)
         g = bnn.backprop_gradient(tape)
 

@@ -45,8 +45,9 @@ def _assert_checks(n: int, *checks, limit_s: float = math.inf) -> None:
 
 def test_criterion_1_gradient_oracle():
     """Reverse-mode gradients match central finite differences on 100 random
-    tanh networks (relative error scaled with an absolute floor of 1e-3 so
-    near-zero coordinates do not divide by zero), within 10 s."""
+    networks, half tanh and half relu (relative error scaled with an
+    absolute floor of 1e-3 so near-zero coordinates do not divide by zero),
+    within 10 s."""
     _assert_checks(1, lambda: verify.check_gradient_fd(seed=101, n_nets=100),
                    limit_s=10.0)
 

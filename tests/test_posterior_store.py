@@ -150,14 +150,14 @@ def test_checkpoint_text_is_json_dump_text(kind):
                                         (ValueKind.BINARY, (8, 6)),
                                         (ValueKind.CONTINUOUS, (4, 5, 3))])
 def test_checkpoint_bytes_are_the_json_dumps_of_the_document(kind, dims):
-    # save_checkpoint writes the tables past json; the text must still be
-    # json.dumps's of the whole document, on a trained state of 2 or 3 modes
+    # the text is json.dumps's of the whole document, tables included, on a
+    # trained state of 2 or 3 modes
     shape = TensorShape(dims)
     state = init_state(shape, kind, NetworkSpec.for_factorization(2 * len(dims), [3], "tanh"),
                        Hyperparams(ranks=(2,) * len(dims)), seed=3)
     entries, _ = synth_generate(shape, 2, kind, CpGenerator(), 0.1, 40, seed=4)
     process_batch(state, tuple(entries))
-    doc = posterior_store._checkpoint_doc(state, posterior_store._hex)
+    doc = posterior_store._checkpoint_doc(state)
     buf = io.StringIO()
     save_checkpoint(state, buf)
     assert buf.getvalue() == json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"

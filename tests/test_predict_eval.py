@@ -579,3 +579,22 @@ def test_an_empty_request_answers_empty_arrays(kind):
         process_batch(state, [])
     with pytest.raises(ValueError, match="test set must be nonempty"):
         running_eval(state, [], [])
+
+
+@pytest.mark.parametrize("kind", [ValueKind.CONTINUOUS, ValueKind.BINARY])
+def test_an_empty_request_keeps_the_warm_tape(kind):
+    # an empty request answers before it reaches the thread's tape: the
+    # warm tape survives it, so the next request of its row count builds
+    # none, and a state that has not predicted builds no tape for it
+    state, requests = _served_state(kind)
+    fresh = copy.deepcopy(state)
+    predict_batch(state, requests[0])
+    warm = state.batch_tapes.last
+    for means_only in [False, True] if kind is ValueKind.CONTINUOUS else [False]:
+        assert _response_bytes(predict_batch(state, [], means_only=means_only)) in (
+            [b""], [b"", b""])
+        assert state.batch_tapes.last is warm
+        predict_batch(state, requests[1], means_only=means_only)
+        assert state.batch_tapes.last is warm
+    predict_batch(fresh, [])
+    assert "batch_tapes" not in vars(fresh)

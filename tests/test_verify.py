@@ -163,6 +163,19 @@ def test_ep_check_fails_on_each_source_mutant(monkeypatch, mutant):
     assert not result.passed, result.detail
 
 
+def test_gradient_check_fails_on_a_wrong_relu_derivative(monkeypatch):
+    # the source mutant `out *= dh` -> `out /= dh` of the one-row relu
+    # derivative, which the check's relu networks run: the tanh ones cannot
+    # see it
+    source = inspect.getsource(bnn._relu_grad_one_row)
+    assert source.count("out *= dh") == 1
+    namespace = dict(vars(bnn))
+    exec(compile(source.replace("out *= dh", "out /= dh"), bnn.__file__, "exec"), namespace)
+    monkeypatch.setitem(bnn._ONE_ROW_GRADS, "relu", namespace["_relu_grad_one_row"])
+    result = verify.check_gradient_fd()
+    assert not result.passed, result.detail
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_ep_check_reaches_the_kept_term_branch(monkeypatch, seed):
     # the kept-term branch writes the posterior alone; a check that never
