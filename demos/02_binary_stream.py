@@ -42,7 +42,7 @@ final = series.rows[-1].metric
 print()
 print(f"final auc {final:.4f} = {final / oracle_auc:.0%} of the true-generator auc")
 
-inhibited = sum(int((lay.rho_post < 0.5).sum()) for lay in state.weights)
+inhibited = int((s.selector_probability(state) < 0.5).sum())
 total = state.net.n_weights
 print(f"selector posteriors: {inhibited}/{total} weights inhibited "
       f"(probability of being active < 0.5)")

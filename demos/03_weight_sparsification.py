@@ -50,7 +50,7 @@ means, _ = s.predict_batch(state, test_idx)
 print(f"final test rmse {s.rmse(means, test_val):.4f} (noise sd 0.05)")
 print()
 
-rho = np.concatenate([lay.rho_post.ravel() for lay in state.weights])
+rho = s.selector_probability(state)
 print(f"mean selector probability, truly-zero weights:   {rho[mask].mean():.3f}")
 print(f"mean selector probability, truly-active weights: {rho[~mask].mean():.3f}")
 print()

@@ -15,7 +15,7 @@ from .adf_engine import (BatchDiagnostics, EntryResult, EvidenceResult,
                          evidence_continuous, process_batch, update_tau)
 from .bnn import (ACTIVATIONS, NetworkSpec, backprop_gradient, forward_mean,
                   forward_mean_batch, output_moments_batch)
-from .ep_prior import EpDiagnostics, refine_all
+from .ep_prior import EpDiagnostics, refine_all, selector_probability
 from .errors import (BoundsError, CheckpointError, NumericError, OracleError,
                      ParseError, UndefinedMetricError)
 from .posterior_store import (DEFAULT_V_FLOOR, GammaPosterior, Hyperparams,

@@ -5,16 +5,20 @@ spike-and-slab prior. Once per batch we run a standard expectation
 propagation sweep over all weights: divide the term out of the posterior
 (cavity), match moments against the exact mixture prior
 
-    slab_prob * N(w | 0, sigma0_sq)  +  (1 - slab_prob) * delta(w)
+    rho0 * N(w | 0, sigma0_sq)  +  (1 - rho0) * delta(w)
 
-with the selector weight taken from the cavity, replace the term by damped
-division, and recompute the posterior as cavity times the damped term (with
+replace the term by damped division, and recompute the posterior as cavity times the damped term (with
 damping 1 that is exactly the tilted moments). Guards: a non-positive cavity
 precision, or cavity moments or a height exponent m_cav^2 / v_cav that
 are not finite, skip the weight entirely; a non-positive divided term
 precision keeps the old term and moves only the posterior, to the tilted
 moments.
 Damping interpolates the term in natural parameters.
+
+The likelihood never touches a selector, so the cavity's selector is the
+prior's rho0 at every site, and a weight's posterior selector probability
+is rho0 times the term's Bernoulli, sigmoid(logit rho0 + term_logit)
+(`selector_probability`): it is derived from the term, not stored.
 
 All integrals are closed-form: the spike is an exact point mass, so the
 slab's share of the tilted mass compares the two Gaussian heights
@@ -32,24 +36,25 @@ from dataclasses import dataclass
 import numpy as np
 
 from .posterior_store import DEFAULT_V_FLOOR, ModelState
-from .special import expit, log_expit, logit
+from .special import expit
 
 DEFAULT_DAMPING = 0.5
 
-# selector probabilities stay strictly inside (0, 1)
-_RHO_LO = 1e-300
-_RHO_HI = float(np.nextafter(1.0, 0.0))
+
+def _logit(p: float) -> float:
+    return math.log(p) - math.log1p(-p)
 
 
 def _log_normal_at_zero(mean, var):
     return -0.5 * (np.log(2.0 * math.pi * var) + mean * mean / var)
 
 
-def refine_arrays(mean, var, rho_post, term_mean, term_var, term_logit,
+def refine_arrays(mean, var, term_mean, term_var, term_logit, rho0: float,
                   slab_var: float, damping: float, v_floor: float) -> tuple[int, int]:
     """Vectorized EP sweep over parallel arrays of weight sites, written in
     place; `damping` must be in (0, 1], which `refine_all` checks. Every new
-    value is computed from the old fields before the first write.
+    value is computed from the old fields before the first write. `rho0`,
+    the prior's inclusion probability, is every cavity's selector.
 
     Returns the sweep's two counts: the sites the cavity guard skipped (left
     as they were: a cavity precision not > 0, or an m_cav^2 / v_cav that is
@@ -78,12 +83,12 @@ def refine_arrays(mean, var, rho_post, term_mean, term_var, term_logit,
     safe_prec_cav = np.where(ok, prec_cav, 1.0)
     v_cav = np.where(ok, v_cav, 1.0)
     m_cav = np.where(ok, m_cav, 0.0)
-    logit_cav = logit(np.clip(rho_post, _RHO_LO, _RHO_HI)) - term_logit
 
-    log_slab = log_expit(logit_cav) + _log_normal_at_zero(m_cav, v_cav + slab_var)
-    log_spike = log_expit(-logit_cav) + _log_normal_at_zero(m_cav, v_cav)
-    delta = log_slab - log_spike
-    r1 = expit(delta)
+    # the slab's share of the tilted mass: the cavity's selector is rho0,
+    # and the full term's logit is the log ratio of the two heights
+    logit_term_full = (_log_normal_at_zero(m_cav, v_cav + slab_var)
+                       - _log_normal_at_zero(m_cav, v_cav))
+    r1 = expit(_logit(rho0) + logit_term_full)
 
     v_slab = 1.0 / (safe_prec_cav + 1.0 / slab_var)
     m_slab = v_slab * m_cav * safe_prec_cav
@@ -91,15 +96,14 @@ def refine_arrays(mean, var, rho_post, term_mean, term_var, term_logit,
     # the tilted variance E[w^2] - E[w]^2 in a cancellation-free form
     v_tilted = np.maximum(r1 * v_slab + r1 * (1.0 - r1) * m_slab * m_slab, v_floor)
 
-    # term replacement by division, damped in natural parameters
+    # term replacement by division, damped in natural parameters; a kept
+    # term's new natural parameters are neither written nor read
     prec0_full = 1.0 / v_tilted - safe_prec_cav
     keep_term = ~np.isfinite(prec0_full) | (prec0_full <= 0)
     safe_prec0_full = np.where(keep_term, prec0, prec0_full)
-    eta0_full = np.where(keep_term, term_mean * prec0,
-                         e1 / v_tilted - m_cav * safe_prec_cav)
+    eta0_full = e1 / v_tilted - m_cav * safe_prec_cav
     prec0_new = (1.0 - damping) * prec0 + damping * safe_prec0_full
     eta0_new = (1.0 - damping) * term_mean * prec0 + damping * eta0_full
-    logit_term_full = delta - logit_cav
     logit_term_new = (1.0 - damping) * term_logit + damping * logit_term_full
 
     # posterior = cavity * damped term; tilted moments directly when the
@@ -107,13 +111,10 @@ def refine_arrays(mean, var, rho_post, term_mean, term_var, term_logit,
     prec_post = safe_prec_cav + prec0_new
     post_var = np.maximum(np.where(keep_term, v_tilted, 1.0 / prec_post), v_floor)
     post_mean = np.where(keep_term, e1, (m_cav * safe_prec_cav + eta0_new) / prec_post)
-    post_rho = np.clip(expit(logit_cav + np.where(keep_term, term_logit, logit_term_new)),
-                       _RHO_LO, _RHO_HI)
 
     replaced = ok & ~keep_term
     np.copyto(mean, post_mean, where=ok)
     np.copyto(var, post_var, where=ok)
-    np.copyto(rho_post, post_rho, where=ok)
     np.copyto(term_mean, eta0_new / prec0_new, where=replaced)
     np.copyto(term_var, 1.0 / prec0_new, where=replaced)
     np.copyto(term_logit, logit_term_new, where=replaced)
@@ -124,7 +125,14 @@ def refine_arrays(mean, var, rho_post, term_mean, term_var, term_logit,
 class EpDiagnostics:
     guard_skips: int
     term_kept: int
-    inhibited: int  # weights with selector probability < 0.5 after the sweep
+    inhibited: int  # weights whose selector logit is < 0 after the sweep
+
+
+def selector_probability(state: ModelState) -> np.ndarray:
+    """Each weight's posterior selector probability, flat in weight order:
+    sigmoid(logit rho0 + term_logit), the prior's Bernoulli times the
+    term's."""
+    return expit(_logit(state.hyper.rho0) + state.term_logit)
 
 
 def check_damping(damping: float) -> None:
@@ -137,6 +145,8 @@ def refine_all(state: ModelState, damping: float = DEFAULT_DAMPING,
                v_floor: float = DEFAULT_V_FLOOR) -> EpDiagnostics:
     """Refine every network weight exactly once; embeddings are untouched."""
     check_damping(damping)
-    counts = refine_arrays(*state.weight_fields(), slab_var=state.hyper.sigma0_sq,
+    rho0 = state.hyper.rho0
+    counts = refine_arrays(*state.weight_fields(), rho0=rho0, slab_var=state.hyper.sigma0_sq,
                            damping=damping, v_floor=v_floor)
-    return EpDiagnostics(*counts, inhibited=int((state.rho_post < 0.5).sum()))
+    inhibited = np.count_nonzero(_logit(rho0) + state.term_logit < 0.0)
+    return EpDiagnostics(*counts, inhibited=inhibited)

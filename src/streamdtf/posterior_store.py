@@ -1,15 +1,17 @@
 """Factorized approximate posterior over embeddings, network weights,
 selector indicators, and the noise precision.
 
-Per weight we keep a Gaussian (mean, var), a Bernoulli selector probability,
-and the sparsity-prior approximation term (term_mean, term_var, term_logit);
-per embedding cell a Gaussian (mean, var); for continuous data a Gamma
-posterior over the inverse noise variance. Total stored posterior scalars:
-6*V weight fields + 2*sum_k d_k*r_k embedding fields (+2 Gamma fields).
+Per weight we keep a Gaussian (mean, var) and the sparsity-prior
+approximation term (term_mean, term_var, term_logit); the weight's Bernoulli
+selector posterior is derived from the term and the prior's rho0
+(ep_prior.selector_probability), not stored. Per embedding cell we keep a
+Gaussian (mean, var); for continuous data a Gamma posterior over the inverse
+noise variance. Total stored posterior scalars: 5*V weight fields +
+2*sum_k d_k*r_k embedding fields (+2 Gamma fields).
 
 Flat weight store: each weight field is one contiguous float64 vector in
-NetworkSpec.weight_slices order (ModelState.mu, var, rho_post, term_mean,
-term_var, term_logit). mu and var carry V_0 more coordinates after the weights, an
+NetworkSpec.weight_slices order (ModelState.mu, var, term_mean, term_var,
+term_logit). mu and var carry V_0 more coordinates after the weights, an
 input slot the update engine fills with the current entry's gathered
 embedding moments, so the per-entry update reads and writes whole vectors.
 The slot is scratch, not posterior state: it is neither checkpointed nor
@@ -36,8 +38,8 @@ its input slot and the update's scratch. Any number of threads may
 predict from one state while no thread writes it: each predicts in its
 own batch tape. Embeddings are mutated only through scatter_entry.
 
-Invariants (finite means, positive variances, selector probabilities
-inside (0, 1), a valid Gamma posterior; see check_invariants) are checked
+Invariants (finite means and term logits, positive variances, a valid
+Gamma posterior; see check_invariants) are checked
 once, where state enters from outside: load_checkpoint rejects a document
 that breaks them. adf_engine.process_batch checks a batch's indices and
 values before its first entry, so gather_entry reads the entry's rows and
@@ -45,17 +47,18 @@ scatter_entry writes what the engine built (finite means, variances
 clamped to at least v_floor) without re-checking either.
 
 Checkpoints are versioned JSON with every posterior field named, one table
-per layer (format version 3, independent of the in-memory layout). Each
+per layer (format version 4, independent of the in-memory layout). Each
 table is one string, the lowercase hex of its row-major little-endian
 float64 bytes, so load(save(s)) reproduces s exactly; its shape follows
 from dims, ranks and widths. The text is `json.dumps(doc, sort_keys=True,
 separators=(",", ":"))` of that document and a newline, so equal states
 write equal bytes (checkpoint_bytes). A checkpoint holds the posterior
 alone: given it and the next batch, the update and the EP sweep are
-deterministic, so a resumed run needs no random generator. Versions 1 and
-2 still load: their tables are lists of rows of shortest round-trip
-decimals, and version 1 also holds a generator-state block, which
-load_checkpoint ignores.
+deterministic, so a resumed run needs no random generator. Versions 1 to 3
+still load. They also hold a table of selector probabilities per layer,
+which load_checkpoint ignores; the tables of versions 1 and 2 are
+lists of rows of shortest round-trip decimals, and version 1 also holds a
+generator-state block, which load_checkpoint ignores too.
 """
 
 import binascii
@@ -75,13 +78,13 @@ from .special import ndtr, ndtri
 from .tensor_core import TensorShape, ValueKind
 
 CHECKPOINT_FORMAT = "streamdtf-checkpoint"
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4
 
 # variance guard floor used by the update engine
 DEFAULT_V_FLOOR = 1e-10
 
 # WeightLayer fields, also the per-layer keys of a checkpoint
-WEIGHT_FIELDS = ("mean", "var", "rho_post", "term_mean", "term_var", "term_logit")
+WEIGHT_FIELDS = ("mean", "var", "term_mean", "term_var", "term_logit")
 
 
 @dataclass(frozen=True)
@@ -140,7 +143,6 @@ class WeightLayer:
 
     mean: np.ndarray
     var: np.ndarray
-    rho_post: np.ndarray
     term_mean: np.ndarray
     term_var: np.ndarray
     term_logit: np.ndarray
@@ -149,7 +151,7 @@ class WeightLayer:
 @dataclass
 class ModelState:
     """The whole posterior. mu and var have length n_weights + V_0 (input slot
-    last); rho_post and the three term fields have length n_weights. The
+    last); the three term fields have length n_weights. The
     views over them (weights, means, slot, slot_modes) are bound with the
     state and again with every copy, and never checkpointed."""
 
@@ -162,7 +164,6 @@ class ModelState:
     entries_seen: int
     mu: np.ndarray
     var: np.ndarray
-    rho_post: np.ndarray
     term_mean: np.ndarray
     term_var: np.ndarray
     term_logit: np.ndarray
@@ -175,10 +176,9 @@ class ModelState:
         self._bind_layers()
 
     def weight_fields(self) -> tuple[np.ndarray, ...]:
-        """The six flat weight vectors in WEIGHT_FIELDS order, without the input slot."""
+        """The five flat weight vectors in WEIGHT_FIELDS order, without the input slot."""
         n = self.net.n_weights
-        return (self.mu[:n], self.var[:n], self.rho_post, self.term_mean, self.term_var,
-                self.term_logit)
+        return self.mu[:n], self.var[:n], self.term_mean, self.term_var, self.term_logit
 
     def _bind_layers(self) -> None:
         """Bind the layer views over the flat vectors, the list of their
@@ -242,15 +242,13 @@ class ModelState:
 _RULES = {
     "finite": lambda x: np.isfinite(x).all(),
     "finite and > 0": lambda x: np.isfinite(x).all() and (x > 0).all(),
-    "inside (0, 1)": lambda x: ((x > 0) & (x < 1)).all(),
 }
 
 
 def check_invariants(state: ModelState) -> None:
     """Raise ValueError naming the first posterior field that breaks its
     invariant: finite means and term logits; finite variances > 0
-    (weights, terms, embeddings); selector probabilities inside (0, 1); and
-    a Gamma posterior with finite a, b > 0, present exactly for continuous
+    (weights, terms, embeddings); and a Gamma posterior with finite a, b > 0, present exactly for continuous
     data. The update engine and the EP sweep keep these, so they are checked
     where state enters from outside (`load_checkpoint`), not per entry."""
     if (state.gamma is None) != (state.kind is ValueKind.BINARY):
@@ -260,7 +258,6 @@ def check_invariants(state: ModelState) -> None:
     n = state.net.n_weights
     checks = [("weight mean", state.mu[:n], "finite"),
               ("weight var", state.var[:n], "finite and > 0"),
-              ("rho_post", state.rho_post, "inside (0, 1)"),
               ("term_mean", state.term_mean, "finite"),
               ("term_var", state.term_var, "finite and > 0"),
               ("term_logit", state.term_logit, "finite")]
@@ -287,7 +284,7 @@ def init_state(shape: TensorShape, kind: ValueKind, net: NetworkSpec,
     """Fresh state: embeddings copy their standard-normal prior; each weight
     term gets variance sigma0_sq, a mean drawn from a standard Gaussian
     truncated to [-sigma0, sigma0], and logit 0; the weight posterior starts
-    as its term alone and the selector posterior starts at rho0; the Gamma
+    as its term alone, so the selector posterior starts at rho0; the Gamma
     posterior starts at (a0, b0). Deterministic under the seed."""
     if len(hyper.ranks) != shape.mode_count:
         raise ValueError(
@@ -313,7 +310,7 @@ def init_state(shape: TensorShape, kind: ValueKind, net: NetworkSpec,
         gamma=gamma, entries_seen=0,
         mu=_with_input_slot(term_mean, net.input_dim),
         var=_with_input_slot(np.full(n, hyper.sigma0_sq), net.input_dim),
-        rho_post=np.full(n, hyper.rho0), term_mean=term_mean,
+        term_mean=term_mean,
         term_var=np.full(n, hyper.sigma0_sq), term_logit=np.zeros(n),
     )
 
@@ -328,7 +325,7 @@ def _with_input_slot(weights: np.ndarray, input_dim: int) -> np.ndarray:
 
 
 def _hex(table: np.ndarray) -> str:
-    """A version-3 table: the lowercase hex of its row-major little-endian
+    """A version-4 table: the lowercase hex of its row-major little-endian
     float64 bytes."""
     return np.asarray(table, "<f8").tobytes().hex()
 
@@ -428,7 +425,7 @@ def _decimal_table(rows, out: np.ndarray) -> np.ndarray:
 
 
 def _hex_table(text, out: np.ndarray) -> np.ndarray:
-    """A version-3 table written into `out`, whose shape is the table's: a
+    """A version-3 or -4 table written into `out`, whose shape is the table's: a
     string of exactly 16 hex digits per cell, decoded as little-endian
     float64 with one copy, from the decoded bytes into `out`.
     binascii.unhexlify refuses anything but a string or bytes, an odd
@@ -456,20 +453,22 @@ def load_checkpoint(fp: TextIO | BinaryIO) -> ModelState:
     if not isinstance(doc, dict) or doc.get("format") != CHECKPOINT_FORMAT:
         raise CheckpointError("not a model checkpoint document")
     # versions 1 and 2 write their tables as decimals, and version 1 also
-    # holds a generator-state block, which no step reads. A version is a
-    # JSON int, so true and 1.0, which equal 1, are no version
+    # holds a generator-state block; versions 1 to 3 hold a table of
+    # selector probabilities per layer. No step reads the block or those
+    # tables. A version is a JSON int, so true and 1.0, which equal 1, are
+    # no version
     version = doc.get("version")
-    if type(version) is not int or version not in (1, 2, CHECKPOINT_VERSION):
+    if type(version) is not int or version not in (1, 2, 3, CHECKPOINT_VERSION):
         raise CheckpointError(
             f"unsupported checkpoint version {version!r} "
-            f"(expected 1, 2 or {CHECKPOINT_VERSION})"
+            f"(expected 1, 2, 3 or {CHECKPOINT_VERSION})"
         )
     # no field of a checkpoint is a bool, and a bool is an int to Python, a
     # double to struct: refusing the literals here spares every reader below
     if _holds_bool_literal(text):
         raise CheckpointError("checkpoint schema violation: a checkpoint holds no true "
                               "or false literal")
-    table = _hex_table if version == CHECKPOINT_VERSION else _decimal_table
+    table = _hex_table if version >= 3 else _decimal_table
     try:
         shape = TensorShape(tuple(map(_count, doc["dims"])))
         kind = ValueKind.from_string(doc["kind"])
@@ -504,8 +503,8 @@ def load_checkpoint(fp: TextIO | BinaryIO) -> ModelState:
         state = ModelState(
             shape=shape, kind=kind, net=net, hyper=hyper, embeddings=embeddings,
             gamma=None, entries_seen=entries_seen, mu=flat["mean"], var=flat["var"],
-            rho_post=flat["rho_post"], term_mean=flat["term_mean"],
-            term_var=flat["term_var"], term_logit=flat["term_logit"],
+            term_mean=flat["term_mean"], term_var=flat["term_var"],
+            term_logit=flat["term_logit"],
         )
     except CheckpointError:
         raise

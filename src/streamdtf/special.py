@@ -2,19 +2,18 @@
 
 The streaming loop needs a handful of closed-form special functions: the
 probit evidence needs Phi, log Phi and phi/Phi (through erfcx), binary
-prediction an array Phi, the EP sweep the logistic function, its log and
-logit, and the initialisation the normal quantile. With these forms every
+prediction an array Phi, the EP sweep the logistic function, and the
+initialisation the normal quantile. With these forms every
 command but `verify` runs on numpy and the standard library alone;
 `verify.check_special_functions` compares each with `scipy.special` out
 into the tails.
 
 The scalar forms (`ndtr`, `log_ndtr_and_ratio`, `erfcx`) take and return
 floats and cost a few `math` calls each, because the evidence calls them
-for every entry. The array forms (`expit`, `log_expit`, `logit`, `ndtri`,
-`ndtr_array`) take float arrays and make no Python call per element.
-`expit`, `log_expit`, `logit` and the log Phi of `log_ndtr_and_ratio`
-follow the formulas of `scipy.special`, so they differ from it only in
-how their exp, log and erfcx round.
+for every entry. The array forms (`expit`, `ndtri`, `ndtr_array`) take
+float arrays and make no Python call per element. `expit` and the log Phi
+of `log_ndtr_and_ratio` follow the formulas of `scipy.special`, so they
+differ from it only in how their exp, log and erfcx round.
 """
 
 import math
@@ -33,23 +32,6 @@ def expit(x: np.ndarray) -> np.ndarray:
     overflows."""
     with np.errstate(over="ignore"):
         return 1.0 / (1.0 + np.exp(-x))
-
-
-def log_expit(x: np.ndarray) -> np.ndarray:
-    """log(expit(x)), elementwise: x - log1p(exp(x)) for x < 0 and
-    -log1p(exp(-x)) otherwise, so exp never overflows."""
-    log1p_e = np.log1p(np.exp(-np.abs(x)))
-    return np.where(x < 0, x - log1p_e, -log1p_e)
-
-
-def logit(p: np.ndarray) -> np.ndarray:
-    """log(p / (1 - p)), elementwise for p in (0, 1). Inside [0.3, 0.65],
-    where that quotient loses digits, log1p(s) - log1p(-s) with s = 2p - 1."""
-    out = np.log(p / (1.0 - p))
-    mid = (p >= 0.3) & (p <= 0.65)
-    s = 2.0 * (p[mid] - 0.5)
-    out[mid] = np.log1p(s) - np.log1p(-s)
-    return out
 
 
 def _horner(coefs, x: np.ndarray) -> np.ndarray:

@@ -210,38 +210,52 @@ def check_adf_conjugate(seed: int = 4, n_cases: int = 200) -> CheckResult:
                        f"isolated-weight cases (tol 1e-8)")
 
 
-def _refine_one(slab_var, *site) -> tuple[list[float], bool]:
-    """The EP sweep at damping 1 on one site's six fields (WEIGHT_FIELDS
-    order): the fields it writes, as floats, and whether it kept its term."""
+def _refine_one(rho0, slab_var, damping, *site) -> tuple[list[float], bool]:
+    """The EP sweep on one site's five fields (WEIGHT_FIELDS order): the
+    fields it writes, as floats, and whether it kept its term."""
     fields = [np.array([float(v)]) for v in site]
-    _, kept = ep_prior.refine_arrays(*fields, slab_var=slab_var, damping=1.0,
+    _, kept = ep_prior.refine_arrays(*fields, rho0=rho0, slab_var=slab_var, damping=damping,
                                      v_floor=posterior_store.DEFAULT_V_FLOOR)
     return [float(f[0]) for f in fields], kept == 1
 
 
+def _naturals(mean, var, logit=0.0) -> tuple[float, float, float]:
+    """A Gaussian's precision and precision-weighted mean, and a selector logit."""
+    return 1.0 / var, mean / var, logit
+
+
 def _division_error(posterior, cavity, term) -> float:
-    """How far a replaced term is from posterior / cavity: the largest error
-    of its precision and precision-weighted mean, each relative to the
-    largest natural parameter it is made of, and of its selector
-    probability."""
-    (mean, var, rho), (m_cav, v_cav, logit_cav), (t_mean, t_var, t_logit) = (
-        posterior, cavity, term)
-    worst = 0.0
-    for got, post, cav in ((1.0 / t_var, 1.0 / var, 1.0 / v_cav),
-                           (t_mean / t_var, mean / var, m_cav / v_cav)):
-        worst = max(worst, abs(got - (post - cav)) / max(1.0, abs(post), abs(cav)))
-    # the selector's logits saturate: compare cavity times term as a probability
-    return max(worst, abs(float(sp.expit(logit_cav + t_logit)) - rho))
+    """How far a posterior (mean, var) is from cavity times term: the
+    largest error of its precision and precision-weighted mean, each
+    relative to the largest natural parameter it is made of."""
+    return max(abs(t - (post - cav)) / max(1.0, abs(post), abs(cav))
+               for post, cav, t in zip(_naturals(*posterior), _naturals(*cavity),
+                                       _naturals(*term[:2])))
+
+
+def _blend_error(new, old, full, damping) -> float:
+    """How far a damped term is from (1 - damping) old + damping full in
+    natural parameters, each relative to the largest it is made of."""
+    return max(abs(got - ((1.0 - damping) * a + damping * b)) / max(1.0, abs(a), abs(b))
+               for got, a, b in zip(_naturals(*new), _naturals(*old), _naturals(*full)))
+
+
+# the damped case's damping, the default sweep's
+_DAMPED = ep_prior.DEFAULT_DAMPING
 
 
 def check_ep_tilted(seed: int = 5, n_cases: int = 200) -> CheckResult:
-    """The fields the EP sweep writes at damping 1 against quadrature of
-    cavity times the exact spike-and-slab prior, on random cavities: mean and
-    variance are the tilted E1 and E2 - E1^2; rho, as a probability (its
-    logit saturates), is the slab share Z_slab / Z, or the input rho where
-    the old term was kept. A replaced term must be posterior / cavity in
-    natural parameters (the division identity). The symmetric case's rho
-    must be sqrt(2) - 1."""
+    """The fields the EP sweep writes against quadrature of cavity times the
+    exact spike-and-slab prior, on random cavities whose selector is the
+    prior's rho0. At damping 1, mean and variance are the tilted E1 and
+    E2 - E1^2, and a replaced term is posterior / cavity in natural
+    parameters (the division identity) whose selector probability,
+    sigmoid(logit rho0 + term logit), is the slab share Z_slab / Z. At
+    damping 0.5 the new term's natural parameters are 0.5 old + 0.5 of the
+    damping-1 term, and the posterior is cavity times that term. A site
+    that keeps its old term keeps it bit for bit at either damping, and its
+    posterior is the tilted moments. The symmetric case's selector
+    probability must be sqrt(2) - 1."""
     rng = make_rng(seed)
     worst = 0.0
     n_kept = 0
@@ -249,34 +263,41 @@ def check_ep_tilted(seed: int = 5, n_cases: int = 200) -> CheckResult:
         m_cav = float(rng.uniform(-3, 3))
         v_cav = float(rng.uniform(0.05, 3))
         s0sq = float(rng.uniform(0.3, 3))
-        p_cav = float(rng.uniform(0.05, 0.95))
+        rho0 = float(rng.uniform(0.05, 0.95))
         v0 = float(rng.uniform(0.5, 3))
         mu0 = float(rng.normal(0, 1))
         logit0 = float(rng.normal(0, 1))
         v = 1.0 / (1.0 / v_cav + 1.0 / v0)
-        rho = float(sp.expit(sp.logit(p_cav) + logit0))
-        (mean, var, rho_post, *term), kept = _refine_one(
-            s0sq, v * (m_cav / v_cav + mu0 / v0), v, rho, mu0, v0, logit0)
+        old = [mu0, v0, logit0]
+        site = [v * (m_cav / v_cav + mu0 / v0), v, *old]
+        (mean, var, *term), kept = _refine_one(rho0, s0sq, 1.0, *site)
+        (mean_d, var_d, *term_d), kept_d = _refine_one(rho0, s0sq, _DAMPED, *site)
         slab_norm = 1.0 / math.sqrt(2.0 * math.pi * s0sq)
         z_q, e1_q, e2_q = oracles.quad_tilted_moments(
             m_cav, v_cav,
-            factor=lambda w: p_cav * slab_norm * math.exp(-0.5 * w * w / s0sq),
-            atom_weight=1.0 - p_cav,
+            factor=lambda w: rho0 * slab_norm * math.exp(-0.5 * w * w / s0sq),
+            atom_weight=1.0 - rho0,
         )
-        z_spike, _, _ = oracles.quad_tilted_moments(m_cav, v_cav, atom_weight=1.0 - p_cav)
+        z_spike, _, _ = oracles.quad_tilted_moments(m_cav, v_cav, atom_weight=1.0 - rho0)
         n_kept += kept
-        if not kept:
-            worst = max(worst, _division_error((mean, var, rho_post),
-                                               (m_cav, v_cav, float(sp.logit(p_cav))), term))
-        for got, want in ((mean, e1_q), (var, e2_q - e1_q * e1_q),
-                          (rho_post, rho if kept else (z_q - z_spike) / z_q)):
+        tilted = [(mean, e1_q), (var, e2_q - e1_q * e1_q)]
+        if kept_d != kept or kept and term + term_d != old + old:
+            worst = math.inf
+        elif kept:
+            tilted += [(mean_d, e1_q), (var_d, e2_q - e1_q * e1_q)]
+        else:
+            worst = max(worst, _division_error((mean, var), (m_cav, v_cav), term),
+                        _division_error((mean_d, var_d), (m_cav, v_cav), term_d),
+                        _blend_error(term_d, old, term, _DAMPED))
+            tilted.append((float(sp.expit(sp.logit(rho0) + term[2])), (z_q - z_spike) / z_q))
+        for got, want in tilted:
             worst = max(worst, abs(got - want) / max(1.0, abs(want)))
-    sym_rho = _refine_one(1.0, 0.0, 0.5, 0.5, 0.0, 1.0, 0.0)[0][2]
+    sym_rho = float(sp.expit(_refine_one(0.5, 1.0, 1.0, 0.0, 0.5, 0.0, 1.0, 0.0)[0][4]))
     sym_ok = abs(sym_rho - (math.sqrt(2.0) - 1.0)) <= 1e-5
     return CheckResult("ep-tilted-vs-quadrature", worst <= 1e-8 and sym_ok,
-                       f"max error {worst:.3e} over {n_cases} cases, {n_kept} of them "
-                       f"kept their term (tol 1e-8); symmetric rho {sym_rho:.5f} "
-                       f"(want 0.41421)")
+                       f"max error {worst:.3e} over {n_cases} cases at damping 1 and "
+                       f"{_DAMPED}, {n_kept} of them kept their term (tol 1e-8); "
+                       f"symmetric rho {sym_rho:.5f} (want 0.41421)")
 
 
 def check_tau_recursion(seed: int = 6, n_entries: int = 30) -> CheckResult:
@@ -349,9 +370,9 @@ def check_special_functions(seed: int = 7, n_cases: int = 200) -> CheckResult:
     relative error of 1e-13, on fixed grids that reach the tails plus
     `n_cases` random arguments each: z in [-40, 40] for Phi (scalar and
     array) and both outputs of `log_ndtr_and_ratio`, log Phi and phi/Phi;
-    x in [-800, 800] for expit and log_expit, past the +-745 where exp over-
-    or underflows; p from 1e-300 to 1 - 2^-53 for logit and ndtri; x from 0
-    to 1e300 for erfcx. The tolerance leaves room for the lower tail of Phi,
+    x in [-800, 800] for expit, past the +-745 where exp over- or
+    underflows; p from 1e-300 to 1 - 2^-53 for ndtri; x from 0 to 1e300
+    for erfcx. The tolerance leaves room for the lower tail of Phi,
     whose relative error grows as 2 t^2 * 2^-53 in any form that rounds
     t = -z / sqrt(2): scipy's and these alike are about 1.9e-13 from the
     exact value at z = -37, and 6e-14 from each other."""
@@ -372,8 +393,6 @@ def check_special_functions(seed: int = 7, n_cases: int = 200) -> CheckResult:
         "phi_over_cdf": _relative_error(ratio, _phi_over_cdf_reference(z)),
         "erfcx": _relative_error([special.erfcx(v) for v in xcs], sp.erfcx(xc)),
         "expit": _relative_error(special.expit(x), sp.expit(x)),
-        "log_expit": _relative_error(special.log_expit(x), sp.log_expit(x)),
-        "logit": _relative_error(special.logit(p), sp.logit(p)),
         "ndtri": _relative_error(special.ndtri(p), sp.ndtri(p)),
     }
     worst = max(errors.values())

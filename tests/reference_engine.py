@@ -107,6 +107,6 @@ def reference_batch(state, entries, damping=0.5, v_floor=DEFAULT_V_FLOOR,
         reference_entry(state, entry, v_floor, step)
     for lay in state.weights:
         ep_prior.refine_arrays(
-            lay.mean, lay.var, lay.rho_post, lay.term_mean, lay.term_var,
-            lay.term_logit, slab_var=state.hyper.sigma0_sq, damping=damping,
+            lay.mean, lay.var, lay.term_mean, lay.term_var, lay.term_logit,
+            rho0=state.hyper.rho0, slab_var=state.hyper.sigma0_sq, damping=damping,
             v_floor=v_floor)

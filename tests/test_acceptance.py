@@ -21,7 +21,8 @@ from streamdtf import (CpGenerator, Hyperparams, MlpGenerator, NetworkSpec,
                        TensorShape, ValueKind, auc, check_invariants,
                        checkpoint_bytes, cli, init_state, load_checkpoint,
                        partition_stream, predict_batch, process_batch, rmse,
-                       running_eval, split_train_test, synth_generate, verify)
+                       running_eval, selector_probability, split_train_test,
+                       synth_generate, verify)
 from streamdtf.seeding import derive_seeds, make_rng
 
 
@@ -218,7 +219,7 @@ def test_criterion_9_sparsity_recovery():
     for batch in partition_stream(split.train, 256, seed=shuffle_seed):
         process_batch(state, batch)
 
-    rho = np.concatenate([lay.rho_post.ravel() for lay in state.weights])
+    rho = selector_probability(state)
     mask = np.concatenate([m.ravel() for m in truth.zero_mask])
     mean_zero = float(rho[mask].mean())
     mean_active = float(rho[~mask].mean())

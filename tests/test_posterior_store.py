@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import io
 import json
 from pathlib import Path
@@ -8,7 +9,7 @@ import pytest
 
 from streamdtf import (CheckpointError, CpGenerator, GammaPosterior, Hyperparams,
                        NetworkSpec, TensorShape, ValueKind, check_invariants,
-                       checkpoint_bytes, cli, init_state, load_checkpoint,
+                       checkpoint_bytes, cli, ep_prior, init_state, load_checkpoint,
                        posterior_store, process_batch, save_checkpoint,
                        synth_generate)
 
@@ -28,10 +29,10 @@ def test_init_term_fields_and_selectors():
         assert np.all(lay.term_var == 1.0)
         assert np.all(np.abs(lay.term_mean) <= 1.0)  # truncated to [-sigma0, sigma0]
         assert np.all(lay.term_logit == 0.0)
-        assert np.all(lay.rho_post == 0.5)
         # posterior starts as the term alone
         assert np.array_equal(lay.mean, lay.term_mean)
         assert np.array_equal(lay.var, lay.term_var)
+    assert np.all(ep_prior.selector_probability(state) == 0.5)
     assert state.gamma == GammaPosterior(1.0, 1.0)
     assert state.entries_seen == 0
 
@@ -196,22 +197,27 @@ def _set(path, value):
     return edit
 
 
+def _selector_tables(state):
+    """Per layer, the table of selector probabilities that versions 1 to 3
+    also wrote."""
+    rho = ep_prior.selector_probability(state)
+    return [rho[sl].reshape(w_shape)
+            for sl, w_shape in zip(state.net.weight_slices, state.net.weight_shapes)]
+
+
 def _v2_doc(state):
-    """The document a version-2 save of `state` wrote: the version-3 one
-    with each table as a list of rows of decimals."""
+    """The document a version-2 save of `state` wrote: the version-4 one
+    with each table as a list of rows of decimals, and a rho_post table per
+    layer."""
     doc = json.loads(checkpoint_bytes(state))
     doc["version"] = 2
     doc["embeddings"] = [{"mean": emb.mean.tolist(), "var": emb.var.tolist()}
                          for emb in state.embeddings]
-    doc["weights"] = [{name: getattr(lay, name).tolist()
-                       for name in posterior_store.WEIGHT_FIELDS}
-                      for lay in state.weights]
+    doc["weights"] = [{"rho_post": rho.tolist(),
+                       **{name: getattr(lay, name).tolist()
+                          for name in posterior_store.WEIGHT_FIELDS}}
+                      for lay, rho in zip(state.weights, _selector_tables(state))]
     return doc
-
-
-def _v2_text(state):
-    """The text a version-2 save of `state` wrote."""
-    return json.dumps(_v2_doc(state), sort_keys=True, separators=(",", ":")) + "\n"
 
 
 def _cell(group, k, name, cell, value):
@@ -261,7 +267,7 @@ def test_checkpoint_bad_values_raise_checkpoint_error(edit):
     _set(("weights", 0, "var", 0), lambda row: [True] * len(row)),
     _set(("weights", 0, "term_logit", 1, 2), 10 ** 400),
     _set(("embeddings", 0, "var", 1, 0), None),
-    _set(("weights", 0, "rho_post"), lambda rows: np.array(rows).tobytes().hex()),
+    _set(("weights", 0, "term_var"), lambda rows: np.array(rows).tobytes().hex()),
 ], ids=["weight-table-short", "embedding-table-short", "ragged-rows", "string-weight-cell",
         "true-weight-cell", "false-weight-cell", "string-embedding-cell",
         "true-embedding-cell", "bool-weight-row", "huge-int-cell", "null-cell",
@@ -292,9 +298,9 @@ def test_saved_tables_are_hex_float64_of_the_posterior():
     _set(("embeddings", 0, "mean"), lambda t: t + "0"),
     _set(("weights", 1, "var"), lambda t: t[:-2]),
     _set(("embeddings", 1, "var"), lambda t: t + "00"),
-    _set(("weights", 0, "rho_post"), lambda t: t[:-16]),
+    _set(("weights", 0, "term_logit"), lambda t: t[:-16]),
     _set(("weights", 0, "term_var"), lambda t: "g" + t[1:]),
-    _set(("weights", 1, "rho_post"), lambda t: t[:8] + "x" + t[9:]),
+    _set(("weights", 1, "term_mean"), lambda t: t[:8] + "x" + t[9:]),
     _set(("weights", 0, "term_logit"), lambda t: t[:16] + " " + t[16:-1]),
     _set(("embeddings", 0, "var"), lambda t: t[:16] + "  " + t[18:]),
     _set(("weights", 0, "term_mean"), lambda t: t[:16] + "\n" + t[17:]),
@@ -374,8 +380,6 @@ def test_a_saved_checkpoint_holds_no_bool_literal(kind, activation):
     _cell("weights", 1, "term_var", (0, 0), -np.inf),
     _cell("weights", 1, "term_mean", (0, 0), float("inf")),
     _cell("weights", 0, "term_logit", (0, 2), float("nan")),
-    _cell("weights", 1, "rho_post", (0, 0), 3.0),
-    _cell("weights", 0, "rho_post", (0, 0), 0.0),
     _cell("embeddings", 1, "var", (2, 0), -2.0),
     _cell("embeddings", 0, "var", (3, 1), float("nan")),
     _cell("embeddings", 1, "var", (5, 1), float("inf")),
@@ -383,8 +387,7 @@ def test_a_saved_checkpoint_holds_no_bool_literal(kind, activation):
     _set(("gamma", "b"), float("inf")),
     _set(("gamma",), None),
 ], ids=["weight-var", "weight-var-nan", "weight-var-inf", "weight-mean", "term-var",
-        "term-var-minus-inf", "term-mean", "term-logit", "rho-above-one", "rho-zero",
-        "embedding-var", "embedding-var-nan", "embedding-var-inf", "embedding-mean",
+        "term-var-minus-inf", "term-mean", "term-logit", "embedding-var", "embedding-var-nan", "embedding-var-inf", "embedding-mean",
         "gamma-b", "gamma-missing"])
 def test_checkpoint_impossible_posterior_raises_checkpoint_error(edit):
     # hex carries every float64 bit pattern, NaN and the infinities too:
@@ -398,8 +401,7 @@ def test_checkpoint_impossible_posterior_raises_checkpoint_error(edit):
 @pytest.mark.parametrize("edit", [
     _set(("weights", 0, "var", 0, 0), -1.0),
     _set(("embeddings", 0, "mean", 4, 1), float("inf")),
-    _set(("weights", 1, "rho_post", 0, 0), 3.0),
-], ids=["weight-var", "embedding-mean", "rho-above-one"])
+], ids=["weight-var", "embedding-mean"])
 def test_version_2_impossible_posterior_raises_checkpoint_error(edit):
     doc = _v2_doc(_small_state())
     edit(doc)
@@ -409,7 +411,7 @@ def test_version_2_impossible_posterior_raises_checkpoint_error(edit):
 
 def test_checkpoint_holds_no_generator_state():
     doc = json.loads(checkpoint_bytes(_small_state()))
-    assert doc["version"] == posterior_store.CHECKPOINT_VERSION == 3
+    assert doc["version"] == posterior_store.CHECKPOINT_VERSION == 4
     assert "rng" not in doc
 
 
@@ -443,10 +445,11 @@ def test_version_1_checkpoint_loads_and_its_generator_block_is_ignored(kind):
 
 
 @pytest.mark.parametrize("kind", ["continuous", "binary"])
-def test_version_2_files_load_to_the_posterior_training_gives_today(tmp_path, kind):
-    # tests/data holds the two models the numpy-only CI job trains, saved
-    # as version-2 files: retrained here, each must give the same
-    # posterior, and a version-2 save of it the file's bytes
+def test_the_ci_models_train_to_their_recorded_digests(tmp_path, kind):
+    # the two models the numpy-only CI job trains: retrained here, each
+    # checkpoint's SHA-256 must be the one tests/data/ci-model-digests.json
+    # records, as CI checks with sha256sum. Any change to the trainer's
+    # bytes fails here until the digests are recorded anew
     train, test, model = (tmp_path / name for name in ("train.coo", "test.coo", "model.json"))
     assert cli.main(["synth", "--dims", "30,20", "--kind", kind, "--generator", "mlp",
                      "--rank", "2", "--entries", "400", "--noise-sd", "0.1", "--seed", "4",
@@ -455,29 +458,55 @@ def test_version_2_files_load_to_the_posterior_training_gives_today(tmp_path, ki
     assert cli.main(["train", "--train", str(train), "--test", str(test), "--dims", "30,20",
                      "--kind", kind, "--rank", "2", "--hidden", "8", "--batch-size", "100",
                      "--seed", "4", "--checkpoint", str(model)]) == 0
-    with open(model, encoding="utf-8") as fp:
-        retrained = load_checkpoint(fp)
-    fixture = DATA / f"checkpoint-v2-{kind}.json"
-    with open(fixture, encoding="utf-8") as fp:
-        loaded = load_checkpoint(fp)
-    assert json.loads(fixture.read_text())["version"] == 2
-    assert checkpoint_bytes(loaded) == checkpoint_bytes(retrained)
-    assert _v2_text(retrained) == fixture.read_text(encoding="utf-8")
+    digests = json.loads((DATA / "ci-model-digests.json").read_text(encoding="utf-8"))
+    assert hashlib.sha256(model.read_bytes()).hexdigest() == digests[kind]
+
+
+def _without_rho_post(doc):
+    """A version-3 document as version 4 writes it: no rho_post tables."""
+    weights = [{k: v for k, v in w.items() if k != "rho_post"} for w in doc["weights"]]
+    return {**doc, "version": 4, "weights": weights}
 
 
 @pytest.mark.parametrize("kind", ["continuous", "binary"])
 def test_version_2_files_decode_to_their_version_3_twins(kind):
-    # each version-2 file has a version-3 twin in tests/data, written by
-    # save_checkpoint from the loaded file: the reader alone, with no
-    # training run, must decode the decimals to the twin's posterior, bit
-    # for bit, and the twin must load and save to its own bytes
-    with open(DATA / f"checkpoint-v2-{kind}.json", encoding="utf-8") as fp:
+    # each version-2 file has a version-3 twin in tests/data, saved from
+    # the loaded file. The reader alone, with no training run, must decode
+    # the decimals to the twin's posterior, bit for bit, reading neither
+    # file's rho_post tables; and the twin must survive a version-4 save
+    # and load, which writes its document without them
+    v2, v3 = (DATA / f"checkpoint-{v}-{kind}.json" for v in ("v2", "v3"))
+    docs = [json.loads(f.read_text(encoding="utf-8")) for f in (v2, v3)]
+    assert [doc["version"] for doc in docs] == [2, 3]
+    assert all("rho_post" in w for doc in docs for w in doc["weights"])
+    with open(v2, encoding="utf-8") as fp:
         decoded = load_checkpoint(fp)
-    twin = DATA / f"checkpoint-v3-{kind}.json"
-    with open(twin, encoding="utf-8") as fp:
-        loaded = load_checkpoint(fp)
-    assert json.loads(twin.read_text(encoding="utf-8"))["version"] == 3
-    assert checkpoint_bytes(decoded) == checkpoint_bytes(loaded) == twin.read_bytes()
+    with open(v3, encoding="utf-8") as fp:
+        saved = checkpoint_bytes(load_checkpoint(fp))
+    assert checkpoint_bytes(decoded) == saved
+    assert json.loads(saved) == _without_rho_post(docs[1])
+    assert checkpoint_bytes(load_checkpoint(io.BytesIO(saved))) == saved
+
+
+def _bad_first_cell(table):
+    """A version-2 or -3 table whose first cell is 3.0, no probability."""
+    if isinstance(table, str):
+        cells = np.frombuffer(bytes.fromhex(table), "<f8").copy()
+        cells[0] = 3.0
+        return cells.tobytes().hex()
+    return [[3.0] + table[0][1:]] + table[1:]
+
+
+@pytest.mark.parametrize("name", ["checkpoint-v2-continuous.json", "checkpoint-v3-binary.json"])
+def test_an_old_rho_post_table_is_not_read(name):
+    # versions 1 to 3 stored each weight's selector probability, which the
+    # posterior now derives from its term: the reader skips the table, so
+    # a cell that no probability can hold loads as the file does
+    doc = json.loads((DATA / name).read_text(encoding="utf-8"))
+    want = checkpoint_bytes(load_checkpoint(io.StringIO(json.dumps(doc))))
+    for w in doc["weights"]:
+        w["rho_post"] = _bad_first_cell(w["rho_post"])
+    assert checkpoint_bytes(load_checkpoint(io.StringIO(json.dumps(doc)))) == want
 
 
 @pytest.mark.parametrize("name", ["checkpoint-v3-continuous.json", "checkpoint-v2-binary.json"])
@@ -502,11 +531,11 @@ _NO_VERSION = object()
 
 
 # true and 1.0 equal 1, and 3.0 equals 3, but none is a JSON int
-@pytest.mark.parametrize("version", [0, 4, 99, -1, True, 1.0, 2.0, 3.0, "2", "3", None,
-                                     _NO_VERSION],
-                         ids=["zero", "four", "ninety-nine", "negative", "true", "float-one",
-                              "float-two", "float-three", "string-two", "string-three", "null",
-                              "missing"])
+@pytest.mark.parametrize("version", [0, 5, 99, -1, True, 1.0, 2.0, 3.0, 4.0, "2", "3", "4",
+                                     None, _NO_VERSION],
+                         ids=["zero", "five", "ninety-nine", "negative", "true", "float-one",
+                              "float-two", "float-three", "float-four", "string-two",
+                              "string-three", "string-four", "null", "missing"])
 def test_unsupported_checkpoint_version_raises(version):
     doc = json.loads(checkpoint_bytes(_small_state()))
     if version is _NO_VERSION:
@@ -534,7 +563,7 @@ def test_check_invariants_passes_a_fresh_state_and_names_the_broken_field():
 
 
 def test_stored_scalar_count_formula():
-    # the module docstring's count: 6*V weight fields + 2*sum_k d_k*r_k
+    # the module docstring's count: 5*V weight fields + 2*sum_k d_k*r_k
     # embedding fields (+2 Gamma fields), against the arrays a state holds
     for kind, n_gamma in ((ValueKind.CONTINUOUS, 2), (ValueKind.BINARY, 0)):
         state = _small_state(kind=kind)
@@ -542,7 +571,7 @@ def test_stored_scalar_count_formula():
         held += sum(emb.mean.size + emb.var.size for emb in state.embeddings)
         held += 0 if state.gamma is None else len((state.gamma.a, state.gamma.b))
         embed_cells = sum(d * r for d, r in zip(state.shape.dims, state.hyper.ranks))
-        assert held == 6 * state.net.n_weights + 2 * embed_cells + n_gamma
+        assert held == 5 * state.net.n_weights + 2 * embed_cells + n_gamma
 
 
 @pytest.mark.parametrize("a, b", [(np.nan, 1.0), (1.0, np.nan), (np.inf, 1.0),

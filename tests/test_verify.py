@@ -49,8 +49,7 @@ def _scale_output(i):
 # output of log_ndtr_and_ratio, scaled by 1 + 1e-12: ten times the check's
 # relative tolerance
 SPECIAL_FORMS = (
-    [(name, name, _scale) for name in ("ndtr", "ndtr_array", "erfcx", "expit",
-                                       "log_expit", "logit", "ndtri")]
+    [(name, name, _scale) for name in ("ndtr", "ndtr_array", "erfcx", "expit", "ndtri")]
     + [("log_ndtr", "log_ndtr_and_ratio", _scale_output(0)),
        ("phi_over_cdf", "log_ndtr_and_ratio", _scale_output(1))]
 )
@@ -121,9 +120,10 @@ def test_probit_evidence_check_fails_on_each_wrong_partial(monkeypatch, mutant):
 # source mutants of the EP sweep, as (text, replacement) pairs; each text
 # occurs exactly once in `refine_arrays`. At the default damping of 0.5 the
 # swapped damping weights are the same sweep, so the check runs at damping 1
+# too; the damped blend's mutants show only at damping below 1
 EP_MUTANTS = {
-    "selector_logit_without_cavity": [
-        ("logit_term_full = delta - logit_cav", "logit_term_full = delta")],
+    "slab_share_without_the_prior_selector": [
+        ("expit(_logit(rho0) + logit_term_full)", "expit(logit_term_full)")],
     "halved_tilted_variance_term": [
         ("r1 * (1.0 - r1) * m_slab * m_slab", "0.5 * r1 * (1.0 - r1) * m_slab * m_slab")],
     "kept_term_variance_left_old": [
@@ -144,9 +144,18 @@ EP_MUTANTS = {
     "term_mean_written_natural": [
         ("np.copyto(term_mean, eta0_new / prec0_new, where=replaced)",
          "np.copyto(term_mean, eta0_new, where=replaced)")],
-    "term_logit_written_with_cavity": [
+    "term_logit_written_with_the_prior": [
         ("np.copyto(term_logit, logit_term_new, where=replaced)",
-         "np.copyto(term_logit, logit_term_new + logit_cav, where=replaced)")],
+         "np.copyto(term_logit, logit_term_new + _logit(rho0), where=replaced)")],
+    "damped_old_precision_divided": [
+        ("(1.0 - damping) * prec0 +", "(1.0 - damping) / prec0 +")],
+    "damped_old_mean_divided": [
+        ("(1.0 - damping) * term_mean * prec0", "(1.0 - damping) * term_mean / prec0")],
+    "damped_old_logit_dropped": [
+        ("(1.0 - damping) * term_logit + ", "")],
+    # a kept site's term must come back as it was
+    "kept_term_overwritten": [
+        ("replaced = ok & ~keep_term", "replaced = ok")],
 }
 
 
@@ -185,9 +194,9 @@ def test_ep_check_reaches_the_kept_term_branch(monkeypatch, seed):
     kept = []
     original = ep_prior.refine_arrays
 
-    def counting(*a, **k):
-        counts = original(*a, **k)
-        kept.append(counts[1])
+    def counting(*a, damping, **k):
+        counts = original(*a, damping=damping, **k)
+        kept.append(counts[1] if damping == 1.0 else 0)
         return counts
 
     monkeypatch.setattr(ep_prior, "refine_arrays", counting)
