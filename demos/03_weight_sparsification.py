@@ -36,9 +36,8 @@ for k, emb in enumerate(state.embeddings):
     emb.mean[...] = truth.embeddings[k]
     emb.var[...] = 1e-6
 for lay, w_true in zip(state.weights, truth.weights):
-    start = w_true + anchor_rng.normal(0.0, 0.3, w_true.shape)
-    lay.mean[...] = start
-    lay.term_mean[...] = start
+    # the init site's mean; the term stays the prior's slab
+    lay.mean[...] = w_true + anchor_rng.normal(0.0, 0.3, w_true.shape)
 
 print(f"streaming {len(split.train)} entries in batches of 256 ...")
 for batch in s.partition_stream(split.train, batch_size=256, seed=shuffle_seed):

@@ -7,18 +7,17 @@ propagation sweep over all weights: divide the term out of the posterior
 
     rho0 * N(w | 0, sigma0_sq)  +  (1 - rho0) * delta(w)
 
-replace the term by damped division, and recompute the posterior as cavity times the damped term (with
-damping 1 that is exactly the tilted moments). Guards: a non-positive cavity
-precision, or cavity moments or a height exponent m_cav^2 / v_cav that
-are not finite, skip the weight entirely; a non-positive divided term
+replace the term by damped division (damping interpolates it in natural
+parameters), and recompute the posterior as cavity times the damped term
+(with damping 1 that is exactly the tilted moments). Guards: a
+non-positive cavity precision, or a height exponent m_cav^2 / v_cav that
+is not finite, skips the weight entirely; a non-positive divided term
 precision keeps the old term and moves only the posterior, to the tilted
 moments.
-Damping interpolates the term in natural parameters.
 
-The likelihood never touches a selector, so the cavity's selector is the
-prior's rho0 at every site, and a weight's posterior selector probability
-is rho0 times the term's Bernoulli, sigmoid(logit rho0 + term_logit)
-(`selector_probability`): it is derived from the term, not stored.
+The likelihood never touches a selector, so every cavity's selector is the
+prior's rho0, and a weight's posterior selector probability is derived,
+not stored: sigmoid(logit rho0 + term_logit) (`selector_probability`).
 
 All integrals are closed-form: the spike is an exact point mass, so the
 slab's share of the tilted mass compares the two Gaussian heights
@@ -145,8 +144,8 @@ def refine_all(state: ModelState, damping: float = DEFAULT_DAMPING,
                v_floor: float = DEFAULT_V_FLOOR) -> EpDiagnostics:
     """Refine every network weight exactly once; embeddings are untouched."""
     check_damping(damping)
-    rho0 = state.hyper.rho0
-    counts = refine_arrays(*state.weight_fields(), rho0=rho0, slab_var=state.hyper.sigma0_sq,
+    hyper = state.hyper
+    counts = refine_arrays(*state.weight_fields(), rho0=hyper.rho0, slab_var=hyper.sigma0_sq,
                            damping=damping, v_floor=v_floor)
-    inhibited = np.count_nonzero(_logit(rho0) + state.term_logit < 0.0)
+    inhibited = np.count_nonzero(_logit(hyper.rho0) + state.term_logit < 0.0)
     return EpDiagnostics(*counts, inhibited=inhibited)

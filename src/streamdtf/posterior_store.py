@@ -239,18 +239,13 @@ class ModelState:
             table_var[i] = variances
 
 
-_RULES = {
-    "finite": lambda x: np.isfinite(x).all(),
-    "finite and > 0": lambda x: np.isfinite(x).all() and (x > 0).all(),
-}
-
-
 def check_invariants(state: ModelState) -> None:
     """Raise ValueError naming the first posterior field that breaks its
     invariant: finite means and term logits; finite variances > 0
-    (weights, terms, embeddings); and a Gamma posterior with finite a, b > 0, present exactly for continuous
-    data. The update engine and the EP sweep keep these, so they are checked
-    where state enters from outside (`load_checkpoint`), not per entry."""
+    (weights, terms, embeddings); and a Gamma posterior with finite a,
+    b > 0, present exactly for continuous data. The update engine and the
+    EP sweep keep these, so they are checked where state enters from
+    outside (`load_checkpoint`), not per entry."""
     if (state.gamma is None) != (state.kind is ValueKind.BINARY):
         raise ValueError("a continuous model needs a Gamma noise posterior and a "
                          f"binary model has none; this {state.kind.value} model "
@@ -268,7 +263,7 @@ def check_invariants(state: ModelState) -> None:
         checks.append(("Gamma (a, b)", np.array([state.gamma.a, state.gamma.b]),
                        "finite and > 0"))
     for name, values, rule in checks:
-        if not _RULES[rule](values):
+        if not np.isfinite(values).all() or rule != "finite" and not (values > 0).all():
             raise ValueError(f"every {name} must be {rule}")
 
 
@@ -282,10 +277,14 @@ def _truncated_standard_normal(rng: np.random.Generator, bound: float,
 def init_state(shape: TensorShape, kind: ValueKind, net: NetworkSpec,
                hyper: Hyperparams, seed: int) -> ModelState:
     """Fresh state: embeddings copy their standard-normal prior; each weight
-    term gets variance sigma0_sq, a mean drawn from a standard Gaussian
-    truncated to [-sigma0, sigma0], and logit 0; the weight posterior starts
-    as its term alone, so the selector posterior starts at rho0; the Gamma
-    posterior starts at (a0, b0). Deterministic under the seed."""
+    term is the prior's slab (mean 0, variance sigma0_sq, logit 0, so the
+    selector posterior is rho0) and each weight posterior that term times an
+    init site: mean a standard Gaussian draw truncated to [-sigma0, sigma0],
+    variance sigma0_sq / 2. The rule: the site carries the term's precision,
+    so the first EP cavity is that site and moment matching starts halfway
+    between prior and draw; a posterior equal to its term has zero cavity
+    precision everywhere, and binary training then learns a constant. The
+    Gamma posterior starts at (a0, b0). Deterministic under the seed."""
     if len(hyper.ranks) != shape.mode_count:
         raise ValueError(
             f"need one rank per mode: {len(hyper.ranks)} ranks for "
@@ -303,15 +302,14 @@ def init_state(shape: TensorShape, kind: ValueKind, net: NetworkSpec,
     sigma0 = float(np.sqrt(hyper.sigma0_sq))
     n = net.n_weights
     # one draw over the flat ordering consumes the stream as per-layer draws would
-    term_mean = _truncated_standard_normal(rng, sigma0, (n,))
+    draw = _truncated_standard_normal(rng, sigma0, (n,))
     gamma = GammaPosterior(hyper.a0, hyper.b0) if kind is ValueKind.CONTINUOUS else None
     return ModelState(
         shape=shape, kind=kind, net=net, hyper=hyper, embeddings=embeddings,
         gamma=gamma, entries_seen=0,
-        mu=_with_input_slot(term_mean, net.input_dim),
-        var=_with_input_slot(np.full(n, hyper.sigma0_sq), net.input_dim),
-        term_mean=term_mean,
-        term_var=np.full(n, hyper.sigma0_sq), term_logit=np.zeros(n),
+        mu=_with_input_slot(draw, net.input_dim),
+        var=_with_input_slot(np.full(n, hyper.sigma0_sq / 2.0), net.input_dim),
+        term_mean=np.zeros(n), term_var=np.full(n, hyper.sigma0_sq), term_logit=np.zeros(n),
     )
 
 

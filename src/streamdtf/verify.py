@@ -224,24 +224,14 @@ def _naturals(mean, var, logit=0.0) -> tuple[float, float, float]:
     return 1.0 / var, mean / var, logit
 
 
-def _division_error(posterior, cavity, term) -> float:
-    """How far a posterior (mean, var) is from cavity times term: the
-    largest error of its precision and precision-weighted mean, each
-    relative to the largest natural parameter it is made of."""
-    return max(abs(t - (post - cav)) / max(1.0, abs(post), abs(cav))
-               for post, cav, t in zip(_naturals(*posterior), _naturals(*cavity),
-                                       _naturals(*term[:2])))
-
-
-def _blend_error(new, old, full, damping) -> float:
-    """How far a damped term is from (1 - damping) old + damping full in
-    natural parameters, each relative to the largest it is made of."""
-    return max(abs(got - ((1.0 - damping) * a + damping * b)) / max(1.0, abs(a), abs(b))
-               for got, a, b in zip(_naturals(*new), _naturals(*old), _naturals(*full)))
-
-
-# the damped case's damping, the default sweep's
-_DAMPED = ep_prior.DEFAULT_DAMPING
+def _natural_error(got, parts) -> float:
+    """How far `got`, a (mean, var[, logit]) site, is from the sum of
+    weight * part over the (weight, part) pairs in `parts`, in natural
+    parameters: the largest error, each relative to the largest natural
+    parameter it is made of."""
+    nats = [(w, _naturals(*part)) for w, part in parts]
+    return max(abs(g - sum(w * n[i] for w, n in nats)) / max(1.0, *(abs(n[i]) for _, n in nats))
+               for i, g in enumerate(_naturals(*got)))
 
 
 def check_ep_tilted(seed: int = 5, n_cases: int = 200) -> CheckResult:
@@ -259,6 +249,7 @@ def check_ep_tilted(seed: int = 5, n_cases: int = 200) -> CheckResult:
     rng = make_rng(seed)
     worst = 0.0
     n_kept = 0
+    damped = ep_prior.DEFAULT_DAMPING
     for _ in range(n_cases):
         m_cav = float(rng.uniform(-3, 3))
         v_cav = float(rng.uniform(0.05, 3))
@@ -271,7 +262,7 @@ def check_ep_tilted(seed: int = 5, n_cases: int = 200) -> CheckResult:
         old = [mu0, v0, logit0]
         site = [v * (m_cav / v_cav + mu0 / v0), v, *old]
         (mean, var, *term), kept = _refine_one(rho0, s0sq, 1.0, *site)
-        (mean_d, var_d, *term_d), kept_d = _refine_one(rho0, s0sq, _DAMPED, *site)
+        (mean_d, var_d, *term_d), kept_d = _refine_one(rho0, s0sq, damped, *site)
         slab_norm = 1.0 / math.sqrt(2.0 * math.pi * s0sq)
         z_q, e1_q, e2_q = oracles.quad_tilted_moments(
             m_cav, v_cav,
@@ -286,9 +277,10 @@ def check_ep_tilted(seed: int = 5, n_cases: int = 200) -> CheckResult:
         elif kept:
             tilted += [(mean_d, e1_q), (var_d, e2_q - e1_q * e1_q)]
         else:
-            worst = max(worst, _division_error((mean, var), (m_cav, v_cav), term),
-                        _division_error((mean_d, var_d), (m_cav, v_cav), term_d),
-                        _blend_error(term_d, old, term, _DAMPED))
+            cavity = (-1.0, (m_cav, v_cav))
+            worst = max(worst, _natural_error(term[:2], [(1.0, (mean, var)), cavity]),
+                        _natural_error(term_d[:2], [(1.0, (mean_d, var_d)), cavity]),
+                        _natural_error(term_d, [(1.0 - damped, old), (damped, term)]))
             tilted.append((float(sp.expit(sp.logit(rho0) + term[2])), (z_q - z_spike) / z_q))
         for got, want in tilted:
             worst = max(worst, abs(got - want) / max(1.0, abs(want)))
@@ -296,7 +288,7 @@ def check_ep_tilted(seed: int = 5, n_cases: int = 200) -> CheckResult:
     sym_ok = abs(sym_rho - (math.sqrt(2.0) - 1.0)) <= 1e-5
     return CheckResult("ep-tilted-vs-quadrature", worst <= 1e-8 and sym_ok,
                        f"max error {worst:.3e} over {n_cases} cases at damping 1 and "
-                       f"{_DAMPED}, {n_kept} of them kept their term (tol 1e-8); "
+                       f"{damped}, {n_kept} of them kept their term (tol 1e-8); "
                        f"symmetric rho {sym_rho:.5f} (want 0.41421)")
 
 

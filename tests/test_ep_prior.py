@@ -179,13 +179,20 @@ def _trained_state(seed=0):
     return state
 
 
-def test_refine_all_on_fresh_init_guard_skips_everything():
+def test_refine_all_guard_skips_every_zero_cavity_site():
+    # a fresh state's posterior is its term times an init site, so every
+    # cavity is that site; a posterior equal to its term leaves a cavity
+    # precision of 0 at every site, and the sweep skips them all
     state = init_state(TensorShape((5, 5)), ValueKind.CONTINUOUS,
                        NetworkSpec.for_factorization(4, [3], "tanh"),
                        Hyperparams(ranks=(2, 2)), seed=0)
+    assert refine_all(copy.deepcopy(state)).guard_skips == 0
+    n = state.net.n_weights
+    state.mu[:n] = state.term_mean
+    state.var[:n] = state.term_var
     before = [copy.deepcopy(l) for l in state.weights]
     diag = refine_all(state)
-    assert diag.guard_skips == state.net.n_weights
+    assert diag.guard_skips == n
     for lay, prev in zip(state.weights, before):
         assert np.array_equal(lay.mean, prev.mean)
         assert np.array_equal(lay.var, prev.var)

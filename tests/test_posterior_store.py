@@ -24,14 +24,17 @@ def _small_state(seed=0, kind=ValueKind.CONTINUOUS, rho0=0.5, sigma0_sq=1.0):
 
 
 def test_init_term_fields_and_selectors():
+    # each term starts as the prior's slab, and the posterior as that term
+    # times an init site N(2 * draw, sigma0_sq): mean the draw, variance
+    # sigma0_sq / 2
     state = _small_state(seed=3)
     for lay in state.weights:
         assert np.all(lay.term_var == 1.0)
-        assert np.all(np.abs(lay.term_mean) <= 1.0)  # truncated to [-sigma0, sigma0]
+        assert np.all(lay.term_mean == 0.0)
         assert np.all(lay.term_logit == 0.0)
-        # posterior starts as the term alone
-        assert np.array_equal(lay.mean, lay.term_mean)
-        assert np.array_equal(lay.var, lay.term_var)
+        assert np.all(np.abs(lay.mean) <= 1.0)  # truncated to [-sigma0, sigma0]
+        assert np.unique(lay.mean).size == lay.mean.size
+        assert np.all(lay.var == 0.5)
     assert np.all(ep_prior.selector_probability(state) == 0.5)
     assert state.gamma == GammaPosterior(1.0, 1.0)
     assert state.entries_seen == 0
@@ -40,7 +43,8 @@ def test_init_term_fields_and_selectors():
 def test_init_truncation_respects_sigma0():
     state = _small_state(seed=1, sigma0_sq=0.25)
     for lay in state.weights:
-        assert np.all(np.abs(lay.term_mean) <= 0.5)
+        assert np.all(np.abs(lay.mean) <= 0.5)
+        assert np.all(lay.var == 0.125)
         assert np.all(lay.term_var == 0.25)
 
 
