@@ -147,5 +147,5 @@ def refine_all(state: ModelState, damping: float = DEFAULT_DAMPING,
     hyper = state.hyper
     counts = refine_arrays(*state.weight_fields(), rho0=hyper.rho0, slab_var=hyper.sigma0_sq,
                            damping=damping, v_floor=v_floor)
-    inhibited = np.count_nonzero(_logit(hyper.rho0) + state.term_logit < 0.0)
+    inhibited = int(np.count_nonzero(_logit(hyper.rho0) + state.term_logit < 0.0))
     return EpDiagnostics(*counts, inhibited=inhibited)

@@ -745,7 +745,7 @@ def test_engine_matches_repacking_reference_to_the_byte(kind, activation, hidden
     assert checkpoint_bytes(engine) == checkpoint_bytes(reference)
 
 
-# the floors of the cases that keep every variance above 0.1, the others'
+# two cases keep every variance above 0.1, so they clamp only at a higher floor
 CLAMPING_FLOORS = {("tanh", ValueKind.CONTINUOUS, (8,)): 0.15,
                    ("identity", ValueKind.CONTINUOUS, (8,)): 0.15}
 

@@ -231,4 +231,6 @@ def test_refine_all_damping_validation():
 def test_refine_all_reports_inhibited_count():
     state = _trained_state(seed=9)
     diag = refine_all(state)
+    # a Python int, as the counts are: the benchmark's tracer writes it as JSON
+    assert type(diag.inhibited) is int
     assert diag.inhibited == int((selector_probability(state) < 0.5).sum())
