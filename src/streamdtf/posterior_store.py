@@ -74,7 +74,6 @@ import numpy as np
 from .bnn import NetworkSpec
 from .errors import CheckpointError
 from .seeding import make_rng
-from .special import ndtr, ndtri
 from .tensor_core import TensorShape, ValueKind
 
 CHECKPOINT_FORMAT = "streamdtf-checkpoint"
@@ -267,19 +266,12 @@ def check_invariants(state: ModelState) -> None:
             raise ValueError(f"every {name} must be {rule}")
 
 
-def _truncated_standard_normal(rng: np.random.Generator, bound: float,
-                               size: tuple[int, ...]) -> np.ndarray:
-    # inverse-CDF sampling: deterministic draw count for any bound
-    lo, hi = ndtr(-bound), ndtr(bound)
-    return ndtri(rng.uniform(lo, hi, size=size))
-
-
 def init_state(shape: TensorShape, kind: ValueKind, net: NetworkSpec,
                hyper: Hyperparams, seed: int) -> ModelState:
     """Fresh state: embeddings copy their standard-normal prior; each weight
     term is the prior's slab (mean 0, variance sigma0_sq, logit 0, so the
     selector posterior is rho0) and each weight posterior that term times an
-    init site: mean a standard Gaussian draw truncated to [-sigma0, sigma0],
+    init site: mean a uniform draw on [-sigma0, sigma0], one per weight,
     variance sigma0_sq / 2. The rule: the site carries the term's precision,
     so the first EP cavity is that site and moment matching starts halfway
     between prior and draw; a posterior equal to its term has zero cavity
@@ -302,7 +294,7 @@ def init_state(shape: TensorShape, kind: ValueKind, net: NetworkSpec,
     sigma0 = float(np.sqrt(hyper.sigma0_sq))
     n = net.n_weights
     # one draw over the flat ordering consumes the stream as per-layer draws would
-    draw = _truncated_standard_normal(rng, sigma0, (n,))
+    draw = rng.uniform(-sigma0, sigma0, size=n)
     gamma = GammaPosterior(hyper.a0, hyper.b0) if kind is ValueKind.CONTINUOUS else None
     return ModelState(
         shape=shape, kind=kind, net=net, hyper=hyper, embeddings=embeddings,

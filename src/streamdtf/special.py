@@ -2,16 +2,15 @@
 
 The streaming loop needs a handful of closed-form special functions: the
 probit evidence needs Phi, log Phi and phi/Phi (through erfcx), binary
-prediction an array Phi, the EP sweep the logistic function, and the
-initialisation the normal quantile. With these forms every
-command but `verify` runs on numpy and the standard library alone;
-`verify.check_special_functions` compares each with `scipy.special` out
-into the tails.
+prediction an array Phi, and the EP sweep the logistic function. With
+these forms every command but `verify` runs on numpy and the standard
+library alone; `verify.check_special_functions` compares each with
+`scipy.special` out into the tails.
 
 The scalar forms (`ndtr`, `log_ndtr_and_ratio`, `erfcx`) take and return
 floats and cost a few `math` calls each, because the evidence calls them
-for every entry. The array forms (`expit`, `ndtri`, `ndtr_array`) take
-float arrays and make no Python call per element. `expit` and the log Phi
+for every entry. The array forms (`expit`, `ndtr_array`) take float
+arrays and make no Python call per element. `expit` and the log Phi
 of `log_ndtr_and_ratio` follow the formulas of `scipy.special`, so they
 differ from it only in how their exp, log and erfcx round.
 """
@@ -42,61 +41,6 @@ def _horner(coefs, x: np.ndarray) -> np.ndarray:
         acc *= x
         acc += c
     return acc
-
-
-# Wichura (1988), "Algorithm AS 241: The percentage points of the normal
-# distribution", Applied Statistics 37(3): 477-484. (numerator, denominator)
-# of each rational approximation, highest degree first: in r = 0.180625 - q^2
-# for |q| = |p - 0.5| <= 0.425, then in r - 1.6 and r - 5 for
-# r = sqrt(-log(min(p, 1 - p))) up to 5 and beyond
-_AS241_CENTRAL = (
-    (2509.0809287301226727, 33430.575583588128105, 67265.770927008700853,
-     45921.953931549871457, 13731.693765509461125, 1971.5909503065514427,
-     133.14166789178437745, 3.387132872796366608),
-    (5226.495278852545610, 28729.085735721942674, 39307.895800092710610,
-     21213.794301586595867, 5394.1960214247511077, 687.18700749205790830,
-     42.313330701600911252, 1.0),
-)
-_AS241_NEAR = (
-    (7.7454501427834140764e-4, 0.0227238449892691845833, 0.24178072517745061177,
-     1.27045825245236838258, 3.64784832476320460504, 5.7694972214606914055,
-     4.6303378461565452959, 1.42343711074968357734),
-    (1.05075007164441684324e-9, 5.475938084995344946e-4, 0.0151986665636164571966,
-     0.14810397642748007459, 0.68976733498510000455, 1.6763848301838038494,
-     2.05319162663775882187, 1.0),
-)
-_AS241_FAR = (
-    (2.01033439929228813265e-7, 2.71155556874348757815e-5, 0.0012426609473880784386,
-     0.026532189526576123093, 0.29656057182850489123, 1.7848265399172913358,
-     5.4637849111641143699, 6.6579046435011037772),
-    (2.04426310338993978564e-15, 1.4215117583164458887e-7, 1.8463183175100546818e-5,
-     7.868691311456132591e-4, 0.0148753612908506148525, 0.13692988092273580531,
-     0.59983220655588793769, 1.0),
-)
-
-
-def _rational(num_den, x):
-    num, den = num_den
-    return _horner(num, x) / _horner(den, x)
-
-
-def ndtri(p: np.ndarray) -> np.ndarray:
-    """The standard normal quantile Phi^-1(p), elementwise for p in (0, 1):
-    Wichura's AS 241, relative error about 1e-16."""
-    q = p - 0.5
-    out = np.empty_like(q)
-    central = np.abs(q) <= 0.425
-    qc = q[central]
-    r = 0.180625 - qc * qc
-    num, den = _AS241_CENTRAL
-    out[central] = qc * _horner(num, r) / _horner(den, r)
-    tail = ~central
-    qt = q[tail]
-    r = np.sqrt(-np.log(np.where(qt < 0, p[tail], 1.0 - p[tail])))
-    near = r <= 5.0
-    x = np.where(near, _rational(_AS241_NEAR, r - 1.6), _rational(_AS241_FAR, r - 5.0))
-    out[tail] = np.where(qt < 0, -x, x)
-    return out
 
 
 def erfcx(x: float) -> float:

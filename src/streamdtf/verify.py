@@ -363,17 +363,13 @@ def check_special_functions(seed: int = 7, n_cases: int = 200) -> CheckResult:
     `n_cases` random arguments each: z in [-40, 40] for Phi (scalar and
     array) and both outputs of `log_ndtr_and_ratio`, log Phi and phi/Phi;
     x in [-800, 800] for expit, past the +-745 where exp over- or
-    underflows; p from 1e-300 to 1 - 2^-53 for ndtri; x from 0 to 1e300
-    for erfcx. The tolerance leaves room for the lower tail of Phi,
-    whose relative error grows as 2 t^2 * 2^-53 in any form that rounds
-    t = -z / sqrt(2): scipy's and these alike are about 1.9e-13 from the
+    underflows; x from 0 to 1e300 for erfcx. The tolerance leaves room
+    for the lower tail of Phi, whose relative error grows as
+    2 t^2 * 2^-53 in any form that rounds t = -z / sqrt(2): scipy's and these alike are about 1.9e-13 from the
     exact value at z = -37, and 6e-14 from each other."""
     rng = make_rng(seed)
     z = np.concatenate([np.linspace(-40.0, 40.0, 8001), rng.normal(0.0, 10.0, n_cases)])
     x = np.concatenate([np.linspace(-800.0, 800.0, 3201), rng.normal(0.0, 50.0, n_cases)])
-    p = np.concatenate([np.geomspace(1e-300, 0.5, 2000),
-                        1.0 - np.geomspace(2.0 ** -53, 0.5, 2000),
-                        rng.uniform(0.0, 1.0, n_cases)])
     xc = np.concatenate([np.linspace(0.0, 30.0, 3001), np.geomspace(30.0, 1e300, 100),
                          rng.exponential(5.0, n_cases)])
     zs, xcs = z.tolist(), xc.tolist()
@@ -385,7 +381,6 @@ def check_special_functions(seed: int = 7, n_cases: int = 200) -> CheckResult:
         "phi_over_cdf": _relative_error(ratio, _phi_over_cdf_reference(z)),
         "erfcx": _relative_error([special.erfcx(v) for v in xcs], sp.erfcx(xc)),
         "expit": _relative_error(special.expit(x), sp.expit(x)),
-        "ndtri": _relative_error(special.ndtri(p), sp.ndtri(p)),
     }
     worst = max(errors.values())
     return CheckResult("special-functions-vs-scipy", worst <= 1e-13,

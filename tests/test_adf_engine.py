@@ -1210,8 +1210,13 @@ def test_non_finite_pre_activations_still_raise(bad):
 
 def _mean_step_whose_dot_overflows():
     # w_x has gradient 1e-3 and variance 1e6, so with a residual of 1e152
-    # its mean moves by about 3e154
+    # its mean moves by about 3e154. c = dalpha^2 - 2 dbeta is the difference
+    # of two numbers near 1e304, so its rounding, and with it whether the
+    # entry floors every variance or leaves the bias's at 0.5, turns on the
+    # bits of beta: the means are set here rather than drawn. At these, c
+    # rounds to 0
     state = _identity_state(ValueKind.CONTINUOUS)
+    state.weights[0].mean[0] = (0.25, 0.0)
     state.weights[0].var[0, 0] = 1e6
     state.embeddings[0].mean[0, 0] = 1e-3 * math.sqrt(2.0)
     return state, ObservedEntry((0,), 1e152)

@@ -12,6 +12,7 @@ from streamdtf import (CheckpointError, CpGenerator, GammaPosterior, Hyperparams
                        checkpoint_bytes, cli, ep_prior, init_state, load_checkpoint,
                        posterior_store, process_batch, save_checkpoint,
                        synth_generate)
+from streamdtf.seeding import make_rng
 
 DATA = Path(__file__).parent / "data"
 
@@ -32,7 +33,7 @@ def test_init_term_fields_and_selectors():
         assert np.all(lay.term_var == 1.0)
         assert np.all(lay.term_mean == 0.0)
         assert np.all(lay.term_logit == 0.0)
-        assert np.all(np.abs(lay.mean) <= 1.0)  # truncated to [-sigma0, sigma0]
+        assert np.all(np.abs(lay.mean) <= 1.0)  # drawn on [-sigma0, sigma0]
         assert np.unique(lay.mean).size == lay.mean.size
         assert np.all(lay.var == 0.5)
     assert np.all(ep_prior.selector_probability(state) == 0.5)
@@ -40,12 +41,22 @@ def test_init_term_fields_and_selectors():
     assert state.entries_seen == 0
 
 
-def test_init_truncation_respects_sigma0():
+def test_init_draw_respects_sigma0():
     state = _small_state(seed=1, sigma0_sq=0.25)
     for lay in state.weights:
         assert np.all(np.abs(lay.mean) <= 0.5)
         assert np.all(lay.var == 0.125)
         assert np.all(lay.term_var == 0.25)
+
+
+@pytest.mark.parametrize("sigma0_sq", [0.01, 1.0, 25.0])
+def test_init_means_are_one_uniform_draw_per_weight(sigma0_sq):
+    # the seed's generator, one uniform on [-sigma0, sigma0] per weight in
+    # the flat order, and nothing else drawn
+    state = _small_state(seed=5, sigma0_sq=sigma0_sq)
+    n, sigma0 = state.net.n_weights, np.sqrt(sigma0_sq)
+    want = make_rng(5).uniform(-sigma0, sigma0, n)
+    assert np.array_equal(state.weight_fields()[0], want)
 
 
 def test_init_embeddings_are_prior_copy_for_any_seed():

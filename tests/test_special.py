@@ -12,7 +12,6 @@ fixed grids of the field check.
 """
 
 import math
-import statistics
 
 import numpy as np
 import pytest
@@ -38,21 +37,6 @@ def test_ep_sweep_forms_on_selector_logits(rng):
     assert rel_err(special.expit(x), sp.expit(x)) <= 4.0 * 2.0 ** -52
 
 
-@pytest.mark.parametrize("sigma0_sq", [0.01, 1.0, 25.0])
-def test_init_quantile_on_truncated_draws(rng, sigma0_sq):
-    bound = math.sqrt(sigma0_sq)
-    p = rng.uniform(special.ndtr(-bound), special.ndtr(bound), 5000)
-    assert rel_err(special.ndtri(p), sp.ndtri(p)) <= 8.0 * 2.0 ** -52
-    assert special.ndtr(bound) == pytest.approx(float(sp.ndtr(bound)), rel=2.0 ** -52)
-
-
-def test_quantile_is_the_standard_library_algorithm():
-    # statistics.NormalDist.inv_cdf runs the same AS 241 in scalar floats
-    p = np.concatenate([np.geomspace(1e-300, 0.5, 500), 1.0 - np.geomspace(2.0 ** -53, 0.5, 500)])
-    want = [statistics.NormalDist().inv_cdf(v) for v in p.tolist()]
-    assert rel_err(special.ndtri(p), want) <= 2.0 ** -52
-
-
 def _probit_arguments(rng) -> np.ndarray:
     """z = (2y - 1) alpha / sqrt(1 + beta) of the evidence and the
     predictions: a fine grid over [-40, 40], draws at the scale of trained
@@ -67,6 +51,9 @@ def test_probit_evidence_forms(rng):
     assert rel_err(log_cdf, sp.log_ndtr(z)) <= 1e-13
     assert rel_err(ratio, verify._phi_over_cdf_reference(z)) <= 8.0 * 2.0 ** -52
     assert rel_err([special.ndtr(v) for v in z.tolist()], sp.ndtr(z)) <= 1e-13
+    # at moderate positive z, where erfc(-t) is near 1, Phi is good to an ulp
+    for v in (0.1, 1.0, 5.0):
+        assert special.ndtr(v) == pytest.approx(float(sp.ndtr(v)), rel=2.0 ** -52)
     x = np.concatenate([np.linspace(0.0, 30.0, 3001), np.geomspace(30.0, 1e300, 300)])
     assert rel_err([special.erfcx(v) for v in x.tolist()], sp.erfcx(x)) <= 8.0 * 2.0 ** -52
 
