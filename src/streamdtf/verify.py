@@ -1,7 +1,7 @@
 """Self-verification: runs the independent oracles against the engine.
 
 Each check here is the only code that compares an engine function with its
-oracle. `streamdtf verify` runs all eight at small case counts, so a
+oracle. `streamdtf verify` runs all nine at small case counts, so a
 deployment can be sanity-checked in the field; acceptance criteria 1-6 in
 the test suite call the same checks with their own seeds and larger counts.
 The tolerances and the case ranges are fixed here, so both callers hold the
@@ -65,6 +65,40 @@ def check_gradient_fd(seed: int = 0, n_nets: int = 10) -> CheckResult:
     passed = worst <= 1e-5
     return CheckResult("gradient-vs-finite-differences", passed,
                        f"max scaled error {worst:.3e} over {n_nets} nets (tol 1e-5)")
+
+
+def check_batch_input_gradient_fd(seed: int = 8, n_nets: int = 10,
+                                  n_rows: int = 8) -> CheckResult:
+    """The n-row backward pass's d alpha / dx (the tape's `inputs` after
+    `output_moments_batch`) against central finite differences of
+    `forward_mean_batch`, row by row, on relu networks: the n-row relu
+    derivative's oracle. Rows with a hidden pre-activation within 1e-3 of
+    the kink are dropped, so no step crosses it; each coordinate's error
+    is scaled as in `check_gradient_fd`."""
+    rng = make_rng(seed)
+    worst, rows, step = 0.0, 0, 1e-6
+    for _ in range(n_nets):
+        spec, weights, _ = _random_net(rng, max_v0=6, max_width=10, max_hidden_layers=2,
+                                       activation="relu")
+        x = rng.standard_normal((n_rows, spec.input_dim))
+        _, tape = bnn.forward_mean_batch(spec, weights, x)
+        x = x[np.all([np.abs(z).min(axis=1) > 1e-3 for z in tape.preact[:-1]], axis=0)]
+        rows += x.shape[0]
+        tape = bnn.ForwardTape.allocate(spec, x.shape[:1])
+        bnn.output_moments_batch(spec, weights, [np.ones(s) for s in spec.weight_shapes],
+                                 x, np.ones(x.shape), tape)
+        fd = np.empty(x.shape)
+        for j in range(spec.input_dim):
+            hi, lo = x.copy(), x.copy()
+            hi[:, j] += step
+            lo[:, j] -= step
+            fd[:, j] = (bnn.forward_mean_batch(spec, weights, hi)[0]
+                        - bnn.forward_mean_batch(spec, weights, lo)[0]) / (2.0 * step)
+        err = np.abs(tape.inputs - fd) / np.maximum(np.abs(fd), 1e-3)
+        worst = max(worst, float(err.max(initial=0.0)))
+    return CheckResult("batch-input-gradient-vs-finite-differences", worst <= 1e-5,
+                       f"max scaled error {worst:.3e} over {rows} rows of {n_nets} "
+                       f"relu nets (tol 1e-5)")
 
 
 def check_output_moments_mc(seed: int = 1, n_nets: int = 3,
@@ -398,6 +432,7 @@ ALL_CHECKS = (
     check_ep_tilted,
     check_tau_recursion,
     check_special_functions,
+    check_batch_input_gradient_fd,
 )
 
 

@@ -58,6 +58,8 @@ SPECIAL_FORMS = (
 CORRUPTIONS = {
     # check: (module, function, wrapper that makes the function slightly wrong)
     "check_gradient_fd": (bnn, "backprop_gradient", _on_result(_bump_first)),
+    "check_batch_input_gradient_fd": (bnn, "_backward",
+                                      _on_result(lambda r: (r[0], _bump_first(r[1])))),
     "check_output_moments_mc": (bnn, "output_moments_batch",
                                 _on_result(lambda ab: (ab[0], 1.5 * ab[1]))),
     "check_evidence_binary": (adf_engine, "evidence_binary",
@@ -182,6 +184,19 @@ def test_gradient_check_fails_on_a_wrong_relu_derivative(monkeypatch):
     exec(compile(source.replace("out *= dh", "out /= dh"), bnn.__file__, "exec"), namespace)
     monkeypatch.setitem(bnn._ONE_ROW_GRADS, "relu", namespace["_relu_grad_one_row"])
     result = verify.check_gradient_fd()
+    assert not result.passed, result.detail
+
+
+def test_batch_gradient_check_fails_on_a_wrong_relu_derivative(monkeypatch):
+    # the same mutant of the n-row relu derivative, which batch prediction
+    # runs and the one-row gradient check never reaches
+    source = inspect.getsource(bnn._relu_grad)
+    assert source.count("out *= dh") == 1
+    namespace = dict(vars(bnn))
+    exec(compile(source.replace("out *= dh", "out /= dh"), bnn.__file__, "exec"), namespace)
+    monkeypatch.setitem(bnn.ACTIVATIONS, "relu", (bnn._relu, namespace["_relu_grad"]))
+    assert verify.check_gradient_fd().passed
+    result = verify.check_batch_input_gradient_fd()
     assert not result.passed, result.detail
 
 
