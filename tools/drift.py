@@ -106,7 +106,8 @@ def train(tree: Path, argv: list, out: Path) -> dict:
     argv = _set_flag(argv, "--checkpoint", str(out.with_suffix(".json")))
     i = argv.index("--metrics")
     stdout = _run(tree, ["-c", _TRAIN, str(out.with_suffix(".npz")), *argv[:i], *argv[i + 2:]])
-    _, name, value = next(line for line in stdout.splitlines() if line.startswith("final "))
+    _, name, value = next(line.split() for line in stdout.splitlines()
+                          if line.startswith("final "))
     digest = hashlib.sha256(out.with_suffix(".json").read_bytes()).hexdigest()
     with np.load(out.with_suffix(".npz")) as npz:
         fields = dict(npz)
