@@ -413,7 +413,7 @@ def test_a_failed_output_write_keeps_the_previous_file(tmp_path, capsys, monkeyp
 def test_verify_command_passes_every_check(capsys):
     assert cli.main(["verify", "--seed", "0"]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert len(lines) == 8
+    assert len(lines) == 9
     assert all(line.startswith("PASS ") for line in lines)
 
 

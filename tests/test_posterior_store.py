@@ -41,22 +41,17 @@ def test_init_term_fields_and_selectors():
     assert state.entries_seen == 0
 
 
-def test_init_draw_respects_sigma0():
-    state = _small_state(seed=1, sigma0_sq=0.25)
-    for lay in state.weights:
-        assert np.all(np.abs(lay.mean) <= 0.5)
-        assert np.all(lay.var == 0.125)
-        assert np.all(lay.term_var == 0.25)
-
-
-@pytest.mark.parametrize("sigma0_sq", [0.01, 1.0, 25.0])
+@pytest.mark.parametrize("sigma0_sq", [0.01, 0.25, 1.0, 25.0])
 def test_init_means_are_one_uniform_draw_per_weight(sigma0_sq):
     # the seed's generator, one uniform on [-sigma0, sigma0] per weight in
-    # the flat order, and nothing else drawn
+    # the flat order, and nothing else drawn; the site has half the slab's
+    # variance
     state = _small_state(seed=5, sigma0_sq=sigma0_sq)
-    n, sigma0 = state.net.n_weights, np.sqrt(sigma0_sq)
-    want = make_rng(5).uniform(-sigma0, sigma0, n)
-    assert np.array_equal(state.weight_fields()[0], want)
+    mean, var, _, term_var, _ = state.weight_fields()
+    sigma0 = np.sqrt(sigma0_sq)
+    assert np.array_equal(mean, make_rng(5).uniform(-sigma0, sigma0, state.net.n_weights))
+    assert np.all(var == sigma0_sq / 2.0)
+    assert np.all(term_var == sigma0_sq)
 
 
 def test_init_embeddings_are_prior_copy_for_any_seed():
