@@ -174,29 +174,27 @@ def test_ep_check_fails_on_each_source_mutant(monkeypatch, mutant):
     assert not result.passed, result.detail
 
 
-def test_gradient_check_fails_on_a_wrong_relu_derivative(monkeypatch):
-    # the source mutant `out *= dh` -> `out /= dh` of the one-row relu
-    # derivative, which the check's relu networks run: the tanh ones cannot
-    # see it
-    source = inspect.getsource(bnn._relu_grad_one_row)
+# the source mutant `out *= dh` -> `out /= dh` of each relu derivative, as
+# (the function, where the tape reads it, the check whose relu networks run
+# it; the tanh ones cannot see it): the one-row form, and the n-row form,
+# which batch prediction runs and the one-row check never reaches
+RELU_GRAD_MUTANTS = {
+    "one-row": ("_relu_grad_one_row", lambda grad: (bnn._ONE_ROW_GRADS, "relu", grad),
+                "check_gradient_fd"),
+    "n-row": ("_relu_grad", lambda grad: (bnn.ACTIVATIONS, "relu", (bnn._relu, grad)),
+              "check_batch_input_gradient_fd"),
+}
+
+
+@pytest.mark.parametrize("rows", sorted(RELU_GRAD_MUTANTS))
+def test_gradient_check_fails_on_a_wrong_relu_derivative(monkeypatch, rows):
+    name, slot, check = RELU_GRAD_MUTANTS[rows]
+    source = inspect.getsource(getattr(bnn, name))
     assert source.count("out *= dh") == 1
     namespace = dict(vars(bnn))
     exec(compile(source.replace("out *= dh", "out /= dh"), bnn.__file__, "exec"), namespace)
-    monkeypatch.setitem(bnn._ONE_ROW_GRADS, "relu", namespace["_relu_grad_one_row"])
-    result = verify.check_gradient_fd()
-    assert not result.passed, result.detail
-
-
-def test_batch_gradient_check_fails_on_a_wrong_relu_derivative(monkeypatch):
-    # the same mutant of the n-row relu derivative, which batch prediction
-    # runs and the one-row gradient check never reaches
-    source = inspect.getsource(bnn._relu_grad)
-    assert source.count("out *= dh") == 1
-    namespace = dict(vars(bnn))
-    exec(compile(source.replace("out *= dh", "out /= dh"), bnn.__file__, "exec"), namespace)
-    monkeypatch.setitem(bnn.ACTIVATIONS, "relu", (bnn._relu, namespace["_relu_grad"]))
-    assert verify.check_gradient_fd().passed
-    result = verify.check_batch_input_gradient_fd()
+    monkeypatch.setitem(*slot(namespace[name]))
+    result = getattr(verify, check)()
     assert not result.passed, result.detail
 
 
